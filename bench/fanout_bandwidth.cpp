@@ -89,7 +89,8 @@ int main() {
         if (server_of[m.stock] == copy.port) ++pkt_delivered;
     }
     // Message splitting: each server receives exactly its messages.
-    for (const auto& tx : sw.value().process_messages(frame, t)) {
+    const switchsim::Switch::Frame in{frame, t};
+    for (const auto& tx : sw.value().process_batch({&in, 1})) {
       camus_msg_bytes += tx.frame.size();
       ++camus_msg_copies;
       auto pkt = proto::decode_market_data_packet(tx.frame);

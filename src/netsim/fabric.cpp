@@ -70,17 +70,20 @@ std::vector<FabricDelivery> Fabric::inject(std::span<const std::uint8_t> frame,
   std::vector<FabricDelivery> out;
   const std::size_t s = flow_hash(frame) % spine_.size();
   const double t_spine = t_us + opts_.spine_latency_us;
-  const auto copies = spine_[s].sw->process(
-      frame, static_cast<std::uint64_t>(t_spine));
-  for (const auto& copy : copies) {
-    const std::size_t l = copy.port;  // downlink convention: port == leaf
+  const switchsim::Switch::Frame in{frame,
+                                    static_cast<std::uint64_t>(t_spine)};
+  // The spine re-frames per downlink exactly as a leaf re-frames per
+  // egress port: each leaf receives only the messages steered to it.
+  for (const auto& down : spine_[s].sw->process_batch({&in, 1})) {
+    const std::size_t l = down.port;  // downlink convention: port == leaf
     if (l >= leaf_.size()) continue;  // not a downlink (foreign program)
     for (auto& arrival : link(s, l).offer(t_spine + opts_.downlink_latency_us,
-                                          frame)) {
-      const auto tx = leaf_[l].sw->process(
-          arrival.bytes, static_cast<std::uint64_t>(arrival.t_us));
-      for (const auto& egress : tx)
-        out.push_back(FabricDelivery{l, egress.port, arrival.t_us});
+                                          down.frame)) {
+      const switchsim::Switch::Frame hop{
+          arrival.bytes, static_cast<std::uint64_t>(arrival.t_us)};
+      for (auto& tx : leaf_[l].sw->process_batch({&hop, 1}))
+        out.push_back(
+            FabricDelivery{l, tx.port, arrival.t_us, std::move(tx.frame)});
     }
   }
   std::sort(out.begin(), out.end());

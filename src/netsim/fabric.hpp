@@ -7,12 +7,13 @@
 // Data path of one ingress frame:
 //   ingress ──ECMP (flow hash % spines)──▶ spine ──per-(spine,leaf) faulty
 //   link──▶ leaf ──▶ subscriber ports
-// The spine classifies and replicates the frame onto the downlinks its
-// steering rules select (TxCopy.port == leaf index by the FabricSpec
-// downlink convention); each selected leaf classifies independently and
-// delivers to its local subscriber ports. Every spine runs the same
-// steering program, so ECMP spraying cannot change delivery semantics —
-// only timing.
+// Every hop runs Switch::process_batch. The spine classifies each message
+// and re-frames per downlink its steering rules select (TxPacket.port ==
+// leaf index by the FabricSpec downlink convention), so each leaf receives
+// exactly the messages steered to it; each leaf classifies them again and
+// re-frames per local subscriber port. Every spine runs the same steering
+// program, so ECMP spraying cannot change delivery semantics — only
+// timing.
 #pragma once
 
 #include <cstdint>
@@ -40,11 +41,13 @@ struct FabricTopologyOptions {
   double downlink_latency_us = 2.0;  // spine → leaf
 };
 
-// One frame copy that reached a subscriber port.
+// One frame that reached a subscriber port: the leaf's re-framed egress
+// packet, carrying exactly the port's matching messages.
 struct FabricDelivery {
   std::size_t leaf = 0;
   std::uint16_t port = 0;
   double t_us = 0;
+  std::vector<std::uint8_t> frame;
 
   friend auto operator<=>(const FabricDelivery&,
                           const FabricDelivery&) = default;
@@ -75,8 +78,9 @@ class Fabric {
   void program(const compiler::FabricProgram& program);
 
   // Injects one wire frame at t_us: ECMP spine choice, spine
-  // classification, per-downlink faults+latency, leaf classification.
-  // Returns the (leaf, port, arrival time) deliveries, sorted.
+  // classification and per-downlink re-framing, per-downlink
+  // faults+latency, leaf classification and per-port re-framing. Returns
+  // the deliveries sorted by (leaf, port, arrival time).
   std::vector<FabricDelivery> inject(std::span<const std::uint8_t> frame,
                                      double t_us);
 
@@ -114,7 +118,6 @@ class Fabric {
   std::vector<Node> spine_;
   std::vector<Node> leaf_;
   std::vector<fault::LinkFaults> links_;  // [spine * leaves + leaf]
-  std::uint64_t flows_ = 0;
 };
 
 }  // namespace camus::netsim

@@ -167,8 +167,8 @@ FaultExperimentResult run_fault_experiment(const FaultExperimentParams& params,
   // recovery delayed a frame.
   const auto switch_process = [&](std::uint64_t first_seq,
                                   std::span<const std::uint8_t> frame) {
-    auto txs = sw.process_messages(frame, first_seq);
-    for (auto& tx : txs) {
+    const switchsim::Switch::Frame in{frame, first_seq};
+    for (auto& tx : sw.process_batch({&in, 1})) {
       if (params.recovery_enabled) sequencer.seal(tx.port, tx.frame);
       send_down(tx.port, std::move(tx.frame), FrameKind::kData);
     }

@@ -32,50 +32,6 @@ void fold_output(ReplayStats& st,
   }
 }
 
-void record_call(ReplayStats& st, std::uint64_t ns, std::uint32_t msgs) {
-  st.wall_ns += ns;
-  st.call_ns.push_back(ns);
-  st.call_msgs.push_back(msgs);
-  st.messages += msgs;
-}
-
-// Shared batched-replay loop, parameterized over the process_batch
-// implementation so the single-threaded and multi-core drivers cannot
-// drift in how they slice, time, or fold.
-template <typename ProcessBatch>
-ReplayStats replay_batched_impl(std::span<const workload::PackedFrame> frames,
-                                std::size_t batch_size,
-                                ProcessBatch&& process) {
-  ReplayStats st;
-  st.output_digest = 0xcbf29ce484222325ULL;
-  st.frames = frames.size();
-  const std::size_t bs = std::max<std::size_t>(batch_size, 1);
-  st.call_ns.reserve(frames.size() / bs + 1);
-  st.call_msgs.reserve(frames.size() / bs + 1);
-  std::vector<switchsim::Switch::Frame> batch;
-  batch.reserve(bs);
-  for (std::size_t i = 0; i < frames.size(); i += bs) {
-    const std::size_t end = std::min(i + bs, frames.size());
-    batch.clear();
-    std::uint32_t msgs = 0;
-    for (std::size_t j = i; j < end; ++j) {
-      batch.push_back({frames[j].bytes, frames[j].t_us});
-      msgs += frames[j].n_msgs;
-    }
-    const auto t0 = Clock::now();
-    auto out = process(batch);
-    const auto t1 = Clock::now();
-    record_call(st,
-                static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        t1 - t0)
-                        .count()),
-                msgs);
-    fold_output(st, out);
-  }
-  return st;
-}
-
 }  // namespace
 
 LatencySummary per_message_latency(const ReplayStats& st) {
@@ -116,46 +72,38 @@ LatencySummary per_message_latency(const ReplayStats& st) {
   return s;
 }
 
-ReplayStats replay_per_frame(switchsim::Switch& sw,
-                             std::span<const workload::PackedFrame> frames) {
-  ReplayStats st;
-  st.output_digest = 0xcbf29ce484222325ULL;
-  st.frames = frames.size();
-  st.call_ns.reserve(frames.size());
-  st.call_msgs.reserve(frames.size());
-  for (const auto& pf : frames) {
-    const auto t0 = Clock::now();
-    auto out = sw.process_messages(pf.bytes, pf.t_us);
-    const auto t1 = Clock::now();
-    record_call(st,
-                static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        t1 - t0)
-                        .count()),
-                pf.n_msgs);
-    fold_output(st, out);
-  }
-  return st;
-}
-
 ReplayStats replay_batched(switchsim::Switch& sw,
                            std::span<const workload::PackedFrame> frames,
                            std::size_t batch_size) {
-  return replay_batched_impl(
-      frames, batch_size,
-      [&](std::span<const switchsim::Switch::Frame> b) {
-        return sw.process_batch(b);
-      });
-}
-
-ReplayStats replay_batched_parallel(
-    switchsim::ParallelSwitch& psw,
-    std::span<const workload::PackedFrame> frames, std::size_t batch_size) {
-  return replay_batched_impl(
-      frames, batch_size,
-      [&](std::span<const switchsim::Switch::Frame> b) {
-        return psw.process_batch(b);
-      });
+  ReplayStats st;
+  st.output_digest = 0xcbf29ce484222325ULL;
+  st.frames = frames.size();
+  const std::size_t bs = std::max<std::size_t>(batch_size, 1);
+  st.call_ns.reserve(frames.size() / bs + 1);
+  st.call_msgs.reserve(frames.size() / bs + 1);
+  std::vector<switchsim::Switch::Frame> batch;
+  batch.reserve(bs);
+  for (std::size_t i = 0; i < frames.size(); i += bs) {
+    const std::size_t end = std::min(i + bs, frames.size());
+    batch.clear();
+    std::uint32_t msgs = 0;
+    for (std::size_t j = i; j < end; ++j) {
+      batch.push_back({frames[j].bytes, frames[j].t_us});
+      msgs += frames[j].n_msgs;
+    }
+    const auto t0 = Clock::now();
+    auto out = sw.process_batch(batch);
+    const auto t1 = Clock::now();
+    const auto ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+            .count());
+    st.wall_ns += ns;
+    st.call_ns.push_back(ns);
+    st.call_msgs.push_back(msgs);
+    st.messages += msgs;
+    fold_output(st, out);
+  }
+  return st;
 }
 
 }  // namespace camus::netsim

@@ -1,17 +1,13 @@
-// Trace-replay harness for the data-plane fast path: drives packed
-// market-data frames through a switch via the per-frame reference path
-// (process_messages), the batched path (process_batch), or the multi-core
-// front end (ParallelSwitch::process_batch), timing only the switch work.
-// All paths fold their outputs into an order-sensitive digest so bench
-// harnesses can assert output equivalence without keeping every egress
-// frame alive.
+// Trace-replay harness for the data plane: drives packed market-data
+// frames through Switch::process_batch, timing only the switch work. The
+// outputs fold into an order-sensitive digest so bench harnesses can pin
+// output equivalence without keeping every egress frame alive.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "switchsim/parallel.hpp"
 #include "switchsim/switch.hpp"
 #include "workload/feed.hpp"
 
@@ -23,8 +19,7 @@ struct ReplayStats {
   std::size_t tx_packets = 0;  // egress packets produced
   std::uint64_t tx_bytes = 0;
   std::uint64_t wall_ns = 0;  // sum of the timed process calls
-  // Elapsed ns of each process call (one per frame for the per-frame
-  // path, one per batch for the batched path) for tail percentiles.
+  // Elapsed ns of each process_batch call, for tail percentiles.
   // call_msgs[i] is the number of ingress messages call i carried —
   // weight percentiles by it, because the per-call series mixes full and
   // partial batches (the trace tail) whose raw timings are not
@@ -49,19 +44,9 @@ struct LatencySummary {
 };
 LatencySummary per_message_latency(const ReplayStats& st);
 
-// Reference path: one process_messages call per frame.
-ReplayStats replay_per_frame(switchsim::Switch& sw,
-                             std::span<const workload::PackedFrame> frames);
-
-// Fast path: process_batch over batch_size-frame slices.
+// process_batch over batch_size-frame slices.
 ReplayStats replay_batched(switchsim::Switch& sw,
                            std::span<const workload::PackedFrame> frames,
                            std::size_t batch_size);
-
-// Multi-core fast path: ParallelSwitch::process_batch over the same
-// slices — digest-comparable with both paths above.
-ReplayStats replay_batched_parallel(
-    switchsim::ParallelSwitch& psw,
-    std::span<const workload::PackedFrame> frames, std::size_t batch_size);
 
 }  // namespace camus::netsim

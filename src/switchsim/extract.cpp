@@ -67,11 +67,6 @@ void ItchFieldExtractor::extract_into(const proto::ItchAddOrder& msg,
   }
 }
 
-std::uint64_t ItchFieldExtractor::wire_stock_key(
-    const std::uint8_t* msg) noexcept {
-  return read_be(msg + kOffStock, 8);
-}
-
 void ItchFieldExtractor::extract_wire(const std::uint8_t* msg,
                                       std::vector<std::uint64_t>& out) const {
   out.resize(sources_.size());

@@ -40,12 +40,6 @@ class ItchFieldExtractor {
 
   std::size_t field_count() const noexcept { return sources_.size(); }
 
-  // Raw big-endian 8-byte stock symbol of a scanned add-order wire block
-  // (the same value extract_wire() produces for the "stock" field before
-  // masking). This is the RSS sharding key of the multi-core front end:
-  // hashing it routes all frames led by one symbol to one worker.
-  static std::uint64_t wire_stock_key(const std::uint8_t* msg) noexcept;
-
  private:
   enum class Source : std::uint8_t {
     kZero,

@@ -1,7 +1,6 @@
 #include "switchsim/switch.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "proto/generic.hpp"
 #include "proto/packet.hpp"
@@ -28,15 +27,6 @@ std::shared_ptr<Switch::Program> Switch::make_program(
   prog->pipeline.finalize();
   prog->compiled = table::CompiledPipeline(prog->pipeline);
   prog->prefix_sig = prog->compiled.prefix_signature();
-  prog->stateless = [&] {
-    for (const table::LeafEntry& e : prog->pipeline.leaf.entries())
-      if (!e.actions.state_updates.empty()) return false;
-    for (const table::Table& t : prog->pipeline.tables)
-      if (t.subject().kind == lang::Subject::Kind::kState) return false;
-    for (const table::Table& t : prog->pipeline.value_maps)
-      if (t.subject().kind == lang::Subject::Kind::kState) return false;
-    return true;
-  }();
   return prog;
 }
 
@@ -179,6 +169,9 @@ const Switch::Program& Switch::current_data_plane() {
     for (MemoSlot& s : memo_) s.used = false;
     memo_sig_ = prog.prefix_sig;
   }
+  if (memo_.empty() && prog.compiled.valid() &&
+      prog.compiled.prefix_stages() > 0)
+    memo_.resize(kMemoSlots);
   return prog;
 }
 
@@ -197,30 +190,24 @@ Switch Switch::make_broadcast(spec::Schema schema,
 
 const lang::ActionSet& Switch::classify(
     const std::vector<std::uint64_t>& fields, std::uint64_t now_us) {
-  const Program& prog = current_data_plane();
-  lang::Env env;
-  env.fields = fields;
-  env.states = registers_.snapshot(now_us);
-  const table::LeafEntry* leaf = prog.pipeline.evaluate(env);
   static const lang::ActionSet kDrop{};
-  if (!leaf) return kDrop;
-  for (std::uint32_t var : leaf->actions.state_updates) {
-    registers_.apply_update(var, fields, now_us);
-    ++counters_.state_updates;
-  }
-  return leaf->actions;
+  const lang::ActionSet* actions =
+      classify_fast(current_data_plane(), fields, now_us);
+  return actions ? *actions : kDrop;
 }
 
 std::vector<Switch::TxCopy> Switch::process(
     std::span<const std::uint8_t> frame, std::uint64_t now_us) {
   ++counters_.rx_frames;
-  auto pkt = proto::decode_market_data_packet(frame);
-  if (!pkt || pkt->itch.add_orders.empty()) {
+  proto::MarketDataView view;
+  offsets_.clear();
+  if (!proto::scan_market_data_packet(frame, view, offsets_) ||
+      offsets_.empty()) {
     ++counters_.parse_errors;
     return {};
   }
-  const auto fields = extractor_.extract(pkt->itch.add_orders.front());
-  return forward(classify(fields, now_us));
+  extractor_.extract_wire(frame.data() + offsets_.front(), fields_scratch_);
+  return forward(classify(fields_scratch_, now_us));
 }
 
 std::vector<Switch::TxCopy> Switch::process_generic(
@@ -243,41 +230,6 @@ std::vector<Switch::TxCopy> Switch::forward(const lang::ActionSet& actions) {
   out.reserve(actions.ports.size());
   for (std::uint16_t p : actions.ports) {
     out.push_back({p});
-    ++counters_.tx_copies;
-  }
-  return out;
-}
-
-std::vector<Switch::TxPacket> Switch::process_messages(
-    std::span<const std::uint8_t> frame, std::uint64_t now_us) {
-  ++counters_.rx_frames;
-  auto pkt = proto::decode_market_data_packet(frame);
-  if (!pkt || pkt->itch.add_orders.empty()) {
-    ++counters_.parse_errors;
-    return {};
-  }
-
-  // Classify each message and bucket by egress port.
-  std::map<std::uint16_t, std::vector<proto::ItchAddOrder>> per_port;
-  for (const auto& msg : pkt->itch.add_orders) {
-    const auto fields = extractor_.extract(msg);
-    const lang::ActionSet& actions = classify(fields, now_us);
-    for (std::uint16_t p : actions.ports) per_port[p].push_back(msg);
-  }
-  // Per frame, like process(): the frame is replicated when its messages
-  // collectively reach more than one distinct egress port.
-  account_frame(per_port.size());
-  if (per_port.empty()) return {};
-
-  std::vector<TxPacket> out;
-  out.reserve(per_port.size());
-  for (auto& [port, msgs] : per_port) {
-    TxPacket tx;
-    tx.port = port;
-    tx.frame = proto::encode_market_data_packet(
-        pkt->eth, pkt->ip.src, pkt->ip.dst, pkt->itch.mold, msgs,
-        pkt->udp.dst_port);
-    out.push_back(std::move(tx));
     ++counters_.tx_copies;
   }
   return out;

@@ -28,41 +28,36 @@
 
 namespace camus::switchsim {
 
-class ParallelSwitch;
-
-// Per-switch counters. All frame-granularity counters count ingress
-// frames, uniformly across process(), process_generic(),
-// process_messages(), process_batch(), and the multi-core front end
-// (ParallelSwitch): every received frame increments rx_frames and then
-// exactly one of parse_errors, dropped, or matched. tx_copies and
-// state_updates are event counters, not frame counters.
+// Per-switch counters. Frame-granularity counters count ingress frames,
+// uniformly across process(), process_generic() and process_batch(): every
+// received frame increments rx_frames and then exactly one of
+// parse_errors, dropped, or matched. classify() takes no frame and only
+// counts state_updates. tx_copies and state_updates are event counters,
+// not frame counters.
 //
-// multicast_frames semantics (one definition, shared by every path via
-// Switch::account_frame): a frame is multicast when it is replicated to
-// MORE THAN ONE DISTINCT egress port — for the single-classification
-// paths that is the matched ActionSet's (sorted, unique) port list; for
-// the message-level paths it is the union of ports over the frame's
-// matched messages. It is counted per ingress frame, never per message
-// and never per egress copy, so a frame whose every message is unicast
-// to the same port is NOT multicast, while a frame whose messages are
-// individually unicast to two different ports IS. The accounting lives
-// in one helper precisely so the per-frame, per-message, batched, and
-// sharded paths cannot drift apart again (they historically did; the
-// per-frame-vs-batched differential in tests/test_counters.cpp pins the
-// unified semantics).
+// multicast_frames semantics (one definition, Switch::account_frame): a
+// frame is multicast when it is replicated to MORE THAN ONE DISTINCT
+// egress port — for process()/process_generic(), which forward the whole
+// frame on one classification, that is the matched ActionSet's (sorted,
+// unique) port list; for process_batch(), which classifies every message,
+// it is the union of ports over the frame's matched messages. It is
+// counted per ingress frame, never per message and never per egress copy,
+// so a frame whose every message is unicast to the same port is NOT
+// multicast, while a frame whose messages are individually unicast to two
+// different ports IS (pinned in tests/test_counters.cpp).
 struct SwitchCounters {
   // Ingress frames offered to the switch (parseable or not).
   std::uint64_t rx_frames = 0;
   // Frames the parser rejected (malformed, or no classifiable message).
   std::uint64_t parse_errors = 0;
   // Parsed frames that matched no subscription: nothing was forwarded.
-  // For process_messages() this means every message in the frame missed.
+  // For process_batch() this means every message in the frame missed.
   std::uint64_t dropped = 0;
-  // Parsed frames forwarded to >= 1 egress port. For process_messages(),
-  // a frame counts once if any of its messages matched.
+  // Parsed frames forwarded to >= 1 egress port. For process_batch(), a
+  // frame counts once if any of its messages matched.
   std::uint64_t matched = 0;
   // Total egress copies emitted. One per (frame, port) pair; for
-  // process_messages() one per re-framed per-port packet.
+  // process_batch() one per re-framed per-port packet.
   std::uint64_t tx_copies = 0;
   // Ingress frames replicated to > 1 distinct egress port. Always
   // <= matched; counted per frame, never per message.
@@ -71,9 +66,9 @@ struct SwitchCounters {
   std::uint64_t state_updates = 0;
 };
 
-// Fast-path-only telemetry for process_batch(). Kept separate from
-// SwitchCounters so the batched path's counters stay bit-identical to the
-// per-frame reference path.
+// Hot-key memo telemetry of the compiled engine, advanced by every entry
+// point. Kept out of SwitchCounters, which the tests' reference
+// interpreter reproduces exactly; the memo has no reference counterpart.
 struct BatchStats {
   std::uint64_t memo_probes = 0;  // hot-key memo lookups attempted
   std::uint64_t memo_hits = 0;    // lookups answered from the memo
@@ -97,15 +92,23 @@ class Switch {
     std::uint16_t port = 0;
   };
 
+  // Entry points. All four classify through one engine (classify_fast():
+  // the flattened CompiledPipeline behind a hot-key memo, with
+  // Pipeline::evaluate only for pipelines that cannot be flattened);
+  // they differ in what they take in and what they emit.
+
   // Processes one ingress frame at time now_us. Returns the egress ports
   // the frame is replicated to (the frame bytes are unmodified). A packet
   // carrying several ITCH messages is classified on its first add-order,
   // matching the prototype's parser, which extracts one application header.
+  // Parses with the same zero-copy scan and wire extraction as
+  // process_batch().
   std::vector<TxCopy> process(std::span<const std::uint8_t> frame,
                               std::uint64_t now_us);
 
-  // Classifies pre-extracted field values (fast path for benchmarks that
-  // skip wire encoding).
+  // Classifies pre-extracted field values and applies the matched rule's
+  // state updates: the Env-level entry point (fabric delivery sets, the
+  // nemesis and fuzz oracles, benchmarks that skip wire encoding).
   const lang::ActionSet& classify(const std::vector<std::uint64_t>& fields,
                                   std::uint64_t now_us);
 
@@ -122,14 +125,6 @@ class Switch {
   std::vector<TxCopy> process_generic(std::span<const std::uint8_t> frame,
                                       std::uint64_t now_us);
 
-  // Message-level forwarding: classifies every ITCH message in the packet
-  // independently and re-frames per egress port, so each subscriber
-  // receives a packet containing exactly its matching messages (with the
-  // original MoldUDP session and sequence number). State updates fire per
-  // matching message. Packets whose messages all miss produce no output.
-  std::vector<TxPacket> process_messages(std::span<const std::uint8_t> frame,
-                                         std::uint64_t now_us);
-
   // One ingress frame in a batch. `data` must stay alive for the duration
   // of the process_batch() call.
   struct Frame {
@@ -137,14 +132,17 @@ class Switch {
     std::uint64_t now_us = 0;
   };
 
-  // Batched equivalent of calling process_messages() on every frame in
-  // order and concatenating the results. Bit-identical output and
-  // SwitchCounters (differential-tested), but amortized: frames are
-  // scanned zero-copy (no payload vector, no per-message structs for
-  // dropped traffic), classification runs through the flattened
-  // CompiledPipeline with a hot-key memo over the leading exact stages,
-  // register snapshots are cached across messages, and only matched
-  // messages are decoded for re-framing.
+  // Message-level forwarding, the data plane proper: classifies every ITCH
+  // message of every frame independently, in arrival order, and re-frames
+  // per egress port, so each subscriber receives a packet containing
+  // exactly its matching messages (with the original MoldUDP session and
+  // sequence number). Output is frame by frame in batch order, ports
+  // ascending within a frame. State updates fire per matching message;
+  // frames whose messages all miss produce no output. Frames are scanned
+  // zero-copy (no payload vector, no per-message structs for dropped
+  // traffic), register snapshots are cached across messages, and only
+  // matched wire blocks are copied into the egress frames. Callers that
+  // work frame by frame pass one-frame batches.
   std::vector<TxPacket> process_batch(std::span<const Frame> frames);
 
   const SwitchCounters& counters() const noexcept { return counters_; }
@@ -250,13 +248,8 @@ class Switch {
   }
 
  private:
-  // The multi-core front end (parallel.hpp) shares the program slot, the
-  // memo layout, and the counter accounting, but keeps its own per-worker
-  // replicas of all data-plane-confined state.
-  friend class ParallelSwitch;
-
   // One immutable generation of the switch's program: the IR pipeline
-  // (reference path + delta base) and its flattened fast path. Readers
+  // (fallback evaluator + delta base) and its flattened form. Readers
   // hold a shared_ptr snapshot; updaters publish a wholly new Program.
   struct Program {
     std::uint64_t version = 0;
@@ -265,54 +258,44 @@ class Switch {
     // Cached compiled.prefix_signature(): the per-message memo
     // reconciliation check must be O(1), not a rehash of the prefix.
     std::uint64_t prefix_sig = 0;
-    // True when classification can never touch the register file: no
-    // leaf ActionSet carries state updates and no table or value map
-    // matches on a state subject. Such a program is order-independent
-    // across messages, which is what licenses the sharded multi-core
-    // front end (ParallelSwitch) to classify frames out of global order.
-    bool stateless = false;
   };
   // Shared forwarding tail of process()/process_generic(): bumps
   // dropped/matched/multicast_frames/tx_copies and emits one TxCopy per
   // egress port.
   std::vector<TxCopy> forward(const lang::ActionSet& actions);
 
-  // THE frame-outcome accounting, shared by every processing path:
+  // THE frame-outcome accounting, shared by every frame entry point:
   // `distinct_ports` is the number of distinct egress ports the frame is
   // replicated to (0 = dropped). Bumps exactly one of dropped/matched
   // and multicast_frames per the counters comment block above. tx_copies
-  // is charged separately, one per emitted copy. The static overload
-  // lets ParallelSwitch workers account into thread-local counter shards
-  // with the same single definition.
-  static void account_frame(SwitchCounters& c, std::size_t distinct_ports) {
+  // is charged separately, one per emitted copy.
+  void account_frame(std::size_t distinct_ports) {
     if (distinct_ports == 0) {
-      ++c.dropped;
+      ++counters_.dropped;
       return;
     }
-    ++c.matched;
-    if (distinct_ports > 1) ++c.multicast_frames;
-  }
-  void account_frame(std::size_t distinct_ports) {
-    account_frame(counters_, distinct_ports);
+    ++counters_.matched;
+    if (distinct_ports > 1) ++counters_.multicast_frames;
   }
 
   // Pins the currently published program without touching the
   // data-plane-confined cache (cur_) — safe from any thread; used by the
-  // multi-core front end to pin one snapshot per batch.
+  // control-plane readbacks.
   std::shared_ptr<const Program> pin_program() const {
     const std::lock_guard<std::mutex> lock(slot_->mu);
     return slot_->published;
   }
 
-  // Batch-path classification: returns the matched ActionSet (nullptr on
-  // drop) and applies state updates, bit-identical to classify() but
-  // allocation-free — cached register snapshot, flattened traversal with
-  // hot-key memo, Pipeline::evaluate fallback when the pipeline could not
-  // be flattened. Takes the program explicitly: the caller pins ONE
-  // snapshot for its whole batch, because the returned pointer aims into
-  // that program's interned actions — re-reading current_data_plane() per
-  // message could adopt a newer program mid-batch and free the old one
-  // while earlier messages' ActionSet pointers are still queued.
+  // The engine's classification step, shared by every entry point:
+  // returns the matched ActionSet (nullptr on drop) and applies its state
+  // updates. Allocation-free — cached register snapshot, flattened
+  // traversal with hot-key memo, Pipeline::evaluate fallback when the
+  // pipeline could not be flattened. Takes the program explicitly: a
+  // batch pins ONE snapshot for all its messages, because the returned
+  // pointer aims into that program's interned actions — re-reading
+  // current_data_plane() per message could adopt a newer program
+  // mid-batch and free the old one while earlier messages' ActionSet
+  // pointers are still queued.
   const lang::ActionSet* classify_fast(const Program& prog,
                                        const std::vector<std::uint64_t>& fields,
                                        std::uint64_t now_us);
@@ -321,7 +304,8 @@ class Switch {
 
   // Direct-mapped hot-key memo: (prefix key values) -> state after the
   // leading exact stages. Purely a function of the key, so a stale entry
-  // cannot exist — only reprogram() must clear it.
+  // cannot exist — only reprogram() must clear it. current_data_plane()
+  // sizes it for the first program with a memo prefix.
   struct MemoSlot {
     std::array<std::uint64_t, table::CompiledPipeline::kMaxPrefix> key{};
     std::uint32_t state = 0;
@@ -372,7 +356,7 @@ class Switch {
 
   std::vector<MemoSlot> memo_;
 
-  // Scratch state reused across process_batch() calls (capacity persists).
+  // Scratch state reused across data-plane calls (capacity persists).
   bool snap_valid_ = false;
   std::uint64_t snap_version_ = 0;
   std::uint64_t snap_now_us_ = 0;

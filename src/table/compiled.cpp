@@ -3,11 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <immintrin.h>
-#define CAMUS_HAVE_X86_DISPATCH 1
-#endif
-
 #include "util/flat_map.hpp"
 
 namespace camus::table {
@@ -180,27 +175,6 @@ CompiledPipeline::CompiledPipeline(const Pipeline& pipe) {
     stages_.push_back(s);
   }
 
-  // SoA probe mirrors for the prefix stages: copy the filled AoS slots
-  // verbatim (same capacity, same positions) so every probe sequence —
-  // start index, cluster walk, stop-at-empty — is identical by
-  // construction.
-  probe_.clear();
-  probe_.reserve(prefix_stages_);
-  for (std::size_t i = 0; i < prefix_stages_; ++i) {
-    const FlatTable& flat = stages_[i].flat;
-    ProbeTable pt;
-    pt.mask = flat.exact_mask;
-    pt.key.resize(flat.exact.size());
-    pt.state.resize(flat.exact.size());
-    pt.next.resize(flat.exact.size());
-    for (std::size_t s = 0; s < flat.exact.size(); ++s) {
-      pt.key[s] = flat.exact[s].value;
-      pt.state[s] = flat.exact[s].state;
-      pt.next[s] = flat.exact[s].next;
-    }
-    probe_.push_back(std::move(pt));
-  }
-
   leaf_state_to_idx_ = arena_.take<std::uint32_t>(n_states_);
   for (std::uint32_t& v : leaf_state_to_idx_) v = kMiss;
   leaf_entries_.reserve(pipe.leaf.entries().size());
@@ -230,12 +204,6 @@ std::uint32_t CompiledPipeline::flat_lookup(const FlatTable& t, StateId state,
       i = (i + 1) & t.exact_mask;
     }
   }
-  return flat_lookup_tail(t, state, value);
-}
-
-std::uint32_t CompiledPipeline::flat_lookup_tail(const FlatTable& t,
-                                                 StateId state,
-                                                 std::uint64_t value) noexcept {
   if (!t.ranges.empty() && state < t.states) {
     const std::uint32_t begin = t.range_off[state];
     const std::uint32_t end = t.range_off[state + 1];
@@ -254,129 +222,6 @@ std::uint32_t CompiledPipeline::flat_lookup_tail(const FlatTable& t,
   }
   if (state < t.any_next.size()) return t.any_next[state];
   return kMiss;
-}
-
-namespace {
-
-// One open-addressed probe over the SoA mirror, starting at `start`
-// (already hash & mask). Same walk as the AoS loop in flat_lookup: stop
-// on the first empty slot (miss) or the first (state, value) match (hit).
-// Returns the next-state payload or CompiledPipeline::kMiss == 0xffffffff
-// (never a legal payload: dense states are capped far below it).
-std::uint32_t probe_slots_scalar(const std::uint64_t* key,
-                                 const std::uint32_t* st,
-                                 const std::uint32_t* nx, std::uint64_t mask,
-                                 std::uint32_t state, std::uint64_t value,
-                                 std::size_t start,
-                                 std::uint32_t empty) noexcept {
-  std::size_t i = start;
-  while (st[i] != empty) {
-    if (st[i] == state && key[i] == value) return nx[i];
-    i = (i + 1) & mask;
-  }
-  return 0xffffffffu;
-}
-
-#if defined(CAMUS_HAVE_X86_DISPATCH)
-// SIMD variant: compares 4 slot keys and 4 slot states per round. The
-// first hit lane beats the first empty lane exactly when the scalar walk
-// would have returned it (probe order within a round is ascending), so
-// the result is bit-identical. Clusters are short (load factor <= 0.5),
-// so one round usually settles the probe.
-__attribute__((target("avx2"))) std::uint32_t probe_slots_avx2(
-    const std::uint64_t* key, const std::uint32_t* st,
-    const std::uint32_t* nx, std::uint64_t mask, std::uint32_t state,
-    std::uint64_t value, std::size_t start, std::uint32_t empty) noexcept {
-  const std::size_t cap = mask + 1;
-  const __m256i vval =
-      _mm256_set1_epi64x(static_cast<long long>(value));
-  const __m128i vstate = _mm_set1_epi32(static_cast<int>(state));
-  const __m128i vempty = _mm_set1_epi32(static_cast<int>(empty));
-  std::size_t i = start;
-  for (;;) {
-    if (i + 4 <= cap) {
-      const __m256i k = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(key + i));
-      const __m128i s = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(st + i));
-      const int mk = _mm256_movemask_pd(
-          _mm256_castsi256_pd(_mm256_cmpeq_epi64(k, vval)));
-      const int ms =
-          _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(s, vstate)));
-      const int me =
-          _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(s, vempty)));
-      const int hit = mk & ms;
-      const int hit_pos = hit ? __builtin_ctz(hit) : 4;
-      const int empty_pos = me ? __builtin_ctz(me) : 4;
-      if (hit_pos < empty_pos) return nx[i + static_cast<std::size_t>(hit_pos)];
-      if (empty_pos < 4) return 0xffffffffu;
-      i = (i + 4) & mask;
-    } else {
-      // The round would wrap past the end of the array: finish the tail
-      // scalar (same probe order), then continue from slot 0.
-      while (i < cap) {
-        if (st[i] == empty) return 0xffffffffu;
-        if (st[i] == state && key[i] == value) return nx[i];
-        ++i;
-      }
-      i = 0;
-    }
-  }
-}
-#endif  // CAMUS_HAVE_X86_DISPATCH
-
-using ProbeFn = std::uint32_t (*)(const std::uint64_t*, const std::uint32_t*,
-                                  const std::uint32_t*, std::uint64_t,
-                                  std::uint32_t, std::uint64_t, std::size_t,
-                                  std::uint32_t) noexcept;
-
-ProbeFn pick_probe() noexcept {
-#if defined(CAMUS_HAVE_X86_DISPATCH)
-  if (__builtin_cpu_supports("avx2")) return &probe_slots_avx2;
-#endif
-  return &probe_slots_scalar;
-}
-
-// Resolved once at startup; read-only afterwards (thread-safe).
-const ProbeFn g_probe = pick_probe();
-
-}  // namespace
-
-void CompiledPipeline::run_prefix_block(const std::uint64_t* keys,
-                                        std::size_t n,
-                                        std::uint32_t* out_states)
-    const noexcept {
-  std::uint32_t state[kBlockWidth];
-  for (std::size_t j = 0; j < n; ++j) state[j] = initial_state_;
-  for (std::size_t s = 0; s < prefix_stages_; ++s) {
-    const ProbeTable& pt = probe_[s];
-    const FlatTable& flat = stages_[s].flat;
-    std::size_t start[kBlockWidth];
-    if (!pt.key.empty()) {
-      // Hash + prefetch pass: every slot address in the block is known
-      // before any probe resolves, so the (likely) cache misses overlap.
-      for (std::size_t j = 0; j < n; ++j) {
-        start[j] = exact_hash(state[j], keys[j * kMaxPrefix + s]) & pt.mask;
-#if defined(__GNUC__) || defined(__clang__)
-        __builtin_prefetch(pt.key.data() + start[j]);
-        __builtin_prefetch(pt.state.data() + start[j]);
-#endif
-      }
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint64_t v = keys[j * kMaxPrefix + s];
-      std::uint32_t next = kMiss;
-      if (!pt.key.empty())
-        next = g_probe(pt.key.data(), pt.state.data(), pt.next.data(),
-                       pt.mask, state[j], v, start[j], kEmptyState);
-      // A missed exact probe falls through to the range/wildcard tail,
-      // exactly like flat_lookup (prefix stages compiled from rules are
-      // pure-exact; hand-built ones may not be).
-      if (next == kMiss) next = flat_lookup_tail(flat, state[j], v);
-      if (next != kMiss) state[j] = next;
-    }
-  }
-  for (std::size_t j = 0; j < n; ++j) out_states[j] = state[j];
 }
 
 std::uint64_t CompiledPipeline::input_value(

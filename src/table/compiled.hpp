@@ -15,8 +15,8 @@
 // Semantics are bit-identical to Pipeline::evaluate (exact beats range
 // beats wildcard; a miss keeps the state; value-map misses code to 0;
 // duplicate exact entries resolve last-wins and duplicate leaf states
-// first-wins, mirroring Table::finalize / LeafTable::add_entry). The
-// per-frame Pipeline path stays the semantic reference; this structure is
+// first-wins, mirroring Table::finalize / LeafTable::add_entry).
+// Pipeline::evaluate stays the semantic reference; this structure is
 // differential-tested against it.
 #pragma once
 
@@ -35,10 +35,6 @@ class CompiledPipeline {
   static constexpr std::uint32_t kMiss = 0xffffffffu;
   // Longest hot-key memo prefix (stages / key words).
   static constexpr std::size_t kMaxPrefix = 4;
-  // Messages per run_prefix_block() call: 8 keys per probe round, so the
-  // hashes and prefetches of a whole block issue before any probe's
-  // dependent load resolves.
-  static constexpr std::size_t kBlockWidth = 8;
 
   CompiledPipeline() = default;
 
@@ -74,30 +70,6 @@ class CompiledPipeline {
   std::uint32_t finish(std::uint32_t state,
                        std::span<const std::uint64_t> fields,
                        std::span<const std::uint64_t> states) const noexcept;
-
-  // --- block probing (batched / SIMD exact lookup) --------------------
-  // Runs the memo prefix for n <= kBlockWidth messages in lockstep.
-  // `keys` holds n rows of kMaxPrefix words in prefix_key() layout (row i,
-  // word s = raw input of prefix stage s for message i); out_states[i] ==
-  // run_prefix(fields_i, states_i) for the fields/states the keys were
-  // extracted from — bit-identical, differential-tested. Per stage, all n
-  // hashes are computed and their open-addressed slots prefetched before
-  // any probe resolves, and the probe itself compares slot keys 4 at a
-  // time with AVX2 when the CPU has it (runtime-dispatched; the scalar
-  // path is the semantic reference).
-  void run_prefix_block(const std::uint64_t* keys, std::size_t n,
-                        std::uint32_t* out_states) const noexcept;
-
-  // Issues a prefetch for the interned ActionSet a leaf index resolves
-  // to, so callers can overlap the actions() load of message i with the
-  // finish() of message i+1. No-op for kMiss.
-  void prefetch_leaf(std::uint32_t leaf_idx) const noexcept {
-    if (leaf_idx != kMiss) {
-#if defined(__GNUC__) || defined(__clang__)
-      __builtin_prefetch(&action_sets_[leaf_action_idx_[leaf_idx]]);
-#endif
-    }
-  }
 
   // --- leaf access ----------------------------------------------------
   const LeafEntry& leaf_entry(std::uint32_t leaf_idx) const {
@@ -162,26 +134,8 @@ class CompiledPipeline {
     std::int32_t input_code_idx = -1;  // duplicate-subject map chains
   };
 
-  // Structure-of-arrays mirror of a prefix stage's open-addressed exact
-  // table: same capacity, same hash, same slot order as FlatTable::exact,
-  // so probe sequences are identical — but keys sit contiguously, which
-  // is what the 4-wide SIMD compare in run_prefix_block wants. Built only
-  // for the prefix stages (the per-message hot loop); the scalar AoS
-  // table stays the reference for everything else.
-  struct ProbeTable {
-    std::vector<std::uint64_t> key;   // slot value
-    std::vector<StateId> state;       // slot state, kEmptyState = empty
-    std::vector<StateId> next;        // next-state payload
-    std::uint64_t mask = 0;           // capacity - 1, or 0 when empty
-  };
-
   static std::uint32_t flat_lookup(const FlatTable& t, StateId state,
                                    std::uint64_t value) noexcept;
-  // Range/wildcard tail of flat_lookup, used when a block probe's exact
-  // lookup misses (prefix stages compiled from rules are pure-exact, but
-  // hand-built pipelines may mix kinds in one table).
-  static std::uint32_t flat_lookup_tail(const FlatTable& t, StateId state,
-                                        std::uint64_t value) noexcept;
   std::uint64_t input_value(
       const Stage& s, std::span<const std::uint64_t> fields,
       std::span<const std::uint64_t> states,
@@ -190,7 +144,6 @@ class CompiledPipeline {
   util::Arena arena_;
   std::vector<MapStage> maps_;
   std::vector<Stage> stages_;
-  std::vector<ProbeTable> probe_;  // one per prefix stage
   std::span<std::uint32_t> leaf_state_to_idx_;  // dense; kMiss = no entry
   std::vector<LeafEntry> leaf_entries_;         // source LeafTable order
   std::vector<std::uint32_t> leaf_action_idx_;  // leaf idx -> interned set

@@ -7,9 +7,10 @@
 //             ≡ baseline::NaiveMatcher (DNF path)
 //             ≡ table::Pipeline::evaluate_actions (interpreted switchsim)
 //             ≡ table::CompiledPipeline::traverse (flattened fast path)
-//             ≡ switchsim::Switch::classify (registers in lockstep with a
-//             software mirror). Also proves the printed sample re-parses
-//             to the same AST (parser/printer round trip).
+//             ≡ switchsim::Switch::classify (the switch's engine: hot-key
+//             memo over the flattened pipeline, registers in lockstep
+//             with a software mirror). Also proves the printed sample
+//             re-parses to the same AST (parser/printer round trip).
 //  kChurn   — IncrementalCompiler commit deltas (remove half, re-add)
 //             applied through Switch::apply_delta must converge to the
 //             same classification function as a from-scratch compile.

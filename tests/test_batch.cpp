@@ -1,6 +1,6 @@
-// Differential test for the batched data-plane fast path:
-// Switch::process_batch must be bit-identical to calling
-// process_messages per frame — TxPacket sequences (port and frame bytes),
+// Differential test for the data-plane engine: Switch::process_batch must
+// be bit-identical to the per-message reference interpreter
+// (reference_switch.hpp) — TxPacket sequences (port and frame bytes),
 // SwitchCounters, and register state — on >= 10k nasdaq-replay messages
 // with malformed/truncated frames interleaved, across batch sizes, with
 // stateful rules, a reprogram mid-stream (hot-key memo invalidation), and
@@ -13,6 +13,7 @@
 
 #include "compiler/compile.hpp"
 #include "proto/packet.hpp"
+#include "reference_switch.hpp"
 #include "spec/itch_spec.hpp"
 #include "switchsim/switch.hpp"
 #include "workload/feed.hpp"
@@ -21,6 +22,7 @@
 namespace {
 
 using namespace camus;
+using oracle::ReferenceSwitch;
 using switchsim::Switch;
 
 struct RunResult {
@@ -29,12 +31,12 @@ struct RunResult {
   std::vector<std::uint64_t> regs;  // snapshot at final_time
 };
 
-RunResult run_per_frame(Switch& sw,
+RunResult run_reference(ReferenceSwitch& sw,
                         const std::vector<workload::PackedFrame>& frames,
                         std::uint64_t final_time) {
   RunResult r;
   for (const auto& f : frames) {
-    auto out = sw.process_messages(f.bytes, f.t_us);
+    auto out = sw.process(f.bytes, f.t_us);
     for (auto& tx : out) r.pkts.push_back(std::move(tx));
   }
   r.counters = sw.counters();
@@ -166,8 +168,8 @@ TEST(ProcessBatch, DifferentialAcrossBatchSizes) {
   const auto frames = mixed_frames(symbols, 12000);
   const std::uint64_t final_time = frames.back().t_us + 1;
 
-  Switch sw_ref(spec::make_itch_schema(), pipeline);
-  const auto ref = run_per_frame(sw_ref, frames, final_time);
+  ReferenceSwitch sw_ref(spec::make_itch_schema(), pipeline);
+  const auto ref = run_reference(sw_ref, frames, final_time);
   ASSERT_GT(ref.pkts.size(), 0u);
   ASSERT_GT(ref.counters.parse_errors, 0u);
 
@@ -191,9 +193,9 @@ TEST(ProcessBatch, DifferentialWithoutMemoPrefix) {
   const auto frames = mixed_frames(symbols, 10000);
   const std::uint64_t final_time = frames.back().t_us + 1;
 
-  Switch sw_ref(spec::make_itch_schema(), pipeline);
+  ReferenceSwitch sw_ref(spec::make_itch_schema(), pipeline);
   Switch sw_fast(spec::make_itch_schema(), pipeline);
-  const auto ref = run_per_frame(sw_ref, frames, final_time);
+  const auto ref = run_reference(sw_ref, frames, final_time);
   const auto fast = run_batched(sw_fast, frames, 64, final_time);
   expect_identical(ref, fast);
 }
@@ -237,9 +239,9 @@ TEST(ProcessBatch, DifferentialStatefulRules) {
   }
   const std::uint64_t final_time = frames.back().t_us + 1;
 
-  Switch sw_ref(schema, pipeline);
+  ReferenceSwitch sw_ref(schema, pipeline);
   Switch sw_fast(schema, pipeline);
-  const auto ref = run_per_frame(sw_ref, frames, final_time);
+  const auto ref = run_reference(sw_ref, frames, final_time);
   const auto fast = run_batched(sw_fast, frames, 32, final_time);
   ASSERT_GT(ref.counters.state_updates, 0u);
   expect_identical(ref, fast);
@@ -260,14 +262,14 @@ TEST(ProcessBatch, ReprogramInvalidatesMemo) {
   const std::vector<workload::PackedFrame> second(frames.begin() + half,
                                                   frames.end());
 
-  Switch sw_ref(spec::make_itch_schema(), pipe_a);
+  ReferenceSwitch sw_ref(spec::make_itch_schema(), pipe_a);
   Switch sw_fast(spec::make_itch_schema(), pipe_a);
 
-  RunResult ref = run_per_frame(sw_ref, first, final_time);
+  RunResult ref = run_reference(sw_ref, first, final_time);
   RunResult fast = run_batched(sw_fast, first, 64, final_time);
   sw_ref.reprogram(pipe_b);
   sw_fast.reprogram(pipe_b);
-  const RunResult ref2 = run_per_frame(sw_ref, second, final_time);
+  const RunResult ref2 = run_reference(sw_ref, second, final_time);
   const RunResult fast2 = run_batched(sw_fast, second, 64, final_time);
 
   for (const auto& tx : ref2.pkts) ref.pkts.push_back(tx);
@@ -302,7 +304,7 @@ TEST(ProcessBatch, FallbackWhenPipelineNotFlattenable) {
   p.leaf.add_entry(e);
   p.finalize();
 
-  Switch sw_ref(schema, p);
+  ReferenceSwitch sw_ref(schema, p);
   Switch sw_fast(schema, p);
   ASSERT_FALSE(sw_fast.compiled().valid());
 
@@ -322,7 +324,7 @@ TEST(ProcessBatch, FallbackWhenPipelineNotFlattenable) {
                                                 2, mold, {o});
     frames.push_back(std::move(pf));
   }
-  const auto ref = run_per_frame(sw_ref, frames, 1000);
+  const auto ref = run_reference(sw_ref, frames, 1000);
   const auto fast = run_batched(sw_fast, frames, 16, 1000);
   ASSERT_EQ(ref.pkts.size(), 100u);  // every GOOGL frame forwarded
   expect_identical(ref, fast);
@@ -361,7 +363,7 @@ TEST(ProcessBatch, StatefulPrefixMemoAcrossRegisterRollover) {
   }
   p.finalize();
 
-  Switch sw_ref(schema, p);
+  ReferenceSwitch sw_ref(schema, p);
   Switch sw_fast(schema, p);
   ASSERT_TRUE(sw_fast.compiled().valid());
   ASSERT_EQ(sw_fast.compiled().prefix_stages(), 1u);
@@ -384,7 +386,7 @@ TEST(ProcessBatch, StatefulPrefixMemoAcrossRegisterRollover) {
     frames.push_back(std::move(pf));
   }
   const std::uint64_t final_time = frames.back().t_us + 1;
-  const auto ref = run_per_frame(sw_ref, frames, final_time);
+  const auto ref = run_reference(sw_ref, frames, final_time);
   const auto fast = run_batched(sw_fast, frames, 32, final_time);
   ASSERT_GT(ref.counters.state_updates, 0u);
   ASSERT_GT(ref.counters.dropped, 0u);  // counter saturates inside windows

@@ -300,106 +300,4 @@ TEST(CompiledPipeline, PrefixRunsComposeToTraverse) {
   }
 }
 
-// run_prefix_block (the batched/SIMD probe) against run_prefix, one key
-// at a time reassembled into blocks of every width 1..kBlockWidth, over a
-// compiled ITCH program — hits, misses (unknown symbols), and hash
-// collisions all ride through the same open-addressed tables, and the
-// block path must agree on every lane.
-TEST(CompiledPipeline, PrefixBlockMatchesScalarPrefix) {
-  auto schema = spec::make_itch_schema();
-  workload::ItchSubsParams sp;
-  sp.seed = 13;
-  sp.n_subscriptions = 250;
-  sp.n_symbols = 100;
-  sp.n_hosts = 12;
-  auto subs = workload::generate_itch_subscriptions(schema, sp);
-  compiler::CompileOptions co;
-  co.order = bdd::OrderHeuristic::kExactFirst;
-  auto pipeline =
-      compiler::compile_rules(schema, subs.rules, co).take().pipeline;
-  pipeline.finalize();
-  const CompiledPipeline cp(pipeline);
-  ASSERT_TRUE(cp.valid());
-  ASSERT_GT(cp.prefix_stages(), 0u);
-
-  // Feed symbols from the subscribed universe plus unknown tickers (exact
-  // misses that walk probe clusters to an empty slot).
-  workload::FeedParams fp;
-  fp.seed = 17;
-  fp.n_messages = 1500;
-  fp.symbols = subs.symbols;
-  fp.symbols.insert(fp.symbols.end(),
-                    {"ZZZZ", "QQQQ", "NOPE", "MISS", "XXL"});
-  auto feed = workload::generate_feed(fp);
-
-  switchsim::ItchFieldExtractor ex(schema);
-  std::vector<std::uint64_t> fields;
-  const std::vector<std::uint64_t> states(schema.state_vars().size(), 0);
-
-  constexpr std::size_t kW = CompiledPipeline::kBlockWidth;
-  constexpr std::size_t kP = CompiledPipeline::kMaxPrefix;
-  std::uint64_t keys[kW * kP] = {};
-  std::uint32_t want[kW];
-  std::size_t n = 0;
-  std::size_t width = 1;  // cycle block widths 1..kW
-  std::size_t blocks = 0;
-  auto flush = [&] {
-    std::uint32_t got[kW];
-    cp.run_prefix_block(keys, n, got);
-    for (std::size_t j = 0; j < n; ++j)
-      ASSERT_EQ(got[j], want[j]) << "block " << blocks << " lane " << j;
-    ++blocks;
-    n = 0;
-    width = width % kW + 1;
-  };
-  for (const auto& fm : feed.messages) {
-    ex.extract_into(fm.msg, fields);
-    for (std::size_t i = 0; i < kP; ++i) keys[n * kP + i] = 0;
-    cp.prefix_key(fields, states, &keys[n * kP]);
-    want[n] = cp.run_prefix(fields, states);
-    if (++n == width) flush();
-  }
-  if (n > 0) flush();
-  EXPECT_GT(blocks, 100u);
-}
-
-// Block probing over a hand-built prefix whose table mixes exact entries
-// with a range and a wildcard in the SAME stage: an exact miss must fall
-// through to the range/wildcard tail exactly like flat_lookup.
-TEST(CompiledPipeline, PrefixBlockWithMixedKindFallback) {
-  Pipeline p;
-  Table t("mix", Subject::field(0), MatchKind::kExact, 16);
-  t.add_entry({kInitialState, ValueMatch::exact(3), 1});
-  t.add_entry({kInitialState, ValueMatch::exact(19), 2});
-  t.add_entry({kInitialState, ValueMatch::range(40, 49), 3});
-  t.add_entry({kInitialState, ValueMatch::any(), 4});
-  p.tables.push_back(std::move(t));
-  for (StateId s = 1; s <= 4; ++s) {
-    LeafEntry e;
-    e.state = s;
-    e.actions.add_port(static_cast<std::uint16_t>(s));
-    p.leaf.add_entry(e);
-  }
-  p.finalize();
-  const CompiledPipeline cp(p);
-  ASSERT_TRUE(cp.valid());
-  ASSERT_EQ(cp.prefix_stages(), 1u);
-
-  constexpr std::size_t kP = CompiledPipeline::kMaxPrefix;
-  std::vector<std::uint64_t> fields(1);
-  const std::vector<std::uint64_t> states;
-  // One full block covering: exact hits, range hit, wildcard fallback.
-  const std::uint64_t vals[] = {3, 19, 45, 0, 100, 40, 49, 7};
-  std::uint64_t keys[CompiledPipeline::kBlockWidth * kP] = {};
-  std::uint32_t want[CompiledPipeline::kBlockWidth];
-  for (std::size_t j = 0; j < 8; ++j) {
-    fields[0] = vals[j];
-    cp.prefix_key(fields, states, &keys[j * kP]);
-    want[j] = cp.run_prefix(fields, states);
-  }
-  std::uint32_t got[CompiledPipeline::kBlockWidth];
-  cp.run_prefix_block(keys, 8, got);
-  for (std::size_t j = 0; j < 8; ++j) EXPECT_EQ(got[j], want[j]) << j;
-}
-
 }  // namespace

@@ -1,4 +1,4 @@
-// SwitchCounters semantics, uniform across the three processing paths:
+// SwitchCounters semantics, uniform across the frame entry points:
 // every ingress frame increments rx_frames and exactly one of
 // parse_errors/dropped/matched; multicast_frames counts frames (never
 // messages) replicated to more than one distinct egress port.
@@ -7,8 +7,8 @@
 #include "compiler/compile.hpp"
 #include "proto/generic.hpp"
 #include "proto/packet.hpp"
+#include "reference_switch.hpp"
 #include "spec/itch_spec.hpp"
-#include "switchsim/parallel.hpp"
 #include "switchsim/switch.hpp"
 #include "util/intern.hpp"
 
@@ -38,10 +38,21 @@ std::vector<std::uint8_t> batch_frame(
   return proto::encode_market_data_packet(eth, 1, 2, mold, msgs);
 }
 
-switchsim::Switch make_switch(const spec::Schema& schema) {
+table::Pipeline make_pipeline(const spec::Schema& schema) {
   auto c = compiler::compile_source(schema, kRules);
   EXPECT_TRUE(c.ok()) << (c.ok() ? "" : c.error().to_string());
-  return switchsim::Switch(schema, c.value().pipeline);
+  return c.value().pipeline;
+}
+
+switchsim::Switch make_switch(const spec::Schema& schema) {
+  return switchsim::Switch(schema, make_pipeline(schema));
+}
+
+// Message-level forwarding of a single frame: a one-frame batch.
+std::vector<switchsim::Switch::TxPacket> process_one(
+    switchsim::Switch& sw, std::span<const std::uint8_t> frame) {
+  const switchsim::Switch::Frame in{frame, 0};
+  return sw.process_batch({&in, 1});
 }
 
 void expect_frame_invariant(const switchsim::SwitchCounters& c) {
@@ -104,26 +115,25 @@ TEST(Counters, ProcessMessagesCountsFramesNotMessages) {
 
   // Two multicast-matching messages in ONE frame: multicast_frames must
   // advance once (the old per-message accounting counted 2 here).
-  auto out = sw.process_messages(batch_frame({order("GOOGL"),
-                                              order("GOOGL")}), 0);
+  auto out = process_one(sw, batch_frame({order("GOOGL"), order("GOOGL")}));
   EXPECT_EQ(out.size(), 2u);  // ports 1 and 2
   EXPECT_EQ(sw.counters().multicast_frames, 1u);
   EXPECT_EQ(sw.counters().tx_copies, 2u);  // one re-framed packet per port
 
   // Unicast messages reaching a single port: not multicast.
-  out = sw.process_messages(batch_frame({order("MSFT"), order("IBM")}), 0);
+  out = process_one(sw, batch_frame({order("MSFT"), order("IBM")}));
   EXPECT_EQ(out.size(), 1u);
   EXPECT_EQ(sw.counters().multicast_frames, 1u);
 
   // A frame is multicast when its messages COLLECTIVELY reach > 1 port,
   // even if each message is unicast.
-  out = sw.process_messages(batch_frame({order("GOOGL"), order("MSFT")}), 0);
+  out = process_one(sw, batch_frame({order("GOOGL"), order("MSFT")}));
   EXPECT_EQ(out.size(), 2u);
   EXPECT_EQ(sw.counters().multicast_frames, 2u);
 
-  EXPECT_TRUE(sw.process_messages(batch_frame({order("IBM")}), 0).empty());
+  EXPECT_TRUE(process_one(sw, batch_frame({order("IBM")})).empty());
   std::vector<std::uint8_t> junk(16, 0x77);
-  EXPECT_TRUE(sw.process_messages(junk, 0).empty());
+  EXPECT_TRUE(process_one(sw, junk).empty());
 
   const auto& c = sw.counters();
   EXPECT_EQ(c.rx_frames, 5u);
@@ -135,8 +145,8 @@ TEST(Counters, ProcessMessagesCountsFramesNotMessages) {
 }
 
 TEST(Counters, PathsAgreeOnSingleMessageFrames) {
-  // For single-message frames the three paths must report identical
-  // frame-granularity counters.
+  // For single-message frames frame-level and message-level forwarding
+  // must report identical frame-granularity counters.
   auto schema = spec::make_itch_schema();
   auto sw_frame = make_switch(schema);
   auto sw_msgs = make_switch(schema);
@@ -144,7 +154,7 @@ TEST(Counters, PathsAgreeOnSingleMessageFrames) {
   for (const char* stock : {"GOOGL", "MSFT", "IBM", "GOOGL"}) {
     const auto frame = batch_frame({order(stock)});
     sw_frame.process(frame, 0);
-    sw_msgs.process_messages(frame, 0);
+    process_one(sw_msgs, frame);
   }
   const auto& a = sw_frame.counters();
   const auto& b = sw_msgs.counters();
@@ -166,17 +176,16 @@ void expect_counters_equal(const switchsim::SwitchCounters& a,
   EXPECT_EQ(a.state_updates, b.state_updates);
 }
 
-// Full counter differential — per-frame reference vs batched vs the
-// multi-core front end — over a multicast-heavy workload: every
-// multicast shape the account_frame() helper distinguishes (replicated
-// ActionSet, cross-port unicast union, same-port unicast union, drop,
-// junk) interleaved. All three paths must land on identical counters,
-// because they share the one accounting definition.
+// Full counter differential — reference interpreter vs one batch vs
+// one-frame batches — over a multicast-heavy workload: every multicast
+// shape the account_frame() helper distinguishes (replicated ActionSet,
+// cross-port unicast union, same-port unicast union, drop, junk)
+// interleaved. All three must land on identical counters and packets.
 TEST(Counters, MulticastHeavyDifferentialAcrossPaths) {
   auto schema = spec::make_itch_schema();
-  auto sw_ref = make_switch(schema);
+  oracle::ReferenceSwitch sw_ref(schema, make_pipeline(schema));
   auto sw_batch = make_switch(schema);
-  auto sw_thr = make_switch(schema);
+  auto sw_single = make_switch(schema);
 
   std::vector<std::vector<std::uint8_t>> frames;
   for (int i = 0; i < 80; ++i) {
@@ -200,29 +209,28 @@ TEST(Counters, MulticastHeavyDifferentialAcrossPaths) {
     }
   }
 
-  std::vector<switchsim::Switch::TxPacket> out_ref;
-  for (const auto& f : frames)
-    for (auto& tx : sw_ref.process_messages(f, 0))
-      out_ref.push_back(std::move(tx));
-
+  std::vector<switchsim::Switch::TxPacket> out_ref, out_single;
   std::vector<switchsim::Switch::Frame> batch;
-  for (const auto& f : frames) batch.push_back({f, 0});
-  auto out_batch = sw_batch.process_batch(batch);
-
-  switchsim::ParallelSwitch pool(sw_thr, 4);
-  ASSERT_TRUE(pool.eligible());
-  auto out_thr = pool.process_batch(batch);
+  for (const auto& f : frames) {
+    for (auto& tx : sw_ref.process(f, 0)) out_ref.push_back(std::move(tx));
+    for (auto& tx : process_one(sw_single, f))
+      out_single.push_back(std::move(tx));
+    batch.push_back({f, 0});
+  }
+  const auto out_batch = sw_batch.process_batch(batch);
 
   ASSERT_GT(sw_ref.counters().multicast_frames, 0u);
   expect_counters_equal(sw_ref.counters(), sw_batch.counters());
-  expect_counters_equal(sw_ref.counters(), sw_thr.counters());
-  expect_frame_invariant(sw_thr.counters());
+  expect_counters_equal(sw_ref.counters(), sw_single.counters());
+  expect_frame_invariant(sw_batch.counters());
 
   ASSERT_EQ(out_ref.size(), out_batch.size());
-  ASSERT_EQ(out_ref.size(), out_thr.size());
+  ASSERT_EQ(out_ref.size(), out_single.size());
   for (std::size_t i = 0; i < out_ref.size(); ++i) {
-    EXPECT_EQ(out_ref[i].port, out_thr[i].port) << "packet " << i;
-    EXPECT_EQ(out_ref[i].frame, out_thr[i].frame) << "packet " << i;
+    EXPECT_EQ(out_ref[i].port, out_batch[i].port) << "packet " << i;
+    EXPECT_EQ(out_ref[i].frame, out_batch[i].frame) << "packet " << i;
+    EXPECT_EQ(out_ref[i].port, out_single[i].port) << "packet " << i;
+    EXPECT_EQ(out_ref[i].frame, out_single[i].frame) << "packet " << i;
   }
 }
 

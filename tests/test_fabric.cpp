@@ -2,12 +2,14 @@
 // equivalence proof (with a corrupted-steering negative producing a
 // concrete counterexample), the all-or-nothing cross-switch install, the
 // fuzzer-driven differential suite (fabric delivery ≡ single-switch
-// oracle per (leaf, port) across topologies), and the fabric nemesis
-// campaign's invariants + determinism.
+// oracle per (leaf, port) across topologies, at the Env level and for
+// wire frames), and the fabric nemesis campaign's invariants +
+// determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "lang/bound.hpp"
 #include "lang/parser.hpp"
 #include "netsim/fabric.hpp"
+#include "proto/packet.hpp"
 #include "pubsub/fabric.hpp"
 #include "spec/itch_spec.hpp"
 #include "table/delta.hpp"
@@ -278,6 +281,96 @@ void run_differential(std::size_t leaves, std::size_t spines,
 TEST(FabricDifferential, TrivialTopology1x1) { run_differential(1, 1, 11, 12); }
 TEST(FabricDifferential, Topology2x4) { run_differential(2, 4, 22, 12); }
 TEST(FabricDifferential, Topology4x8) { run_differential(4, 8, 33, 12); }
+
+// Per-(leaf, port) message streams, each message as its ITCH wire bytes.
+using MessageStreams =
+    std::map<std::pair<std::size_t, std::uint16_t>,
+             std::vector<std::vector<std::uint8_t>>>;
+
+void append_messages(MessageStreams& streams, std::size_t leaf,
+                     std::uint16_t port,
+                     const std::vector<std::uint8_t>& frame) {
+  const auto pkt = camus::proto::decode_market_data_packet(frame);
+  ASSERT_TRUE(pkt.has_value());
+  for (const auto& m : pkt->itch.add_orders)
+    streams[{leaf, port}].push_back(camus::proto::encode_itch_message(m));
+}
+
+// Wire frames across the fabric: each sample's probes are packed four to
+// a MoldUDP64 frame and inject()ed, and every (leaf, port)'s message
+// stream must equal what the monolithic program's process_batch sends
+// that port. A spine or leaf that forwarded a whole frame on its leading
+// message would lose or misroute the trailing ones.
+void run_wire_differential(std::size_t leaves, std::size_t spines,
+                           std::uint64_t seed, std::size_t samples) {
+  auto schema = camus::spec::make_itch_schema();
+  const auto shares = *schema.resolve_field("shares");
+  const auto stock = *schema.resolve_field("stock");
+  const auto price = *schema.resolve_field("price");
+  camus::workload::FuzzParams params;
+  params.seed = seed;
+  params.p_stateful = 0;  // fabric scope is stateless-only
+  params.max_rules = 6;
+  const camus::workload::GrammarFuzzer fuzzer(schema, params);
+
+  FabricSpec spec;
+  spec.leaves = leaves;
+  spec.spines = spines;
+
+  std::size_t delivered = 0;
+  for (std::uint64_t i = 0; i < samples; ++i) {
+    const auto sample = fuzzer.sample(i);
+    auto placed =
+        camus::compiler::partition_for_fabric(schema, sample.bound, spec);
+    ASSERT_TRUE(placed.ok()) << "sample " << i;
+    auto program = camus::compiler::compile_fabric(schema, placed.value());
+    ASSERT_TRUE(program.ok()) << "sample " << i;
+    auto oracle = camus::compiler::compile_rules(schema, sample.bound);
+    ASSERT_TRUE(oracle.ok()) << "sample " << i;
+
+    camus::netsim::FabricTopologyOptions topo;
+    topo.spec = spec;
+    camus::netsim::Fabric fabric(schema, topo);
+    fabric.program(program.value());
+    camus::switchsim::Switch mono(schema, oracle.value().pipeline);
+
+    MessageStreams got, want;
+    for (std::size_t p = 0; p + 4 <= sample.probes.size(); p += 4) {
+      std::vector<camus::proto::ItchAddOrder> msgs;
+      for (std::size_t k = p; k < p + 4; ++k) {
+        const auto& f = sample.probes[k].fields;
+        camus::proto::ItchAddOrder m;
+        m.shares = static_cast<std::uint32_t>(f[shares]);
+        m.stock = camus::util::decode_symbol(f[stock]);
+        m.price = static_cast<std::uint32_t>(f[price]);
+        msgs.push_back(std::move(m));
+      }
+      camus::proto::MoldUdp64Header mold;
+      mold.sequence = 1 + p;
+      const auto frame = camus::proto::encode_market_data_packet(
+          camus::proto::EthernetHeader{}, 1, 2, mold, msgs);
+      for (const auto& d : fabric.inject(frame, static_cast<double>(p)))
+        append_messages(got, d.leaf, d.port, d.frame);
+      const camus::switchsim::Switch::Frame in{frame, p};
+      for (const auto& tx : mono.process_batch({&in, 1}))
+        append_messages(want, spec.leaf_of(tx.port), tx.port, tx.frame);
+    }
+    ASSERT_EQ(got, want) << "sample " << i
+                         << " diverged from the monolithic process_batch";
+    for (const auto& [where, msgs] : want) delivered += msgs.size();
+  }
+  EXPECT_GT(delivered, 0u);
+}
+
+TEST(FabricDifferential, WireTopology1x1) {
+  run_wire_differential(1, 1, 11, 12);
+}
+TEST(FabricDifferential, WireTopology2x4) {
+  run_wire_differential(2, 4, 22, 12);
+}
+TEST(FabricDifferential, WireTopology4x8) {
+  run_wire_differential(4, 8, 33, 12);
+}
 
 // --- Cross-switch install -------------------------------------------------
 

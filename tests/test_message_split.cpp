@@ -1,5 +1,6 @@
-// Message-level forwarding: multi-message MoldUDP packets are split per
-// subscriber, each receiving exactly its matching messages.
+// Message-level forwarding (Switch::process_batch, one-frame batches):
+// multi-message MoldUDP packets are split per subscriber, each receiving
+// exactly its matching messages.
 #include <gtest/gtest.h>
 
 #include "compiler/compile.hpp"
@@ -34,6 +35,13 @@ switchsim::Switch make_switch(const spec::Schema& schema,
   return switchsim::Switch(schema, c.value().pipeline);
 }
 
+std::vector<switchsim::Switch::TxPacket> split(
+    switchsim::Switch& sw, std::span<const std::uint8_t> frame,
+    std::uint64_t now_us) {
+  const switchsim::Switch::Frame in{frame, now_us};
+  return sw.process_batch({&in, 1});
+}
+
 TEST(MessageSplit, EachSubscriberGetsItsSlice) {
   auto schema = spec::make_itch_schema();
   auto sw = make_switch(schema, R"(
@@ -44,7 +52,7 @@ TEST(MessageSplit, EachSubscriberGetsItsSlice) {
 
   const auto frame = batch_frame(
       {order("GOOGL"), order("MSFT"), order("IBM"), order("GOOGL")});
-  auto out = sw.process_messages(frame, 0);
+  auto out = split(sw, frame, 0);
   ASSERT_EQ(out.size(), 3u);  // ports 1, 2, 3
 
   auto decode = [](const std::vector<std::uint8_t>& f) {
@@ -76,9 +84,7 @@ TEST(MessageSplit, EachSubscriberGetsItsSlice) {
 TEST(MessageSplit, AllMissProducesNothing) {
   auto schema = spec::make_itch_schema();
   auto sw = make_switch(schema, "stock == GOOGL : fwd(1)");
-  EXPECT_TRUE(
-      sw.process_messages(batch_frame({order("IBM"), order("ORCL")}), 0)
-          .empty());
+  EXPECT_TRUE(split(sw, batch_frame({order("IBM"), order("ORCL")}), 0).empty());
   EXPECT_EQ(sw.counters().dropped, 1u);
 }
 
@@ -88,7 +94,7 @@ TEST(MessageSplit, StateUpdatesFirePerMessage) {
       schema, "stock == AAPL : fwd(1); update(my_counter)");
   const auto frame =
       batch_frame({order("AAPL"), order("AAPL"), order("IBM")});
-  auto out = sw.process_messages(frame, 10);
+  auto out = split(sw, frame, 10);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(sw.registers().read(0, 50), 2u);  // two AAPL messages counted
 }
@@ -97,7 +103,7 @@ TEST(MessageSplit, MalformedCounted) {
   auto schema = spec::make_itch_schema();
   auto sw = make_switch(schema, "stock == AAPL : fwd(1)");
   std::vector<std::uint8_t> junk(20, 0x55);
-  EXPECT_TRUE(sw.process_messages(junk, 0).empty());
+  EXPECT_TRUE(split(sw, junk, 0).empty());
   EXPECT_EQ(sw.counters().parse_errors, 1u);
 }
 
@@ -111,7 +117,7 @@ TEST(MessageSplit, SplitFramesReparseCleanly) {
   )");
   const auto frame = batch_frame({order("NVDA", 600), order("AMD", 700),
                                   order("NVDA", 10), order("AMD", 10)});
-  auto out = sw.process_messages(frame, 0);
+  auto out = split(sw, frame, 0);
   ASSERT_EQ(out.size(), 2u);
   for (const auto& tx : out) {
     auto pkt = proto::decode_market_data_packet(tx.frame);

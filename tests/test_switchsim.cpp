@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "compiler/compile.hpp"
+#include "proto/generic.hpp"
 #include "proto/packet.hpp"
 #include "spec/itch_spec.hpp"
 #include "switchsim/switch.hpp"
@@ -203,6 +204,64 @@ TEST(Switch, ResourceAuditForLargePipeline) {
   EXPECT_TRUE(sw.fits());
   const auto res = sw.resources();
   EXPECT_GT(res.logical_entries, 500u);
+}
+
+// Every entry point runs the compiled engine: on a program whose leading
+// stage is the exact-match symbol table, process(), process_generic() and
+// classify() each probe the hot-key memo; on a pipeline the flattener
+// refuses, all three still answer through the Pipeline::evaluate fallback.
+TEST(Switch, EveryEntryPointRunsTheCompiledEngine) {
+  auto schema = spec::make_itch_schema();
+  compiler::CompileOptions co;
+  co.order = bdd::OrderHeuristic::kExactFirst;
+  auto compiled = compiler::compile_source(schema, R"(
+    stock == GOOGL : fwd(1)
+    stock == MSFT and price > 1000 : fwd(2)
+  )", co);
+  ASSERT_TRUE(compiled.ok()) << compiled.error().to_string();
+  switchsim::Switch sw(schema, compiled.value().pipeline);
+  ASSERT_GT(sw.compiled().prefix_stages(), 0u);
+
+  const auto googl = order("GOOGL", 1, 5);
+  const switchsim::ItchFieldExtractor ex(schema);
+  const auto googl_generic =
+      proto::encode_generic_packet(schema, ex.extract(googl));
+  const std::vector<std::uint16_t> port1{1};
+
+  std::uint64_t probes = sw.batch_stats().memo_probes;
+  EXPECT_EQ(sw.process(frame_for(googl), 0).size(), 1u);
+  EXPECT_GT(sw.batch_stats().memo_probes, probes);
+  probes = sw.batch_stats().memo_probes;
+  EXPECT_EQ(sw.process_generic(googl_generic, 0).size(), 1u);
+  EXPECT_GT(sw.batch_stats().memo_probes, probes);
+  probes = sw.batch_stats().memo_probes;
+  EXPECT_EQ(sw.classify(ex.extract(googl), 0).ports, port1);
+  EXPECT_GT(sw.batch_stats().memo_probes, probes);
+  EXPECT_GT(sw.batch_stats().memo_hits, 0u);  // GOOGL's key repeated
+
+  // A leaf state beyond the dense-id cap leaves the pipeline unflattened.
+  const table::StateId huge = 1u << 25;
+  table::Pipeline p;
+  table::Table t("stock", lang::Subject::field(1), table::MatchKind::kExact,
+                 64);
+  t.add_entry({table::kInitialState,
+               table::ValueMatch::exact(googl.stock_key()), huge});
+  p.tables.push_back(std::move(t));
+  table::LeafEntry e;
+  e.state = huge;
+  e.actions.add_port(5);
+  p.leaf.add_entry(e);
+  switchsim::Switch fallback(schema, p);
+  ASSERT_FALSE(fallback.compiled().valid());
+
+  const std::vector<std::uint16_t> port5{5};
+  EXPECT_EQ(fallback.process(frame_for(googl), 0).size(), 1u);
+  EXPECT_EQ(fallback.process_generic(googl_generic, 0).size(), 1u);
+  EXPECT_EQ(fallback.classify(ex.extract(googl), 0).ports, port5);
+  EXPECT_TRUE(
+      fallback.classify(ex.extract(order("MSFT", 1, 5)), 0).ports.empty());
+  EXPECT_EQ(fallback.counters().matched, 2u);
+  EXPECT_EQ(fallback.batch_stats().memo_probes, 0u);
 }
 
 }  // namespace
