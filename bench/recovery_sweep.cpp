@@ -2,10 +2,11 @@
 // control plane's recovery story on a seeded churn history.
 //
 //   1. Recovery time vs history length: the journal of an N-commit churn
-//      run is truncated at milestone fractions and a fresh
-//      DurableController open()s each prefix (exact replay — every commit
-//      boundary recompiled and digest-checked). The full-depth replay
-//      must reproduce the pre-crash intended pipeline bit-identically.
+//      run on the single-switch topology is truncated at milestone
+//      fractions and a fresh DurableController open()s each prefix (exact
+//      replay — every commit boundary recompiled and digest-checked). The
+//      full-depth replay must reproduce the pre-crash intended pipeline
+//      bit-identically.
 //   2. Checkpoint recovery: the same history compacted to one snapshot
 //      record, then reopened — O(live state) instead of O(history).
 //   3. Repair delta vs full reprogram: a switch that missed exactly one
@@ -37,6 +38,7 @@
 #include <vector>
 
 #include "compiler/compile.hpp"
+#include "compiler/fabric.hpp"
 #include "fault/plan.hpp"
 #include "pubsub/durable.hpp"
 #include "pubsub/install.hpp"
@@ -123,7 +125,9 @@ struct ReplayProbe {
 
   ReplayProbe(const spec::Schema& schema, const std::string& log,
               bool file_backed, const std::string& tag)
-      : box(file_backed, tag), ctl(schema, box.ref(), bench_opts()) {
+      : box(file_backed, tag),
+        ctl(schema, box.ref(), compiler::FabricSpec::single_switch(),
+            bench_opts()) {
     box.ref().replace(log);
     util::Timer t;
     ok = ctl.open().ok();
@@ -160,7 +164,9 @@ bool run_mode(const spec::Schema& schema, bool file_backed, int n_commits,
   out.commits = n_commits;
 
   StorageBox storage(file_backed, out.mode + "_history");
-  pubsub::DurableController ctl(schema, storage.ref(), bench_opts());
+  pubsub::DurableController ctl(schema, storage.ref(),
+                                compiler::FabricSpec::single_switch(),
+                                bench_opts());
   if (!ctl.open().ok()) {
     std::fprintf(stderr, "[%s] open failed\n", out.mode.c_str());
     return false;
@@ -223,7 +229,7 @@ bool run_mode(const spec::Schema& schema, bool file_backed, int n_commits,
   }
   out.history_s = wall.seconds();
   const std::string log = storage.contents();
-  const table::Pipeline intended = *ctl.intended().value();
+  const table::Pipeline intended = ctl.intended().value()->leaves[0];
   const std::uint64_t intended_digest = table::pipeline_digest(intended);
   out.journal_bytes = log.size();
   out.subscriptions = ctl.subscription_count();
@@ -251,7 +257,7 @@ bool run_mode(const spec::Schema& schema, bool file_backed, int n_commits,
     if (frac == 1.0) {
       auto recovered = probe.ctl.intended();
       if (!recovered.ok() ||
-          table::pipeline_digest(*recovered.value()) != intended_digest) {
+          recovered.value()->leaf_digests[0] != intended_digest) {
         std::fprintf(stderr,
                      "[%s] FAIL: full replay is not digest-identical\n",
                      out.mode.c_str());
@@ -288,8 +294,8 @@ bool run_mode(const spec::Schema& schema, bool file_backed, int n_commits,
   util::Timer repair_t;
   auto rec = ctl.reconcile(installer);
   out.repair_ms = repair_t.seconds() * 1e3;
-  const bool repair_ok = rec.ok() && rec.value().repaired &&
-                         !rec.value().full_reprogram &&
+  const bool repair_ok = rec.ok() && rec.value().repaired == 1 &&
+                         rec.value().full_reprograms == 0 &&
                          sw.program_digest() == intended_digest;
   if (!repair_ok) {
     std::fprintf(stderr, "[%s] FAIL: missed-install repair\n",
@@ -305,8 +311,8 @@ bool run_mode(const spec::Schema& schema, bool file_backed, int n_commits,
   util::Timer cold_t;
   auto cold = ctl.reconcile(cold_installer);
   out.cold_ms = cold_t.seconds() * 1e3;
-  const bool cold_ok = cold.ok() && cold.value().repaired &&
-                       cold.value().full_reprogram &&
+  const bool cold_ok = cold.ok() && cold.value().repaired == 1 &&
+                       cold.value().full_reprograms == 1 &&
                        cold_sw.program_digest() == intended_digest;
   if (!cold_ok) {
     std::fprintf(stderr, "[%s] FAIL: cold-reboot reprogram\n",

@@ -64,11 +64,25 @@ std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
+// The field subjects a flattened rule pins, with the pinned value.
+std::map<lang::Subject, std::uint64_t> pinned_fields(
+    const lang::FlatRule& rule, const bdd::VarOrder& order) {
+  std::map<lang::Subject, std::uint64_t> pins;
+  for (const auto& subject : order.subjects()) {
+    if (subject.kind != lang::Subject::Kind::kField) continue;
+    if (auto v = point_constrained_value(rule, subject)) pins[subject] = *v;
+  }
+  return pins;
+}
+
 }  // namespace
 
-util::Result<bool> fabric_rule_ok(const lang::BoundRule& rule,
-                                  const spec::Schema& schema) {
-  auto flat = lang::flatten_rule(rule, schema);
+util::Result<std::map<lang::Subject, std::uint64_t>> steering_pins(
+    const lang::BoundRule& rule, const spec::Schema& schema,
+    const FabricSpec& spec, const bdd::VarOrder& order,
+    std::size_t max_dnf_terms) {
+  if (spec.single()) return std::map<lang::Subject, std::uint64_t>{};
+  auto flat = lang::flatten_rule(rule, schema, max_dnf_terms);
   if (!flat.ok()) return flat.error();
   if (touches_state(flat.value()))
     return util::Error{
@@ -76,46 +90,12 @@ util::Result<bool> fabric_rule_ok(const lang::BoundRule& rule,
         "state, which cannot be replicated across switches without changing "
         "update multiplicity",
         0, 0, "F150"};
-  return true;
+  return pinned_fields(flat.value(), order);
 }
 
-util::Result<FabricPlacement> partition_for_fabric(
-    const spec::Schema& schema, const std::vector<lang::BoundRule>& rules,
-    const FabricSpec& spec, const CompileOptions& opts) {
-  if (spec.leaves == 0 || spec.spines == 0)
-    return util::Error{"fabric spec needs at least one leaf and one spine",
-                       0, 0, "F151"};
-
-  auto flat_r = lang::flatten_rules(rules, schema, opts.max_dnf_terms);
-  if (!flat_r.ok()) return flat_r.error();
-  const auto& flat = flat_r.value();
-  for (const auto& fr : flat)
-    if (touches_state(fr))
-      return util::Error{
-          "fabric placement is stateless-only: rule reads or updates "
-          "register state (reject at subscribe time with fabric_rule_ok)",
-          0, 0, "F150"};
-
-  const bdd::VarOrder order = choose_order(schema, flat, opts.order);
-  const bdd::DomainMap domains(schema);
-
-  FabricPlacement placement;
-  placement.spec = spec;
-  placement.total_rules = rules.size();
-  placement.leaf_rules.resize(spec.leaves);
-  placement.leaf_values.resize(spec.leaves);
-  placement.leaf_needs_all.assign(spec.leaves, false);
-
-  // Steering attribute: the field subject pinned (point-constrained across
-  // every DNF term) by the most rules — the same dominance criterion
-  // plan_partition uses to shard one pipeline, applied across switches.
-  // Ties break by variable-order rank so the choice is deterministic.
-  std::map<lang::Subject, std::size_t> pinned_count;
-  for (const auto& fr : flat)
-    for (const auto& subject : order.subjects()) {
-      if (subject.kind != lang::Subject::Kind::kField) continue;
-      if (point_constrained_value(fr, subject)) ++pinned_count[subject];
-    }
+std::optional<lang::Subject> choose_steering(
+    const std::map<lang::Subject, std::size_t>& pinned_count,
+    const bdd::VarOrder& order) {
   std::optional<lang::Subject> steer;
   std::size_t best = 0;
   for (const auto& [subject, count] : pinned_count) {
@@ -126,27 +106,98 @@ util::Result<FabricPlacement> partition_for_fabric(
     }
   }
   if (steer && best == 0) steer.reset();
+  return steer;
+}
+
+std::vector<std::pair<std::size_t, lang::BoundRule>> restrict_to_leaves(
+    const lang::BoundRule& rule, const FabricSpec& spec) {
+  if (spec.single()) return {{0, rule}};
+  std::vector<lang::ActionSet> leaf_actions(spec.leaves);
+  for (std::uint16_t port : rule.actions.ports)
+    leaf_actions[spec.leaf_of(port)].add_port(port);
+  std::vector<std::pair<std::size_t, lang::BoundRule>> out;
+  for (std::size_t leaf = 0; leaf < spec.leaves; ++leaf) {
+    if (leaf_actions[leaf].is_drop()) continue;
+    out.emplace_back(leaf,
+                     lang::BoundRule{rule.cond, std::move(leaf_actions[leaf])});
+  }
+  return out;
+}
+
+lang::BoundRule steering_rule(const FabricSpec& spec, std::size_t leaf,
+                              const std::optional<lang::Subject>& steer,
+                              bool populated, bool needs_all,
+                              const util::IntervalSet& values,
+                              std::uint64_t steer_umax) {
+  lang::BoundCondPtr cond;
+  if (!populated) {
+    cond = lang::BoundCond::make_const(false);
+  } else if (!steer || needs_all) {
+    cond = lang::BoundCond::make_const(true);
+  } else {
+    cond = interval_cond(*steer, values, steer_umax);
+  }
+  lang::ActionSet act;
+  act.add_port(spec.downlink(leaf));
+  return lang::BoundRule{std::move(cond), act};
+}
+
+util::Result<FabricPlacement> partition_for_fabric(
+    const spec::Schema& schema, const std::vector<lang::BoundRule>& rules,
+    const FabricSpec& spec, const CompileOptions& opts) {
+  if (!spec.valid())
+    return util::Error{
+        "fabric spec needs at least one leaf, and at least one spine unless "
+        "it is the single switch (0 spines x 1 leaf)",
+        0, 0, "F151"};
+
+  FabricPlacement placement;
+  placement.spec = spec;
+  placement.total_rules = rules.size();
+  placement.leaf_values.resize(spec.leaves);
+  placement.leaf_needs_all.assign(spec.leaves, false);
+  if (spec.single()) {
+    // The identity: the one leaf runs the monolithic program.
+    placement.leaf_rules.assign(1, rules);
+    return placement;
+  }
+  placement.leaf_rules.resize(spec.leaves);
+
+  auto flat_r = lang::flatten_rules(rules, schema, opts.max_dnf_terms);
+  if (!flat_r.ok()) return flat_r.error();
+  const auto& flat = flat_r.value();
+  for (const auto& fr : flat)
+    if (touches_state(fr))
+      return util::Error{
+          "fabric placement is stateless-only: rule reads or updates "
+          "register state (reject at subscribe time with steering_pins)",
+          0, 0, "F150"};
+
+  const bdd::VarOrder order = choose_order(schema, flat, opts.order);
+  const bdd::DomainMap domains(schema);
+
+  std::vector<std::map<lang::Subject, std::uint64_t>> pins;
+  pins.reserve(flat.size());
+  std::map<lang::Subject, std::size_t> pinned_count;
+  for (const auto& fr : flat) {
+    pins.push_back(pinned_fields(fr, order));
+    for (const auto& [subject, _] : pins.back()) ++pinned_count[subject];
+  }
+  const std::optional<lang::Subject> steer =
+      choose_steering(pinned_count, order);
   placement.steer_subject = steer;
   if (steer) placement.steer_subject_name = schema.field(steer->id).path();
 
-  // Per-leaf restriction + steering bookkeeping. The leaf rule keeps the
-  // monolithic condition verbatim (restriction touches only the ActionSet,
-  // so leaf correctness is immediate); steering looks at the flat form.
+  // Per-leaf restriction + steering bookkeeping.
   for (std::size_t i = 0; i < rules.size(); ++i) {
-    const auto& rule = rules[i];
-    const auto& fr = flat[i];
     std::optional<std::uint64_t> pin;
-    if (steer) pin = point_constrained_value(fr, *steer);
-    if (pin && steer) placement.pinned_rules++;
-
-    std::vector<lang::ActionSet> leaf_actions(spec.leaves);
-    for (std::uint16_t port : rule.actions.ports)
-      leaf_actions[spec.leaf_of(port)].add_port(port);
-
-    for (std::size_t leaf = 0; leaf < spec.leaves; ++leaf) {
-      if (leaf_actions[leaf].is_drop()) continue;
-      placement.leaf_rules[leaf].push_back(
-          lang::BoundRule{rule.cond, std::move(leaf_actions[leaf])});
+    if (steer) {
+      const auto it = pins[i].find(*steer);
+      if (it != pins[i].end()) pin = it->second;
+    }
+    if (pin) placement.pinned_rules++;
+    for (auto& [leaf, restricted] : restrict_to_leaves(rules[i], spec)) {
+      placement.leaf_rules[leaf].push_back(std::move(restricted));
       if (pin)
         placement.leaf_values[leaf] =
             placement.leaf_values[leaf].unite(util::IntervalSet::point(*pin));
@@ -156,25 +207,39 @@ util::Result<FabricPlacement> partition_for_fabric(
   }
 
   // Spine steering rules, one per leaf: "packets a leaf might forward must
-  // reach it". Empty leaves get constant-false (compiles to nothing);
-  // needs_all leaves get the catch-all.
+  // reach it".
   const std::uint64_t steer_umax =
       steer ? domains.umax(*steer) : util::IntervalSet::kMax;
   placement.spine_rules.reserve(spec.leaves);
-  for (std::size_t leaf = 0; leaf < spec.leaves; ++leaf) {
-    lang::BoundCondPtr cond;
-    if (placement.leaf_rules[leaf].empty()) {
-      cond = lang::BoundCond::make_const(false);
-    } else if (!steer || placement.leaf_needs_all[leaf]) {
-      cond = lang::BoundCond::make_const(true);
-    } else {
-      cond = interval_cond(*steer, placement.leaf_values[leaf], steer_umax);
-    }
-    lang::ActionSet act;
-    act.add_port(spec.downlink(leaf));
-    placement.spine_rules.push_back(lang::BoundRule{std::move(cond), act});
-  }
+  for (std::size_t leaf = 0; leaf < spec.leaves; ++leaf)
+    placement.spine_rules.push_back(steering_rule(
+        spec, leaf, steer, !placement.leaf_rules[leaf].empty(),
+        placement.leaf_needs_all[leaf], placement.leaf_values[leaf],
+        steer_umax));
   return placement;
+}
+
+void FabricProgram::seal() {
+  spine_digest = table::pipeline_digest(spine);
+  leaf_digests.clear();
+  for (const auto& leaf : leaves)
+    leaf_digests.push_back(table::pipeline_digest(leaf));
+  if (spec.single()) {
+    fabric_digest = leaf_digests[0];
+    return;
+  }
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  h = fnv1a_mix(h, spec.spines);
+  h = fnv1a_mix(h, spec.leaves);
+  h = fnv1a_mix(h, spine_digest);
+  for (std::uint64_t d : leaf_digests) h = fnv1a_mix(h, d);
+  fabric_digest = h;
+}
+
+CompileOptions spine_compile_options(CompileOptions opts) {
+  opts.partition = PartitionMode::kOff;
+  opts.threads = 1;
+  return opts;
 }
 
 util::Result<FabricProgram> compile_fabric(const spec::Schema& schema,
@@ -183,33 +248,21 @@ util::Result<FabricProgram> compile_fabric(const spec::Schema& schema,
   FabricProgram program;
   program.spec = placement.spec;
 
-  // The spine program is a handful of interval rules; partitioning it
-  // would only add a dispatch stage.
-  CompileOptions spine_opts = opts;
-  spine_opts.partition = PartitionMode::kOff;
-  spine_opts.threads = 1;
-  auto spine = compile_rules(schema, placement.spine_rules, spine_opts);
-  if (!spine.ok()) return spine.error();
-  program.spine = std::move(spine.value().pipeline);
-  program.spine_stats = std::move(spine.value().stats);
-  program.spine_digest = table::pipeline_digest(program.spine);
+  // The single switch has no spine program.
+  if (placement.spec.spines > 0) {
+    auto spine = compile_rules(schema, placement.spine_rules,
+                               spine_compile_options(opts));
+    if (!spine.ok()) return spine.error();
+    program.spine = std::move(spine.value().pipeline);
+  }
 
   program.leaves.reserve(placement.spec.leaves);
   for (std::size_t leaf = 0; leaf < placement.spec.leaves; ++leaf) {
     auto compiled = compile_rules(schema, placement.leaf_rules[leaf], opts);
     if (!compiled.ok()) return compiled.error();
     program.leaves.push_back(std::move(compiled.value().pipeline));
-    program.leaf_stats.push_back(std::move(compiled.value().stats));
-    program.leaf_digests.push_back(
-        table::pipeline_digest(program.leaves.back()));
   }
-
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = fnv1a_mix(h, placement.spec.spines);
-  h = fnv1a_mix(h, placement.spec.leaves);
-  h = fnv1a_mix(h, program.spine_digest);
-  for (std::uint64_t d : program.leaf_digests) h = fnv1a_mix(h, d);
-  program.fabric_digest = h;
+  program.seal();
   return program;
 }
 

@@ -28,14 +28,20 @@
 // subscriptions (@query_counter / @query_avg) read and write per-switch
 // registers; replicating a register program across spines and leaves
 // changes update multiplicity, so such rules are rejected up front with a
-// stable diagnostic (F150) instead of silently mis-compiling.
+// stable diagnostic (F150) instead of silently mis-compiling. The single
+// switch (0 spines x 1 leaf) is the exception: its placement is the
+// identity — every rule verbatim on the one leaf, no flatten pass, no
+// steering — so it keeps every rule, stateful ones included.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "bdd/order.hpp"
 #include "compiler/compile.hpp"
 #include "lang/bound.hpp"
 #include "spec/schema.hpp"
@@ -52,6 +58,16 @@ namespace camus::compiler {
 struct FabricSpec {
   std::size_t leaves = 2;
   std::size_t spines = 1;
+
+  // The single switch: the 0-spine x 1-leaf fabric.
+  static constexpr FabricSpec single_switch() noexcept { return {1, 0}; }
+  bool single() const noexcept { return spines == 0 && leaves == 1; }
+  // Every subscriber is reachable: at least one leaf, and a spine tier to
+  // steer between leaves unless there is only one.
+  bool valid() const noexcept {
+    return leaves >= 1 && (spines >= 1 || leaves == 1);
+  }
+  std::size_t switches() const noexcept { return spines + leaves; }
 
   std::size_t leaf_of(std::uint16_t port) const noexcept {
     return leaves == 0 ? 0 : port % leaves;
@@ -105,17 +121,48 @@ struct FabricPlacement {
   }
 };
 
-// Checks a bound rule against the fabric's stateless-only scope: F150 when
-// the rule updates or tests register state. Shared by the placement pass
-// and the FabricController's subscribe-time validation (a rule the fabric
-// cannot place must be rejected before it is journaled).
-util::Result<bool> fabric_rule_ok(const lang::BoundRule& rule,
-                                  const spec::Schema& schema);
+// The per-rule placement steps, shared by partition_for_fabric and the
+// DurableController's incremental placement so the two cannot drift:
+
+// Flattens one rule for placement on `spec` and returns the field
+// subjects it pins (point-constrains in every DNF term) with their values;
+// F150 when the rule reads or updates register state (a rule the fabric
+// cannot place must be rejected before it is journaled). The single switch
+// steers nothing and keeps stateful rules: no pins, no F150.
+util::Result<std::map<lang::Subject, std::uint64_t>> steering_pins(
+    const lang::BoundRule& rule, const spec::Schema& schema,
+    const FabricSpec& spec, const bdd::VarOrder& order,
+    std::size_t max_dnf_terms = 1 << 16);
+
+// The steering attribute: the field subject pinned by the most rules (the
+// dominance criterion plan_partition uses to shard one pipeline, applied
+// across switches); ties break by variable-order rank. nullopt when no
+// rule pins anything.
+std::optional<lang::Subject> choose_steering(
+    const std::map<lang::Subject, std::size_t>& pinned_count,
+    const bdd::VarOrder& order);
+
+// The rule restricted to each leaf its forwarding set touches: (leaf,
+// rule with the ActionSet cut down to that leaf's ports), in leaf order.
+// The condition is kept verbatim, so leaf correctness is immediate. The
+// single switch keeps the whole rule (identity placement).
+std::vector<std::pair<std::size_t, lang::BoundRule>> restrict_to_leaves(
+    const lang::BoundRule& rule, const FabricSpec& spec);
+
+// The spine rule "steer to downlink(leaf)": constant false for an empty
+// leaf, the catch-all when there is no steering attribute or an unpinned
+// rule needs every packet, else an interval condition over the steering
+// attribute's pinned values.
+lang::BoundRule steering_rule(const FabricSpec& spec, std::size_t leaf,
+                              const std::optional<lang::Subject>& steer,
+                              bool populated, bool needs_all,
+                              const util::IntervalSet& values,
+                              std::uint64_t steer_umax);
 
 // Derives the placement: steering attribute, per-leaf restricted rule
 // sets, and per-leaf spine steering rules. Pure function of its inputs.
-// Diagnostics: F150 (stateful rule in scope), F151 (degenerate spec:
-// zero leaves or zero spines).
+// Diagnostics: F150 (stateful rule in scope), F151 (degenerate spec: zero
+// leaves, or zero spines over several leaves).
 util::Result<FabricPlacement> partition_for_fabric(
     const spec::Schema& schema, const std::vector<lang::BoundRule>& rules,
     const FabricSpec& spec, const CompileOptions& opts = {});
@@ -127,15 +174,17 @@ util::Result<FabricPlacement> partition_for_fabric(
 // these, and the nemesis pins convergence on them).
 struct FabricProgram {
   FabricSpec spec;
-  table::Pipeline spine;
+  table::Pipeline spine;  // empty when the fabric has no spines
   std::vector<table::Pipeline> leaves;
-
-  CompileStats spine_stats;
-  std::vector<CompileStats> leaf_stats;
 
   std::uint64_t spine_digest = 0;
   std::vector<std::uint64_t> leaf_digests;
   std::uint64_t fabric_digest = 0;
+
+  // Recomputes every per-switch digest and the fabric digest from the
+  // programs (compile_fabric and the controller both seal this way). The
+  // single switch's fabric digest is its one program's digest.
+  void seal();
 
   std::uint64_t max_leaf_entries() const noexcept {
     std::uint64_t m = 0;
@@ -148,6 +197,10 @@ struct FabricProgram {
     return t;
   }
 };
+
+// The options the spine steering program compiles with: a handful of
+// interval rules, which partitioning would only give a dispatch stage.
+CompileOptions spine_compile_options(CompileOptions opts);
 
 // Compiles every node program of a placement. The spine set is compiled
 // monolithically (a handful of interval rules); each leaf compiles with

@@ -1,5 +1,6 @@
 #include "fault/nemesis.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -8,14 +9,14 @@
 #include <utility>
 
 #include "compiler/compile.hpp"
+#include "compiler/fabric.hpp"
 #include "fault/plan.hpp"
 #include "lang/bound.hpp"
 #include "lang/parser.hpp"
+#include "netsim/fabric.hpp"
 #include "pubsub/durable.hpp"
-#include "pubsub/install.hpp"
 #include "spec/itch_spec.hpp"
-#include "switchsim/switch.hpp"
-#include "table/delta.hpp"
+#include "table/pipeline.hpp"
 #include "util/intern.hpp"
 #include "util/journal.hpp"
 #include "util/rng.hpp"
@@ -25,7 +26,6 @@ namespace camus::fault {
 namespace {
 
 using pubsub::DurableController;
-using pubsub::TwoPhaseInstaller;
 
 const std::vector<std::string>& symbols() {
   static const std::vector<std::string> syms = {
@@ -35,8 +35,9 @@ const std::vector<std::string>& symbols() {
 
 // Seeded textual rule generator (the churn workload's grammar): plain
 // symbol interest, symbol+price bands, share-size filters — the shapes
-// the paper's ITCH application uses. Interest-only texts exercise the
-// controller's fwd(port) appending.
+// the paper's ITCH application uses, all stateless so every topology can
+// place them. Interest-only texts exercise the controller's fwd(port)
+// appending.
 std::string gen_rule_text(util::Rng& rng) {
   switch (rng.uniform(0, 3)) {
     case 0:
@@ -56,7 +57,6 @@ std::string gen_rule_text(util::Rng& rng) {
 // independently of the controller (same single-port unsubscribe filter).
 struct ShadowSub {
   std::uint16_t port = 0;
-  int priority = 0;
   std::string text;  // full text incl. action
 };
 
@@ -77,9 +77,9 @@ util::Result<std::vector<lang::BoundRule>> bind_shadow(
 
 lang::Env probe_env(util::Rng& rng) {
   lang::Env env;
-  env.fields = {rng.uniform(0, 2500),                        // shares
-                util::encode_symbol(rng.pick(symbols())),    // stock
-                rng.uniform(0, 60000)};                      // price
+  env.fields = {rng.uniform(0, 2500),                      // shares
+                util::encode_symbol(rng.pick(symbols())),  // stock
+                rng.uniform(0, 60000)};                    // price
   env.states = {0, 0};
   return env;
 }
@@ -90,11 +90,11 @@ struct Scenario {
   std::uint64_t seed;
   util::Rng rng;
   spec::Schema schema;
+  compiler::FabricSpec topology;
 
   util::MemStorage storage;
+  std::unique_ptr<netsim::Fabric> fabric;
   std::unique_ptr<DurableController> ctl;
-  std::unique_ptr<switchsim::Switch> sw;
-  std::unique_ptr<TwoPhaseInstaller> installer;
   std::vector<ShadowSub> shadow;
   std::uint16_t next_port = 1;
   bool used_checkpoint = false;
@@ -102,24 +102,23 @@ struct Scenario {
   std::optional<std::uint64_t> deposed_epoch;
 
   Scenario(const NemesisOptions& o, NemesisStats& st, std::uint64_t s)
-      : opts(o), stats(st), seed(s), rng(s), schema(spec::make_itch_schema()) {
-    sw = std::make_unique<switchsim::Switch>(spec::make_itch_schema(),
-                                             table::Pipeline{});
-    installer = std::make_unique<TwoPhaseInstaller>(*sw);
+      : opts(o),
+        stats(st),
+        seed(s),
+        rng(s),
+        schema(spec::make_itch_schema()),
+        topology{o.leaves, o.spines} {
+    netsim::FabricTopologyOptions topo;
+    topo.spec = topology;
+    fabric = std::make_unique<netsim::Fabric>(spec::make_itch_schema(), topo);
     ctl = std::make_unique<DurableController>(spec::make_itch_schema(),
-                                              storage);
+                                              storage, topology);
   }
 
   void trace(const std::string& what) {
     if (std::getenv("NEMESIS_TRACE"))
       std::fprintf(stderr, "[seed %llu] %s\n",
                    static_cast<unsigned long long>(seed), what.c_str());
-  }
-
-  std::string tables(const table::Pipeline& p) {
-    std::string out;
-    for (const auto& t : p.tables) out += t.name() + " ";
-    return out;
   }
 
   void violation(const std::string& what) {
@@ -134,58 +133,82 @@ struct Scenario {
     return ok;
   }
 
+  switchsim::Switch& switch_at(std::size_t i) {
+    return i < topology.spines ? fabric->spine(i)
+                               : fabric->leaf(i - topology.spines);
+  }
+
+  std::vector<std::uint64_t> switch_digests() {
+    std::vector<std::uint64_t> d;
+    for (std::size_t i = 0; i < topology.switches(); ++i)
+      d.push_back(switch_at(i).program_digest());
+    return d;
+  }
+
   // I1: replayed intended state matches the shadow model.
   void check_recovery(const pubsub::RecoveryInfo& info) {
     check(info.subscriptions == shadow.size(),
           "I1: recovered " + std::to_string(info.subscriptions) +
-              " subscriptions, shadow has " +
-              std::to_string(shadow.size()));
+              " subscriptions, shadow has " + std::to_string(shadow.size()));
     if (!info.from_snapshot)
       check(info.digest_mismatches == 0,
             "I1: exact replay reported digest mismatches");
   }
 
-  // I2 + I4: switch ≡ intended ≡ independently compiled oracle, checked
-  // by digest and by a differential probe sweep (exactly-once: the
-  // delivered port set equals the oracle's — nothing missing, nothing
+  // Reconciles every switch and demands convergence (I2 precondition).
+  void reconcile(const std::string& why) {
+    auto rec = ctl->reconcile(fabric->targets());
+    ++stats.reconciles;
+    if (!check(rec.ok(), why + ": reconcile errored: " +
+                             (rec.ok() ? "" : rec.error().to_string())))
+      return;
+    trace(why + ": in_sync=" + std::to_string(rec.value().in_sync) +
+          " repaired=" + std::to_string(rec.value().repaired) +
+          " full=" + std::to_string(rec.value().full_reprograms) +
+          " ops=" + std::to_string(rec.value().repair_ops));
+    stats.repairs += rec.value().repaired;
+    stats.full_reprograms += rec.value().full_reprograms;
+    stats.repair_ops += rec.value().repair_ops;
+    if (ctl->commit_seq() > 0)
+      check(rec.value().converged,
+            why + ": reconcile did not converge: " + rec.value().error);
+  }
+
+  // I2 + I4: every switch runs its intended program, and the delivery set
+  // equals the monolithic oracle's (exactly-once: nothing missing, nothing
   // duplicated or spurious).
   void check_installed() {
-    trace("epilogue: ctl subs=" + std::to_string(ctl->subscription_count()) +
-          " shadow=" + std::to_string(shadow.size()));
     auto intended = ctl->intended();
-    if (!check(intended.ok(), "I2: no intended pipeline after commit"))
-      return;
-    check(sw->program_digest() ==
-              table::pipeline_digest(*intended.value()),
-          "I2: switch program digest != intended digest");
+    if (!check(intended.ok(), "I2: no intended program after commit")) return;
+    const compiler::FabricProgram& prog = *intended.value();
+    for (std::size_t s = 0; s < topology.spines; ++s)
+      check(fabric->spine(s).program_digest() == prog.spine_digest,
+            "I2: spine " + std::to_string(s) + " digest != intended");
+    for (std::size_t l = 0; l < topology.leaves; ++l)
+      check(fabric->leaf(l).program_digest() == prog.leaf_digests[l],
+            "I2: leaf " + std::to_string(l) + " digest != intended");
 
     auto bound = bind_shadow(schema, shadow);
-    if (!check(bound.ok(), "I2: shadow rules failed to bind")) return;
+    if (!check(bound.ok(), "I4: shadow rules failed to bind")) return;
     auto oracle = compiler::compile_rules(schema, bound.value());
-    if (!check(oracle.ok(), "I2: oracle batch compile failed")) return;
+    if (!check(oracle.ok(), "I4: oracle batch compile failed")) return;
 
     for (std::size_t i = 0; i < opts.probe_messages; ++i) {
       ++stats.probes;
       lang::Env env = probe_env(rng);
-      const lang::ActionSet& got = sw->classify(env.fields, 1000 + i);
-      const lang::ActionSet want =
+      const auto got = fabric->deliver_env(env.fields, 1000 + i);
+      const lang::ActionSet want_set =
           oracle.value().pipeline.evaluate_actions(env);
-      if (got.ports != want.ports) {
+      std::vector<std::pair<std::size_t, std::uint16_t>> want;
+      want.reserve(want_set.ports.size());
+      for (const std::uint16_t p : want_set.ports)
+        want.emplace_back(topology.leaf_of(p), p);
+      std::sort(want.begin(), want.end());
+      if (got != want) {
         std::ostringstream os;
-        os << "I4: probe " << i << " delivered to " << got.ports.size()
-           << " ports, oracle says " << want.ports.size();
+        os << "I4: probe " << i << " delivered " << got.size()
+           << " (leaf,port) pairs, oracle says " << want.size();
         violation(os.str());
-        if (std::getenv("NEMESIS_TRACE")) {
-          std::ostringstream dbg;
-          dbg << "probe fields: shares=" << env.fields[0]
-              << " stock=" << env.fields[1] << " price=" << env.fields[2]
-              << " | switch={";
-          for (auto pt : got.ports) dbg << pt << " ";
-          dbg << "} oracle={";
-          for (auto pt : want.ports) dbg << pt << " ";
-          dbg << "}";
-          trace(dbg.str());
-        }
         return;  // one detailed report per sweep is enough
       }
     }
@@ -205,7 +228,7 @@ struct Scenario {
       return;
     if (text.find(':') == std::string::npos)
       text += " : fwd(" + std::to_string(port) + ")";
-    shadow.push_back({port, prio, text});
+    shadow.push_back({port, text});
   }
 
   void do_unsubscribe() {
@@ -217,66 +240,105 @@ struct Scenario {
     // Rule texts always end in exactly one fwd(p), so the filter is
     // text-level here.
     const std::string only = ": fwd(" + std::to_string(port) + ")";
-    std::size_t dropped = 0, w = 0;
-    for (std::size_t i = 0; i < shadow.size(); ++i) {
-      if (shadow[i].text.find(only) != std::string::npos &&
-          shadow[i].port == port) {
-        ++dropped;
-        continue;
-      }
-      if (w != i) shadow[w] = std::move(shadow[i]);
-      ++w;
-    }
-    shadow.resize(w);
+    const std::size_t dropped = std::erase_if(shadow, [&](const ShadowSub& s) {
+      return s.port == port && s.text.find(only) != std::string::npos;
+    });
     check(removed.value() == dropped,
           "unsubscribe removed " + std::to_string(removed.value()) +
               ", shadow dropped " + std::to_string(dropped));
   }
 
-  void do_commit_install(const fault::Plan* faults, bool expect_commit) {
+  enum class InstallFlavor { kClean, kFlaky, kPartition, kCrashMidCommit };
+
+  void do_commit_install(InstallFlavor flavor, std::uint64_t salt) {
     auto delta = ctl->commit();
     if (!check(delta.ok(), "commit failed: " +
                                (delta.ok() ? "" : delta.error().to_string())))
       return;
     ++stats.commits;
-    trace("commit: " + std::to_string(delta.value().ops.size()) + " ops full=" +
-          std::to_string(delta.value().requires_reprogram) + " intended={" +
-          tables(*ctl->intended().value()) + "} switch={" +
-          tables(installer->target().pipeline_snapshot()) + "}");
-    auto report = ctl->install(*installer, delta.value(), faults);
-    if (!check(report.ok(), "install errored")) return;
-    ++stats.installs;
-    if (!report.value().committed) {
-      if (expect_commit) {
-        violation("install failed on a healthy channel: " +
-                  report.value().error);
-        return;
+    const std::vector<std::size_t> touched =
+        delta.value().touched(topology.spines);
+    trace("commit: ships to " + std::to_string(touched.size()) + " of " +
+          std::to_string(topology.switches()) + " switches");
+    // A partition needs a switch the install talks to.
+    if (flavor == InstallFlavor::kPartition && touched.empty())
+      flavor = InstallFlavor::kClean;
+
+    switch (flavor) {
+      case InstallFlavor::kClean:
+      case InstallFlavor::kFlaky: {
+        // A flaky-but-usable channel on every switch (drops, corruption,
+        // duplication, reordering): the chunk protocol must still land the
+        // whole transaction.
+        FaultSpec spec;
+        spec.drop = 0.08;
+        spec.corrupt = 0.08;
+        spec.duplicate = 0.10;
+        spec.reorder = 0.10;
+        const Plan plan(spec, seed ^ (salt * 0x85ebULL));
+        const bool flaky = flavor == InstallFlavor::kFlaky;
+        auto report = ctl->install(fabric->targets(), delta.value(),
+                                   flaky ? &plan : nullptr);
+        if (!check(report.ok(), "install errored")) return;
+        ++stats.installs;
+        check(report.value().committed,
+              std::string("install failed on a ") +
+                  (flaky ? "flaky" : "healthy") +
+                  " channel: " + report.value().error);
+        break;
       }
-      ++stats.partition_aborts;
-      // The channel was partitioned: the abort is journaled and the diff
-      // base rolled back. Heal and re-ship via reconciliation.
-      auto healed = ctl->reconcile(*installer);
-      ++stats.reconciles;
-      if (check(healed.ok(), "post-partition reconcile errored") &&
-          !healed.value().in_sync) {
-        if (healed.value().repaired) {
-          ++stats.repairs;
-          stats.repair_ops += healed.value().repair_ops;
-          if (healed.value().full_reprogram) ++stats.full_reprograms;
-        } else {
-          violation("post-partition reconcile failed to repair");
-        }
+      case InstallFlavor::kPartition: {
+        // Total partition to ONE touched switch: the transaction must abort
+        // with ZERO switches modified — atomicity witnessed by digests.
+        ++stats.partitions;
+        const std::size_t victim =
+            touched[rng.uniform(0, touched.size() - 1)];
+        const auto before = switch_digests();
+        FaultSpec spec;
+        spec.drop = 1.0;
+        const Plan plan(spec, seed ^ (salt * 0x9e37ULL));
+        auto report = ctl->install(fabric->targets(), delta.value(), &plan,
+                                   static_cast<int>(victim));
+        if (!check(report.ok(), "partitioned install errored")) return;
+        ++stats.installs;
+        if (check(report.value().all_or_nothing_abort,
+                  "partitioned install did not abort all-or-nothing"))
+          ++stats.all_or_nothing_aborts;
+        check(report.value().committed_switches == 0 &&
+                  switch_digests() == before,
+              "I2: aborted install modified a switch (atomicity broken)");
+        // Heal: the journaled commit is still the intent.
+        reconcile("post-partition heal");
+        break;
+      }
+      case InstallFlavor::kCrashMidCommit: {
+        // Die once `after` of the touched switches have committed — all of
+        // them means dead just before the outcome record.
+        ++stats.crashes_mid_commit;
+        const std::size_t after = rng.uniform(0, touched.size());
+        ctl->set_crash_after_commits(static_cast<int>(after));
+        auto report = ctl->install(fabric->targets(), delta.value());
+        if (!check(report.ok(), "mid-commit install errored")) return;
+        ++stats.installs;
+        check(report.value().crashed_mid_commit,
+              "crash hook did not fire mid-commit");
+        trace("crashed after " + std::to_string(after) + " commits");
+        // The controller process is dead: recover a successor and let it
+        // repair the mixed fabric.
+        crash_controller(/*already_dead=*/true);
+        break;
       }
     }
   }
 
   // Nemesis actions -------------------------------------------------------
 
-  void crash_controller() {
+  void crash_controller(bool already_dead = false) {
     ++stats.crashes;
-    trace("crash controller");
+    trace(already_dead ? "recover after mid-commit death"
+                       : "crash controller");
     deposed_epoch = ctl->epoch();
-    if (opts.checkpoint_every > 0 && !used_checkpoint &&
+    if (!already_dead && opts.checkpoint_every > 0 && !used_checkpoint &&
         seed % opts.checkpoint_every == 0 && rng.chance(0.5)) {
       // Checkpoint BEFORE the crash on some scenarios: the recovery then
       // replays from the snapshot (fresh state numbering).
@@ -287,80 +349,58 @@ struct Scenario {
     }
     // Kill the process: unsynced bytes vanish except for a torn tail.
     storage.crash(rng.uniform(0, 16));
+    ctl.reset();  // the process died: nothing of it outlives the crash
     ctl = std::make_unique<DurableController>(spec::make_itch_schema(),
-                                              storage);
+                                              storage, topology);
     auto info = ctl->open();
-    if (!check(info.ok(),
-               "recovery open() failed: " +
-                   (info.ok() ? "" : info.error().to_string()))) {
-      // Unrecoverable scenario state; stop churning it.
+    if (!check(info.ok(), "recovery open() failed: " +
+                              (info.ok() ? "" : info.error().to_string())))
       return;
-    }
     if (info.value().from_snapshot) ++stats.recoveries_from_snapshot;
     check_recovery(info.value());
-    // Warm-boot reconciliation: fence the switch, repair divergence from
-    // any half-staged install the crash left behind.
-    auto rec = ctl->reconcile(*installer);
-    ++stats.reconciles;
-    if (rec.ok())
-      trace("post-crash reconcile in_sync=" + std::to_string(rec.value().in_sync) +
-            " repaired=" + std::to_string(rec.value().repaired) +
-            " full=" + std::to_string(rec.value().full_reprogram) +
-            " ops=" + std::to_string(rec.value().repair_ops));
-    if (check(rec.ok(), "post-crash reconcile errored") &&
-        !rec.value().in_sync) {
-      if (rec.value().repaired) {
-        ++stats.repairs;
-        stats.repair_ops += rec.value().repair_ops;
-        if (rec.value().full_reprogram) ++stats.full_reprograms;
-      } else {
-        violation("post-crash reconcile failed: " +
-                  rec.value().install.error);
-      }
-    }
+    // Warm-boot reconciliation: fence every switch, repair divergence from
+    // any half-done install the crash left behind.
+    reconcile("post-crash");
   }
 
-  void reboot_switch() {
-    ++stats.switch_reboots;
-    trace("reboot switch");
-    // The switch comes back with an empty program (cold boot) — the
-    // harshest divergence reconciliation must repair.
-    sw = std::make_unique<switchsim::Switch>(spec::make_itch_schema(),
-                                             table::Pipeline{});
-    installer = std::make_unique<TwoPhaseInstaller>(*sw);
-    auto rec = ctl->reconcile(*installer);
-    ++stats.reconciles;
-    if (!check(rec.ok(), "post-reboot reconcile errored")) return;
-    if (!rec.value().in_sync) {
-      if (rec.value().repaired) {
-        ++stats.repairs;
-        stats.repair_ops += rec.value().repair_ops;
-        if (rec.value().full_reprogram) ++stats.full_reprograms;
-      } else if (ctl->commit_seq() > 0) {
-        violation("post-reboot reconcile failed: " +
-                  rec.value().install.error);
-      }
-    }
+  void reboot_leaf() {
+    ++stats.leaf_reboots;
+    const std::size_t l = rng.uniform(0, topology.leaves - 1);
+    trace("reboot leaf " + std::to_string(l));
+    fabric->reboot_leaf(l);
+    reconcile("post-leaf-reboot");
+  }
+
+  void reboot_spine() {
+    ++stats.spine_reboots;
+    const std::size_t s = rng.uniform(0, topology.spines - 1);
+    trace("reboot spine " + std::to_string(s));
+    fabric->reboot_spine(s);
+    reconcile("post-spine-reboot");
   }
 
   void stale_write() {
     if (!deposed_epoch) return;
     ++stats.stale_writes;
-    const std::uint64_t before = sw->program_version();
-    // The deposed controller retries its last write with its old epoch:
-    // a full reprogram with a garbage (empty) image, then a delta.
-    auto rejected =
-        sw->reprogram_fenced(*deposed_epoch, table::Pipeline{});
-    const bool bounced = !rejected.ok() &&
-                         rejected.error().code == "E140" &&
-                         sw->program_version() == before;
+    // The deposed controller retries its last write on a random switch: a
+    // full reprogram with a garbage (empty) image.
+    const std::size_t i = rng.uniform(0, topology.switches() - 1);
+    switchsim::Switch& sw = switch_at(i);
+    const std::uint64_t before = sw.program_version();
+    auto rejected = sw.reprogram_fenced(*deposed_epoch, table::Pipeline{});
+    const bool bounced = !rejected.ok() && rejected.error().code == "E140" &&
+                         sw.program_version() == before;
     if (bounced) ++stats.stale_rejected;
-    check(bounced, "I3: stale-epoch write was not rejected");
+    check(bounced, "I3: stale-epoch write landed on switch " +
+                       std::to_string(i));
   }
 
   void run() {
     auto opened = ctl->open();
     if (!check(opened.ok(), "initial open() failed")) return;
+    // An empty tier has nothing to reboot.
+    const std::uint32_t spine_reboots =
+        topology.spines > 0 ? opts.spine_reboot_per_mille : 0;
     for (std::size_t step = 0; step < opts.steps; ++step) {
       ++stats.steps;
       if (!shadow.empty() && rng.chance(0.25))
@@ -369,50 +409,37 @@ struct Scenario {
         do_subscribe();
 
       if ((step + 1) % opts.commit_every == 0) {
-        const bool partition =
-            rng.uniform(0, 999) < opts.partition_per_mille;
-        if (partition) {
-          ++stats.partitions;
-          // Total partition: every chunk is dropped; the install must
-          // abort cleanly (journaled) and the later heal must repair.
-          FaultSpec spec;
-          spec.drop = 1.0;
-          const Plan plan(spec, seed ^ (step * 0x9e37ULL));
-          do_commit_install(&plan, /*expect_commit=*/false);
-        } else if (rng.chance(0.5)) {
-          // A flaky-but-usable channel: drops, corruption, duplication,
-          // reordering — the chunk protocol must still land the image.
-          FaultSpec spec;
-          spec.drop = 0.08;
-          spec.corrupt = 0.08;
-          spec.duplicate = 0.10;
-          spec.reorder = 0.10;
-          const Plan plan(spec, seed ^ (step * 0x85ebULL));
-          do_commit_install(&plan, /*expect_commit=*/true);
-        } else {
-          do_commit_install(nullptr, /*expect_commit=*/true);
-        }
+        const std::uint32_t roll =
+            static_cast<std::uint32_t>(rng.uniform(0, 999));
+        InstallFlavor flavor = InstallFlavor::kClean;
+        if (roll < opts.partition_per_mille)
+          flavor = InstallFlavor::kPartition;
+        else if (roll < opts.partition_per_mille +
+                            opts.crash_mid_commit_per_mille)
+          flavor = InstallFlavor::kCrashMidCommit;
+        else if (rng.chance(0.5))
+          flavor = InstallFlavor::kFlaky;
+        do_commit_install(flavor, step);
       }
 
       const std::uint32_t roll =
           static_cast<std::uint32_t>(rng.uniform(0, 999));
       if (roll < opts.crash_per_mille) {
         crash_controller();
-      } else if (roll < opts.crash_per_mille + opts.reboot_per_mille) {
-        reboot_switch();
-      } else if (roll < opts.crash_per_mille + opts.reboot_per_mille +
-                            opts.stale_write_per_mille) {
+      } else if (roll < opts.crash_per_mille + opts.leaf_reboot_per_mille) {
+        reboot_leaf();
+      } else if (roll < opts.crash_per_mille + opts.leaf_reboot_per_mille +
+                            spine_reboots) {
+        reboot_spine();
+      } else if (roll < opts.crash_per_mille + opts.leaf_reboot_per_mille +
+                            spine_reboots + opts.stale_write_per_mille) {
         stale_write();
       }
     }
 
-    // Scenario epilogue: converge and audit everything.
-    do_commit_install(nullptr, /*expect_commit=*/true);
-    auto rec = ctl->reconcile(*installer);
-    ++stats.reconciles;
-    if (check(rec.ok(), "final reconcile errored") && !rec.value().in_sync &&
-        !rec.value().repaired)
-      violation("final reconcile failed: " + rec.value().install.error);
+    // Scenario epilogue: converge and audit every switch.
+    do_commit_install(InstallFlavor::kClean, opts.steps + 1);
+    reconcile("final");
     check_installed();
   }
 };
@@ -427,11 +454,13 @@ std::string NemesisStats::to_json() const {
      << "  \"commits\": " << commits << ",\n"
      << "  \"installs\": " << installs << ",\n"
      << "  \"crashes\": " << crashes << ",\n"
+     << "  \"crashes_mid_commit\": " << crashes_mid_commit << ",\n"
      << "  \"recoveries_from_snapshot\": " << recoveries_from_snapshot
      << ",\n"
-     << "  \"switch_reboots\": " << switch_reboots << ",\n"
+     << "  \"leaf_reboots\": " << leaf_reboots << ",\n"
+     << "  \"spine_reboots\": " << spine_reboots << ",\n"
      << "  \"partitions\": " << partitions << ",\n"
-     << "  \"partition_aborts\": " << partition_aborts << ",\n"
+     << "  \"all_or_nothing_aborts\": " << all_or_nothing_aborts << ",\n"
      << "  \"stale_writes\": " << stale_writes << ",\n"
      << "  \"stale_rejected\": " << stale_rejected << ",\n"
      << "  \"reconciles\": " << reconciles << ",\n"
@@ -447,6 +476,13 @@ std::string NemesisStats::to_json() const {
 
 NemesisStats run_nemesis(const NemesisOptions& opts) {
   NemesisStats stats;
+  if (!compiler::FabricSpec{opts.leaves, opts.spines}.valid()) {
+    ++stats.violations;
+    stats.violation_details.push_back(
+        "F151: topology needs at least one leaf, and at least one spine "
+        "unless it is the single switch (0 spines x 1 leaf)");
+    return stats;
+  }
   for (std::size_t i = 0; i < opts.scenarios; ++i) {
     ++stats.scenarios;
     Scenario sc(opts, stats, opts.seed + i);

@@ -68,22 +68,28 @@ void Fabric::program(const compiler::FabricProgram& program) {
 std::vector<FabricDelivery> Fabric::inject(std::span<const std::uint8_t> frame,
                                            double t_us) {
   std::vector<FabricDelivery> out;
-  const std::size_t s = flow_hash(frame) % spine_.size();
-  const double t_spine = t_us + opts_.spine_latency_us;
-  const switchsim::Switch::Frame in{frame,
-                                    static_cast<std::uint64_t>(t_spine)};
-  // The spine re-frames per downlink exactly as a leaf re-frames per
-  // egress port: each leaf receives only the messages steered to it.
-  for (const auto& down : spine_[s].sw->process_batch({&in, 1})) {
-    const std::size_t l = down.port;  // downlink convention: port == leaf
-    if (l >= leaf_.size()) continue;  // not a downlink (foreign program)
-    for (auto& arrival : link(s, l).offer(t_spine + opts_.downlink_latency_us,
-                                          down.frame)) {
-      const switchsim::Switch::Frame hop{
-          arrival.bytes, static_cast<std::uint64_t>(arrival.t_us)};
-      for (auto& tx : leaf_[l].sw->process_batch({&hop, 1}))
-        out.push_back(
-            FabricDelivery{l, tx.port, arrival.t_us, std::move(tx.frame)});
+  // Leaf l classifies one arriving frame and re-frames per local port.
+  auto to_leaf = [&](std::size_t l, std::span<const std::uint8_t> bytes,
+                     double t) {
+    const switchsim::Switch::Frame hop{bytes, static_cast<std::uint64_t>(t)};
+    for (auto& tx : leaf_[l].sw->process_batch({&hop, 1}))
+      out.push_back(FabricDelivery{l, tx.port, t, std::move(tx.frame)});
+  };
+  if (spine_.empty()) {
+    to_leaf(0, frame, t_us);
+  } else {
+    const std::size_t s = flow_hash(frame) % spine_.size();
+    const double t_spine = t_us + opts_.spine_latency_us;
+    const switchsim::Switch::Frame in{frame,
+                                      static_cast<std::uint64_t>(t_spine)};
+    // The spine re-frames per downlink exactly as a leaf re-frames per
+    // egress port: each leaf receives only the messages steered to it.
+    for (const auto& down : spine_[s].sw->process_batch({&in, 1})) {
+      const std::size_t l = down.port;  // downlink convention: port == leaf
+      if (l >= leaf_.size()) continue;  // not a downlink (foreign program)
+      for (auto& arrival : link(s, l).offer(
+               t_spine + opts_.downlink_latency_us, down.frame))
+        to_leaf(l, arrival.bytes, arrival.t_us);
     }
   }
   std::sort(out.begin(), out.end());
@@ -93,13 +99,17 @@ std::vector<FabricDelivery> Fabric::inject(std::span<const std::uint8_t> frame,
 std::vector<std::pair<std::size_t, std::uint16_t>> Fabric::deliver_env(
     const std::vector<std::uint64_t>& fields, std::uint64_t now_us) {
   std::vector<std::pair<std::size_t, std::uint16_t>> out;
-  const lang::ActionSet& steer = spine_[0].sw->classify(fields, now_us);
-  for (const std::uint16_t downlink : steer.ports) {
-    if (downlink >= leaf_.size()) continue;
-    const lang::ActionSet& acts =
-        leaf_[downlink].sw->classify(fields, now_us);
-    for (const std::uint16_t port : acts.ports) out.emplace_back(downlink, port);
+  auto deliver = [&](std::size_t leaf) {
+    const lang::ActionSet& acts = leaf_[leaf].sw->classify(fields, now_us);
+    for (const std::uint16_t port : acts.ports) out.emplace_back(leaf, port);
+  };
+  if (spine_.empty()) {
+    deliver(0);
+    return out;  // one classification: sorted and unique already
   }
+  const lang::ActionSet& steer = spine_[0].sw->classify(fields, now_us);
+  for (const std::uint16_t downlink : steer.ports)
+    if (downlink < leaf_.size()) deliver(downlink);
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;

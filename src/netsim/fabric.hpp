@@ -1,8 +1,10 @@
 // Multi-switch spine–leaf topology: every node is a full
 // switchsim::Switch, spine→leaf downlinks run through the seeded
 // fault::LinkFaults channel with per-hop latency, and each node carries
-// its own TwoPhaseInstaller so the pubsub::FabricController can program
-// the whole fabric transactionally (targets()).
+// its own TwoPhaseInstaller so the pubsub::DurableController can program
+// the whole fabric transactionally (targets()). The single switch is the
+// 0-spine x 1-leaf fabric: with no spine, ingress frames go straight to
+// leaf 0.
 //
 // Data path of one ingress frame:
 //   ingress ──ECMP (flow hash % spines)──▶ spine ──per-(spine,leaf) faulty
@@ -24,7 +26,7 @@
 
 #include "compiler/fabric.hpp"
 #include "fault/plan.hpp"
-#include "pubsub/fabric.hpp"
+#include "pubsub/durable.hpp"
 #include "pubsub/install.hpp"
 #include "spec/schema.hpp"
 #include "switchsim/switch.hpp"
@@ -63,14 +65,8 @@ class Fabric {
 
   switchsim::Switch& spine(std::size_t i) { return *spine_[i].sw; }
   switchsim::Switch& leaf(std::size_t i) { return *leaf_[i].sw; }
-  pubsub::TwoPhaseInstaller& spine_installer(std::size_t i) {
-    return *spine_[i].installer;
-  }
-  pubsub::TwoPhaseInstaller& leaf_installer(std::size_t i) {
-    return *leaf_[i].installer;
-  }
 
-  // Installer handles in topology order for the FabricController.
+  // Installer handles in topology order for the DurableController.
   pubsub::FabricTargets targets();
 
   // Directly reprograms every switch (no control channel) — benches and
@@ -79,13 +75,14 @@ class Fabric {
 
   // Injects one wire frame at t_us: ECMP spine choice, spine
   // classification and per-downlink re-framing, per-downlink
-  // faults+latency, leaf classification and per-port re-framing. Returns
-  // the deliveries sorted by (leaf, port, arrival time).
+  // faults+latency, leaf classification and per-port re-framing (with no
+  // spine, leaf 0 classifies the frame at t_us). Returns the deliveries
+  // sorted by (leaf, port, arrival time).
   std::vector<FabricDelivery> inject(std::span<const std::uint8_t> frame,
                                      double t_us);
 
   // Fault-free classification of pre-extracted field values through
-  // spine 0 and the selected leaves — the delivery SET the fabric
+  // spine 0 (if any) and the selected leaves — the delivery SET the fabric
   // computes, independent of link faults and timing. The differential
   // suites compare this against the monolithic oracle's port set.
   std::vector<std::pair<std::size_t, std::uint16_t>> deliver_env(
@@ -96,11 +93,6 @@ class Fabric {
   // controller's reconcile() must re-image it.
   void reboot_leaf(std::size_t i);
   void reboot_spine(std::size_t i);
-
-  const fault::LinkFaults::Stats& downlink_stats(std::size_t spine,
-                                                 std::size_t leaf) const {
-    return links_[spine * leaf_.size() + leaf].stats();
-  }
 
  private:
   struct Node {

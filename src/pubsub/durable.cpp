@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "lang/parser.hpp"
-#include "table/serialize.hpp"
 
 namespace camus::pubsub {
 
@@ -21,6 +20,12 @@ Error not_open() {
                "E142"};
 }
 
+Error not_committed(const char* what) {
+  return Error{std::string("DurableController::") + what +
+                   " before a successful commit()",
+               0, 0, "E122"};
+}
+
 Error bad_payload(RecordType type, const std::string& payload) {
   return Error{"malformed journal payload for record type " +
                    std::to_string(static_cast<int>(type)) + ": '" + payload +
@@ -33,19 +38,51 @@ bool read_u64(std::istringstream& is, std::uint64_t& out) {
   return static_cast<bool>(is >> out);
 }
 
+// Parses "port prio text" (kSubscribe payloads and snapshot "sub" lines).
+bool read_sub(std::istringstream& is, std::uint16_t& port, int& prio,
+              std::string& text) {
+  std::uint64_t p = 0;
+  long long pr = 0;
+  if (!(is >> p >> pr)) return false;
+  std::getline(is, text);
+  if (!text.empty() && text.front() == ' ') text.erase(0, 1);
+  port = static_cast<std::uint16_t>(p);
+  prio = static_cast<int>(pr);
+  return true;
+}
+
 }  // namespace
 
 DurableController::DurableController(spec::Schema schema,
                                      util::StableStorage& storage,
+                                     compiler::FabricSpec topology,
                                      compiler::CompileOptions opts)
     : schema_(std::move(schema)),
+      topology_(topology),
       opts_(opts),
       journal_(storage),
-      inc_(schema_, opts_) {}
+      steer_ids_(topology.leaves),
+      steering_(topology.leaves) {
+  leaves_.reserve(topology_.leaves);
+  for (std::size_t l = 0; l < topology_.leaves; ++l)
+    leaves_.push_back(Node{compiler::IncrementalCompiler(schema_, opts_)});
+  if (topology_.spines > 0)
+    spine_.emplace(Node{compiler::IncrementalCompiler(
+        schema_, compiler::spine_compile_options(opts_))});
+}
 
-Result<bool> DurableController::apply_subscribe(std::uint16_t port,
-                                                int priority,
-                                                const std::string& text) {
+Result<bool> DurableController::check_shape(
+    const FabricTargets& targets) const {
+  if (targets.spines.size() != topology_.spines ||
+      targets.leaves.size() != topology_.leaves)
+    return Error{"FabricTargets shape disagrees with the topology", 0, 0,
+                 "F151"};
+  return true;
+}
+
+Result<std::pair<DurableController::Sub, lang::BoundRule>>
+DurableController::bind(std::uint16_t port, int priority,
+                        const std::string& text) const {
   auto parsed = lang::parse_rule(text);
   if (!parsed.ok()) return parsed.error();
   auto bound = lang::bind_rule(parsed.value(), schema_);
@@ -55,38 +92,138 @@ Result<bool> DurableController::apply_subscribe(std::uint16_t port,
   sub.priority = priority;
   sub.text = text;
   sub.ports = bound.value().actions.ports;
-  sub.id = inc_.add(std::move(bound).take());
+  auto pins = compiler::steering_pins(bound.value(), schema_, topology_,
+                                      leaves_[0].inc.manager()->order(),
+                                      opts_.max_dnf_terms);
+  if (!pins.ok()) return pins.error();
+  sub.pins = std::move(pins).take();
+  return std::pair{std::move(sub), std::move(bound).take()};
+}
+
+void DurableController::place(Sub sub, const lang::BoundRule& rule) {
+  for (auto& [leaf, restricted] :
+       compiler::restrict_to_leaves(rule, topology_)) {
+    sub.placed.emplace_back(leaf, leaves_[leaf].inc.add(std::move(restricted)));
+    leaves_[leaf].dirty = true;
+  }
   subs_.push_back(std::move(sub));
+}
+
+Result<bool> DurableController::apply_subscribe(std::uint16_t port,
+                                                int priority,
+                                                const std::string& text) {
+  auto bound = bind(port, priority, text);
+  if (!bound.ok()) return bound.error();
+  auto [sub, rule] = std::move(bound).take();
+  place(std::move(sub), rule);
   return true;
 }
 
 std::size_t DurableController::apply_unsubscribe(std::uint16_t port) {
   const std::size_t before = subs_.size();
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < subs_.size(); ++i) {
-    const bool drop =
-        subs_[i].ports.size() == 1 && subs_[i].ports[0] == port;
-    if (drop) {
-      inc_.remove(subs_[i].id);
-      continue;
+  std::erase_if(subs_, [&](const Sub& s) {
+    if (s.ports.size() != 1 || s.ports[0] != port) return false;
+    for (const auto& [leaf, id] : s.placed) {
+      leaves_[leaf].inc.remove(id);
+      leaves_[leaf].dirty = true;
     }
-    if (w != i) subs_[w] = std::move(subs_[i]);
-    ++w;
-  }
-  subs_.resize(w);
+    return true;
+  });
   return before - subs_.size();
 }
 
-Result<std::uint64_t> DurableController::apply_commit(Delta* out) {
+void DurableController::update_steering() {
+  const bdd::BddManager& mgr = *spine_->inc.manager();
+  std::map<lang::Subject, std::size_t> pinned_count;
+  for (const Sub& s : subs_)
+    for (const auto& [subject, _] : s.pins) ++pinned_count[subject];
+  const std::optional<lang::Subject> steer =
+      compiler::choose_steering(pinned_count, mgr.order());
+
+  std::vector<Steering> want(topology_.leaves);
+  for (const Sub& s : subs_) {
+    std::optional<std::uint64_t> pin;
+    if (steer) {
+      const auto it = s.pins.find(*steer);
+      if (it != s.pins.end()) pin = it->second;
+    }
+    for (const auto& [leaf, id] : s.placed) {
+      Steering& w = want[leaf];
+      w.populated = true;
+      if (pin)
+        w.values = w.values.unite(util::IntervalSet::point(*pin));
+      else
+        w.needs_all = true;
+    }
+  }
+
+  const std::uint64_t steer_umax =
+      steer ? mgr.domains().umax(*steer) : util::IntervalSet::kMax;
+  for (std::size_t leaf = 0; leaf < topology_.leaves; ++leaf) {
+    Steering& w = want[leaf];
+    // Normalize to what the rule encodes, so equal sets compare equal.
+    if (!w.populated || w.needs_all) {
+      w.values = util::IntervalSet::empty();
+    } else {
+      w.subject = steer;
+    }
+    if (steer_ids_[leaf] && w == steering_[leaf]) continue;
+    if (steer_ids_[leaf]) spine_->inc.remove(*steer_ids_[leaf]);
+    steer_ids_[leaf] = spine_->inc.add(compiler::steering_rule(
+        topology_, leaf, steer, w.populated, w.needs_all, w.values,
+        steer_umax));
+    steering_[leaf] = std::move(w);
+    spine_->dirty = true;
+  }
+}
+
+Result<std::uint64_t> DurableController::apply_commit(FabricDelta* out) {
   const auto t0 = std::chrono::steady_clock::now();
-  auto d = inc_.commit();
-  if (!d.ok()) return d.error();
-  if (out) *out = std::move(d).take();
-  auto p = inc_.pipeline();
-  if (!p.ok()) return p.error();
-  // Snapshot the commit as the controller's intent: install-abort rollback
-  // only rewinds inc_'s diff base, never this.
-  intended_ = *p.value();
+  FabricDelta delta;
+  delta.leaves.resize(topology_.leaves);
+  // The nodes to recompile, spine first, each with its delta's slot.
+  std::vector<std::pair<Node*, Delta*>> dirty;
+  if (spine_) {
+    update_steering();
+    if (spine_->dirty) dirty.emplace_back(&*spine_, &delta.spine);
+  }
+  for (std::size_t l = 0; l < topology_.leaves; ++l)
+    if (leaves_[l].dirty) dirty.emplace_back(&leaves_[l], &delta.leaves[l]);
+
+  // All or nothing: when a node fails to compile, the nodes compiled before
+  // it get their diff base back and stay dirty, and the intent is
+  // untouched. The last node keeps no copy, as nothing can fail after it.
+  std::vector<table::Pipeline> bases;
+  for (std::size_t k = 0; k < dirty.size(); ++k) {
+    compiler::IncrementalCompiler& inc = dirty[k].first->inc;
+    if (k + 1 < dirty.size())
+      bases.push_back(inc.has_pipeline() ? *inc.pipeline().value()
+                                         : table::Pipeline{});
+    auto committed = inc.commit();
+    if (!committed.ok()) {
+      for (std::size_t j = 0; j < k; ++j)
+        dirty[j].first->inc.restore_installed(std::move(bases[j]));
+      return committed.error();
+    }
+    *dirty[k].second = std::move(committed).take();
+  }
+
+  // Snapshot the new programs as the intent: install rollback only rewinds
+  // the compilers' diff bases, never this.
+  if (!intended_) {
+    intended_.emplace();
+    intended_->spec = topology_;
+    intended_->leaves.resize(topology_.leaves);
+  }
+  if (spine_ && spine_->dirty)
+    intended_->spine = *spine_->inc.pipeline().value();
+  for (std::size_t l = 0; l < topology_.leaves; ++l)
+    if (leaves_[l].dirty)
+      intended_->leaves[l] = *leaves_[l].inc.pipeline().value();
+  for (auto& [node, _] : dirty) node->dirty = false;
+  intended_->seal();
+  delta.digest = intended_->fabric_digest;
+  if (out) *out = std::move(delta);
   // Feed the CheckpointPolicy's cost model: replaying a kCommit reruns
   // this exact work, so its measured cost is the best replay estimate.
   const double secs =
@@ -95,14 +232,17 @@ Result<std::uint64_t> DurableController::apply_commit(Delta* out) {
   commit_seconds_ewma_ = commit_seconds_ewma_ == 0
                              ? secs
                              : 0.75 * commit_seconds_ewma_ + 0.25 * secs;
-  return table::pipeline_digest(*p.value());
+  return intended_->fabric_digest;
 }
 
-Result<const table::Pipeline*> DurableController::intended() const {
-  if (!intended_)
-    return Error{"DurableController::intended() before a successful commit()",
-                 0, 0, "E122"};
+Result<const compiler::FabricProgram*> DurableController::intended() const {
+  if (!intended_) return not_committed("intended()");
   return &*intended_;
+}
+
+const table::Pipeline& DurableController::program_for(std::size_t i) const {
+  return i < topology_.spines ? intended_->spine
+                              : intended_->leaves[i - topology_.spines];
 }
 
 std::string DurableController::snapshot_payload() const {
@@ -131,22 +271,18 @@ Result<bool> DurableController::replay_snapshot(const std::string& payload) {
       if (tag == "commits") commit_seq_ = v;
       if (tag == "installs") install_seq_ = v;
     } else if (tag == "sub") {
-      std::uint64_t port = 0, prio_raw = 0;
-      long long prio = 0;
-      if (!(is >> port >> prio))
-        return bad_payload(RecordType::kSnapshot, line);
-      (void)prio_raw;
+      std::uint16_t port = 0;
+      int prio = 0;
       std::string text;
-      std::getline(is, text);
-      if (!text.empty() && text.front() == ' ') text.erase(0, 1);
-      auto applied = apply_subscribe(static_cast<std::uint16_t>(port),
-                                     static_cast<int>(prio), text);
+      if (!read_sub(is, port, prio, text))
+        return bad_payload(RecordType::kSnapshot, line);
+      auto applied = apply_subscribe(port, prio, text);
       if (!applied.ok()) return applied.error();
     } else {
       return bad_payload(RecordType::kSnapshot, line);
     }
   }
-  // The snapshot captured committed state: rebuild the intended pipeline
+  // The snapshot captured committed state: rebuild the intended programs
   // (fresh state numbering — see the header's recovery-fidelity note).
   if (commit_seq_ > 0) {
     auto committed = apply_commit(nullptr);
@@ -158,6 +294,10 @@ Result<bool> DurableController::replay_snapshot(const std::string& payload) {
 Result<RecoveryInfo> DurableController::open() {
   if (opened_)
     return Error{"DurableController::open() called twice", 0, 0, "E142"};
+  if (!topology_.valid())
+    return Error{"topology needs at least one leaf, and at least one spine "
+                 "unless it is the single switch (0 spines x 1 leaf)",
+                 0, 0, "F151"};
   auto replayed = journal_.replay();
   if (!replayed.ok()) return replayed.error();
   const util::ReplayResult& rep = replayed.value();
@@ -187,14 +327,12 @@ Result<RecoveryInfo> DurableController::open() {
         break;
       }
       case RecordType::kSubscribe: {
-        std::uint64_t port = 0;
-        long long prio = 0;
-        if (!(is >> port >> prio)) return bad_payload(rec.type, rec.payload);
+        std::uint16_t port = 0;
+        int prio = 0;
         std::string text;
-        std::getline(is, text);
-        if (!text.empty() && text.front() == ' ') text.erase(0, 1);
-        auto applied = apply_subscribe(static_cast<std::uint16_t>(port),
-                                       static_cast<int>(prio), text);
+        if (!read_sub(is, port, prio, text))
+          return bad_payload(rec.type, rec.payload);
+        auto applied = apply_subscribe(port, prio, text);
         if (!applied.ok()) return applied.error();
         break;
       }
@@ -248,12 +386,11 @@ Result<RecoveryInfo> DurableController::open() {
   if (!journaled.ok()) return journaled.error();
 
   if (in_flight) {
-    // The crash hit between kInstallBegin and its outcome. Resolve by
-    // journaling the abort — whether the commit landed or not, the next
-    // reconcile() computes the exact repair from switch digests, so the
-    // recovery is deterministic either way.
+    // The crash hit between kInstallBegin and its outcome — possibly
+    // between per-switch commits. Resolve by journaling the abort: the
+    // journaled commit is still the intent, and the next reconcile()
+    // drives every switch to it from digests.
     recovery_.install_in_flight = true;
-    recovery_.in_flight_install = *in_flight;
     auto aborted = journal_.append(RecordType::kInstallAbort,
                                    std::to_string(*in_flight));
     if (!aborted.ok()) return aborted.error();
@@ -281,9 +418,7 @@ Result<bool> DurableController::subscribe(std::uint16_t port,
     text += " : fwd(" + std::to_string(port) + ")";
   // Validate BEFORE journaling — a rejected rule must not pollute the log
   // (replay re-binds every journaled rule and treats failure as fatal).
-  auto parsed = lang::parse_rule(text);
-  if (!parsed.ok()) return parsed.error();
-  auto bound = lang::bind_rule(parsed.value(), schema_);
+  auto bound = bind(port, priority, text);
   if (!bound.ok()) return bound.error();
   // WAL: journal, sync, then mutate memory.
   std::ostringstream payload;
@@ -291,7 +426,9 @@ Result<bool> DurableController::subscribe(std::uint16_t port,
   auto journaled = journal_.append(RecordType::kSubscribe, payload.str());
   if (!journaled.ok()) return journaled.error();
   ++records_since_checkpoint_;
-  return apply_subscribe(port, priority, text);
+  auto [sub, rule] = std::move(bound).take();
+  place(std::move(sub), rule);
+  return true;
 }
 
 Result<std::size_t> DurableController::unsubscribe(std::uint16_t port) {
@@ -309,11 +446,11 @@ Result<std::size_t> DurableController::unsubscribe(std::uint16_t port) {
   return apply_unsubscribe(port);
 }
 
-Result<DurableController::Delta> DurableController::commit() {
+Result<FabricDelta> DurableController::commit() {
   if (!opened_) return not_open();
   // The compile is pure in-memory: a crash before the journal append just
   // loses an uncommitted compile, which replay correctly omits.
-  Delta delta;
+  FabricDelta delta;
   auto digest = apply_commit(&delta);
   if (!digest.ok()) return digest.error();
   ++commit_seq_;
@@ -328,122 +465,204 @@ Result<DurableController::Delta> DurableController::commit() {
   return delta;
 }
 
-Result<InstallReport> DurableController::install(TwoPhaseInstaller& installer,
-                                                 const Delta& delta,
-                                                 const fault::Plan* faults,
-                                                 std::size_t chunk_bytes,
-                                                 int max_attempts,
-                                                 int chunk_retries) {
-  if (!opened_) return not_open();
-  auto intended_pipe = intended();
-  if (!intended_pipe.ok()) return intended_pipe.error();
-
-  const bool full = delta.requires_reprogram;
-  const std::string image = full ? table::serialize_pipeline(
-                                       *intended_pipe.value())
-                                 : table::serialize_ops(delta.ops);
-  ++install_seq_;
-  std::ostringstream begin;
-  begin << install_seq_ << " " << (full ? "full" : "ops") << " "
-        << util::crc32(image);
-  auto journaled = journal_.append(RecordType::kInstallBegin, begin.str());
-  if (!journaled.ok()) return journaled.error();
-
-  installer.set_epoch(epoch_);
-  InstallReport report =
-      full ? installer.install(*intended_pipe.value(), faults, chunk_bytes,
-                               max_attempts, chunk_retries)
-           : installer.apply_delta(delta.ops, faults, chunk_bytes,
-                                   max_attempts, chunk_retries);
-
-  const RecordType outcome = report.committed ? RecordType::kInstallCommit
-                                              : RecordType::kInstallAbort;
-  auto recorded =
-      journal_.append(outcome, std::to_string(install_seq_));
-  if (!recorded.ok()) return recorded.error();
-  records_since_checkpoint_ += 2;  // kInstallBegin + outcome
-
-  if (!report.committed) {
-    // The switch kept last-good: roll the incremental diff base back to
-    // what the installer still serves so the next commit's delta lands on
-    // reality instead of on the phantom install.
-    inc_.restore_installed(table::Pipeline(*installer.active()));
+void DurableController::rewind(const FabricTargets& targets,
+                               const FabricDelta& delta) {
+  // Every switch still runs what its installer serves (rollback already
+  // undid any commit): the node's next delta must land on that, so the
+  // next commit recompiles it against the rewound base.
+  if (spine_ && !FabricDelta::empty(delta.spine)) {
+    spine_->inc.restore_installed(
+        table::Pipeline(*targets.spines[0]->active()));
+    spine_->dirty = true;
   }
+  for (std::size_t l = 0; l < topology_.leaves; ++l) {
+    if (FabricDelta::empty(delta.leaves[l])) continue;
+    leaves_[l].inc.restore_installed(
+        table::Pipeline(*targets.leaves[l]->active()));
+    leaves_[l].dirty = true;
+  }
+}
+
+Result<FabricInstallReport> DurableController::abort_install(
+    FabricInstallReport report, const FabricTargets& targets,
+    const FabricDelta& delta) {
+  auto aborted = journal_.append(RecordType::kInstallAbort,
+                                 std::to_string(install_seq_));
+  if (!aborted.ok()) return aborted.error();
+  records_since_checkpoint_ += 2;  // kInstallBegin + outcome
+  rewind(targets, delta);
   return report;
 }
 
-Result<ReconcileReport> DurableController::reconcile(
-    TwoPhaseInstaller& installer, const fault::Plan* faults,
+Result<FabricInstallReport> DurableController::install(
+    const FabricTargets& targets, const FabricDelta& delta,
+    const fault::Plan* faults, int fault_switch, std::size_t chunk_bytes,
+    int max_attempts, int chunk_retries) {
+  if (!opened_) return not_open();
+  if (!intended_) return not_committed("install()");
+  auto shaped = check_shape(targets);
+  if (!shaped.ok()) return shaped.error();
+  if (delta.leaves.size() != topology_.leaves)
+    return Error{"FabricDelta shape disagrees with the topology", 0, 0,
+                 "F151"};
+
+  FabricInstallReport report;
+  report.epoch = epoch_;
+  report.reports.resize(targets.size());
+
+  // The whole transaction is one journaled install; the begin record
+  // carries the fabric digest so a post-crash reader knows what was being
+  // attempted.
+  ++install_seq_;
+  std::ostringstream begin;
+  begin << install_seq_ << " " << delta.digest;
+  auto journaled = journal_.append(RecordType::kInstallBegin, begin.str());
+  if (!journaled.ok()) return journaled.error();
+
+  // --- Phase 1: stage every non-empty node delta. No switch is touched; a
+  // failure anywhere aborts with the fabric exactly as it was.
+  std::vector<StagedInstall> staged(targets.size());
+  const std::vector<std::size_t> touched = delta.touched(topology_.spines);
+  for (const std::size_t i : touched) {
+    const Delta& d = delta.at(i, topology_.spines);
+    TwoPhaseInstaller& installer = targets.at(i);
+    installer.set_epoch(epoch_);
+    const fault::Plan* plan =
+        (fault_switch < 0 || static_cast<std::size_t>(fault_switch) == i)
+            ? faults
+            : nullptr;
+    staged[i] = d.requires_reprogram
+                    ? installer.stage(program_for(i), plan, chunk_bytes,
+                                      max_attempts, chunk_retries)
+                    : installer.stage(d.ops, plan, chunk_bytes, max_attempts,
+                                      chunk_retries);
+    report.reports[i] = staged[i].report;
+    if (!staged[i].staged) {
+      report.all_or_nothing_abort = true;
+      report.error = "stage failed on switch " + std::to_string(i) + ": " +
+                     staged[i].report.error;
+      return abort_install(std::move(report), targets, delta);
+    }
+    ++report.staged;
+  }
+
+  // --- Phase 2: commit switch by switch. Every delta already passed
+  // verification, so the only failure left is fencing (a newer controller
+  // took a switch) — which rolls back the switches already flipped.
+  for (std::size_t k = 0;; ++k) {
+    if (crash_after_commits_ >= 0 &&
+        static_cast<std::size_t>(crash_after_commits_) ==
+            report.committed_switches) {
+      // Simulated controller death: no outcome record, the fabric possibly
+      // mixed. open() + reconcile() must repair.
+      crash_after_commits_ = -1;
+      report.crashed_mid_commit = true;
+      report.error = "controller crashed mid-commit (injected)";
+      return report;
+    }
+    if (k == touched.size()) break;
+    const std::size_t i = touched[k];
+    const bool ok = targets.at(i).commit_staged(staged[i]);
+    report.reports[i] = staged[i].report;
+    if (!ok) {
+      report.error = "commit failed on switch " + std::to_string(i) + ": " +
+                     staged[i].report.error;
+      for (std::size_t j = 0; j < k; ++j)
+        if (targets.at(touched[j]).rollback()) ++report.rolled_back;
+      return abort_install(std::move(report), targets, delta);
+    }
+    ++report.committed_switches;
+  }
+
+  auto recorded = journal_.append(RecordType::kInstallCommit,
+                                  std::to_string(install_seq_));
+  if (!recorded.ok()) return recorded.error();
+  records_since_checkpoint_ += 2;  // kInstallBegin + outcome
+  report.committed = true;
+  return report;
+}
+
+Result<FabricReconcileReport> DurableController::reconcile(
+    const FabricTargets& targets, const fault::Plan* faults,
     std::size_t chunk_bytes, int max_attempts, int chunk_retries) {
   if (!opened_) return not_open();
-  switchsim::Switch& sw = installer.target();
+  auto shaped = check_shape(targets);
+  if (!shaped.ok()) return shaped.error();
 
-  // Fence first: from here on the predecessor's stragglers bounce (E140).
-  auto fenced = sw.fence(epoch_);
-  if (!fenced.ok()) return fenced.error();
-  installer.set_epoch(epoch_);
+  FabricReconcileReport report;
 
-  // The intended program = the last journaled commit (NOT inc_'s diff
-  // base, which an aborted install rewinds to the switch's last-good).
-  // Before any commit it is the empty pipeline — a fresh controller
-  // reconciling a previously programmed switch must clear it, not skip it.
-  table::Pipeline intended;
-  if (intended_) intended = *intended_;
-  intended.finalize();
-
-  ReconcileReport report;
-  report.total_entries = intended.total_entries();
-
-  // Anti-entropy handshake: the switch reports per-stage digests; only
-  // diverged stages matter. Digest equality short-circuits the whole
-  // pass — an in-sync switch costs one digest exchange, zero entries.
-  const auto have_digests = sw.stage_digests();
-  const auto want_digests = table::stage_digests(intended);
-  for (const table::StageDigest& w : want_digests) {
-    const auto it = std::find_if(
-        have_digests.begin(), have_digests.end(),
-        [&](const table::StageDigest& h) { return h.table == w.table; });
-    if (it == have_digests.end() || it->digest != w.digest)
-      ++report.diverged_stages;
-  }
-  for (const table::StageDigest& h : have_digests) {
-    const auto it = std::find_if(
-        want_digests.begin(), want_digests.end(),
-        [&](const table::StageDigest& w) { return w.table == h.table; });
-    if (it == want_digests.end()) ++report.diverged_stages;
+  // Fence every switch first: after this loop a deposed controller's
+  // stragglers bounce everywhere (E140), so repairs cannot interleave with
+  // a predecessor's writes on any node.
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    TwoPhaseInstaller& installer = targets.at(i);
+    auto fenced = installer.target().fence(epoch_);
+    if (!fenced.ok()) return fenced.error();
+    installer.set_epoch(epoch_);
   }
 
-  if (sw.program_digest() == table::pipeline_digest(intended)) {
-    report.in_sync = true;
-    report.reused_entries = report.total_entries;
-    installer.resync_from_switch();
-    return report;
-  }
+  report.converged = true;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    TwoPhaseInstaller& installer = targets.at(i);
+    switchsim::Switch& sw = installer.target();
+    // The intended program = the last journaled commit (NOT the diff
+    // base), or the empty program before any commit.
+    table::Pipeline want;
+    if (intended_) want = program_for(i);
+    want.finalize();
+    const std::uint64_t want_digest = table::pipeline_digest(want);
 
-  // Minimal repair: the same diff currency as live churn deltas
-  // (table::diff_pipelines), so reconciliation and the incremental
-  // compiler can never disagree about what an update is.
-  const table::Pipeline have = sw.pipeline_snapshot();
-  table::PipelineDiff diff = table::diff_pipelines(&have, intended);
-  report.reused_entries = diff.reused_entries;
-  report.total_entries = diff.total_entries;
+    // Anti-entropy handshake: the switch reports per-stage digests; a
+    // stage diverges when its digest differs or one side lacks it.
+    std::map<std::string, std::uint64_t> have;
+    for (const table::StageDigest& h : sw.stage_digests())
+      have[h.table] = h.digest;
+    for (const table::StageDigest& w : table::stage_digests(want)) {
+      const auto it = have.find(w.table);
+      if (it == have.end() || it->second != w.digest) ++report.diverged_stages;
+      if (it != have.end()) have.erase(it);
+    }
+    report.diverged_stages += have.size();
 
-  if (diff.requires_reprogram) {
-    report.full_reprogram = true;
-    report.install = installer.install(intended, faults, chunk_bytes,
-                                       max_attempts, chunk_retries);
-  } else {
-    // Re-seed the installer's dry-run base from the switch's actual
-    // program so the repair ops apply against reality.
-    installer.resync_from_switch();
-    report.repair_ops = diff.ops.size();
-    report.install = installer.apply_delta(diff.ops, faults, chunk_bytes,
-                                           max_attempts, chunk_retries);
-  }
-  report.repaired = report.install.committed;
-  if (report.repaired) {
-    // The switch now runs the intended program; make it the diff base.
-    inc_.restore_installed(std::move(intended));
+    if (sw.program_digest() == want_digest) {
+      ++report.in_sync;
+      report.reused_entries += want.total_entries();
+      report.total_entries += want.total_entries();
+      installer.resync_from_switch();
+      continue;
+    }
+
+    // Minimal repair in the same diff currency as live churn deltas, so
+    // reconciliation and the compilers never disagree about an update.
+    const table::Pipeline running = sw.pipeline_snapshot();
+    table::PipelineDiff diff = table::diff_pipelines(&running, want);
+    report.reused_entries += diff.reused_entries;
+    report.total_entries += diff.total_entries;
+    InstallReport install;
+    if (diff.requires_reprogram) {
+      ++report.full_reprograms;
+      install = installer.install(want, faults, chunk_bytes, max_attempts,
+                                  chunk_retries);
+    } else {
+      // Re-seed the installer's dry-run base from the switch's actual
+      // program so the repair ops apply against reality.
+      installer.resync_from_switch();
+      report.repair_ops += diff.ops.size();
+      install = installer.apply_delta(diff.ops, faults, chunk_bytes,
+                                      max_attempts, chunk_retries);
+    }
+    if (!install.committed || sw.program_digest() != want_digest) {
+      report.converged = false;
+      if (report.error.empty())
+        report.error = "repair failed on switch " + std::to_string(i) + ": " +
+                       install.error;
+      continue;
+    }
+    ++report.repaired;
+    // The switch now runs the intent; make it the node's diff base.
+    Node& node = i < topology_.spines ? *spine_
+                                      : leaves_[i - topology_.spines];
+    node.inc.restore_installed(std::move(want));
   }
   return report;
 }
@@ -461,8 +680,8 @@ Result<bool> DurableController::checkpoint() {
 }
 
 double DurableController::estimated_replay_seconds() const noexcept {
-  // Commit records rerun a full incremental compile on replay; charge
-  // them the measured EWMA (or the generic record cost until the first
+  // Commit records rerun the incremental compiles on replay; charge them
+  // the measured EWMA (or the generic record cost until the first
   // measurement lands). Everything else is a parse + bind.
   const double per_commit = commit_seconds_ewma_ > 0
                                 ? commit_seconds_ewma_

@@ -1,8 +1,21 @@
-// Crash-safe control plane: a controller whose every externally visible
-// decision is write-ahead journaled (util::Journal), so a crash at ANY
-// point — mid-subscribe, mid-commit, mid-install — recovers to the exact
-// intended state by replay, and a restarted controller resumes programming
-// its switch safely behind a fenced epoch.
+// Crash-safe control plane: ONE journaled controller for every topology.
+// A DurableController owns the subscription set of a compiler::FabricSpec
+// topology — the single switch is the 0-spine x 1-leaf fabric — and drives
+// one TwoPhaseInstaller per switch. Every externally visible decision is
+// write-ahead journaled (util::Journal), so a crash at ANY point —
+// mid-subscribe, mid-commit, mid-install, even between per-switch commits —
+// recovers to the exact intended state by replay, and a restarted
+// controller resumes programming behind a fenced epoch.
+//
+// Placement is incremental: every node program has its own
+// IncrementalCompiler — one per leaf, plus one for the steering program
+// all spines share. A subscription's rule goes only to the leaves its
+// ports map to, restricted to their ports; a leaf's spine steering rule is
+// replaced only when that leaf's steering set changed; a node whose rules
+// did not change since its last compile is not recompiled, so its delta is
+// empty and install() does not touch its switch. On the single switch
+// placement is the identity: rules pass verbatim (stateful ones too — F150
+// applies only across switches), with no flatten pass and no steering.
 //
 // Protocol (journal record per step, WAL discipline: journal first, act
 // second):
@@ -10,49 +23,62 @@
 //   open()        replay journal -> re-apply subscribe/unsubscribe ->
 //                 re-run commits at recorded boundaries (digests checked,
 //                 J010 on divergence) -> adopt epoch = last + 1 -> journal
-//                 kEpoch. A half-staged install (kInstallBegin without a
+//                 kEpoch "e". A half-done install (kInstallBegin without a
 //                 matching commit/abort) is resolved by journaling
-//                 kInstallAbort: the switch either has the install (commit
-//                 landed) or kept last-good (it didn't) — either way
-//                 reconcile() computes the exact repair from digests, so
-//                 the resolution is deterministic without knowing which.
-//   subscribe     journal kSubscribe "port prio text" -> bind -> inc.add
-//   unsubscribe   journal kUnsubscribe "port" -> inc.remove (same
-//                 single-port filter as Controller::unsubscribe)
-//   commit        inc.commit() (pure in-memory; crash before journaling
-//                 simply loses the uncommitted compile) -> journal kCommit
-//                 "seq digest" with the intended pipeline's digest
-//   install       journal kInstallBegin "seq kind crc" -> epoch-fenced
-//                 TwoPhaseInstaller ship -> journal kInstallCommit/kAbort
+//                 kInstallAbort: every switch either has the install or
+//                 kept last-good — a crash between per-switch commits
+//                 leaves the fabric mixed — and reconcile() computes the
+//                 exact repair per switch from digests, so the resolution
+//                 is deterministic without knowing how far it got.
+//   subscribe     journal kSubscribe "port prio text" -> bind -> place
+//   unsubscribe   journal kUnsubscribe "port" -> remove every rule
+//                 forwarding ONLY to the port (Controller::unsubscribe's
+//                 filter)
+//   commit        recompile the changed nodes (pure in-memory; a crash
+//                 before journaling simply loses the uncommitted compile)
+//                 -> journal kCommit "seq fabric_digest"
+//   install       journal kInstallBegin "seq fabric_digest" -> stage every
+//                 non-empty node delta, then commit each, epoch-fenced ->
+//                 journal kInstallCommit/kInstallAbort "seq"
 //   checkpoint    compact the journal to one kSnapshot record (full
 //                 intended state). Replay from a snapshot re-adds the
 //                 surviving subscriptions and recompiles once: recovery is
 //                 then O(live state), not O(history), but state numbering
 //                 is fresh — semantically equivalent (the nemesis verifies
-//                 with camus::verify), digest-different. Exact replay (no
-//                 checkpoint) reproduces the pre-crash pipeline
+//                 delivery against an oracle), digest-different. Exact
+//                 replay (no checkpoint) reproduces the pre-crash programs
 //                 bit-identically, because the compiler is deterministic
 //                 given the same operation history. The recovery bench
 //                 measures both modes; kCommit digests recorded after a
 //                 checkpoint are therefore only enforced on exact replay.
 //
+// Per-node intent and diff base stay separate. The journaled commit is the
+// intent, and reconcile() keeps driving every switch toward it. The diff
+// base is what each node's next delta is computed against: an aborted or
+// rolled-back install rewinds every node it meant to touch to that
+// switch's installer active(), and a reconcile repair re-seeds it from the
+// intent.
+//
 // The fencing half: each open() adopts a strictly larger epoch and stamps
 // it on every switch write, so a deposed controller's stragglers are
-// rejected by the switch (E140) instead of clobbering its successor.
+// rejected by every switch (E140) instead of clobbering its successor.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "compiler/fabric.hpp"
 #include "compiler/incremental.hpp"
 #include "fault/plan.hpp"
 #include "pubsub/install.hpp"
 #include "spec/schema.hpp"
-#include "switchsim/switch.hpp"
 #include "table/delta.hpp"
+#include "util/interval.hpp"
 #include "util/journal.hpp"
 #include "util/result.hpp"
 
@@ -72,9 +98,8 @@ struct RecoveryInfo {
   // a snapshot (fresh state numbering — see file comment).
   std::uint64_t digest_mismatches = 0;
   // A kInstallBegin had no matching commit/abort: the crash hit mid
-  // install. open() journals the abort; reconcile() repairs the switch.
+  // install. open() journals the abort; reconcile() repairs the switches.
   bool install_in_flight = false;
-  std::uint64_t in_flight_install = 0;  // its seq (valid when in_flight)
 };
 
 // Automatic checkpointing: compact the journal whenever the estimated
@@ -93,16 +118,79 @@ struct CheckpointPolicy {
   double per_record_seconds = 2e-6;
 };
 
-// Outcome of one warm-boot anti-entropy pass.
-struct ReconcileReport {
-  bool in_sync = false;       // digests matched; nothing shipped
-  bool repaired = false;      // a repair landed on the switch
-  bool full_reprogram = false;  // repair had to re-image (no entry delta)
+// The per-switch installers the controller drives, in topology order:
+// spines first, then leaves. Defined here (not in netsim) so the control
+// plane stays independent of the simulator; netsim::Fabric::targets()
+// produces one, and a lone installer converts to the single switch.
+struct FabricTargets {
+  std::vector<TwoPhaseInstaller*> spines;
+  std::vector<TwoPhaseInstaller*> leaves;
+
+  FabricTargets() = default;
+  // The single switch: 0 spines, the installer as leaf 0.
+  FabricTargets(TwoPhaseInstaller& single)  // NOLINT: implicit on purpose
+      : leaves{&single} {}
+
+  std::size_t size() const noexcept { return spines.size() + leaves.size(); }
+  // Flat index: 0..spines-1 are spines, then leaves.
+  TwoPhaseInstaller& at(std::size_t i) const {
+    return i < spines.size() ? *spines[i] : *leaves[i - spines.size()];
+  }
+};
+
+// One commit: the journaled fabric digest and every node's delta. A node
+// the commit did not change has an empty delta, and install() leaves its
+// switch untouched.
+struct FabricDelta {
+  using Delta = compiler::IncrementalCompiler::Delta;
+
+  std::uint64_t digest = 0;
+  Delta spine;  // the steering program every spine runs
+  std::vector<Delta> leaves;
+
+  static bool empty(const Delta& d) noexcept {
+    return d.ops.empty() && !d.requires_reprogram;
+  }
+  // The delta of flat switch index i (spines first, then leaves).
+  const Delta& at(std::size_t i, std::size_t spines) const noexcept {
+    return i < spines ? spine : leaves[i - spines];
+  }
+  // Flat indices of the switches this delta ships to.
+  std::vector<std::size_t> touched(std::size_t spines) const {
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i < spines + leaves.size(); ++i)
+      if (!empty(at(i, spines))) out.push_back(i);
+    return out;
+  }
+};
+
+// Outcome of one all-or-nothing install.
+struct FabricInstallReport {
+  bool committed = false;             // every touched switch committed
+  bool all_or_nothing_abort = false;  // a stage failed; NO switch modified
+  bool crashed_mid_commit = false;    // crash hook fired between commits
+  std::size_t staged = 0;             // switches that staged successfully
+  std::size_t committed_switches = 0;
+  std::size_t rolled_back = 0;        // undone after a commit-phase failure
+  std::uint64_t epoch = 0;
+  std::string error;                  // empty when committed
+  // Per-switch reports in flat (spines-then-leaves) order. Switches the
+  // delta did not touch, and never-staged ones after an abort, keep
+  // default reports (0 chunks).
+  std::vector<InstallReport> reports;
+};
+
+// Outcome of one anti-entropy pass over every switch.
+struct FabricReconcileReport {
+  std::size_t in_sync = 0;          // digest-matched, untouched
+  std::size_t repaired = 0;         // a repair landed
+  std::size_t full_reprograms = 0;  // repairs that had to re-image
   std::size_t diverged_stages = 0;  // stages whose digests differed
-  std::size_t repair_ops = 0;       // entry ops shipped (delta repair)
+  std::size_t repair_ops = 0;       // entry ops shipped across all deltas
   std::size_t reused_entries = 0;   // intended entries already in place
   std::size_t total_entries = 0;    // intended entries
-  InstallReport install;            // the shipping report, when not in_sync
+  bool converged = false;  // every switch digest == its intended digest
+  std::string error;
 
   double reuse_fraction() const noexcept {
     return total_entries == 0 ? 1.0
@@ -112,7 +200,10 @@ struct ReconcileReport {
 };
 
 // Diagnostics:
+//   E122  intended() or install() before the first commit()
 //   E142  operation before a successful open()
+//   F150  stateful rule on a multi-switch topology (rejected at subscribe)
+//   F151  degenerate topology, or targets/delta shaped for another one
 //   J010  replayed commit digest mismatch (journal corruption or broken
 //         compiler determinism) on exact replay
 //   J011  malformed journal payload for its record type
@@ -122,13 +213,14 @@ class DurableController {
 
   // The storage outlives the controller (it IS the durable identity: a
   // restarted controller is a new DurableController on the same storage).
-  DurableController(spec::Schema schema, util::StableStorage& storage,
-                    compiler::CompileOptions opts = {});
+  DurableController(
+      spec::Schema schema, util::StableStorage& storage,
+      compiler::FabricSpec topology = compiler::FabricSpec::single_switch(),
+      compiler::CompileOptions opts = {});
 
   // Replays the journal into this controller and adopts a fresh epoch.
   // Must be called (once) before any mutation.
   util::Result<RecoveryInfo> open();
-  bool is_open() const noexcept { return opened_; }
   const RecoveryInfo& recovery() const noexcept { return recovery_; }
 
   // This controller's fenced epoch (0 before open()).
@@ -138,45 +230,45 @@ class DurableController {
 
   // WAL-first mutations (same text handling as Controller::subscribe —
   // interest-only rules get " : fwd(port)" appended; unsubscribe removes
-  // rules forwarding ONLY to the port).
+  // rules forwarding ONLY to the port). A rule that cannot be placed is
+  // rejected before it is journaled.
   util::Result<bool> subscribe(std::uint16_t port,
                                std::string_view rule_text, int priority = 0);
   util::Result<std::size_t> unsubscribe(std::uint16_t port);
 
-  // Recompiles and journals the commit boundary with the intended
-  // pipeline's digest. The returned delta is what install() ships.
-  util::Result<Delta> commit();
+  // Recompiles the changed nodes and journals the commit boundary with the
+  // fabric digest. The returned deltas are what install() ships.
+  util::Result<FabricDelta> commit();
 
-  // The intended pipeline: what the last journaled commit compiled (E122
-  // before the first commit). Deliberately NOT the incremental compiler's
-  // diff base — an aborted install rolls the diff base back to what the
-  // switch still runs, but the journaled commit remains the intent, and
-  // reconcile() keeps driving the switch toward it.
-  util::Result<const table::Pipeline*> intended() const;
+  // The intended programs: what the last journaled commit compiled (E122
+  // before the first commit). Deliberately NOT the compilers' diff bases
+  // (see file comment).
+  util::Result<const compiler::FabricProgram*> intended() const;
 
-  // Ships a commit's delta (or the full image when the delta demands a
-  // reprogram) through the installer, epoch-fenced and journaled:
-  // kInstallBegin before the first byte, kInstallCommit/kInstallAbort
-  // after. On abort the incremental diff base is rolled back to what the
-  // installer still serves, so the next commit diffs against reality.
-  util::Result<InstallReport> install(TwoPhaseInstaller& installer,
-                                      const Delta& delta,
-                                      const fault::Plan* faults = nullptr,
-                                      std::size_t chunk_bytes = 512,
-                                      int max_attempts = 3,
-                                      int chunk_retries = 8);
+  // All-or-nothing install of a commit's deltas: stage+verify every
+  // non-empty node delta on its switch (entry ops, or the node's full
+  // intended image when the delta requires a reprogram), then commit each.
+  // Any stage failure aborts with zero switches modified; a commit-phase
+  // failure (fencing) rolls back the switches already committed. `faults`
+  // models the control channel of the switch at flat index `fault_switch`
+  // (-1 = every switch shares the plan). Journaled as one kInstallBegin /
+  // kInstallCommit-or-Abort pair around the whole transaction.
+  util::Result<FabricInstallReport> install(
+      const FabricTargets& targets, const FabricDelta& delta,
+      const fault::Plan* faults = nullptr, int fault_switch = -1,
+      std::size_t chunk_bytes = 512, int max_attempts = 3,
+      int chunk_retries = 8);
 
-  // Warm-boot anti-entropy: fences the switch to this epoch, diffs the
-  // switch's reported per-stage digests against the intended pipeline's,
-  // and ships the minimal repair (entry ops when possible, re-image when
-  // not — same table::diff_pipelines currency as live churn deltas).
-  // In-sync switches are left untouched. Also re-seeds the installer's
-  // last-good and the incremental diff base from the repaired program.
-  util::Result<ReconcileReport> reconcile(TwoPhaseInstaller& installer,
-                                          const fault::Plan* faults = nullptr,
-                                          std::size_t chunk_bytes = 512,
-                                          int max_attempts = 3,
-                                          int chunk_retries = 8);
+  // Warm-boot anti-entropy: fences every switch to this epoch, then drives
+  // each toward its intended program — digest short-circuit (an in-sync
+  // switch costs one digest exchange, zero entries), entry-delta repair
+  // when possible, re-image when not (the same table::diff_pipelines
+  // currency as live churn deltas). Before any commit the intent is the
+  // empty program: a fresh controller clears programmed switches.
+  util::Result<FabricReconcileReport> reconcile(
+      const FabricTargets& targets, const fault::Plan* faults = nullptr,
+      std::size_t chunk_bytes = 512, int max_attempts = 3,
+      int chunk_retries = 8);
 
   // Compacts the journal to a single snapshot of the intended state (see
   // file comment for the recovery-fidelity trade-off).
@@ -187,33 +279,73 @@ class DurableController {
   void set_checkpoint_policy(CheckpointPolicy policy) noexcept {
     policy_ = policy;
   }
-  const CheckpointPolicy& checkpoint_policy() const noexcept {
-    return policy_;
-  }
   // Checkpoints taken automatically by the policy (manual ones excluded).
   std::uint64_t auto_checkpoints() const noexcept { return auto_checkpoints_; }
   // The policy's current replay-cost estimate for this journal.
   double estimated_replay_seconds() const noexcept;
 
+  // Crash-injection hook for the nemesis: the next install() stops dead
+  // once `n` switches have committed — no outcome record is journaled, as
+  // if the controller process died mid-transaction. One-shot; -1
+  // disables.
+  void set_crash_after_commits(int n) noexcept { crash_after_commits_ = n; }
+
   util::Journal& journal() noexcept { return journal_; }
   const spec::Schema& schema() const noexcept { return schema_; }
 
  private:
+  using SubscriptionId = compiler::IncrementalCompiler::SubscriptionId;
+  using Pins = std::map<lang::Subject, std::uint64_t>;
+
+  // One node program: its compiler, and whether its rules (or its diff
+  // base) changed since its last compile.
+  struct Node {
+    compiler::IncrementalCompiler inc;
+    bool dirty = true;
+  };
+
   struct Sub {
-    compiler::IncrementalCompiler::SubscriptionId id = 0;
     std::uint16_t port = 0;
     int priority = 0;
     std::string text;  // full rule text incl. action (replay + snapshot)
     std::vector<std::uint16_t> ports;  // bound action ports (unsub filter)
+    Pins pins;  // steering footprint (multi-switch topologies only)
+    std::vector<std::pair<std::size_t, SubscriptionId>> placed;  // leaf, id
   };
 
-  // Parses+binds and registers one subscription (shared by the live path
-  // and replay). `text` must already include the action.
+  // A leaf's steering set as its spine rule sees it: nothing, everything,
+  // or the steering attribute's pinned values.
+  struct Steering {
+    bool populated = false;
+    bool needs_all = false;
+    std::optional<lang::Subject> subject;
+    util::IntervalSet values;
+    friend bool operator==(const Steering&, const Steering&) = default;
+  };
+
+  util::Result<bool> check_shape(const FabricTargets& targets) const;
+  // Parses and binds one rule and, across switches, derives its steering
+  // pins (F150 for stateful rules). Shared by the live path and replay.
+  util::Result<std::pair<Sub, lang::BoundRule>> bind(
+      std::uint16_t port, int priority, const std::string& text) const;
+  // Adds the rule to every leaf it reaches (compiler::restrict_to_leaves).
+  void place(Sub sub, const lang::BoundRule& rule);
   util::Result<bool> apply_subscribe(std::uint16_t port, int priority,
                                      const std::string& text);
   std::size_t apply_unsubscribe(std::uint16_t port);
-  // Runs inc_.commit() and returns the intended pipeline's digest.
-  util::Result<std::uint64_t> apply_commit(Delta* out);
+  // Replaces the spine steering rules whose leaf steering set changed.
+  void update_steering();
+  // Recompiles the dirty nodes, all or nothing, and returns the fabric
+  // digest. On failure no node's diff base, dirty flag or intent moves.
+  util::Result<std::uint64_t> apply_commit(FabricDelta* out);
+  // The intended program of flat switch index i (spines share one).
+  const table::Pipeline& program_for(std::size_t i) const;
+  // Points the next delta of every node `delta` meant to touch at what its
+  // switch still runs.
+  void rewind(const FabricTargets& targets, const FabricDelta& delta);
+  util::Result<FabricInstallReport> abort_install(
+      FabricInstallReport report, const FabricTargets& targets,
+      const FabricDelta& delta);
   std::string snapshot_payload() const;
   util::Result<bool> replay_snapshot(const std::string& payload);
   // Runs the CheckpointPolicy at a commit boundary; no-op when disarmed
@@ -221,17 +353,23 @@ class DurableController {
   util::Result<bool> maybe_auto_checkpoint();
 
   spec::Schema schema_;
+  compiler::FabricSpec topology_;
   compiler::CompileOptions opts_;
   util::Journal journal_;
-  compiler::IncrementalCompiler inc_;
-  // Last committed pipeline — the controller's intent. Kept separate from
-  // inc_'s diff base, which install() rolls back on abort.
-  std::optional<table::Pipeline> intended_;
+  std::vector<Node> leaves_;
+  std::optional<Node> spine_;  // absent on the single switch
+  // The spine rule currently steering to each leaf, and the set it encodes.
+  std::vector<std::optional<SubscriptionId>> steer_ids_;
+  std::vector<Steering> steering_;
+  // Last committed programs — the controller's intent. Kept separate from
+  // the compilers' diff bases, which install() rewinds on abort.
+  std::optional<compiler::FabricProgram> intended_;
   std::vector<Sub> subs_;
   bool opened_ = false;
   std::uint64_t epoch_ = 0;
   std::uint64_t commit_seq_ = 0;
   std::uint64_t install_seq_ = 0;
+  int crash_after_commits_ = -1;
   RecoveryInfo recovery_;
   // CheckpointPolicy state: what a replay of the current journal would
   // have to redo, and what this controller's commits actually cost.

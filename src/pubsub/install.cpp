@@ -269,16 +269,18 @@ bool TwoPhaseInstaller::stage_attempt(std::span<const std::uint8_t> bytes,
   return true;
 }
 
-StagedInstall TwoPhaseInstaller::stage(const table::Pipeline& pipeline,
-                                       const fault::Plan* faults,
-                                       std::size_t chunk_bytes,
-                                       int max_attempts, int chunk_retries) {
+StagedInstall TwoPhaseInstaller::stage_image(const std::string& image,
+                                             bool ops,
+                                             const fault::Plan* faults,
+                                             std::size_t chunk_bytes,
+                                             int max_attempts,
+                                             int chunk_retries) {
   StagedInstall out;
   out.report.epoch = epoch_;
-  const std::string image = table::serialize_pipeline(pipeline);
   const std::span<const std::uint8_t> bytes(
       reinterpret_cast<const std::uint8_t*>(image.data()), image.size());
   const std::uint64_t image_digest = fnv1a(bytes);
+  const std::string what = ops ? "delta" : "image";
 
   chunk_bytes = std::max<std::size_t>(chunk_bytes, 1);
   out.report.chunks = (image.size() + chunk_bytes - 1) / chunk_bytes;
@@ -300,21 +302,43 @@ StagedInstall TwoPhaseInstaller::stage(const table::Pipeline& pipeline,
 
     // --- Verify: whole-image digest, then parse + structural validation.
     if (fnv1a(staged) != image_digest) {
-      out.report.error = "staged image digest mismatch";
+      out.report.error = "staged " + what + " digest mismatch";
       continue;
     }
-    auto parsed = table::deserialize_pipeline(
-        std::string_view(reinterpret_cast<const char*>(staged.data()),
-                         staged.size()));
-    if (!parsed.ok()) {
-      out.report.error =
-          "staged image rejected: " + parsed.error().to_string();
-      continue;
+    const std::string_view text(reinterpret_cast<const char*>(staged.data()),
+                                staged.size());
+    if (!ops) {
+      auto parsed = table::deserialize_pipeline(text);
+      if (!parsed.ok()) {
+        out.report.error =
+            "staged image rejected: " + parsed.error().to_string();
+        continue;
+      }
+      // deserialize_pipeline finalized the pipeline, so readers of a
+      // snapshot published from this image never race a lazy index build.
+      out.pipeline =
+          std::make_shared<table::Pipeline>(std::move(parsed).take());
+    } else {
+      auto parsed = table::deserialize_ops(text);
+      if (!parsed.ok()) {
+        out.report.error =
+            "staged delta rejected: " + parsed.error().to_string();
+        continue;
+      }
+      // Dry run on a scratch copy of the active pipeline. A delta that
+      // does not land exactly (U0xx) means the controller and switch
+      // disagree about the installed state — aborting here is what keeps
+      // them from silently diverging, and retrying cannot fix it.
+      auto scratch = std::make_shared<table::Pipeline>(*active());
+      auto applied = table::apply_ops(*scratch, parsed.value());
+      if (!applied.ok()) {
+        out.report.error =
+            "delta does not apply: " + applied.error().to_string();
+        return out;
+      }
+      out.pipeline = std::move(scratch);  // finalized+validated by apply_ops
+      out.ops = std::move(parsed).take();
     }
-
-    // deserialize_pipeline finalized the pipeline, so readers of a
-    // snapshot published from this image never race a lazy index build.
-    out.pipeline = std::make_shared<table::Pipeline>(std::move(parsed).take());
     out.staged = true;
     out.report.error.clear();
     return out;
@@ -325,15 +349,46 @@ StagedInstall TwoPhaseInstaller::stage(const table::Pipeline& pipeline,
   return out;
 }
 
+StagedInstall TwoPhaseInstaller::stage(const table::Pipeline& pipeline,
+                                       const fault::Plan* faults,
+                                       std::size_t chunk_bytes,
+                                       int max_attempts, int chunk_retries) {
+  return stage_image(table::serialize_pipeline(pipeline), /*ops=*/false,
+                     faults, chunk_bytes, max_attempts, chunk_retries);
+}
+
+StagedInstall TwoPhaseInstaller::stage(std::span<const table::EntryOp> ops,
+                                       const fault::Plan* faults,
+                                       std::size_t chunk_bytes,
+                                       int max_attempts, int chunk_retries) {
+  StagedInstall out =
+      stage_image(table::serialize_ops(ops), /*ops=*/true, faults,
+                  chunk_bytes, max_attempts, chunk_retries);
+  out.report.ops = ops.size();
+  return out;
+}
+
 bool TwoPhaseInstaller::commit_staged(StagedInstall& s) {
   if (!s.staged || !s.pipeline) {
     if (s.report.error.empty())
       s.report.error = "commit of an image that was never staged";
     return false;
   }
-  // --- Commit: one (epoch-fenced) reprogram with the verified image, then
-  // swap the reader-visible snapshot.
-  if (epoch_ > 0) {
+  // --- Commit: patch the running program in place (RCU swap inside
+  // Switch::apply_delta) or reprogram it with the verified image — either
+  // epoch-fenced when an epoch is set — then swap the reader-visible
+  // snapshot.
+  if (s.ops) {
+    auto committed = epoch_ > 0 ? sw_.apply_delta_fenced(epoch_, *s.ops)
+                                : sw_.apply_delta(*s.ops);
+    if (!committed.ok()) {
+      s.report.fenced_out = committed.error().code == "E140";
+      s.report.error =
+          "switch rejected the delta: " + committed.error().to_string();
+      return false;
+    }
+    s.report.applied = committed.value();
+  } else if (epoch_ > 0) {
     auto fenced = sw_.reprogram_fenced(epoch_, table::Pipeline(*s.pipeline));
     if (!fenced.ok()) {
       // A newer controller owns the switch; retrying cannot help.
@@ -364,82 +419,18 @@ InstallReport TwoPhaseInstaller::install(const table::Pipeline& pipeline,
 InstallReport TwoPhaseInstaller::apply_delta(
     std::span<const table::EntryOp> ops, const fault::Plan* faults,
     std::size_t chunk_bytes, int max_attempts, int chunk_retries) {
-  InstallReport report;
-  report.epoch = epoch_;
-  report.ops = ops.size();
   if (ops.empty()) {
     // A no-op commit ships nothing and commits trivially: the active
     // pipeline already is the target.
+    InstallReport report;
+    report.epoch = epoch_;
     report.committed = true;
     return report;
   }
-
-  const std::string image = table::serialize_ops(ops);
-  const std::span<const std::uint8_t> bytes(
-      reinterpret_cast<const std::uint8_t*>(image.data()), image.size());
-  const std::uint64_t image_digest = fnv1a(bytes);
-
-  chunk_bytes = std::max<std::size_t>(chunk_bytes, 1);
-  report.chunks = (image.size() + chunk_bytes - 1) / chunk_bytes;
-  std::uint64_t send_index = 0;
-
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    ++report.attempts;
-
-    // --- Stage: same channel model as install(), smaller image.
-    std::vector<std::uint8_t> staged;
-    if (!stage_attempt(bytes, chunk_bytes, faults, chunk_retries, send_index,
-                       report, staged)) {
-      report.error = "staging failed: chunk retries exhausted";
-      continue;  // next full attempt; switch untouched
-    }
-
-    // --- Verify: digest, parse, then a dry-run application on a scratch
-    // copy of the active pipeline. A delta that does not land exactly
-    // (U0xx) means the controller and switch disagree about the installed
-    // state — aborting here is what keeps them from silently diverging.
-    if (fnv1a(staged) != image_digest) {
-      report.error = "staged delta digest mismatch";
-      continue;
-    }
-    auto parsed = table::deserialize_ops(
-        std::string_view(reinterpret_cast<const char*>(staged.data()),
-                         staged.size()));
-    if (!parsed.ok()) {
-      report.error = "staged delta rejected: " + parsed.error().to_string();
-      continue;
-    }
-    auto scratch = std::make_shared<table::Pipeline>(*active());
-    auto applied = table::apply_ops(*scratch, parsed.value());
-    if (!applied.ok()) {
-      // Deterministic failure — retrying the channel cannot fix a delta
-      // that does not match the installed state.
-      report.error = "delta does not apply: " + applied.error().to_string();
-      return report;
-    }
-
-    // --- Commit: patch the running switch program in place (RCU swap
-    // inside Switch::apply_delta, epoch-fenced when an epoch is set),
-    // then advance the reader snapshot to the scratch result (already
-    // finalized+validated by apply_ops).
-    auto committed = epoch_ > 0 ? sw_.apply_delta_fenced(epoch_, parsed.value())
-                                : sw_.apply_delta(parsed.value());
-    if (!committed.ok()) {
-      report.fenced_out = committed.error().code == "E140";
-      report.error =
-          "switch rejected the delta: " + committed.error().to_string();
-      return report;
-    }
-    publish(std::move(scratch));
-    report.applied = committed.value();
-    report.committed = true;
-    report.error.clear();
-    return report;
-  }
-
-  if (report.error.empty())
-    report.error = "install attempts exhausted";
-  return report;
+  StagedInstall s = stage(ops, faults, chunk_bytes, max_attempts,
+                          chunk_retries);
+  if (s.staged) commit_staged(s);
+  return s.report;
 }
 
 }  // namespace camus::pubsub

@@ -1,14 +1,17 @@
 // Two-phase pipeline install with rollback: the controller -> switch
 // programming path hardened against control-channel faults.
 //
-//   stage   — the serialized pipeline is shipped in digest-protected
-//             chunks over a channel that may drop or corrupt (modelled by
-//             a fault::Plan); damaged chunks are retransmitted.
+//   stage   — the serialized pipeline (or an incremental commit's entry
+//             ops) is shipped in digest-protected chunks over a channel
+//             that may drop or corrupt (modelled by a fault::Plan);
+//             damaged chunks are retransmitted.
 //   verify  — the staged image must match the full-image digest, parse
 //             (table::deserialize_pipeline validates structure), and
-//             finalize before it can touch the switch.
-//   commit  — one reprogram() with the verified pipeline, then an atomic
-//             swap of the reader-visible snapshot.
+//             finalize before it can touch the switch; staged ops must
+//             apply to a scratch copy of the active pipeline.
+//   commit  — one reprogram() with the verified pipeline (or one in-place
+//             apply_delta() of the ops), then an atomic swap of the
+//             reader-visible snapshot.
 //
 // Any fault before commit leaves the switch and the snapshot on the
 // last-good pipeline — a mid-update link failure degrades to "the update
@@ -20,6 +23,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -122,15 +126,18 @@ struct InstallReport {
   table::ApplyStats applied;
 };
 
-// A staged-but-uncommitted install: the image crossed the channel, passed
-// digest + parse verification, and is ready for the commit phase — but the
-// switch is untouched. Dropping a StagedInstall aborts it for free (nothing
-// was programmed). The FabricController's all-or-nothing cross-switch
-// commit stages one of these on every switch before committing any.
+// A staged-but-uncommitted install: a full image or an op list crossed
+// the channel and passed verification, but the switch is untouched.
+// Dropping a StagedInstall aborts it for free.
 struct StagedInstall {
   bool staged = false;    // verification passed; pipeline is non-null
   InstallReport report;   // stage-phase telemetry (committed still false)
-  std::shared_ptr<table::Pipeline> pipeline;  // verified, finalized image
+  // The verified, finalized program the commit publishes: the staged
+  // image, or the dry-run result of the staged ops.
+  std::shared_ptr<table::Pipeline> pipeline;
+  // Set when an op list was staged: the commit patches the running
+  // program in place instead of reprogramming it.
+  std::optional<std::vector<table::EntryOp>> ops;
 };
 
 class TwoPhaseInstaller {
@@ -149,41 +156,34 @@ class TwoPhaseInstaller {
                         std::size_t chunk_bytes = 512, int max_attempts = 3,
                         int chunk_retries = 8);
 
-  // Phase split of install() for transactions that span switches: stage()
-  // runs the stage+verify phases only (channel transfer, digest check,
-  // parse + finalize) and leaves the switch untouched; commit_staged()
-  // runs the commit phase (epoch-fenced reprogram + snapshot publish) on a
-  // previously staged image. A coordinator stages on every switch, checks
-  // every StagedInstall::staged, and only then commits — any stage failure
-  // aborts the whole transaction with no switch modified.
-  StagedInstall stage(const table::Pipeline& pipeline,
-                      const fault::Plan* faults = nullptr,
-                      std::size_t chunk_bytes = 512, int max_attempts = 3,
-                      int chunk_retries = 8);
-
-  // Commits a staged image; updates s.report (committed / fenced_out /
-  // error) in place and returns s.report.committed. False on a stale
-  // epoch (E140) or when s was never staged.
-  bool commit_staged(StagedInstall& s);
-
   // Transactional delta install: ships only the entry ops of an
-  // incremental commit instead of re-imaging the whole pipeline. Same
-  // three phases as install() —
-  //   stage   — serialize_ops image in digest-protected chunks over the
-  //             same faultable channel;
-  //   verify  — whole-image digest, parse (deserialize_ops), then the ops
-  //             are applied to a scratch copy of the active pipeline and
-  //             the patched result re-validated (strict U0xx diagnostics
-  //             catch a controller/switch desync before commit);
-  //   commit  — Switch::apply_delta patches the running program in place
-  //             (RCU swap), then the reader-visible snapshot advances.
-  // Any failure — channel exhaustion, parse error, or a delta that does
-  // not land — leaves switch and snapshot on last-good; rollback() still
-  // restores the pre-delta pipeline after a successful commit.
+  // incremental commit — stage() of the op list, then commit_staged(). An
+  // empty op list commits trivially without touching the channel.
   InstallReport apply_delta(std::span<const table::EntryOp> ops,
                             const fault::Plan* faults = nullptr,
                             std::size_t chunk_bytes = 512,
                             int max_attempts = 3, int chunk_retries = 8);
+
+  // Phase split for transactions that span switches: stage() ships and
+  // verifies a pipeline or an op list and leaves the switch untouched. Ops
+  // are verified by a dry-run apply_ops on a scratch copy of active(); a
+  // delta that does not apply aborts at once (retrying the channel cannot
+  // fix a controller/switch desync). A coordinator stages on every switch
+  // and commits only when every StagedInstall::staged.
+  StagedInstall stage(const table::Pipeline& pipeline,
+                      const fault::Plan* faults = nullptr,
+                      std::size_t chunk_bytes = 512, int max_attempts = 3,
+                      int chunk_retries = 8);
+  StagedInstall stage(std::span<const table::EntryOp> ops,
+                      const fault::Plan* faults = nullptr,
+                      std::size_t chunk_bytes = 512, int max_attempts = 3,
+                      int chunk_retries = 8);
+
+  // Commits a staged image (epoch-fenced reprogram) or op list (in-place
+  // Switch::apply_delta), then publishes the verified program. Updates
+  // s.report in place and returns s.report.committed: false on a stale
+  // epoch (E140) or when s was never staged.
+  bool commit_staged(StagedInstall& s);
 
   // Restores the previously committed pipeline (undo of the last
   // successful install or apply_delta). False when there is nothing to
@@ -227,6 +227,11 @@ class TwoPhaseInstaller {
                      std::size_t chunk_bytes, const fault::Plan* faults,
                      int chunk_retries, std::uint64_t& send_index,
                      InstallReport& report, std::vector<std::uint8_t>& staged);
+
+  // The stage+verify loop behind both stage() overloads.
+  StagedInstall stage_image(const std::string& image, bool ops,
+                            const fault::Plan* faults, std::size_t chunk_bytes,
+                            int max_attempts, int chunk_retries);
 
   switchsim::Switch& sw_;
   mutable std::mutex mu_;

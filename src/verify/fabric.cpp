@@ -38,9 +38,12 @@ FabricCheckResult check_fabric_equivalence(
     const compiler::FabricProgram& program,
     const FabricCheckOptions& opts) {
   const std::size_t leaves = placement.spec.leaves;
+  // Without spines (the single switch) nothing is steered: only (1) and
+  // (2) apply.
+  const bool steered = placement.spec.spines > 0;
   if (program.leaves.size() != leaves ||
       placement.leaf_rules.size() != leaves ||
-      placement.spine_rules.size() != leaves)
+      placement.spine_rules.size() != (steered ? leaves : 0))
     return incomplete("placement/program leaf counts disagree with the spec");
 
   auto flat_all = lang::flatten_rules(rules, schema);
@@ -66,6 +69,7 @@ FabricCheckResult check_fabric_equivalence(
       return incomplete("leaf " + std::to_string(leaf) + " flatten failed: " +
                         lr.error().to_string());
     leaf_refs[leaf] = lr.value();
+    if (!steered) continue;
     auto sr = build_union(mgr, schema, {placement.spine_rules[leaf]});
     if (!sr.ok())
       return incomplete("steer " + std::to_string(leaf) + " flatten failed: " +
@@ -108,6 +112,12 @@ FabricCheckResult check_fabric_equivalence(
                       " pipeline diverges from its restriction: " + eq.detail;
       return result;
     }
+  }
+
+  if (!steered) {
+    result.detail = "identity placement proven equivalent to monolithic "
+                    "compile";
+    return result;
   }
 
   // (3) No starvation: nothing a leaf forwards escapes its steering rule.

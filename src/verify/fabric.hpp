@@ -25,7 +25,8 @@
 // (1) ∧ (2) bound fabric delivery above by monolithic delivery (no spurious
 // copies: a leaf can only forward what the restriction forwards); (3) ∧ (4)
 // bound it below (no starvation: everything a leaf would forward reaches
-// that leaf). Together: fabric ≡ monolithic on every packet.
+// that leaf). Together: fabric ≡ monolithic on every packet. The single
+// switch (0 spines x 1 leaf) steers nothing, so only (1) and (2) apply.
 #pragma once
 
 #include <optional>

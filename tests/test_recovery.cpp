@@ -1,7 +1,8 @@
-// Crash-safe control plane: DurableController recovery fidelity, epoch
-// fencing, warm-boot reconciliation, the exhaustive crash-point sweep
-// (every journal record boundary of a 200-commit churn run), and the
-// nemesis harness's determinism.
+// Crash-safe control plane on the single switch (the 0-spine x 1-leaf
+// topology): DurableController recovery fidelity, epoch fencing, warm-boot
+// reconciliation, the exhaustive crash-point sweep (every journal record
+// boundary of a 200-commit churn run), and the nemesis harness's
+// determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -57,6 +58,14 @@ camus::lang::Env probe_env(camus::util::Rng& rng) {
   return env;
 }
 
+// The single switch's intended program: leaf 0 of the 0x1 topology.
+const camus::table::Pipeline& intended_program(const DurableController& ctl) {
+  return ctl.intended().value()->leaves[0];
+}
+std::uint64_t intended_digest(const DurableController& ctl) {
+  return ctl.intended().value()->leaf_digests[0];
+}
+
 struct Plant {
   camus::spec::Schema schema = camus::spec::make_itch_schema();
   camus::switchsim::Switch sw{camus::spec::make_itch_schema(),
@@ -100,7 +109,7 @@ TEST(DurableController, SubscribeCommitInstallLands) {
   ASSERT_TRUE(report.value().committed) << report.value().error;
   EXPECT_EQ(report.value().epoch, ctl.epoch());
   EXPECT_EQ(plant.sw.program_digest(),
-            camus::table::pipeline_digest(*ctl.intended().value()));
+            intended_digest(ctl));
 }
 
 TEST(DurableController, UnsubscribeRemovesOnlySinglePortRules) {
@@ -133,8 +142,7 @@ TEST(Recovery, ExactReplayIsBitIdentical) {
       if (i % 3 == 2) ASSERT_TRUE(ctl.commit().ok());
     }
     ASSERT_TRUE(ctl.commit().ok());
-    pre_crash_digest =
-        camus::table::pipeline_digest(*ctl.intended().value());
+    pre_crash_digest = intended_digest(ctl);
   }  // controller dies; storage survives
 
   st.crash();
@@ -146,7 +154,7 @@ TEST(Recovery, ExactReplayIsBitIdentical) {
   EXPECT_EQ(info.value().digest_mismatches, 0u);
   EXPECT_EQ(recovered.subscription_count(), 30u);
   // Deterministic compiler + full op history => bit-identical pipeline.
-  EXPECT_EQ(camus::table::pipeline_digest(*recovered.intended().value()),
+  EXPECT_EQ(intended_digest(recovered),
             pre_crash_digest);
 }
 
@@ -246,16 +254,16 @@ TEST(ChunkCampaign, DuplicationAndReorderStillLand) {
   spec.drop = 0.05;
   spec.corrupt = 0.10;
   const camus::fault::Plan plan(spec, 1234);
-  auto report =
-      ctl.install(plant.installer, delta.value(), &plan, /*chunk_bytes=*/64);
+  auto report = ctl.install(plant.installer, delta.value(), &plan,
+                            /*fault_switch=*/-1, /*chunk_bytes=*/64);
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report.value().committed) << report.value().error;
   // The campaign must actually have exercised the hardening paths.
-  EXPECT_GT(report.value().chunk_dup_rejects + report.value().chunk_reordered,
-            0u);
-  EXPECT_GT(report.value().chunk_crc_rejects, 0u);
+  const camus::pubsub::InstallReport& sw_report = report.value().reports[0];
+  EXPECT_GT(sw_report.chunk_dup_rejects + sw_report.chunk_reordered, 0u);
+  EXPECT_GT(sw_report.chunk_crc_rejects, 0u);
   EXPECT_EQ(plant.sw.program_digest(),
-            camus::table::pipeline_digest(*ctl.intended().value()));
+            intended_digest(ctl));
 }
 
 TEST(ChunkCampaign, TotalPartitionAbortsCleanly) {
@@ -283,9 +291,8 @@ TEST(ChunkCampaign, TotalPartitionAbortsCleanly) {
   // Healed channel: reconcile ships the missed update.
   auto rec = ctl.reconcile(plant.installer);
   ASSERT_TRUE(rec.ok());
-  EXPECT_TRUE(rec.value().repaired);
-  EXPECT_EQ(plant.sw.program_digest(),
-            camus::table::pipeline_digest(*ctl.intended().value()));
+  EXPECT_EQ(rec.value().repaired, 1u);
+  EXPECT_EQ(plant.sw.program_digest(), intended_digest(ctl));
 }
 
 // --- Warm-boot reconciliation --------------------------------------------
@@ -303,7 +310,7 @@ TEST(Reconcile, InSyncSwitchIsUntouched) {
   const std::uint64_t version = plant.sw.program_version();
   auto rec = ctl.reconcile(plant.installer);
   ASSERT_TRUE(rec.ok());
-  EXPECT_TRUE(rec.value().in_sync);
+  EXPECT_EQ(rec.value().in_sync, 1u);
   EXPECT_EQ(rec.value().diverged_stages, 0u);
   EXPECT_EQ(plant.sw.program_version(), version);  // zero writes shipped
 }
@@ -326,11 +333,10 @@ TEST(Reconcile, RebootedSwitchIsReimaged) {
   Plant after;
   auto rec = ctl.reconcile(after.installer);
   ASSERT_TRUE(rec.ok());
-  EXPECT_FALSE(rec.value().in_sync);
-  EXPECT_TRUE(rec.value().repaired);
-  EXPECT_TRUE(rec.value().full_reprogram);
-  EXPECT_EQ(after.sw.program_digest(),
-            camus::table::pipeline_digest(*ctl.intended().value()));
+  EXPECT_EQ(rec.value().in_sync, 0u);
+  EXPECT_EQ(rec.value().repaired, 1u);
+  EXPECT_EQ(rec.value().full_reprograms, 1u);
+  EXPECT_EQ(after.sw.program_digest(), intended_digest(ctl));
 }
 
 TEST(Reconcile, RepairDeltaIsMinimal) {
@@ -343,7 +349,8 @@ TEST(Reconcile, RepairDeltaIsMinimal) {
   // repair really is a sliver of the program.
   camus::compiler::CompileOptions opts;
   opts.order = camus::bdd::OrderHeuristic::kExactFirst;
-  DurableController ctl(plant.schema, st, opts);
+  DurableController ctl(plant.schema, st,
+                        camus::compiler::FabricSpec::single_switch(), opts);
   ASSERT_TRUE(ctl.open().ok());
   // An ITCH-style base load: per-symbol price filters, where one more
   // symbol grows the automaton at the edge instead of restructuring it.
@@ -372,13 +379,13 @@ TEST(Reconcile, RepairDeltaIsMinimal) {
 
   auto rec = ctl.reconcile(plant.installer);
   ASSERT_TRUE(rec.ok());
-  ASSERT_TRUE(rec.value().repaired);
-  EXPECT_FALSE(rec.value().full_reprogram);
+  ASSERT_EQ(rec.value().repaired, 1u);
+  EXPECT_EQ(rec.value().full_reprograms, 0u);
   EXPECT_GT(rec.value().repair_ops, 0u);
   // The repair is a delta: most of the program was already in place.
   EXPECT_GE(rec.value().reuse_fraction(), 0.5);
   EXPECT_EQ(plant.sw.program_digest(),
-            camus::table::pipeline_digest(*ctl.intended().value()));
+            intended_digest(ctl));
 }
 
 // --- Half-staged installs -------------------------------------------------
@@ -391,7 +398,7 @@ TEST(Recovery, CrashMidInstallResolvesBothWorlds) {
   for (const bool commit_landed : {false, true}) {
     MemStorage st;
     Plant plant;
-    std::uint64_t intended_digest = 0;
+    std::uint64_t want_digest = 0;
     {
       DurableController ctl(schema, st);
       ASSERT_TRUE(ctl.open().ok());
@@ -403,8 +410,7 @@ TEST(Recovery, CrashMidInstallResolvesBothWorlds) {
       ASSERT_TRUE(ctl.subscribe(4, "price > 3000").ok());
       auto d2 = ctl.commit();
       ASSERT_TRUE(d2.ok());
-      intended_digest =
-          camus::table::pipeline_digest(*ctl.intended().value());
+      want_digest = intended_digest(ctl);
       // Simulate the crash window by journaling the begin marker exactly
       // as install() would, then dying before the outcome marker.
       ASSERT_TRUE(ctl.journal()
@@ -413,7 +419,7 @@ TEST(Recovery, CrashMidInstallResolvesBothWorlds) {
       if (commit_landed) {
         plant.installer.set_epoch(ctl.epoch());
         ASSERT_TRUE(
-            plant.installer.apply_delta(d2.value().ops).committed);
+            plant.installer.apply_delta(d2.value().leaves[0].ops).committed);
       }
     }
     st.crash();
@@ -424,10 +430,10 @@ TEST(Recovery, CrashMidInstallResolvesBothWorlds) {
     EXPECT_TRUE(info.value().install_in_flight);
     auto rec = recovered.reconcile(plant.installer);
     ASSERT_TRUE(rec.ok());
-    EXPECT_TRUE(rec.value().in_sync || rec.value().repaired)
+    EXPECT_EQ(rec.value().in_sync + rec.value().repaired, 1u)
         << "commit_landed=" << commit_landed;
     // Either world converges to the same intended program.
-    EXPECT_EQ(plant.sw.program_digest(), intended_digest)
+    EXPECT_EQ(plant.sw.program_digest(), want_digest)
         << "commit_landed=" << commit_landed;
     // The in-flight install was resolved in the journal: a second restart
     // must not see it again.
@@ -461,7 +467,7 @@ TEST(Recovery, CheckpointRecoveryIsSemanticallyEquivalent) {
     ASSERT_TRUE(ctl.unsubscribe(3).ok());
     ASSERT_TRUE(ctl.subscribe(8, gen_rule(rng)).ok());
     ASSERT_TRUE(ctl.commit().ok());
-    pre_crash = *ctl.intended().value();
+    pre_crash = intended_program(ctl);
     live = ctl.subscription_count();
   }
   st.crash();
@@ -474,7 +480,7 @@ TEST(Recovery, CheckpointRecoveryIsSemanticallyEquivalent) {
   ASSERT_TRUE(recovered.commit().ok());
 
   // Fresh state numbering: digests may differ, classification may not.
-  const camus::table::Pipeline& post = *recovered.intended().value();
+  const camus::table::Pipeline& post = intended_program(recovered);
   camus::util::Rng probe_rng(400);
   for (int i = 0; i < 200; ++i) {
     const camus::lang::Env env = probe_env(probe_rng);
@@ -514,8 +520,7 @@ TEST(CrashSweep, EveryRecordBoundaryOfA200CommitRunConverges) {
           live_ports.push_back(port);
       }
       ASSERT_TRUE(ctl.commit().ok());
-      oracle_digest.push_back(
-          camus::table::pipeline_digest(*ctl.intended().value()));
+      oracle_digest.push_back(intended_digest(ctl));
     }
   }
 
@@ -539,7 +544,7 @@ TEST(CrashSweep, EveryRecordBoundaryOfA200CommitRunConverges) {
         << "boundary " << b;
     ASSERT_EQ(info.value().digest_mismatches, 0u) << "boundary " << b;
     if (commits_seen > 0) {
-      ASSERT_EQ(camus::table::pipeline_digest(*ctl.intended().value()),
+      ASSERT_EQ(intended_digest(ctl),
                 oracle_digest[commits_seen])
           << "boundary " << b;
     }
@@ -556,7 +561,7 @@ TEST(CrashSweep, EveryChunkBoundaryOfAnInstallConverges) {
   // Build the journal prefix once: one committed+installed baseline, then
   // a second commit whose install begins but never resolves.
   MemStorage st;
-  std::uint64_t intended_digest = 0;
+  std::uint64_t want_digest = 0;
   std::size_t n_chunks = 0;
   {
     Plant plant;
@@ -569,15 +574,15 @@ TEST(CrashSweep, EveryChunkBoundaryOfAnInstallConverges) {
     auto d1 = ctl.commit();
     ASSERT_TRUE(d1.ok());
     ASSERT_TRUE(ctl.install(plant.installer, d1.value(), nullptr,
-                            /*chunk_bytes=*/64)
+                            /*fault_switch=*/-1, /*chunk_bytes=*/64)
                     .value()
                     .committed);
     ASSERT_TRUE(ctl.subscribe(7, "stock == AMZN and shares < 500").ok());
     auto d2 = ctl.commit();
     ASSERT_TRUE(d2.ok());
-    intended_digest =
-        camus::table::pipeline_digest(*ctl.intended().value());
-    const std::string image = camus::table::serialize_ops(d2.value().ops);
+    want_digest = intended_digest(ctl);
+    const std::string image =
+        camus::table::serialize_ops(d2.value().leaves[0].ops);
     n_chunks = (image.size() + 63) / 64;
     ASSERT_TRUE(ctl.journal().append(RecordType::kInstallBegin, "2 ops 0").ok());
   }
@@ -601,7 +606,7 @@ TEST(CrashSweep, EveryChunkBoundaryOfAnInstallConverges) {
     // Reboot-fresh switch also diverges; reconcile must still converge.
     auto rec = ctl.reconcile(plant.installer);
     ASSERT_TRUE(rec.ok());
-    EXPECT_EQ(plant.sw.program_digest(), intended_digest) << "cut " << cut;
+    EXPECT_EQ(plant.sw.program_digest(), want_digest) << "cut " << cut;
   }
 }
 
@@ -619,7 +624,7 @@ TEST(Nemesis, CampaignHoldsAllInvariants) {
   }();
   // The campaign must actually exercise the machinery it certifies.
   EXPECT_GT(stats.crashes, 0u);
-  EXPECT_GT(stats.switch_reboots, 0u);
+  EXPECT_GT(stats.leaf_reboots, 0u);
   EXPECT_GT(stats.stale_writes, 0u);
   EXPECT_EQ(stats.stale_rejected, stats.stale_writes);
   EXPECT_GT(stats.reconciles, 0u);
@@ -681,7 +686,7 @@ TEST(RecoveryConcurrency, ReconcileRacesBatchProcessing) {
   data_plane.join();
 
   EXPECT_EQ(plant.sw.program_digest(),
-            camus::table::pipeline_digest(*ctl.intended().value()));
+            intended_digest(ctl));
 }
 
 // --- Automatic checkpoint policy -----------------------------------------
