@@ -15,7 +15,9 @@
 //  - workload::generate_feed reserved the "others" symbol index;
 //  - extractor gained extract_into/extract_wire (no per-message vector);
 //  - the batch path caches register snapshots (no per-message snapshot
-//    vector) and reuses frame/offset/bucket scratch across batches.
+//    vector), reuses its scan and gather scratch across batches, and
+//    re-frames every batch into one switch-owned egress buffer (no
+//    per-packet vector).
 #include <cstdio>
 #include <fstream>
 #include <string>

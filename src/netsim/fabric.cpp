@@ -72,8 +72,11 @@ std::vector<FabricDelivery> Fabric::inject(std::span<const std::uint8_t> frame,
   auto to_leaf = [&](std::size_t l, std::span<const std::uint8_t> bytes,
                      double t) {
     const switchsim::Switch::Frame hop{bytes, static_cast<std::uint64_t>(t)};
-    for (auto& tx : leaf_[l].sw->process_batch({&hop, 1}))
-      out.push_back(FabricDelivery{l, tx.port, t, std::move(tx.frame)});
+    // The leaf's views die at its next call: each delivery keeps a copy.
+    for (const auto& tx : leaf_[l].sw->process_batch({&hop, 1}))
+      out.push_back(FabricDelivery{
+          l, tx.port, t, std::vector<std::uint8_t>(tx.frame.begin(),
+                                                   tx.frame.end())});
   };
   if (spine_.empty()) {
     to_leaf(0, frame, t_us);
@@ -84,6 +87,8 @@ std::vector<FabricDelivery> Fabric::inject(std::span<const std::uint8_t> frame,
                                       static_cast<std::uint64_t>(t_spine)};
     // The spine re-frames per downlink exactly as a leaf re-frames per
     // egress port: each leaf receives only the messages steered to it.
+    // The spine's views feed the leaves directly: a leaf's call does not
+    // touch another switch's egress buffer.
     for (const auto& down : spine_[s].sw->process_batch({&in, 1})) {
       const std::size_t l = down.port;  // downlink convention: port == leaf
       if (l >= leaf_.size()) continue;  // not a downlink (foreign program)

@@ -168,9 +168,11 @@ FaultExperimentResult run_fault_experiment(const FaultExperimentParams& params,
   const auto switch_process = [&](std::uint64_t first_seq,
                                   std::span<const std::uint8_t> frame) {
     const switchsim::Switch::Frame in{frame, first_seq};
-    for (auto& tx : sw.process_batch({&in, 1})) {
-      if (params.recovery_enabled) sequencer.seal(tx.port, tx.frame);
-      send_down(tx.port, std::move(tx.frame), FrameKind::kData);
+    for (const auto& tx : sw.process_batch({&in, 1})) {
+      // seal() rewrites the frame, so copy it out of the egress buffer.
+      std::vector<std::uint8_t> frame(tx.frame.begin(), tx.frame.end());
+      if (params.recovery_enabled) sequencer.seal(tx.port, frame);
+      send_down(tx.port, std::move(frame), FrameKind::kData);
     }
   };
 

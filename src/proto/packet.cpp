@@ -148,12 +148,10 @@ inline void write_be(std::uint8_t* p, std::uint64_t v, unsigned n) noexcept {
 void build_market_frame_raw(const MarketDataView& view,
                             std::span<const std::uint8_t> src_frame,
                             std::span<const std::uint32_t> msg_offsets,
-                            std::vector<std::uint8_t>& out) {
+                            std::span<std::uint8_t> out) {
   const std::size_t payload =
       MoldUdp64Header::kSize +
       msg_offsets.size() * (2 + ItchAddOrder::kSize);
-  out.resize(EthernetHeader::kSize + Ipv4Header::kSize + UdpHeader::kSize +
-             payload);
   std::uint8_t* p = out.data();
 
   write_be(p, view.eth.dst, 6);
@@ -194,6 +192,14 @@ void build_market_frame_raw(const MarketDataView& view,
     std::memcpy(q + 2, src_frame.data() + off, ItchAddOrder::kSize);
     q += 2 + ItchAddOrder::kSize;
   }
+}
+
+void build_market_frame_raw(const MarketDataView& view,
+                            std::span<const std::uint8_t> src_frame,
+                            std::span<const std::uint32_t> msg_offsets,
+                            std::vector<std::uint8_t>& out) {
+  out.resize(market_frame_raw_size(msg_offsets.size()));
+  build_market_frame_raw(view, src_frame, msg_offsets, std::span(out));
 }
 
 namespace {

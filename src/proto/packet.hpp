@@ -111,6 +111,13 @@ bool scan_market_data_packet(std::span<const std::uint8_t> frame,
 ItchAddOrder decode_add_order_at(std::span<const std::uint8_t> frame,
                                  std::uint32_t offset);
 
+// Size in bytes of the frame build_market_frame_raw writes for
+// `n_messages` add-orders.
+constexpr std::size_t market_frame_raw_size(std::size_t n_messages) {
+  return EthernetHeader::kSize + Ipv4Header::kSize + UdpHeader::kSize +
+         MoldUdp64Header::kSize + n_messages * (2 + ItchAddOrder::kSize);
+}
+
 // Batched-path re-framing: writes into `out` the exact bytes
 // encode_market_data_packet(view.eth, view.ip_src, view.ip_dst, view.mold,
 // <decoded messages at msg_offsets>, view.udp_dst_port) would produce, but
@@ -118,8 +125,14 @@ ItchAddOrder decode_add_order_at(std::span<const std::uint8_t> frame,
 // frame. Decode->encode round-trips every scanned block byte-identically —
 // all fields are full-width big-endian, and the trailing-space strip /
 // re-pad of the stock and session strings restores the original bytes —
-// so no per-message decode or Writer is needed. One exact-size resize of
-// `out` is the only allocation.
+// so no per-message decode or Writer is needed. `out` must be exactly
+// market_frame_raw_size(msg_offsets.size()) bytes; nothing is allocated.
+void build_market_frame_raw(const MarketDataView& view,
+                            std::span<const std::uint8_t> src_frame,
+                            std::span<const std::uint32_t> msg_offsets,
+                            std::span<std::uint8_t> out);
+
+// The same bytes into a vector, resized to fit.
 void build_market_frame_raw(const MarketDataView& view,
                             std::span<const std::uint8_t> src_frame,
                             std::span<const std::uint32_t> msg_offsets,

@@ -298,17 +298,13 @@ const lang::ActionSet* Switch::classify_fast(
 std::vector<Switch::TxPacket> Switch::process_batch(
     std::span<const Frame> frames) {
   const Program& prog = current_data_plane();
-  if (memo_.empty() && prog.compiled.valid() &&
-      prog.compiled.prefix_stages() > 0)
-    memo_.resize(kMemoSlots);
 
   // Pass 1: zero-copy scan. Collects per-frame header views and one shared
-  // add-order offset array; malformed frames are settled here so the later
-  // passes touch only classifiable traffic.
+  // add-order offset array; malformed frames are settled here (left with
+  // an empty range) so the later passes touch only classifiable traffic.
   views_.resize(frames.size());
+  ranges_.resize(frames.size());
   offsets_.clear();
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges(frames.size());
-  std::vector<unsigned char> parsed(frames.size(), 0);
   for (std::size_t f = 0; f < frames.size(); ++f) {
     ++counters_.rx_frames;
     const auto begin = static_cast<std::uint32_t>(offsets_.size());
@@ -320,10 +316,9 @@ std::vector<Switch::TxPacket> Switch::process_batch(
       // decode_market_data_packet failing / add_orders.empty().
       ++counters_.parse_errors;
       offsets_.resize(begin);  // drop offsets from a partially-scanned frame
-      ranges[f] = {begin, begin};
+      ranges_[f] = {begin, begin};
     } else {
-      parsed[f] = 1;
-      ranges[f] = {begin, end};
+      ranges_[f] = {begin, end};
     }
   }
 
@@ -331,49 +326,59 @@ std::vector<Switch::TxPacket> Switch::process_batch(
   // order-sensitive). Fields come straight off the wire.
   msg_actions_.resize(offsets_.size());
   for (std::size_t f = 0; f < frames.size(); ++f) {
-    if (!parsed[f]) continue;
-    for (std::uint32_t i = ranges[f].first; i < ranges[f].second; ++i) {
+    for (std::uint32_t i = ranges_[f].first; i < ranges_[f].second; ++i) {
       extractor_.extract_wire(frames[f].data.data() + offsets_[i],
                               fields_scratch_);
       msg_actions_[i] = classify_fast(prog, fields_scratch_, frames[f].now_us);
     }
   }
 
-  // Pass 3: re-frame per egress port. Only matched messages are decoded;
-  // buckets_ stays sorted by port so the output order matches the
-  // reference path's std::map iteration.
-  std::vector<TxPacket> out;
+  // Pass 3: re-frame per egress port. Each frame's matched (port, message)
+  // pairs are gathered and sorted — ports ascending, arrival order within
+  // a port, the reference path's order — and each port's packet is
+  // written end to end into egress_. Only matched messages are touched.
+  // egress_ may still grow here, so packets are recorded as (port, size)
+  // and the views are made once it has stopped.
+  tx_.clear();
+  std::size_t used = 0;
   for (std::size_t f = 0; f < frames.size(); ++f) {
-    if (!parsed[f]) continue;
-    for (auto& [port, v] : buckets_) v.clear();
-    for (std::uint32_t i = ranges[f].first; i < ranges[f].second; ++i) {
-      const lang::ActionSet* a = msg_actions_[i];
-      if (!a) continue;
-      for (std::uint16_t p : a->ports) {
-        auto it = std::lower_bound(
-            buckets_.begin(), buckets_.end(), p,
-            [](const auto& b, std::uint16_t port) { return b.first < port; });
-        if (it == buckets_.end() || it->first != p)
-          it = buckets_.emplace(it, p, std::vector<std::uint32_t>{});
-        it->second.push_back(i);
-      }
-    }
-    std::size_t nonempty = 0;
-    for (const auto& [port, v] : buckets_) nonempty += !v.empty();
-    account_frame(nonempty);
-    if (nonempty == 0) continue;
-    for (const auto& [port, v] : buckets_) {
-      if (v.empty()) continue;
-      msg_offsets_scratch_.resize(v.size());
-      for (std::size_t k = 0; k < v.size(); ++k)
-        msg_offsets_scratch_[k] = offsets_[v[k]];
-      TxPacket tx;
-      tx.port = port;
+    const auto [begin, end] = ranges_[f];
+    if (begin == end) continue;  // did not parse
+    pairs_.clear();
+    for (std::uint32_t i = begin; i < end; ++i)
+      if (const lang::ActionSet* a = msg_actions_[i])
+        for (std::uint16_t p : a->ports)
+          pairs_.push_back(std::uint64_t{p} << 32 | i);
+    std::sort(pairs_.begin(), pairs_.end());
+    const std::size_t first_tx = tx_.size();
+    for (std::size_t k = 0; k < pairs_.size();) {
+      const auto port = static_cast<std::uint16_t>(pairs_[k] >> 32);
+      msg_offsets_scratch_.clear();
+      for (; k < pairs_.size() && pairs_[k] >> 32 == port; ++k)
+        msg_offsets_scratch_.push_back(
+            offsets_[static_cast<std::uint32_t>(pairs_[k])]);
+      const std::size_t size =
+          proto::market_frame_raw_size(msg_offsets_scratch_.size());
+      if (egress_.size() < used + size) egress_.resize(used + size);
       proto::build_market_frame_raw(views_[f], frames[f].data,
-                                    msg_offsets_scratch_, tx.frame);
-      out.push_back(std::move(tx));
-      ++counters_.tx_copies;
+                                    msg_offsets_scratch_,
+                                    {egress_.data() + used, size});
+      used += size;
+      tx_.emplace_back(port, static_cast<std::uint32_t>(size));
     }
+    const std::size_t ports = tx_.size() - first_tx;
+    account_frame(ports);
+    counters_.tx_copies += ports;
+  }
+
+  // egress_ has stopped growing: every view below stays valid until the
+  // next call.
+  std::vector<TxPacket> out;
+  out.reserve(tx_.size());
+  const std::uint8_t* at = egress_.data();
+  for (const auto& [port, size] : tx_) {
+    out.push_back({port, {at, size}});
+    at += size;
   }
   return out;
 }

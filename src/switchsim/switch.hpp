@@ -112,9 +112,15 @@ class Switch {
   const lang::ActionSet& classify(const std::vector<std::uint64_t>& fields,
                                   std::uint64_t now_us);
 
+  // One egress packet of process_batch(). `frame` views the switch's
+  // egress buffer, which the switch owns and reuses across calls, like a
+  // packet in an ASIC's egress buffer: the view stays valid until this
+  // switch's next process_batch() call, or until the switch is destroyed.
+  // Other switches' calls do not touch it. A caller that keeps the bytes
+  // longer copies them before that boundary.
   struct TxPacket {
     std::uint16_t port = 0;
-    std::vector<std::uint8_t> frame;
+    std::span<const std::uint8_t> frame;
   };
 
   // Custom-format path: parses the frame as a generic bit-packed record of
@@ -126,7 +132,8 @@ class Switch {
                                       std::uint64_t now_us);
 
   // One ingress frame in a batch. `data` must stay alive for the duration
-  // of the process_batch() call.
+  // of the process_batch() call, and must not view this switch's own
+  // egress buffer: the call overwrites it.
   struct Frame {
     std::span<const std::uint8_t> data;
     std::uint64_t now_us = 0;
@@ -137,12 +144,13 @@ class Switch {
   // per egress port, so each subscriber receives a packet containing
   // exactly its matching messages (with the original MoldUDP session and
   // sequence number). Output is frame by frame in batch order, ports
-  // ascending within a frame. State updates fire per matching message;
-  // frames whose messages all miss produce no output. Frames are scanned
-  // zero-copy (no payload vector, no per-message structs for dropped
-  // traffic), register snapshots are cached across messages, and only
-  // matched wire blocks are copied into the egress frames. Callers that
-  // work frame by frame pass one-frame batches.
+  // ascending within a frame, arrival order within a port. State updates
+  // fire per matching message; frames whose messages all miss produce no
+  // output. Frames are scanned zero-copy (no payload vector, no
+  // per-message structs for dropped traffic), register snapshots are
+  // cached across messages, and only matched wire blocks are copied, end
+  // to end into the switch's egress buffer (see TxPacket for how long the
+  // views live). Callers that work frame by frame pass one-frame batches.
   std::vector<TxPacket> process_batch(std::span<const Frame> frames);
 
   const SwitchCounters& counters() const noexcept { return counters_; }
@@ -365,8 +373,17 @@ class Switch {
   std::vector<std::uint32_t> offsets_;  // add-order offsets, all frames
   std::vector<const lang::ActionSet*> msg_actions_;  // parallel to offsets_
   std::vector<proto::MarketDataView> views_;
-  std::vector<std::pair<std::uint16_t, std::vector<std::uint32_t>>> buckets_;
+  // Per frame: its [begin, end) in offsets_; empty when it did not parse.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges_;
+  // One frame's matched (port, message index) pairs, packed as
+  // port << 32 | index so sorting orders them by port, then arrival.
+  std::vector<std::uint64_t> pairs_;
   std::vector<std::uint32_t> msg_offsets_scratch_;
+  // Egress buffer: the packets of the last process_batch() call, end to
+  // end. Grows to the largest call's output and never shrinks.
+  std::vector<std::uint8_t> egress_;
+  // The last call's packets as (port, size), in egress_ order.
+  std::vector<std::pair<std::uint16_t, std::uint32_t>> tx_;
   lang::Env env_scratch_;  // fallback path only
 };
 

@@ -36,10 +36,15 @@ Error err(std::string code, std::string msg) {
   return Error{std::move(msg), 0, 0, std::move(code)};
 }
 
+// `released` is set when the op drops or replaces a multi-port leaf, whose
+// multicast group may then be unused.
 Result<ApplyStats> apply_one(Pipeline& pipe, const EntryOp& op,
-                             ApplyStats& stats) {
+                             ApplyStats& stats, bool& released) {
   if (op.is_leaf()) {
     const LeafEntry* existing = pipe.leaf.lookup(op.state);
+    if (existing && op.kind != EntryOp::Kind::kAdd &&
+        existing->actions.ports.size() > 1)
+      released = true;
     switch (op.kind) {
       case EntryOp::Kind::kRemove:
         if (!existing || !(existing->actions == op.actions))
@@ -124,6 +129,7 @@ std::string EntryOp::to_string() const {
 
 Result<ApplyStats> apply_ops(Pipeline& pipe, std::span<const EntryOp> ops) {
   ApplyStats stats;
+  bool released = false;
   // Removes first, then modifies, then adds: a remove+add pair over the
   // same value region never transiently overlaps, and re-adding a just-
   // removed leaf state is legal within one delta.
@@ -131,8 +137,17 @@ Result<ApplyStats> apply_ops(Pipeline& pipe, std::span<const EntryOp> ops) {
                     EntryOp::Kind::kAdd}) {
     for (const EntryOp& op : ops) {
       if (op.kind != pass) continue;
-      if (auto r = apply_one(pipe, op, stats); !r.ok()) return r.error();
+      if (auto r = apply_one(pipe, op, stats, released); !r.ok())
+        return r.error();
     }
+  }
+  // Drop the groups no leaf uses any more. Re-interning the live leaves'
+  // groups in table order keeps the ids dense, as deserialize_pipeline
+  // requires; ids are outside every digest and the data plane never
+  // reads them.
+  if (released) {
+    pipe.mcast = MulticastGroups{};
+    pipe.leaf.intern_groups(pipe.mcast);
   }
   // Rebuild lookup indices for the touched tables (idempotent: untouched
   // tables keep their index) and re-check structural soundness before the

@@ -72,7 +72,9 @@ struct ApplyStats {
 // On error the pipeline may hold a partial patch: callers apply to a
 // scratch copy and swap (see TwoPhaseInstaller::apply_delta), never to a
 // pipeline readers can observe. Leaf adds/modifies intern multicast
-// groups locally, so deltas are independent of group renumbering.
+// groups locally, so deltas are independent of group renumbering; a
+// delta that removes or modifies a multi-port leaf renumbers the groups
+// densely over the live leaves, dropping those no leaf uses.
 util::Result<ApplyStats> apply_ops(Pipeline& pipe,
                                    std::span<const EntryOp> ops);
 

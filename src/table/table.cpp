@@ -160,6 +160,12 @@ bool LeafTable::replace_entry(StateId state, LeafEntry e) {
   return true;
 }
 
+void LeafTable::intern_groups(MulticastGroups& groups) {
+  for (LeafEntry& e : entries_)
+    if (e.actions.ports.size() > 1)
+      e.mcast_group = groups.intern(e.actions.ports);
+}
+
 void ResourceUsage::accumulate(const ResourceUsage& other) {
   sram_entries += other.sram_entries;
   tcam_entries += other.tcam_entries;

@@ -193,6 +193,9 @@ class LeafTable {
   // Replaces the entry for `state` in place (ActionSet-only modify);
   // false when absent.
   bool replace_entry(StateId state, LeafEntry e);
+  // Interns every multi-port entry's port set into `groups`, in table
+  // order, and points the entry at the returned id.
+  void intern_groups(MulticastGroups& groups);
 
  private:
   void reindex();

@@ -24,6 +24,18 @@
 
 namespace camus::oracle {
 
+// An egress packet that owns its bytes. Switch::TxPacket only views the
+// switch's egress buffer until its next process_batch() call, so tests
+// that collect egress across calls copy it into this.
+struct Packet {
+  std::uint16_t port = 0;
+  std::vector<std::uint8_t> frame;
+};
+
+inline Packet own(const switchsim::Switch::TxPacket& tx) {
+  return {tx.port, {tx.frame.begin(), tx.frame.end()}};
+}
+
 class ReferenceSwitch {
  public:
   ReferenceSwitch(spec::Schema schema, table::Pipeline pipeline)
@@ -43,8 +55,8 @@ class ReferenceSwitch {
   // One ingress frame: every add-order classified in order, then one
   // re-encoded packet per egress port (ports ascending) holding exactly
   // that port's messages, with counters per the SwitchCounters contract.
-  std::vector<switchsim::Switch::TxPacket> process(
-      std::span<const std::uint8_t> frame, std::uint64_t now_us) {
+  std::vector<Packet> process(std::span<const std::uint8_t> frame,
+                              std::uint64_t now_us) {
     ++counters_.rx_frames;
     const auto pkt = proto::decode_market_data_packet(frame);
     if (!pkt || pkt->itch.add_orders.empty()) {
@@ -71,7 +83,7 @@ class ReferenceSwitch {
     }
     ++counters_.matched;
     if (per_port.size() > 1) ++counters_.multicast_frames;
-    std::vector<switchsim::Switch::TxPacket> out;
+    std::vector<Packet> out;
     for (const auto& [port, msgs] : per_port) {
       out.push_back({port, proto::encode_market_data_packet(
                                pkt->eth, pkt->ip.src, pkt->ip.dst,

@@ -26,7 +26,7 @@ using oracle::ReferenceSwitch;
 using switchsim::Switch;
 
 struct RunResult {
-  std::vector<Switch::TxPacket> pkts;
+  std::vector<oracle::Packet> pkts;
   switchsim::SwitchCounters counters;
   std::vector<std::uint64_t> regs;  // snapshot at final_time
 };
@@ -53,8 +53,9 @@ RunResult run_batched(Switch& sw,
     batch.clear();
     for (std::size_t j = i; j < std::min(i + batch_size, frames.size()); ++j)
       batch.push_back({frames[j].bytes, frames[j].t_us});
-    auto out = sw.process_batch(batch);
-    for (auto& tx : out) r.pkts.push_back(std::move(tx));
+    // The views die at the next call: keep copies.
+    for (const auto& tx : sw.process_batch(batch))
+      r.pkts.push_back(oracle::own(tx));
   }
   r.counters = sw.counters();
   r.regs = sw.registers().snapshot(final_time);
@@ -181,6 +182,89 @@ TEST(ProcessBatch, DifferentialAcrossBatchSizes) {
     const auto& bs = sw_fast.batch_stats();
     EXPECT_GT(bs.memo_probes, 0u);
     EXPECT_LE(bs.memo_hits, bs.memo_probes);
+  }
+}
+
+// Frames [first, first + n) as one batch.
+std::vector<Switch::Frame> batch_of(
+    const std::vector<workload::PackedFrame>& frames, std::size_t first,
+    std::size_t n) {
+  std::vector<Switch::Frame> batch;
+  for (std::size_t i = first; i < first + n; ++i)
+    batch.push_back({frames[i].bytes, frames[i].t_us});
+  return batch;
+}
+
+// Whether the packets are views laid end to end in one buffer.
+bool end_to_end(const std::vector<Switch::TxPacket>& out) {
+  for (std::size_t k = 0; k + 1 < out.size(); ++k)
+    if (out[k + 1].frame.data() != out[k].frame.data() + out[k].frame.size())
+      return false;
+  return true;
+}
+
+// The egress contract: a call's packets are views laid end to end in one
+// buffer the switch owns, and the next call reuses that buffer.
+TEST(ProcessBatch, EgressViewsShareOneReusedBuffer) {
+  std::vector<std::string> symbols;
+  auto pipeline = itch_pipeline(5, 400, &symbols);
+  const auto frames = mixed_frames(symbols, 2000);
+  const auto batch = batch_of(frames, 0, 64);
+  Switch sw(spec::make_itch_schema(), pipeline);
+  (void)sw.process_batch(batch);  // warm: the buffer reaches its size
+
+  const auto first = sw.process_batch(batch);
+  ASSERT_GT(first.size(), 1u);
+  ASSERT_TRUE(end_to_end(first));
+  const std::uint8_t* start = first.front().frame.data();
+  std::vector<oracle::Packet> kept;
+  for (const auto& tx : first) kept.push_back(oracle::own(tx));
+
+  // Stateless program, same frames: the same bytes, at the same address.
+  const auto second = sw.process_batch(batch);
+  ASSERT_EQ(second.size(), kept.size());
+  EXPECT_EQ(second.front().frame.data(), start);
+  for (std::size_t k = 0; k < second.size(); ++k) {
+    EXPECT_EQ(second[k].port, kept[k].port) << "packet " << k;
+    EXPECT_EQ(oracle::own(second[k]).frame, kept[k].frame) << "packet " << k;
+  }
+}
+
+// Views from one switch keep their bytes while another switch runs a
+// batch on them: the spine -> leaf pattern of netsim::Fabric::inject,
+// where the spine's egress views are the leaf's ingress frames.
+TEST(ProcessBatch, EgressViewsOutliveOtherSwitches) {
+  std::vector<std::string> symbols;
+  auto pipeline = itch_pipeline(6, 400, &symbols);
+  const auto frames = mixed_frames(symbols, 2000);
+  Switch spine(spec::make_itch_schema(), pipeline);
+  Switch leaf(spec::make_itch_schema(), pipeline);
+  Switch leaf_ref(spec::make_itch_schema(), pipeline);
+
+  const auto down = spine.process_batch(batch_of(frames, 0, 64));
+  ASSERT_GT(down.size(), 1u);
+  ASSERT_TRUE(end_to_end(down));
+  std::vector<oracle::Packet> kept;
+  for (const auto& tx : down) kept.push_back(oracle::own(tx));
+
+  // The leaf reads the spine's views in place and grows its own buffer.
+  std::vector<Switch::Frame> hop, hop_ref;
+  for (std::size_t k = 0; k < down.size(); ++k) {
+    hop.push_back({down[k].frame, k});
+    hop_ref.push_back({kept[k].frame, k});
+  }
+  const auto up = leaf.process_batch(hop);
+  ASSERT_GT(up.size(), 0u);
+
+  for (std::size_t k = 0; k < down.size(); ++k)
+    EXPECT_EQ(oracle::own(down[k]).frame, kept[k].frame) << "packet " << k;
+  // Fed from owned copies, a second leaf sends the same packets.
+  const auto want = leaf_ref.process_batch(hop_ref);
+  ASSERT_EQ(up.size(), want.size());
+  for (std::size_t k = 0; k < up.size(); ++k) {
+    EXPECT_EQ(up[k].port, want[k].port) << "packet " << k;
+    EXPECT_EQ(oracle::own(up[k]).frame, oracle::own(want[k]).frame)
+        << "packet " << k;
   }
 }
 

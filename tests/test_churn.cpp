@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "spec/itch_spec.hpp"
 #include "switchsim/switch.hpp"
 #include "table/delta.hpp"
+#include "table/serialize.hpp"
 #include "workload/churn.hpp"
 #include "workload/feed.hpp"
 
@@ -125,6 +127,68 @@ TEST(ChurnDifferential, IncrementalMatchesFromScratchPerCommit) {
         << op.slot << ", " << live.size() << " live)";
   }
   EXPECT_EQ(inc.subscription_count(), live.size());
+}
+
+// Entry deltas must release the multicast groups of the multi-port
+// leaves they remove or modify: a switch that only ever takes deltas must
+// hold exactly the groups a fresh compile of its rules would, or its
+// group count climbs toward max_multicast_groups and fits() starts
+// rejecting a program that fits.
+TEST(ChurnDelta, DeltasReleaseUnusedMulticastGroups) {
+  auto schema = spec::make_itch_schema();
+  compiler::CompileOptions opts;
+  opts.order = bdd::OrderHeuristic::kExactFirst;
+
+  workload::ChurnParams cp;
+  cp.seed = 101;
+  cp.subs.seed = 5;
+  cp.subs.n_subscriptions = 300;
+  cp.subs.n_symbols = 30;
+  cp.subs.n_hosts = 24;
+  workload::ChurnGenerator churn(schema, cp);
+
+  std::map<std::size_t, compiler::IncrementalCompiler::SubscriptionId> ids;
+  compiler::IncrementalCompiler inc(schema, opts);
+  for (std::size_t slot = 0; slot < churn.base().size(); ++slot)
+    ids[slot] = inc.add(churn.base()[slot]);
+  ASSERT_TRUE(inc.commit().ok());
+  switchsim::Switch sw(schema, *inc.pipeline().value());
+  pubsub::TwoPhaseInstaller installer(sw);
+
+  for (std::size_t i = 0; i < 100; ++i) {
+    auto op = churn.next();
+    if (op.subscribe) {
+      ids[op.slot] = inc.add(std::move(op.rule));
+    } else {
+      ASSERT_TRUE(inc.remove(ids.at(op.slot))) << "op " << i;
+      ids.erase(op.slot);
+    }
+    auto delta = inc.commit();
+    ASSERT_TRUE(delta.ok()) << "op " << i << ": "
+                            << delta.error().to_string();
+    ASSERT_FALSE(delta.value().requires_reprogram) << "op " << i;
+    auto report = installer.apply_delta(delta.value().ops);
+    ASSERT_TRUE(report.committed) << "op " << i << ": " << report.error;
+
+    const table::Pipeline running = sw.pipeline_snapshot();
+    std::set<std::vector<std::uint16_t>> port_sets;
+    for (const auto& e : running.leaf.entries())
+      if (e.actions.ports.size() > 1) port_sets.insert(e.actions.ports);
+    EXPECT_EQ(sw.resources().multicast_groups, port_sets.size())
+        << "op " << i;
+    EXPECT_EQ(sw.resources().multicast_groups,
+              inc.pipeline().value()->mcast.size())
+        << "op " << i;
+
+    auto reloaded =
+        table::deserialize_pipeline(table::serialize_pipeline(running));
+    ASSERT_TRUE(reloaded.ok()) << "op " << i << ": "
+                               << reloaded.error().to_string();
+    EXPECT_EQ(table::pipeline_digest(reloaded.value()),
+              table::pipeline_digest(running))
+        << "op " << i;
+  }
+  EXPECT_GT(sw.resources().multicast_groups, 0u);
 }
 
 TEST(ChurnDelta, NoOpCommitIsEmpty) {

@@ -209,15 +209,17 @@ TEST(Counters, MulticastHeavyDifferentialAcrossPaths) {
     }
   }
 
-  std::vector<switchsim::Switch::TxPacket> out_ref, out_single;
+  // sw_single's views die at its next call: keep copies.
+  std::vector<oracle::Packet> out_ref, out_single, out_batch;
   std::vector<switchsim::Switch::Frame> batch;
   for (const auto& f : frames) {
     for (auto& tx : sw_ref.process(f, 0)) out_ref.push_back(std::move(tx));
-    for (auto& tx : process_one(sw_single, f))
-      out_single.push_back(std::move(tx));
+    for (const auto& tx : process_one(sw_single, f))
+      out_single.push_back(oracle::own(tx));
     batch.push_back({f, 0});
   }
-  const auto out_batch = sw_batch.process_batch(batch);
+  for (const auto& tx : sw_batch.process_batch(batch))
+    out_batch.push_back(oracle::own(tx));
 
   ASSERT_GT(sw_ref.counters().multicast_frames, 0u);
   expect_counters_equal(sw_ref.counters(), sw_batch.counters());

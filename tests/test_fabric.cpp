@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -334,7 +335,7 @@ using MessageStreams =
 
 void append_messages(MessageStreams& streams, std::size_t leaf,
                      std::uint16_t port,
-                     const std::vector<std::uint8_t>& frame) {
+                     std::span<const std::uint8_t> frame) {
   const auto pkt = camus::proto::decode_market_data_packet(frame);
   ASSERT_TRUE(pkt.has_value());
   for (const auto& m : pkt->itch.add_orders)

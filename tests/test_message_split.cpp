@@ -55,7 +55,7 @@ TEST(MessageSplit, EachSubscriberGetsItsSlice) {
   auto out = split(sw, frame, 0);
   ASSERT_EQ(out.size(), 3u);  // ports 1, 2, 3
 
-  auto decode = [](const std::vector<std::uint8_t>& f) {
+  auto decode = [](std::span<const std::uint8_t> f) {
     auto pkt = proto::decode_market_data_packet(f);
     EXPECT_TRUE(pkt.has_value());
     return *pkt;
