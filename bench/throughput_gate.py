@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Same-machine throughput regression gate for bench/throughput_pipeline.
+
+    python3 bench/throughput_gate.py --base BASE_BIN --head HEAD_BIN \\
+        [--baseline BENCH_throughput.json] [--out REPORT.json]
+
+Runs two builds of throughput_pipeline --quick, one of the base commit and
+one of the commit under test (head), alternately, RUNS times each, base
+first in even rounds and head first in odd ones. Fails (exit 1) when a head
+run's egress digest differs from quick_output_digest in the committed
+baseline JSON, or when the median head throughput is below FLOOR times
+the median base throughput. Both builds run on the same machine, so the
+ratio does not depend on the machine's speed. --out writes every run and
+the verdict as JSON.
+"""
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+RUNS = 3
+FLOOR = 0.8
+
+
+def run(binary):
+    """One --quick run; returns its JSON report."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.json")
+        subprocess.run([binary, "--quick", "--json", "--out", path],
+                       check=True, stdout=subprocess.DEVNULL)
+        with open(path) as f:
+            return json.load(f)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--base", required=True, help="base throughput_pipeline")
+    ap.add_argument("--head", required=True, help="head throughput_pipeline")
+    ap.add_argument("--baseline", default="BENCH_throughput.json")
+    ap.add_argument("--out")
+    a = ap.parse_args()
+
+    with open(a.baseline) as f:
+        want_digest = json.load(f)["quick_output_digest"]
+    runs = {"base": [], "head": []}
+    for k in range(RUNS):
+        order = ["base", "head"] if k % 2 == 0 else ["head", "base"]
+        for side in order:
+            rep = run(getattr(a, side))
+            rate = rep["batched"]["msgs_per_sec"]
+            runs[side].append({"msgs_per_sec": rate,
+                               "output_digest": rep["output_digest"]})
+            print(f"round {k + 1} {side}: {rate:.0f} msgs/s "
+                  f"digest {rep['output_digest']}", flush=True)
+
+    failures = []
+    for r in runs["head"]:
+        if r["output_digest"] != want_digest:
+            failures.append(f"egress digest {r['output_digest']} != "
+                            f"committed {want_digest}")
+            break
+    med = {s: statistics.median(r["msgs_per_sec"] for r in runs[s])
+           for s in runs}
+    ratio = med["head"] / med["base"]
+    print(f"median: head {med['head']:.0f} msgs/s, base {med['base']:.0f} "
+          f"msgs/s ({ratio:.2f}x, floor {FLOOR:.2f}x)")
+    if ratio < FLOOR:
+        failures.append(f"batched throughput {ratio:.2f}x of the base "
+                        f"commit, below the {FLOOR:.2f}x floor")
+
+    if a.out:
+        with open(a.out, "w") as f:
+            json.dump({"runs": runs, "median_msgs_per_sec": med,
+                       "ratio": ratio, "floor": FLOOR,
+                       "quick_output_digest": want_digest,
+                       "failures": failures}, f, indent=2)
+    for msg in failures:
+        print("FAIL: " + msg, file=sys.stderr)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

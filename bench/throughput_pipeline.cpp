@@ -2,9 +2,10 @@
 // nasdaq-style feed through Switch::process_batch in 64-frame batches and
 // reports machine-readable throughput numbers plus an order-sensitive
 // digest of every egress packet (port and bytes). CI runs this with
-// --quick --json, pins the digest to the committed BENCH_throughput.json
-// (quick_output_digest; the full run's is output_digest), and fails the
-// build when throughput regresses versus that baseline.
+// --quick --json through bench/throughput_gate.py, which pins the digest to
+// the committed BENCH_throughput.json (quick_output_digest; the full run's
+// is output_digest) and fails the build when throughput regresses versus a
+// build of the base commit run alternately on the same machine.
 //
 // Latency percentiles are message-weighted (netsim::per_message_latency):
 // each timed call contributes its per-message cost with weight equal to

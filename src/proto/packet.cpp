@@ -61,6 +61,22 @@ inline std::uint64_t read_be(const std::uint8_t* p, unsigned n) noexcept {
   return v;
 }
 
+inline void write_be(std::uint8_t* p, std::uint64_t v, unsigned n) noexcept {
+  for (unsigned i = 0; i < n; ++i)
+    p[i] = static_cast<std::uint8_t>(v >> (8 * (n - 1 - i)));
+}
+
+// Adds the big-endian 16-bit words of p[0, n) to a one's-complement
+// accumulator, without folding.
+std::uint32_t ones_acc(const std::uint8_t* p, std::size_t n,
+                       std::uint32_t acc) {
+  std::size_t i = 0;
+  for (; i + 1 < n; i += 2)
+    acc += (static_cast<std::uint32_t>(p[i]) << 8) | p[i + 1];
+  if (i < n) acc += static_cast<std::uint32_t>(p[i]) << 8;
+  return acc;
+}
+
 }  // namespace
 
 bool scan_market_data_packet(std::span<const std::uint8_t> frame,
@@ -86,12 +102,14 @@ bool scan_market_data_packet(std::span<const std::uint8_t> frame,
   if (len - off < ihl_bytes) return false;
   // Checksum mismatches are not rejected, matching Ipv4Header::decode.
   if (p[off + 9] != kIpProtoUdp) return false;
-  view.ip_src = static_cast<std::uint32_t>(read_be(p + off + 12, 4));
-  view.ip_dst = static_cast<std::uint32_t>(read_be(p + off + 16, 4));
+  const std::uint8_t* ip_addrs = p + off + 12;  // source, then destination
+  view.ip_src = static_cast<std::uint32_t>(read_be(ip_addrs, 4));
+  view.ip_dst = static_cast<std::uint32_t>(read_be(ip_addrs + 4, 4));
   off += ihl_bytes;
 
   if (len - off < UdpHeader::kSize) return false;
-  view.udp_dst_port = static_cast<std::uint16_t>(read_be(p + off + 2, 2));
+  const std::uint8_t* udp_dst = p + off + 2;
+  view.udp_dst_port = static_cast<std::uint16_t>(read_be(udp_dst, 2));
   const auto udp_len = static_cast<std::uint16_t>(read_be(p + off + 4, 2));
   off += UdpHeader::kSize;
   if (udp_len < UdpHeader::kSize) return false;
@@ -101,6 +119,7 @@ bool scan_market_data_packet(std::span<const std::uint8_t> frame,
 
   // MoldUDP64 header.
   if (payload_end - off < MoldUdp64Header::kSize) return false;
+  const std::uint8_t* mold = p + off;
   view.mold.session.assign(reinterpret_cast<const char*>(p + off), 10);
   while (!view.mold.session.empty() && view.mold.session.back() == ' ')
     view.mold.session.pop_back();
@@ -124,6 +143,30 @@ bool scan_market_data_packet(std::span<const std::uint8_t> frame,
     }
     off += msg_len;
   }
+
+  // The egress header, field for field what encode_market_data_packet
+  // writes for this view, with the per-packet fields left zero.
+  std::uint8_t* h = view.egress_header.data();
+  std::memcpy(h, p, EthernetHeader::kSize);
+  std::uint8_t* ip = h + EthernetHeader::kSize;
+  ip[0] = 0x45;                 // version 4, IHL 5
+  ip[1] = 0;                    // diffserv
+  write_be(ip + 2, 0, 2);       // total length: per packet
+  write_be(ip + 4, 0, 2);       // identification
+  write_be(ip + 6, 0x4000, 2);  // flags: don't fragment
+  ip[8] = 64;                   // default ttl
+  ip[9] = kIpProtoUdp;
+  write_be(ip + 10, 0, 2);      // checksum: per packet
+  std::memcpy(ip + 12, ip_addrs, 8);
+  std::uint8_t* udp = ip + Ipv4Header::kSize;
+  write_be(udp, kItchUdpPort, 2);
+  std::memcpy(udp + 2, udp_dst, 2);
+  write_be(udp + 4, 0, 4);  // length: per packet; checksum not computed
+  // Session and sequence as on the wire: the decoder's trailing-space
+  // strip and the encoder's re-pad restore the same ten session bytes.
+  std::memcpy(udp + UdpHeader::kSize, mold, 18);
+  write_be(udp + UdpHeader::kSize + 18, 0, 2);  // message count: per packet
+  view.ip_partial_sum = ones_acc(ip, Ipv4Header::kSize, 0);
   return true;
 }
 
@@ -136,61 +179,34 @@ ItchAddOrder decode_add_order_at(std::span<const std::uint8_t> frame,
   return msg;
 }
 
-namespace {
-
-inline void write_be(std::uint8_t* p, std::uint64_t v, unsigned n) noexcept {
-  for (unsigned i = 0; i < n; ++i)
-    p[i] = static_cast<std::uint8_t>(v >> (8 * (n - 1 - i)));
-}
-
-}  // namespace
-
 void build_market_frame_raw(const MarketDataView& view,
                             std::span<const std::uint8_t> src_frame,
                             std::span<const std::uint32_t> msg_offsets,
                             std::span<std::uint8_t> out) {
+  constexpr std::size_t kBlock = 2 + ItchAddOrder::kSize;
   const std::size_t payload =
-      MoldUdp64Header::kSize +
-      msg_offsets.size() * (2 + ItchAddOrder::kSize);
+      MoldUdp64Header::kSize + msg_offsets.size() * kBlock;
+  // Lengths and count wrap to 16 bits, as in encode_market_data_packet.
+  const auto ip_len = static_cast<std::uint16_t>(Ipv4Header::kSize +
+                                                 UdpHeader::kSize + payload);
+  std::uint32_t sum = view.ip_partial_sum + ip_len;
+  while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
+
   std::uint8_t* p = out.data();
-
-  write_be(p, view.eth.dst, 6);
-  write_be(p + 6, view.eth.src, 6);
-  write_be(p + 12, view.eth.ether_type, 2);
-
-  // Canonical IPv4 header, field for field what Ipv4Header::encode emits
-  // from a default-constructed header with src/dst/total_len set.
+  std::memcpy(p, view.egress_header.data(), kMarketHeaderSize);
   std::uint8_t* ip = p + EthernetHeader::kSize;
-  ip[0] = 0x45;  // version 4, IHL 5
-  ip[1] = 0;     // diffserv
-  write_be(ip + 2, Ipv4Header::kSize + UdpHeader::kSize + payload, 2);
-  write_be(ip + 4, 0, 2);       // identification
-  write_be(ip + 6, 0x4000, 2);  // flags: don't fragment
-  ip[8] = 64;                   // default ttl
-  ip[9] = kIpProtoUdp;
-  write_be(ip + 10, 0, 2);  // checksum placeholder
-  write_be(ip + 12, view.ip_src, 4);
-  write_be(ip + 16, view.ip_dst, 4);
-  write_be(ip + 10, internet_checksum({ip, Ipv4Header::kSize}), 2);
-
+  write_be(ip + 2, ip_len, 2);
+  write_be(ip + 10, ~sum, 2);
   std::uint8_t* udp = ip + Ipv4Header::kSize;
-  write_be(udp, kItchUdpPort, 2);
-  write_be(udp + 2, view.udp_dst_port, 2);
   write_be(udp + 4, UdpHeader::kSize + payload, 2);
-  write_be(udp + 6, 0, 2);  // checksum not computed over IPv4
+  write_be(udp + UdpHeader::kSize + 18, msg_offsets.size(), 2);
 
-  std::uint8_t* mold = udp + UdpHeader::kSize;
-  std::memset(mold, ' ', 10);
-  std::memcpy(mold, view.mold.session.data(),
-              std::min<std::size_t>(view.mold.session.size(), 10));
-  write_be(mold + 10, view.mold.sequence, 8);
-  write_be(mold + 18, msg_offsets.size(), 2);
-
-  std::uint8_t* q = mold + MoldUdp64Header::kSize;
+  // The scan accepted each block only behind a length prefix of
+  // ItchAddOrder::kSize, so prefix and block are copied together.
+  std::uint8_t* q = p + kMarketHeaderSize;
   for (std::uint32_t off : msg_offsets) {
-    write_be(q, ItchAddOrder::kSize, 2);
-    std::memcpy(q + 2, src_frame.data() + off, ItchAddOrder::kSize);
-    q += 2 + ItchAddOrder::kSize;
+    std::memcpy(q, src_frame.data() + off - 2, kBlock);
+    q += kBlock;
   }
 }
 
@@ -229,15 +245,6 @@ bool locate_udp(std::span<const std::uint8_t> frame, std::size_t* ip_off_out,
   *udp_off_out = udp_off;
   *udp_len_out = udp_len;
   return true;
-}
-
-std::uint32_t ones_acc(const std::uint8_t* p, std::size_t n,
-                       std::uint32_t acc) {
-  std::size_t i = 0;
-  for (; i + 1 < n; i += 2)
-    acc += (static_cast<std::uint32_t>(p[i]) << 8) | p[i + 1];
-  if (i < n) acc += static_cast<std::uint32_t>(p[i]) << 8;
-  return acc;
 }
 
 // RFC 768 checksum over the IPv4 pseudo-header and the UDP segment, with

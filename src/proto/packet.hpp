@@ -3,6 +3,7 @@
 // parses, and the subscriber consumes.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <vector>
 
@@ -84,6 +85,12 @@ bool verify_udp_checksum(std::span<const std::uint8_t> frame);
 bool rewrite_mold_sequence(std::span<std::uint8_t> frame,
                            std::uint64_t sequence);
 
+// Bytes of the Ethernet, IPv4 (no options), UDP and MoldUDP64 headers that
+// open every re-framed market-data packet.
+inline constexpr std::size_t kMarketHeaderSize =
+    EthernetHeader::kSize + Ipv4Header::kSize + UdpHeader::kSize +
+    MoldUdp64Header::kSize;
+
 // Zero-copy parse for the batched fast path: header fields needed to
 // re-frame per-port output, without materializing the payload or the
 // per-message structs.
@@ -93,15 +100,26 @@ struct MarketDataView {
   std::uint32_t ip_dst = 0;
   std::uint16_t udp_dst_port = 0;
   MoldUdp64Header mold;
+  // The header every egress packet of the frame shares, built once by the
+  // scan: the frame's Ethernet header, the canonical IPv4 header
+  // Ipv4Header::encode writes for ip_src/ip_dst, UDP from kItchUdpPort to
+  // udp_dst_port, and the frame's MoldUDP64 session and sequence. The IPv4
+  // total length and checksum, the UDP length and the message count are
+  // zero; build_market_frame_raw patches them per packet.
+  std::array<std::uint8_t, kMarketHeaderSize> egress_header{};
+  // One's-complement sum of egress_header's IPv4 words, not folded: a
+  // packet's IPv4 checksum is this plus its total length, folded and
+  // complemented.
+  std::uint32_t ip_partial_sum = 0;
 };
 
 // Scans a frame in place. Returns true exactly when
-// decode_market_data_packet would return a packet, filling `view` and
-// appending the frame-relative offset of every well-formed 36-byte
-// add-order message (type byte included) to `add_order_offsets` — the same
-// messages, in the same order, as MarketDataPacket::itch.add_orders.
-// `add_order_offsets` is not cleared (callers batch offsets across
-// frames).
+// decode_market_data_packet would return a packet, filling `view` (its
+// egress header included) and appending the frame-relative offset of every
+// well-formed 36-byte add-order message (type byte included) to
+// `add_order_offsets` — the same messages, in the same order, as
+// MarketDataPacket::itch.add_orders. `add_order_offsets` is not cleared
+// (callers batch offsets across frames).
 bool scan_market_data_packet(std::span<const std::uint8_t> frame,
                              MarketDataView& view,
                              std::vector<std::uint32_t>& add_order_offsets);
@@ -114,19 +132,22 @@ ItchAddOrder decode_add_order_at(std::span<const std::uint8_t> frame,
 // Size in bytes of the frame build_market_frame_raw writes for
 // `n_messages` add-orders.
 constexpr std::size_t market_frame_raw_size(std::size_t n_messages) {
-  return EthernetHeader::kSize + Ipv4Header::kSize + UdpHeader::kSize +
-         MoldUdp64Header::kSize + n_messages * (2 + ItchAddOrder::kSize);
+  return kMarketHeaderSize + n_messages * (2 + ItchAddOrder::kSize);
 }
 
-// Batched-path re-framing: writes into `out` the exact bytes
+// The one re-framer of the batched path: writes into `out` the exact bytes
 // encode_market_data_packet(view.eth, view.ip_src, view.ip_dst, view.mold,
-// <decoded messages at msg_offsets>, view.udp_dst_port) would produce, but
-// copies the scanned add-order wire blocks straight out of the source
-// frame. Decode->encode round-trips every scanned block byte-identically —
-// all fields are full-width big-endian, and the trailing-space strip /
-// re-pad of the stock and session strings restores the original bytes —
-// so no per-message decode or Writer is needed. `out` must be exactly
-// market_frame_raw_size(msg_offsets.size()) bytes; nothing is allocated.
+// <decoded messages at msg_offsets>, view.udp_dst_port) would produce. It
+// copies view.egress_header, patches the four per-packet fields (the IPv4
+// checksum from view.ip_partial_sum, bit-identical to internet_checksum),
+// and copies each scanned add-order straight out of the source frame with
+// its 2-byte length prefix. Decode->encode round-trips every scanned block
+// byte-identically — all fields are full-width big-endian, and the
+// trailing-space strip / re-pad of the stock and session strings restores
+// the original bytes — so no per-message decode or Writer is needed.
+// `msg_offsets` come from scan_market_data_packet on `src_frame`, which
+// filled `view`. `out` must be exactly market_frame_raw_size(
+// msg_offsets.size()) bytes; nothing is allocated.
 void build_market_frame_raw(const MarketDataView& view,
                             std::span<const std::uint8_t> src_frame,
                             std::span<const std::uint32_t> msg_offsets,

@@ -1,7 +1,5 @@
 #include "switchsim/switch.hpp"
 
-#include <algorithm>
-
 #include "proto/generic.hpp"
 #include "proto/packet.hpp"
 #include "util/flat_map.hpp"
@@ -295,6 +293,22 @@ const lang::ActionSet* Switch::classify_fast(
   return actions;
 }
 
+namespace {
+
+// Restores min-heap order below heap[k], the slot whose key last changed,
+// in the n-key binary heap at heap[0, n).
+void sift_down(std::uint64_t* heap, std::size_t n, std::size_t k) {
+  const std::uint64_t key = heap[k];
+  for (std::size_t c; (c = 2 * k + 1) < n; k = c) {
+    if (c + 1 < n && heap[c + 1] < heap[c]) ++c;
+    if (key < heap[c]) break;
+    heap[k] = heap[c];
+  }
+  heap[k] = key;
+}
+
+}  // namespace
+
 std::vector<Switch::TxPacket> Switch::process_batch(
     std::span<const Frame> frames) {
   const Program& prog = current_data_plane();
@@ -333,38 +347,59 @@ std::vector<Switch::TxPacket> Switch::process_batch(
     }
   }
 
-  // Pass 3: re-frame per egress port. Each frame's matched (port, message)
-  // pairs are gathered and sorted — ports ascending, arrival order within
-  // a port, the reference path's order — and each port's packet is
-  // written end to end into egress_. Only matched messages are touched.
-  // egress_ may still grow here, so packets are recorded as (port, size)
-  // and the views are made once it has stopped.
+  // Pass 3: re-frame per egress port. Each frame's matched messages are
+  // grouped by a k-way merge of their ActionSet::ports lists (sorted,
+  // unique): a min-heap holds one cursor per matched message, keyed
+  // port << 32 | arrival index, so pops come out ports ascending, arrival
+  // order within a port — the reference path's order — in
+  // O(pairs * log K) and with no sort. Each port's packet is written end to
+  // end into egress_, which grows at most once per frame: a (port, message)
+  // pair adds one block, plus one header when it opens a port's packet. The
+  // views are made once egress_ has stopped growing, so packets are
+  // recorded as (port, size) meanwhile.
   tx_.clear();
   std::size_t used = 0;
   for (std::size_t f = 0; f < frames.size(); ++f) {
     const auto [begin, end] = ranges_[f];
     if (begin == end) continue;  // did not parse
-    pairs_.clear();
-    for (std::uint32_t i = begin; i < end; ++i)
-      if (const lang::ActionSet* a = msg_actions_[i])
-        for (std::uint16_t p : a->ports)
-          pairs_.push_back(std::uint64_t{p} << 32 | i);
-    std::sort(pairs_.begin(), pairs_.end());
+    heap_.clear();
+    std::size_t pairs = 0;
+    for (std::uint32_t i = begin; i < end; ++i) {
+      const lang::ActionSet* a = msg_actions_[i];
+      if (!a || a->ports.empty()) continue;
+      heap_.push_back(std::uint64_t{a->ports.front()} << 32 | i);
+      pairs += a->ports.size();
+    }
+    cursor_.assign(end - begin, 0);
+    const std::size_t most = used + pairs * proto::market_frame_raw_size(1);
+    if (egress_.size() < most) egress_.resize(most);
+
+    std::uint64_t* heap = heap_.data();
+    std::size_t n = heap_.size();
+    for (std::size_t k = n / 2; k-- > 0;) sift_down(heap, n, k);
     const std::size_t first_tx = tx_.size();
-    for (std::size_t k = 0; k < pairs_.size();) {
-      const auto port = static_cast<std::uint16_t>(pairs_[k] >> 32);
+    while (n > 0) {
+      const std::uint64_t port = heap[0] >> 32;
       msg_offsets_scratch_.clear();
-      for (; k < pairs_.size() && pairs_[k] >> 32 == port; ++k)
-        msg_offsets_scratch_.push_back(
-            offsets_[static_cast<std::uint32_t>(pairs_[k])]);
+      do {  // pop the top, then replace it with its message's next port
+        const auto i = static_cast<std::uint32_t>(heap[0]);
+        msg_offsets_scratch_.push_back(offsets_[i]);
+        const std::vector<std::uint16_t>& ports = msg_actions_[i]->ports;
+        std::uint32_t& at = cursor_[i - begin];
+        if (++at < ports.size())
+          heap[0] = std::uint64_t{ports[at]} << 32 | i;
+        else
+          heap[0] = heap[--n];
+        sift_down(heap, n, 0);
+      } while (n > 0 && heap[0] >> 32 == port);
       const std::size_t size =
           proto::market_frame_raw_size(msg_offsets_scratch_.size());
-      if (egress_.size() < used + size) egress_.resize(used + size);
       proto::build_market_frame_raw(views_[f], frames[f].data,
                                     msg_offsets_scratch_,
                                     {egress_.data() + used, size});
       used += size;
-      tx_.emplace_back(port, static_cast<std::uint32_t>(size));
+      tx_.emplace_back(static_cast<std::uint16_t>(port),
+                       static_cast<std::uint32_t>(size));
     }
     const std::size_t ports = tx_.size() - first_tx;
     account_frame(ports);

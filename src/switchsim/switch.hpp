@@ -375,9 +375,10 @@ class Switch {
   std::vector<proto::MarketDataView> views_;
   // Per frame: its [begin, end) in offsets_; empty when it did not parse.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges_;
-  // One frame's matched (port, message index) pairs, packed as
-  // port << 32 | index so sorting orders them by port, then arrival.
-  std::vector<std::uint64_t> pairs_;
+  // One frame's egress merge: a min-heap of port << 32 | message index
+  // keys, and each matched message's position in its port list.
+  std::vector<std::uint64_t> heap_;
+  std::vector<std::uint32_t> cursor_;
   std::vector<std::uint32_t> msg_offsets_scratch_;
   // Egress buffer: the packets of the last process_batch() call, end to
   // end. Grows to the largest call's output and never shrinks.

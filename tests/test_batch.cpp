@@ -2,7 +2,8 @@
 // be bit-identical to the per-message reference interpreter
 // (reference_switch.hpp) — TxPacket sequences (port and frame bytes),
 // SwitchCounters, and register state — on >= 10k nasdaq-replay messages
-// with malformed/truncated frames interleaved, across batch sizes, with
+// with malformed/truncated frames interleaved, across batch sizes, in 4-
+// and 40-message frames (egress ports 0 and 65535 among them), with
 // stateful rules, a reprogram mid-stream (hot-key memo invalidation), and
 // the non-flattenable fallback path.
 #include <gtest/gtest.h>
@@ -78,10 +79,14 @@ void expect_identical(const RunResult& ref, const RunResult& fast) {
   EXPECT_EQ(ref.regs, fast.regs);
 }
 
+// Moves a rule's egress ports before compilation.
+using PortRemap = void (*)(lang::ActionSet&);
+
 table::Pipeline itch_pipeline(std::uint64_t seed, std::size_t n_subs,
                               std::vector<std::string>* symbols_out,
                               bdd::OrderHeuristic order =
-                                  bdd::OrderHeuristic::kExactFirst) {
+                                  bdd::OrderHeuristic::kExactFirst,
+                              PortRemap remap = nullptr) {
   auto schema = spec::make_itch_schema();
   workload::ItchSubsParams sp;
   sp.seed = seed;
@@ -90,16 +95,33 @@ table::Pipeline itch_pipeline(std::uint64_t seed, std::size_t n_subs,
   sp.n_hosts = 24;
   auto subs = workload::generate_itch_subscriptions(schema, sp);
   if (symbols_out) *symbols_out = subs.symbols;
+  if (remap)
+    for (auto& rule : subs.rules) remap(rule.actions);
   compiler::CompileOptions co;
   co.order = order;
   return compiler::compile_rules(schema, subs.rules, co).take().pipeline;
+}
+
+// Hosts 1..24 moved to the edges of the port space: host 1 to port 0,
+// host 24 to port 65535, host h to 2,000 h otherwise, and every rule also
+// forwards to port 30,001, so every matched message shares one port.
+void edge_ports(lang::ActionSet& actions) {
+  lang::ActionSet moved;
+  for (const std::uint16_t h : actions.ports)
+    moved.add_port(h == 1    ? 0
+                   : h == 24 ? 65535
+                             : static_cast<std::uint16_t>(2000 * h));
+  moved.add_port(30001);
+  actions.ports = std::move(moved.ports);
 }
 
 // Well-formed feed frames plus hand-corrupted variants interleaved: the
 // scan path must settle every malformed shape exactly like the decode
 // path.
 std::vector<workload::PackedFrame> mixed_frames(
-    const std::vector<std::string>& symbols, std::size_t n_messages) {
+    const std::vector<std::string>& symbols, std::size_t n_messages,
+    std::size_t msgs_per_frame = 4,
+    const std::string& session = "CAMUS00001") {
   workload::FeedParams fp;
   fp.seed = 20170830;
   fp.mode = workload::FeedMode::kNasdaqReplay;
@@ -108,7 +130,7 @@ std::vector<workload::PackedFrame> mixed_frames(
   fp.price_min = 1;
   fp.price_max = 900;
   auto feed = workload::generate_feed(fp);
-  auto good = workload::pack_feed_frames(feed, 4);
+  auto good = workload::pack_feed_frames(feed, msgs_per_frame, session);
 
   // Corruptions derived from a healthy template frame.
   const std::vector<std::uint8_t>& g = good.front().bytes;
@@ -163,14 +185,14 @@ std::vector<workload::PackedFrame> mixed_frames(
   return frames;
 }
 
-TEST(ProcessBatch, DifferentialAcrossBatchSizes) {
-  std::vector<std::string> symbols;
-  auto pipeline = itch_pipeline(1, 400, &symbols);
-  const auto frames = mixed_frames(symbols, 12000);
+// `ref` receives the reference run the batched runs are compared against.
+void expect_identical_across_batch_sizes(
+    const table::Pipeline& pipeline,
+    const std::vector<workload::PackedFrame>& frames, RunResult& ref) {
   const std::uint64_t final_time = frames.back().t_us + 1;
 
   ReferenceSwitch sw_ref(spec::make_itch_schema(), pipeline);
-  const auto ref = run_reference(sw_ref, frames, final_time);
+  ref = run_reference(sw_ref, frames, final_time);
   ASSERT_GT(ref.pkts.size(), 0u);
   ASSERT_GT(ref.counters.parse_errors, 0u);
 
@@ -182,6 +204,39 @@ TEST(ProcessBatch, DifferentialAcrossBatchSizes) {
     const auto& bs = sw_fast.batch_stats();
     EXPECT_GT(bs.memo_probes, 0u);
     EXPECT_LE(bs.memo_hits, bs.memo_probes);
+  }
+}
+
+TEST(ProcessBatch, DifferentialAcrossBatchSizes) {
+  std::vector<std::string> symbols;
+  RunResult ref;
+  {
+    SCOPED_TRACE("4-message frames, ports 1..24");
+    const auto pipeline = itch_pipeline(1, 400, &symbols);
+    expect_identical_across_batch_sizes(pipeline,
+                                        mixed_frames(symbols, 12000), ref);
+  }
+  {
+    // The egress merge's edges: up to 40 cursors per frame, the lowest and
+    // highest port values, and a tie across every matched message of a
+    // frame. The session's trailing space is stripped by the decoder and
+    // re-padded on the wire.
+    SCOPED_TRACE("40-message frames, ports 0..65535 with one shared port");
+    const auto pipeline = itch_pipeline(
+        1, 4800, &symbols, bdd::OrderHeuristic::kExactFirst, edge_ports);
+    expect_identical_across_batch_sizes(
+        pipeline, mixed_frames(symbols, 12000, 40, "CAMUS "), ref);
+    bool low = false, high = false;
+    std::size_t widest = 0;  // most messages in one egress packet
+    for (const auto& tx : ref.pkts) {
+      low |= tx.port == 0;
+      high |= tx.port == 65535;
+      widest = std::max(widest, (tx.frame.size() - proto::kMarketHeaderSize) /
+                                    (2 + proto::ItchAddOrder::kSize));
+    }
+    EXPECT_TRUE(low);
+    EXPECT_TRUE(high);
+    EXPECT_EQ(widest, 40u);  // the shared port carries whole frames
   }
 }
 

@@ -147,6 +147,34 @@ TEST_P(FuzzSeeds, MoldUdpDecodersAgreeOnMutatedFrames) {
       EXPECT_EQ(m.price, decoded->itch.add_orders[i].price);
       EXPECT_EQ(m.order_ref, decoded->itch.add_orders[i].order_ref);
     }
+
+    // The raw re-framer writes what decode-then-encode writes, byte for
+    // byte, for subsets of the scanned messages: none, the first, every
+    // other one, and all of them. Flipped bits reach the IP addresses
+    // (checksum folds), the IHL, the session bytes and the sequence.
+    const auto& all = decoded->itch.add_orders;
+    for (int subset = 0; subset < 4; ++subset) {
+      std::vector<std::uint32_t> sub_offsets;
+      std::vector<proto::ItchAddOrder> sub_msgs;
+      for (std::size_t i = 0; i < all.size(); ++i) {
+        const bool keep = subset == 1   ? i == 0
+                          : subset == 2 ? i % 2 == 0
+                                        : subset == 3;
+        if (!keep) continue;
+        sub_offsets.push_back(offsets[i]);
+        sub_msgs.push_back(all[i]);
+      }
+      // Pre-filled, so a byte the re-framer leaves unwritten shows.
+      std::vector<std::uint8_t> built(
+          proto::market_frame_raw_size(sub_offsets.size()), 0xa5);
+      proto::build_market_frame_raw(view, frame, sub_offsets,
+                                    std::span(built));
+      const auto expected = proto::encode_market_data_packet(
+          decoded->eth, decoded->ip.src, decoded->ip.dst, decoded->itch.mold,
+          sub_msgs, decoded->udp.dst_port);
+      ASSERT_EQ(built, expected) << "subset " << subset << " of a "
+                                 << frame.size() << "-byte frame";
+    }
   };
 
   for (int round = 0; round < 400; ++round) {
