@@ -10,10 +10,12 @@
 #include <cstdio>
 
 #include <map>
+#include <string>
 
-#include "pubsub/controller.hpp"
+#include "compiler/compile.hpp"
 #include "pubsub/endpoints.hpp"
 #include "spec/itch_spec.hpp"
+#include "switchsim/switch.hpp"
 #include "util/stats.hpp"
 #include "workload/feed.hpp"
 #include "workload/itch_subs.hpp"
@@ -27,20 +29,19 @@ int main() {
   const std::size_t kServers = 16;
   auto symbols = workload::itch_symbols(100);
 
-  pubsub::Controller ctl(spec::make_itch_schema());
+  std::string rules;
   for (std::size_t s = 0; s < symbols.size(); ++s) {
     const std::uint16_t server = static_cast<std::uint16_t>(1 + s % kServers);
-    auto ok = ctl.subscribe(server, "stock == " + symbols[s]);
-    if (!ok.ok()) {
-      std::fprintf(stderr, "%s\n", ok.error().to_string().c_str());
-      return 1;
-    }
+    rules += "stock == " + symbols[s] + " : fwd(" + std::to_string(server) +
+             ")\n";
   }
-  auto sw = ctl.build_switch();
-  if (!sw.ok()) {
-    std::fprintf(stderr, "%s\n", sw.error().to_string().c_str());
+  const auto schema = spec::make_itch_schema();
+  auto compiled = compiler::compile_source(schema, rules);
+  if (!compiled.ok()) {
+    std::fprintf(stderr, "%s\n", compiled.error().to_string().c_str());
     return 1;
   }
+  switchsim::Switch sw(schema, std::move(compiled).take().pipeline);
 
   workload::FeedParams fp;
   fp.seed = 99;
@@ -82,7 +83,7 @@ int main() {
 
     // Packet granularity: the prototype's parser classifies a packet by
     // its first message; whole-packet copies go to that message's ports.
-    for (const auto& copy : sw.value().process(frame, t)) {
+    for (const auto& copy : sw.process(frame, t)) {
       camus_pkt_bytes += frame.size();
       ++camus_pkt_copies;
       for (const auto& m : msgs)
@@ -90,7 +91,7 @@ int main() {
     }
     // Message splitting: each server receives exactly its messages.
     const switchsim::Switch::Frame in{frame, t};
-    for (const auto& tx : sw.value().process_batch({&in, 1})) {
+    for (const auto& tx : sw.process_batch({&in, 1})) {
       camus_msg_bytes += tx.frame.size();
       ++camus_msg_copies;
       auto pkt = proto::decode_market_data_packet(tx.frame);

@@ -14,8 +14,8 @@
 // claims are the CDF shapes and the Camus/baseline separation.
 #include <cstdio>
 
+#include "compiler/compile.hpp"
 #include "netsim/market_experiment.hpp"
-#include "pubsub/controller.hpp"
 #include "spec/itch_spec.hpp"
 #include "util/stats.hpp"
 
@@ -35,6 +35,13 @@ netsim::MarketExperimentParams testbed(netsim::FilterMode mode) {
   return mp;
 }
 
+// The Camus switch: the one subscriber, on port 1, wants GOOGL.
+switchsim::Switch camus_switch(const spec::Schema& schema) {
+  auto compiled = compiler::compile_source(schema, "stock == GOOGL : fwd(1)");
+  if (!compiled.ok()) std::exit(1);
+  return switchsim::Switch(schema, std::move(compiled).take().pipeline);
+}
+
 void run_workload(const char* label, const workload::Feed& feed) {
   std::printf("---- %s: %zu messages, %zu watched (%.2f%%) ----\n", label,
               feed.messages.size(), feed.watched_count,
@@ -45,17 +52,9 @@ void run_workload(const char* label, const workload::Feed& feed) {
                          "<20us", "<50us", "<300us"});
   auto schema = spec::make_itch_schema();
   for (int cfg = 0; cfg < 2; ++cfg) {
-    switchsim::Switch sw = [&] {
-      if (cfg == 0) {
-        pubsub::Controller ctl(spec::make_itch_schema());
-        auto ok = ctl.subscribe(1, "stock == GOOGL");
-        if (!ok.ok()) std::exit(1);
-        auto s = ctl.build_switch();
-        if (!s.ok()) std::exit(1);
-        return std::move(s).take();
-      }
-      return switchsim::Switch::make_broadcast(schema, {1});
-    }();
+    switchsim::Switch sw =
+        cfg == 0 ? camus_switch(schema)
+                 : switchsim::Switch::make_broadcast(schema, {1});
     auto mp = testbed(cfg == 0 ? netsim::FilterMode::kSwitchFilter
                                : netsim::FilterMode::kHostFilter);
     const auto res = netsim::run_market_experiment(mp, sw, feed, "GOOGL");
@@ -96,16 +95,9 @@ void run_workload(const char* label, const workload::Feed& feed) {
   // CDF series (quantile, latency) for plotting — both configs.
   std::printf("latency CDF points (us at cumulative probability):\n");
   for (int cfg = 0; cfg < 2; ++cfg) {
-    switchsim::Switch sw = [&] {
-      if (cfg == 0) {
-        pubsub::Controller ctl(spec::make_itch_schema());
-        (void)ctl.subscribe(1, "stock == GOOGL");
-        auto s = ctl.build_switch();
-        if (!s.ok()) std::exit(1);
-        return std::move(s).take();
-      }
-      return switchsim::Switch::make_broadcast(schema, {1});
-    }();
+    switchsim::Switch sw =
+        cfg == 0 ? camus_switch(schema)
+                 : switchsim::Switch::make_broadcast(schema, {1});
     const auto mp = testbed(cfg == 0 ? netsim::FilterMode::kSwitchFilter
                                      : netsim::FilterMode::kHostFilter);
     const auto res = netsim::run_market_experiment(mp, sw, feed, "GOOGL");

@@ -15,8 +15,8 @@
 #include <map>
 #include <string>
 
+#include "compiler/compile.hpp"
 #include "netsim/market_experiment.hpp"
-#include "pubsub/controller.hpp"
 #include "spec/itch_spec.hpp"
 #include "util/stats.hpp"
 #include "workload/itch_subs.hpp"
@@ -75,15 +75,13 @@ int main(int argc, char** argv) {
 
   for (std::uint16_t n_hosts : {2, 4, 8, 16, 32}) {
     std::map<std::string, std::uint16_t> interest;
-    compiler::CompileOptions copts;
-    copts.threads = threads;
-    pubsub::Controller ctl(spec::make_itch_schema(), copts);
+    std::string rules;
     for (std::size_t s = 0; s < symbols.size(); ++s) {
       const std::uint16_t port =
           static_cast<std::uint16_t>(1 + s % n_hosts);
       interest[symbols[s]] = port;
-      auto ok = ctl.subscribe(port, "stock == " + symbols[s]);
-      if (!ok.ok()) return 1;
+      rules += "stock == " + symbols[s] + " : fwd(" + std::to_string(port) +
+               ")\n";
     }
 
     netsim::MarketExperimentParams mp;
@@ -99,13 +97,16 @@ int main(int argc, char** argv) {
         netsim::run_fanout_experiment(mp, bcast, feed, interest, n_hosts);
 
     // Camus: compiled per-host subscriptions.
-    auto sw = ctl.build_switch();
-    if (!sw.ok()) return 1;
+    compiler::CompileOptions copts;
+    copts.threads = threads;
+    auto compiled = compiler::compile_source(schema, rules, copts);
+    if (!compiled.ok()) return 1;
     if (json_out)
-      std::fprintf(json_out, "%s\n", ctl.compiled().value()->stats.to_json().c_str());
+      std::fprintf(json_out, "%s\n", compiled.value().stats.to_json().c_str());
+    switchsim::Switch sw(schema, std::move(compiled).take().pipeline);
     mp.mode = netsim::FilterMode::kSwitchFilter;
-    const auto camus = netsim::run_fanout_experiment(mp, sw.value(), feed,
-                                                     interest, n_hosts);
+    const auto camus =
+        netsim::run_fanout_experiment(mp, sw, feed, interest, n_hosts);
 
     table.add_row(
         {std::to_string(n_hosts),

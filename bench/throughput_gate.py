@@ -2,16 +2,20 @@
 """Same-machine throughput regression gate for bench/throughput_pipeline.
 
     python3 bench/throughput_gate.py --base BASE_BIN --head HEAD_BIN \\
-        [--baseline BENCH_throughput.json] [--out REPORT.json]
+        [--anchor ANCHOR_BIN] [--baseline BENCH_throughput.json] \\
+        [--out REPORT.json]
 
-Runs two builds of throughput_pipeline --quick, one of the base commit and
-one of the commit under test (head), alternately, RUNS times each, base
-first in even rounds and head first in odd ones. Fails (exit 1) when a head
-run's egress digest differs from quick_output_digest in the committed
-baseline JSON, or when the median head throughput is below FLOOR times
-the median base throughput. Both builds run on the same machine, so the
-ratio does not depend on the machine's speed. --out writes every run and
-the verdict as JSON.
+Runs builds of throughput_pipeline --quick, one of the base commit, one of
+the commit under test (head) and, with --anchor, one of the commit that
+last regenerated BENCH_throughput.json, RUNS times each. The sides take
+turns, in order in even rounds and in reverse order in odd ones. Fails
+(exit 1) when a head run's egress digest differs from quick_output_digest
+in the committed baseline JSON, or when the median head throughput is
+below FLOOR times the median of the base or of the anchor. The base bounds
+the loss of one change; the anchor bounds the loss that adds up over
+several changes since the baseline was recorded. All builds run on the
+same machine, so the ratios do not depend on the machine's speed. --out
+writes every run, both ratios and the verdict as JSON.
 """
 import argparse
 import json
@@ -39,15 +43,18 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", required=True, help="base throughput_pipeline")
     ap.add_argument("--head", required=True, help="head throughput_pipeline")
+    ap.add_argument("--anchor", help="throughput_pipeline of the commit that "
+                    "last regenerated the baseline JSON")
     ap.add_argument("--baseline", default="BENCH_throughput.json")
     ap.add_argument("--out")
     a = ap.parse_args()
 
     with open(a.baseline) as f:
         want_digest = json.load(f)["quick_output_digest"]
-    runs = {"base": [], "head": []}
+    sides = ["base", "head"] + (["anchor"] if a.anchor else [])
+    runs = {side: [] for side in sides}
     for k in range(RUNS):
-        order = ["base", "head"] if k % 2 == 0 else ["head", "base"]
+        order = sides if k % 2 == 0 else sides[::-1]
         for side in order:
             rep = run(getattr(a, side))
             rate = rep["batched"]["msgs_per_sec"]
@@ -64,17 +71,19 @@ def main():
             break
     med = {s: statistics.median(r["msgs_per_sec"] for r in runs[s])
            for s in runs}
-    ratio = med["head"] / med["base"]
-    print(f"median: head {med['head']:.0f} msgs/s, base {med['base']:.0f} "
-          f"msgs/s ({ratio:.2f}x, floor {FLOOR:.2f}x)")
-    if ratio < FLOOR:
-        failures.append(f"batched throughput {ratio:.2f}x of the base "
-                        f"commit, below the {FLOOR:.2f}x floor")
+    ratios = {s: med["head"] / med[s] for s in sides if s != "head"}
+    for side, ratio in ratios.items():
+        print(f"median: head {med['head']:.0f} msgs/s, {side} "
+              f"{med[side]:.0f} msgs/s ({ratio:.2f}x, floor {FLOOR:.2f}x)")
+        if ratio < FLOOR:
+            failures.append(f"batched throughput {ratio:.2f}x of the {side} "
+                            f"commit, below the {FLOOR:.2f}x floor")
 
     if a.out:
         with open(a.out, "w") as f:
             json.dump({"runs": runs, "median_msgs_per_sec": med,
-                       "ratio": ratio, "floor": FLOOR,
+                       "ratio": ratios["base"],
+                       "anchor_ratio": ratios.get("anchor"), "floor": FLOOR,
                        "quick_output_digest": want_digest,
                        "failures": failures}, f, indent=2)
     for msg in failures:

@@ -2,16 +2,19 @@
 //
 // Several trading servers subscribe to slices of a Nasdaq-style ITCH feed
 // with content filters (symbols, price thresholds, stateful aggregates).
-// The Camus controller compiles the filters, programs the switch, and the
-// full feed is pushed through: each server receives exactly its slice at
-// the switch, with no host-side filtering.
+// The Camus controller compiles the filters, programs the switch through a
+// two-phase installer, and the full feed is pushed through: each server
+// receives exactly its slice at the switch, with no host-side filtering.
+// The controller journals every step; MemStorage keeps the journal in
+// memory, as nothing here has to survive a crash.
 //
 //   $ ./itch_pubsub [n_messages]    # default 100000
 #include <cstdlib>
 #include <iostream>
 
-#include "pubsub/controller.hpp"
+#include "pubsub/durable.hpp"
 #include "pubsub/endpoints.hpp"
+#include "pubsub/install.hpp"
 #include "spec/itch_spec.hpp"
 #include "util/stats.hpp"
 #include "workload/feed.hpp"
@@ -23,7 +26,12 @@ int main(int argc, char** argv) {
       argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1])) : 100000;
 
   // The trading floor's subscriptions: one strategy per server port.
-  pubsub::Controller ctl(spec::make_itch_schema());
+  util::MemStorage journal;
+  pubsub::DurableController ctl(spec::make_itch_schema(), journal);
+  if (auto opened = ctl.open(); !opened.ok()) {
+    std::cerr << opened.error().to_string() << "\n";
+    return 1;
+  }
   const std::vector<std::pair<std::uint16_t, std::string>> strategies = {
       {1, "stock == GOOGL"},
       {2, "stock == AAPL or stock == MSFT"},
@@ -45,16 +53,28 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  auto sw = ctl.build_switch();
-  if (!sw.ok()) {
-    std::cerr << "compile error: " << sw.error().to_string() << "\n";
+  auto delta = ctl.commit();
+  if (!delta.ok()) {
+    std::cerr << "compile error: " << delta.error().to_string() << "\n";
+    return 1;
+  }
+  // The switch boots empty; the commit's delta programs it.
+  switchsim::Switch sw(spec::make_itch_schema(), table::Pipeline{});
+  pubsub::TwoPhaseInstaller installer(sw);
+  auto installed = ctl.install(installer, delta.value());
+  if (!installed.ok() || !installed.value().committed) {
+    std::cerr << "install failed: "
+              << (installed.ok() ? installed.value().error
+                                 : installed.error().to_string())
+              << "\n";
     return 1;
   }
   std::cout << "Compiled " << ctl.subscription_count()
-            << " subscriptions: " << ctl.compiled().value()->stats.to_string() << "\n";
-  std::cout << "Switch resources: " << sw.value().resources().to_string()
-            << "  (fits Tofino-like budget: "
-            << (sw.value().fits() ? "yes" : "NO") << ")\n\n";
+            << " subscriptions: " << delta.value().leaves[0].stats.to_string()
+            << "\n";
+  std::cout << "Switch resources: " << sw.resources().to_string()
+            << "  (fits Tofino-like budget: " << (sw.fits() ? "yes" : "NO")
+            << ")\n\n";
 
   // Publish a synthetic feed through the switch.
   workload::FeedParams fp;
@@ -69,11 +89,11 @@ int main(int argc, char** argv) {
 
   for (const auto& fm : feed.messages) {
     const auto frame = pub.publish(fm.msg);
-    for (const auto& copy : sw.value().process(frame, fm.t_us))
+    for (const auto& copy : sw.process(frame, fm.t_us))
       subs[copy.port - 1].deliver(frame);
   }
 
-  const auto& c = sw.value().counters();
+  const auto& c = sw.counters();
   std::cout << "Feed: " << c.rx_frames << " messages, " << c.matched
             << " matched at least one subscriber, " << c.dropped
             << " dropped at the switch, " << c.multicast_frames

@@ -6,8 +6,8 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "compiler/compile.hpp"
 #include "netsim/market_experiment.hpp"
-#include "pubsub/controller.hpp"
 #include "spec/itch_spec.hpp"
 #include "util/stats.hpp"
 
@@ -48,12 +48,10 @@ int main(int argc, char** argv) {
     auto schema = spec::make_itch_schema();
     switchsim::Switch sw = [&] {
       if (cfg == 0) {
-        pubsub::Controller ctl(spec::make_itch_schema());
-        auto ok = ctl.subscribe(1, "stock == GOOGL");
-        if (!ok.ok()) std::exit(1);
-        auto s = ctl.build_switch();
-        if (!s.ok()) std::exit(1);
-        return std::move(s).take();
+        auto compiled =
+            compiler::compile_source(schema, "stock == GOOGL : fwd(1)");
+        if (!compiled.ok()) std::exit(1);
+        return switchsim::Switch(schema, std::move(compiled).take().pipeline);
       }
       return switchsim::Switch::make_broadcast(schema, {1});
     }();

@@ -120,16 +120,19 @@ Result<bool> DurableController::apply_subscribe(std::uint16_t port,
 }
 
 std::size_t DurableController::apply_unsubscribe(std::uint16_t port) {
-  const std::size_t before = subs_.size();
-  std::erase_if(subs_, [&](const Sub& s) {
-    if (s.ports.size() != 1 || s.ports[0] != port) return false;
-    for (const auto& [leaf, id] : s.placed) {
+  const auto gone = std::stable_partition(
+      subs_.begin(), subs_.end(),
+      [port](const Sub& s) { return !s.forwards_only_to(port); });
+  const auto removed = static_cast<std::size_t>(subs_.end() - gone);
+  for (auto it = gone; it != subs_.end(); ++it) {
+    for (const auto& [leaf, id] : it->placed) {
       leaves_[leaf].inc.remove(id);
       leaves_[leaf].dirty = true;
     }
-    return true;
-  });
-  return before - subs_.size();
+    if (it->committed) retired_.push_back(std::move(*it));
+  }
+  subs_.erase(gone, subs_.end());
+  return removed;
 }
 
 void DurableController::update_steering() {
@@ -178,7 +181,6 @@ void DurableController::update_steering() {
 }
 
 Result<std::uint64_t> DurableController::apply_commit(FabricDelta* out) {
-  const auto t0 = std::chrono::steady_clock::now();
   FabricDelta delta;
   delta.leaves.resize(topology_.leaves);
   // The nodes to recompile, spine first, each with its delta's slot.
@@ -190,22 +192,41 @@ Result<std::uint64_t> DurableController::apply_commit(FabricDelta* out) {
   for (std::size_t l = 0; l < topology_.leaves; ++l)
     if (leaves_[l].dirty) dirty.emplace_back(&leaves_[l], &delta.leaves[l]);
 
-  // All or nothing: when a node fails to compile, the nodes compiled before
-  // it get their diff base back and stay dirty, and the intent is
-  // untouched. The last node keeps no copy, as nothing can fail after it.
+  // All or nothing: when a live commit fails to compile, or the lint gate
+  // rejects it, every node gets its diff base back and stays dirty, and
+  // the intent does not move (diverged_: see commit()). Replay keeps no
+  // bases: a replayed commit that fails fails open().
   std::vector<table::Pipeline> bases;
-  for (std::size_t k = 0; k < dirty.size(); ++k) {
-    compiler::IncrementalCompiler& inc = dirty[k].first->inc;
-    if (k + 1 < dirty.size())
-      bases.push_back(inc.has_pipeline() ? *inc.pipeline().value()
-                                         : table::Pipeline{});
-    auto committed = inc.commit();
-    if (!committed.ok()) {
-      for (std::size_t j = 0; j < k; ++j)
-        dirty[j].first->inc.restore_installed(std::move(bases[j]));
-      return committed.error();
+  if (out)
+    for (auto& [node, _] : dirty)
+      bases.push_back(node->inc.has_pipeline() ? *node->inc.pipeline().value()
+                                               : table::Pipeline{});
+  auto fail = [&](Error error) -> Result<std::uint64_t> {
+    for (std::size_t j = 0; j < bases.size(); ++j)
+      dirty[j].first->inc.restore_installed(std::move(bases[j]));
+    diverged_ = true;
+    return error;
+  };
+
+  // The CheckpointPolicy's cost model times what replaying a kCommit
+  // reruns: the recompiles, not the copies above or the lint gate below.
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto& [node, slot] : dirty) {
+    auto committed = node->inc.commit();
+    if (!committed.ok()) return fail(committed.error());
+    *slot = std::move(committed).take();
+  }
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+
+  if (out && lint_policy_ != LintPolicy::kOff) {
+    lint_report_ = verify::Report{};
+    for (std::size_t l = 0; l < topology_.leaves; ++l) {
+      if (!leaves_[l].dirty) continue;
+      auto passed = lint(leaves_[l].inc, l);
+      if (!passed.ok()) return fail(passed.error());
     }
-    *dirty[k].second = std::move(committed).take();
   }
 
   // Snapshot the new programs as the intent: install rollback only rewinds
@@ -224,15 +245,36 @@ Result<std::uint64_t> DurableController::apply_commit(FabricDelta* out) {
   intended_->seal();
   delta.digest = intended_->fabric_digest;
   if (out) *out = std::move(delta);
-  // Feed the CheckpointPolicy's cost model: replaying a kCommit reruns
-  // this exact work, so its measured cost is the best replay estimate.
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  for (Sub& sub : subs_) sub.committed = true;
+  retired_.clear();
   commit_seconds_ewma_ = commit_seconds_ewma_ == 0
                              ? secs
                              : 0.75 * commit_seconds_ewma_ + 0.25 * secs;
   return intended_->fabric_digest;
+}
+
+Result<bool> DurableController::lint(const compiler::IncrementalCompiler& inc,
+                                     std::size_t leaf) {
+  // The leaf's rules, restricted to its ports as place() added them.
+  std::vector<lang::BoundRule> rules;
+  for (const Sub& s : subs_) {
+    auto bound = bind(s.port, s.priority, s.text);
+    if (!bound.ok()) return bound.error();
+    for (auto& [l, rule] :
+         compiler::restrict_to_leaves(bound.value().second, topology_))
+      if (l == leaf) rules.push_back(std::move(rule));
+  }
+  const compiler::Compiled candidate{.pipeline = *inc.pipeline().value(),
+                                     .stats = {},
+                                     .manager = inc.manager(),
+                                     .root = inc.root()};
+  auto verified = verify::verify_compiled(schema_, rules, candidate,
+                                          lint_report_, lint_opts_);
+  if (!verified.ok()) return verified.error();
+  if (lint_policy_ == LintPolicy::kReject && lint_report_.has_errors())
+    return Error{"verifier rejected the program of leaf " +
+                 std::to_string(leaf) + ":\n" + lint_report_.to_text()};
+  return true;
 }
 
 Result<const compiler::FabricProgram*> DurableController::intended() const {
@@ -245,14 +287,32 @@ const table::Pipeline& DurableController::program_for(std::size_t i) const {
                               : intended_->leaves[i - topology_.spines];
 }
 
-std::string DurableController::snapshot_payload() const {
+std::vector<util::Record> DurableController::snapshot_records() const {
+  // The snapshot holds what the last commit compiled. The changes made
+  // since follow it as records: an unsubscribe of each retired
+  // subscription's port (which removes exactly the retired ones), then the
+  // uncommitted subscriptions in order.
+  auto payload = [](const Sub& s) {
+    return std::to_string(s.port) + " " + std::to_string(s.priority) + " " +
+           s.text;
+  };
   std::ostringstream os;
   os << "epoch " << epoch_ << "\n"
      << "commits " << commit_seq_ << "\n"
      << "installs " << install_seq_ << "\n";
-  for (const Sub& s : subs_)
-    os << "sub " << s.port << " " << s.priority << " " << s.text << "\n";
-  return os.str();
+  std::vector<util::Record> records(1);
+  for (const Sub& s : retired_) {
+    os << "sub " << payload(s) << "\n";
+    records.push_back({RecordType::kUnsubscribe, std::to_string(s.ports[0])});
+  }
+  for (const Sub& s : subs_) {
+    if (s.committed)
+      os << "sub " << payload(s) << "\n";
+    else
+      records.push_back({RecordType::kSubscribe, payload(s)});
+  }
+  records[0] = {RecordType::kSnapshot, os.str()};
+  return records;
 }
 
 Result<bool> DurableController::replay_snapshot(const std::string& payload) {
@@ -411,9 +471,14 @@ Result<bool> DurableController::subscribe(std::uint16_t port,
                                           std::string_view rule_text,
                                           int priority) {
   if (!opened_) return not_open();
+  // Replay reads kSubscribe payloads and snapshot lines with getline, so a
+  // line break would truncate the rule. Joining the lines is no fix: a '#'
+  // or '//' comment would then swallow the rest of the rule.
+  if (rule_text.find('\n') != std::string_view::npos)
+    return Error{"rule text spans lines; the journal stores one rule per "
+                 "line", 0, 0, "E143"};
   std::string text(rule_text);
-  // Interest-only form: append the subscriber's forwarding action (same
-  // contract as Controller::subscribe).
+  // Interest-only form: append the subscriber's forwarding action.
   if (text.find(':') == std::string::npos)
     text += " : fwd(" + std::to_string(port) + ")";
   // Validate BEFORE journaling — a rejected rule must not pollute the log
@@ -434,11 +499,9 @@ Result<bool> DurableController::subscribe(std::uint16_t port,
 Result<std::size_t> DurableController::unsubscribe(std::uint16_t port) {
   if (!opened_) return not_open();
   // Pure query first: a no-op unsubscribe journals nothing.
-  const std::size_t matching = static_cast<std::size_t>(std::count_if(
-      subs_.begin(), subs_.end(), [port](const Sub& s) {
-        return s.ports.size() == 1 && s.ports[0] == port;
-      }));
-  if (matching == 0) return std::size_t{0};
+  if (std::none_of(subs_.begin(), subs_.end(),
+                   [port](const Sub& s) { return s.forwards_only_to(port); }))
+    return std::size_t{0};
   auto journaled = journal_.append(RecordType::kUnsubscribe,
                                    std::to_string(port));
   if (!journaled.ok()) return journaled.error();
@@ -454,6 +517,15 @@ Result<FabricDelta> DurableController::commit() {
   auto digest = apply_commit(&delta);
   if (!digest.ok()) return digest.error();
   ++commit_seq_;
+  if (diverged_) {
+    // A failed commit left its BDD nodes and state ids in the compilers, so
+    // a kCommit record could not replay to this digest (J010). Journal the
+    // commit as a snapshot, whose replay recompiles from scratch.
+    auto compacted = checkpoint();
+    if (!compacted.ok()) return compacted.error();
+    diverged_ = false;
+    return delta;
+  }
   std::ostringstream payload;
   payload << commit_seq_ << " " << digest.value();
   auto journaled = journal_.append(RecordType::kCommit, payload.str());
@@ -669,12 +741,12 @@ Result<FabricReconcileReport> DurableController::reconcile(
 
 Result<bool> DurableController::checkpoint() {
   if (!opened_) return not_open();
-  const util::Record rec{RecordType::kSnapshot, snapshot_payload()};
-  auto compacted = journal_.compact(std::span<const util::Record>(&rec, 1));
+  const std::vector<util::Record> records = snapshot_records();
+  auto compacted = journal_.compact(records);
   if (!compacted.ok()) return compacted;
-  // Replay now starts at the snapshot: one record, and one recompile when
+  // Replay now starts at the snapshot: its records, and one recompile when
   // committed state exists.
-  records_since_checkpoint_ = 1;
+  records_since_checkpoint_ = records.size();
   commits_since_checkpoint_ = commit_seq_ > 0 ? 1 : 0;
   return compacted;
 }

@@ -32,23 +32,28 @@
 //                 is deterministic without knowing how far it got.
 //   subscribe     journal kSubscribe "port prio text" -> bind -> place
 //   unsubscribe   journal kUnsubscribe "port" -> remove every rule
-//                 forwarding ONLY to the port (Controller::unsubscribe's
-//                 filter)
+//                 forwarding ONLY to the port
 //   commit        recompile the changed nodes (pure in-memory; a crash
 //                 before journaling simply loses the uncommitted compile)
-//                 -> journal kCommit "seq fabric_digest"
+//                 -> LintPolicy gate -> journal kCommit "seq fabric_digest".
+//                 A failed commit journals nothing but leaves its BDD nodes
+//                 and state ids in the compilers, so the next accepted
+//                 commit is journaled as a checkpoint instead.
 //   install       journal kInstallBegin "seq fabric_digest" -> stage every
 //                 non-empty node delta, then commit each, epoch-fenced ->
 //                 journal kInstallCommit/kInstallAbort "seq"
-//   checkpoint    compact the journal to one kSnapshot record (full
-//                 intended state). Replay from a snapshot re-adds the
-//                 surviving subscriptions and recompiles once: recovery is
+//   checkpoint    compact the journal to one kSnapshot record (the
+//                 committed subscriptions), followed by the uncommitted
+//                 subscribe/unsubscribe records. Replay from a snapshot
+//                 re-adds the committed subscriptions and recompiles once,
+//                 so the intent stays the last accepted commit: recovery is
 //                 then O(live state), not O(history), but state numbering
 //                 is fresh — semantically equivalent (the nemesis verifies
 //                 delivery against an oracle), digest-different. Exact
 //                 replay (no checkpoint) reproduces the pre-crash programs
 //                 bit-identically, because the compiler is deterministic
-//                 given the same operation history. The recovery bench
+//                 given the same operation history (which is why a failed
+//                 commit forces the next checkpoint). The recovery bench
 //                 measures both modes; kCommit digests recorded after a
 //                 checkpoint are therefore only enforced on exact replay.
 //
@@ -81,8 +86,21 @@
 #include "util/interval.hpp"
 #include "util/journal.hpp"
 #include "util/result.hpp"
+#include "verify/verify.hpp"
 
 namespace camus::pubsub {
+
+// How much static verification commit() runs on each recompiled leaf
+// program before the intent moves (paper Figure 6: the controller gates
+// what reaches the switch). Runtime configuration, not journaled: replay
+// never lints, as every journaled commit was accepted when it was made.
+// The spine steering program is not linted; verify/fabric proves it.
+enum class LintPolicy : std::uint8_t {
+  kOff,     // no verification (default)
+  kWarn,    // verify, keep diagnostics in last_lint(), never reject
+  kReject,  // error-severity findings fail commit(); switches keep the
+            // last-good programs
+};
 
 // What open() found in the journal.
 struct RecoveryInfo {
@@ -202,6 +220,7 @@ struct FabricReconcileReport {
 // Diagnostics:
 //   E122  intended() or install() before the first commit()
 //   E142  operation before a successful open()
+//   E143  rule text spans lines (the journal stores one rule per line)
 //   F150  stateful rule on a multi-switch topology (rejected at subscribe)
 //   F151  degenerate topology, or targets/delta shaped for another one
 //   J010  replayed commit digest mismatch (journal corruption or broken
@@ -228,17 +247,29 @@ class DurableController {
   std::uint64_t commit_seq() const noexcept { return commit_seq_; }
   std::size_t subscription_count() const noexcept { return subs_.size(); }
 
-  // WAL-first mutations (same text handling as Controller::subscribe —
-  // interest-only rules get " : fwd(port)" appended; unsubscribe removes
-  // rules forwarding ONLY to the port). A rule that cannot be placed is
-  // rejected before it is journaled.
+  // WAL-first mutations. A rule text without an action is the
+  // interest-only form: " : fwd(port)" is appended. unsubscribe removes
+  // every rule forwarding ONLY to the port. A rule that cannot be placed,
+  // or whose text spans lines (E143), is rejected before it is journaled.
   util::Result<bool> subscribe(std::uint16_t port,
                                std::string_view rule_text, int priority = 0);
   util::Result<std::size_t> unsubscribe(std::uint16_t port);
 
   // Recompiles the changed nodes and journals the commit boundary with the
-  // fabric digest. The returned deltas are what install() ships.
+  // fabric digest. The returned deltas are what install() ships. A failed
+  // compile or lint gate fails the whole commit: no node's diff base, dirty
+  // flag or intent moves and nothing is journaled. The next accepted
+  // commit is then journaled as a checkpoint (see file comment).
   util::Result<FabricDelta> commit();
+
+  // Static-verification gate for commit(): each recompiled leaf program is
+  // checked with verify::verify_compiled against that leaf's rules.
+  void set_lint_policy(LintPolicy policy, verify::VerifyOptions opts = {}) {
+    lint_policy_ = policy;
+    lint_opts_ = std::move(opts);
+  }
+  // Diagnostics of the most recent linted commit().
+  const verify::Report& last_lint() const noexcept { return lint_report_; }
 
   // The intended programs: what the last journaled commit compiled (E122
   // before the first commit). Deliberately NOT the compilers' diff bases
@@ -270,8 +301,9 @@ class DurableController {
       std::size_t chunk_bytes = 512, int max_attempts = 3,
       int chunk_retries = 8);
 
-  // Compacts the journal to a single snapshot of the intended state (see
-  // file comment for the recovery-fidelity trade-off).
+  // Compacts the journal to a snapshot of the intended state plus the
+  // uncommitted changes (see file comment for the recovery-fidelity
+  // trade-off).
   util::Result<bool> checkpoint();
 
   // Arms automatic checkpointing: commit() compacts the journal once the
@@ -311,6 +343,10 @@ class DurableController {
     std::vector<std::uint16_t> ports;  // bound action ports (unsub filter)
     Pins pins;  // steering footprint (multi-switch topologies only)
     std::vector<std::pair<std::size_t, SubscriptionId>> placed;  // leaf, id
+    bool committed = false;  // compiled by the last commit
+    bool forwards_only_to(std::uint16_t p) const noexcept {
+      return ports.size() == 1 && ports[0] == p;
+    }
   };
 
   // A leaf's steering set as its spine rule sees it: nothing, everything,
@@ -337,7 +373,11 @@ class DurableController {
   void update_steering();
   // Recompiles the dirty nodes, all or nothing, and returns the fabric
   // digest. On failure no node's diff base, dirty flag or intent moves.
+  // Only live commits (out != nullptr) run the lint gate.
   util::Result<std::uint64_t> apply_commit(FabricDelta* out);
+  // The lint gate on one recompiled leaf program.
+  util::Result<bool> lint(const compiler::IncrementalCompiler& inc,
+                          std::size_t leaf);
   // The intended program of flat switch index i (spines share one).
   const table::Pipeline& program_for(std::size_t i) const;
   // Points the next delta of every node `delta` meant to touch at what its
@@ -346,7 +386,9 @@ class DurableController {
   util::Result<FabricInstallReport> abort_install(
       FabricInstallReport report, const FabricTargets& targets,
       const FabricDelta& delta);
-  std::string snapshot_payload() const;
+  // The checkpoint: a kSnapshot of what the last commit compiled, then the
+  // uncommitted subscribe/unsubscribe records that lead to subs_.
+  std::vector<util::Record> snapshot_records() const;
   util::Result<bool> replay_snapshot(const std::string& payload);
   // Runs the CheckpointPolicy at a commit boundary; no-op when disarmed
   // or below threshold.
@@ -365,6 +407,12 @@ class DurableController {
   // the compilers' diff bases, which install() rewinds on abort.
   std::optional<compiler::FabricProgram> intended_;
   std::vector<Sub> subs_;
+  // Subscriptions the last commit compiled that an unsubscribe has since
+  // removed; the next checkpoint still snapshots them.
+  std::vector<Sub> retired_;
+  // A live commit failed since the last journaled one: its leftovers in
+  // the compilers keep the next accepted commit from replaying exactly.
+  bool diverged_ = false;
   bool opened_ = false;
   std::uint64_t epoch_ = 0;
   std::uint64_t commit_seq_ = 0;
@@ -378,6 +426,9 @@ class DurableController {
   std::uint64_t commits_since_checkpoint_ = 0;
   double commit_seconds_ewma_ = 0;
   std::uint64_t auto_checkpoints_ = 0;
+  LintPolicy lint_policy_ = LintPolicy::kOff;
+  verify::VerifyOptions lint_opts_;
+  verify::Report lint_report_;
 };
 
 }  // namespace camus::pubsub

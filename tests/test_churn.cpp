@@ -15,7 +15,7 @@
 
 #include "compiler/compile.hpp"
 #include "compiler/incremental.hpp"
-#include "pubsub/controller.hpp"
+#include "pubsub/durable.hpp"
 #include "pubsub/install.hpp"
 #include "spec/itch_spec.hpp"
 #include "switchsim/switch.hpp"
@@ -349,46 +349,42 @@ TEST(ChurnDelta, SerializeOpsRoundTrip) {
       table::deserialize_ops(wire.substr(0, wire.size() / 2)).ok());
 }
 
-// The controller-level path: subscribe/unsubscribe mark deltas, commit()
-// flows them out, and a batch compile() interoperates with later commits.
+// The controller-level path: subscribe/unsubscribe mark deltas, and
+// commit() flows them out.
 TEST(ControllerChurn, CommitFlowsDeltas) {
-  pubsub::Controller ctl(spec::make_itch_schema());
+  util::MemStorage storage;
+  pubsub::DurableController ctl(spec::make_itch_schema(), storage);
+  ASSERT_TRUE(ctl.open().ok());
   ASSERT_TRUE(ctl.subscribe(1, "stock == GOOGL").ok());
   ASSERT_TRUE(ctl.subscribe(2, "stock == MSFT and price > 250").ok());
 
   auto first = ctl.commit();
   ASSERT_TRUE(first.ok()) << first.error().to_string();
-  EXPECT_GT(first.value().adds(), 0u);
-  EXPECT_EQ(first.value().removes(), 0u);
-  EXPECT_TRUE(ctl.has_compiled());
+  EXPECT_GT(first.value().leaves[0].adds(), 0u);
+  EXPECT_EQ(first.value().leaves[0].removes(), 0u);
+  EXPECT_TRUE(ctl.intended().ok());
 
   // A no-op commit ships nothing.
   auto noop = ctl.commit();
   ASSERT_TRUE(noop.ok());
-  EXPECT_TRUE(noop.value().ops.empty());
+  EXPECT_TRUE(noop.value().leaves[0].ops.empty());
+  EXPECT_TRUE(noop.value().touched(0).empty());
 
   // One more subscriber: the delta is a strict subset of the pipeline.
   ASSERT_TRUE(ctl.subscribe(3, "stock == AAPL and price > 100").ok());
   auto second = ctl.commit();
   ASSERT_TRUE(second.ok());
-  EXPECT_GT(second.value().adds(), 0u);
-  EXPECT_LT(second.value().ops.size(), second.value().total_entries);
-  EXPECT_GT(second.value().reuse_fraction(), 0.0);
+  const auto& added = second.value().leaves[0];
+  EXPECT_GT(added.adds(), 0u);
+  EXPECT_LT(added.ops.size(), added.total_entries);
+  EXPECT_GT(added.reuse_fraction(), 0.0);
 
   // Disconnect: the delta carries the removals.
-  EXPECT_EQ(ctl.unsubscribe(3), 1u);
+  EXPECT_EQ(ctl.unsubscribe(3).value(), 1u);
   auto third = ctl.commit();
   ASSERT_TRUE(third.ok());
-  EXPECT_GT(third.value().removes(), 0u);
-
-  // Batch compile() re-seeds the diff base; a later commit still works.
-  ASSERT_TRUE(ctl.compile().ok());
-  ASSERT_TRUE(ctl.subscribe(4, "stock == INTC").ok());
-  auto fourth = ctl.commit();
-  ASSERT_TRUE(fourth.ok());
-  EXPECT_GT(fourth.value().adds(), 0u);
-  ASSERT_TRUE(ctl.compiled().ok());
-  EXPECT_EQ(ctl.compiled().value()->stats.rule_count, 3u);
+  EXPECT_GT(third.value().leaves[0].removes(), 0u);
+  EXPECT_EQ(ctl.subscription_count(), 2u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Concurrent read-only lookups (run under ThreadSanitizer in CI): the
-// controller finalizes a pipeline eagerly at install time, so
+// compiler finalizes every pipeline it emits, and copies keep the index, so
 // Pipeline::evaluate and CompiledPipeline::traverse are const and safe to
 // call from many threads at once. Before the eager finalize, the first
 // evaluate would lazily build table indexes and race.
@@ -8,16 +8,19 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "compiler/incremental.hpp"
 #include "fault/plan.hpp"
-#include "pubsub/controller.hpp"
+#include "pubsub/durable.hpp"
 #include "pubsub/install.hpp"
 #include "spec/itch_spec.hpp"
 #include "switchsim/extract.hpp"
 #include "table/compiled.hpp"
+#include "util/journal.hpp"
+#include "util/rng.hpp"
 #include "workload/churn.hpp"
 #include "workload/feed.hpp"
 #include "workload/itch_subs.hpp"
@@ -35,29 +38,34 @@ std::uint64_t fnv_step(std::uint64_t h, std::uint64_t v) {
 
 TEST(ConcurrentLookup, EvaluateAndTraverseAfterControllerCompile) {
   auto schema = spec::make_itch_schema();
-  workload::ItchSubsParams sp;
-  sp.seed = 17;
-  sp.n_subscriptions = 300;
-  sp.n_symbols = 100;
-  sp.n_hosts = 16;
-  auto subs = workload::generate_itch_subscriptions(schema, sp);
+  const auto symbols = workload::itch_symbols(100);
 
-  pubsub::Controller ctl(schema);
-  for (const auto& r : subs.rules) ctl.subscribe(r);
-  auto compiled = ctl.compile();
-  ASSERT_TRUE(compiled.ok()) << compiled.error().to_string();
+  // The Figure 5c subscription shape, 300 of them over 16 hosts.
+  util::MemStorage storage;
+  pubsub::DurableController ctl(schema, storage);
+  ASSERT_TRUE(ctl.open().ok());
+  util::Rng rng(17);
+  for (int i = 0; i < 300; ++i)
+    ASSERT_TRUE(ctl.subscribe(0, "stock == " + rng.pick(symbols) +
+                                     " and price > " +
+                                     std::to_string(rng.uniform(1, 999)) +
+                                     " : fwd(" +
+                                     std::to_string(rng.uniform(1, 16)) + ")")
+                    .ok());
+  auto committed = ctl.commit();
+  ASSERT_TRUE(committed.ok()) << committed.error().to_string();
 
-  // Deliberately no finalize() here: the controller must have finalized
-  // the installed pipeline, or the first concurrent evaluate below races
+  // Deliberately no finalize() here: the controller's intended program
+  // must arrive finalized, or the first concurrent evaluate below races
   // on the lazy index build.
-  const table::Pipeline& pipe = ctl.compiled().value()->pipeline;
+  const table::Pipeline& pipe = ctl.intended().value()->leaves[0];
   const table::CompiledPipeline cp(pipe);
   ASSERT_TRUE(cp.valid());
 
   workload::FeedParams fp;
   fp.seed = 23;
   fp.n_messages = 2000;
-  fp.symbols = subs.symbols;
+  fp.symbols = symbols;
   auto feed = workload::generate_feed(fp);
 
   switchsim::ItchFieldExtractor ex(schema);

@@ -3,7 +3,6 @@
 
 #include "compiler/compile.hpp"
 #include "netsim/market_experiment.hpp"
-#include "pubsub/controller.hpp"
 #include "spec/itch_spec.hpp"
 #include "util/intern.hpp"
 #include "util/rng.hpp"
@@ -89,14 +88,14 @@ TEST(FanoutExperiment, ConservationAndSeparation) {
   EXPECT_EQ(base.interested_expected, feed.messages.size());
   EXPECT_EQ(base.interested_received, base.interested_expected);
 
-  pubsub::Controller ctl(spec::make_itch_schema());
+  std::string rules;
   for (const auto& [sym, port] : interest)
-    ASSERT_TRUE(ctl.subscribe(port, "stock == " + sym).ok());
-  auto sw = ctl.build_switch();
-  ASSERT_TRUE(sw.ok());
+    rules += "stock == " + sym + " : fwd(" + std::to_string(port) + ")\n";
+  auto compiled = compiler::compile_source(schema, rules);
+  ASSERT_TRUE(compiled.ok()) << compiled.error().to_string();
+  switchsim::Switch sw(schema, std::move(compiled).take().pipeline);
   mp.mode = netsim::FilterMode::kSwitchFilter;
-  auto camus =
-      netsim::run_fanout_experiment(mp, sw.value(), feed, interest, 4);
+  auto camus = netsim::run_fanout_experiment(mp, sw, feed, interest, 4);
   // Switch filtering delivers each frame exactly once (disjoint slices).
   EXPECT_EQ(camus.frames_to_hosts, feed.messages.size());
   EXPECT_EQ(camus.interested_received, camus.interested_expected);

@@ -550,6 +550,51 @@ TEST(FabricController, CrashBetweenCommitsRecoversToConvergence) {
   plant.expect_runs_intent(successor);
 }
 
+// The lint gate is all or nothing across nodes too: a leaf program the
+// verifier rejects commits no node, and nothing is journaled.
+TEST(FabricController, LintRejectCommitsNoNode) {
+  FabricPlant plant(2, 2);
+  ASSERT_TRUE(plant.ctl.open().ok());
+  plant.ctl.set_lint_policy(camus::pubsub::LintPolicy::kReject);
+  ASSERT_TRUE(plant.ctl.subscribe(0, "stock == GOOGL").ok());
+  ASSERT_TRUE(plant.ctl.subscribe(1, "stock == MSFT").ok());
+  auto first = plant.ctl.commit();
+  ASSERT_TRUE(first.ok()) << first.error().to_string();
+  ASSERT_TRUE(plant.ctl.install(plant.fabric.targets(), first.value())
+                  .value()
+                  .committed);
+  const auto installed = plant.digests();
+  const std::uint64_t intent = plant.ctl.intended().value()->fabric_digest;
+
+  // A new symbol on leaf 0 changes the spines and leaf 0; an unsatisfiable
+  // rule on leaf 1 is an S001 error.
+  ASSERT_TRUE(plant.ctl.subscribe(2, "stock == AAPL").ok());
+  ASSERT_TRUE(
+      plant.ctl.subscribe(3, "stock == MSFT and shares < 10 and shares > 20")
+          .ok());
+  const std::string journal = plant.storage.load().value();
+  auto failed = plant.ctl.commit();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.error().message.find("S001"), std::string::npos);
+  EXPECT_NE(failed.error().message.find("leaf 1"), std::string::npos);
+  EXPECT_EQ(plant.ctl.commit_seq(), 1u);
+  EXPECT_EQ(plant.ctl.intended().value()->fabric_digest, intent);
+  EXPECT_EQ(plant.storage.load().value(), journal);
+  EXPECT_EQ(plant.digests(), installed);
+
+  // Without the rejected rule the commit goes through and still ships both
+  // spines and leaf 0.
+  ASSERT_EQ(plant.ctl.unsubscribe(3).value(), 1u);
+  auto next = plant.ctl.commit();
+  ASSERT_TRUE(next.ok()) << next.error().to_string();
+  EXPECT_EQ(next.value().touched(2), (std::vector<std::size_t>{0, 1, 2}));
+  auto rep = plant.ctl.install(plant.fabric.targets(), next.value());
+  ASSERT_TRUE(rep.ok());
+  ASSERT_TRUE(rep.value().committed) << rep.value().error;
+  plant.expect_runs_intent(plant.ctl);
+  EXPECT_EQ(plant.digests()[3], installed[3]);
+}
+
 // A commit is all or nothing across nodes: when a leaf fails to compile
 // after the spine and an earlier leaf compiled, none of them counts as
 // committed, so the next commit ships all three.

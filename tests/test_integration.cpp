@@ -8,8 +8,8 @@
 
 #include "baseline/matcher.hpp"
 #include "lang/parser.hpp"
-#include "pubsub/controller.hpp"
 #include "pubsub/endpoints.hpp"
+#include "single_switch.hpp"
 #include "spec/itch_spec.hpp"
 #include "switchsim/extract.hpp"
 #include "workload/feed.hpp"
@@ -36,7 +36,7 @@ TEST_P(EndToEnd, SubscribersReceiveExactlyTheirContent) {
 
   compiler::CompileOptions opts;
   opts.domain_compression = param.compression;
-  pubsub::Controller ctl(spec::make_itch_schema(), opts);
+  fixture::SingleSwitch plant(opts);
 
   // A mix of overlapping, numeric, negated, and disjunctive filters.
   const std::vector<std::pair<std::uint16_t, std::string>> subscriptions = {
@@ -48,14 +48,14 @@ TEST_P(EndToEnd, SubscribersReceiveExactlyTheirContent) {
       {6, "stock == NVDA and shares >= 100 and shares <= 200"},
   };
   for (const auto& [port, text] : subscriptions)
-    ASSERT_TRUE(ctl.subscribe(port, text).ok()) << text;
+    ASSERT_TRUE(plant.ctl.subscribe(port, text).ok()) << text;
 
-  auto sw = ctl.build_switch();
-  ASSERT_TRUE(sw.ok()) << sw.error().to_string();
-  ASSERT_TRUE(sw.value().fits());
+  auto installed = plant.commit_and_install();
+  ASSERT_TRUE(installed.ok()) << installed.error().to_string();
+  switchsim::Switch& sw = plant.sw;
+  ASSERT_TRUE(sw.fits());
 
   // Reference matcher over the same rules.
-  ASSERT_TRUE(ctl.compile().ok());
   std::vector<lang::BoundRule> bound;
   for (const auto& [port, text] : subscriptions) {
     auto parsed = lang::parse_rule(text + " : fwd(" + std::to_string(port) +
@@ -87,7 +87,7 @@ TEST_P(EndToEnd, SubscribersReceiveExactlyTheirContent) {
   std::map<std::uint16_t, std::uint64_t> expected_counts;
   for (const auto& fm : feed.messages) {
     const auto frame = pub.publish(fm.msg);
-    const auto copies = sw.value().process(frame, fm.t_us);
+    const auto copies = sw.process(frame, fm.t_us);
 
     // Expected port set from the reference matcher.
     lang::Env env;
@@ -120,8 +120,8 @@ TEST_P(EndToEnd, SubscribersReceiveExactlyTheirContent) {
   EXPECT_LE(subs.at(2).received(), subs.at(1).received());
 
   // Everything the publisher sent was classified.
-  EXPECT_EQ(sw.value().counters().rx_frames, feed.messages.size());
-  EXPECT_EQ(sw.value().counters().parse_errors, 0u);
+  EXPECT_EQ(sw.counters().rx_frames, feed.messages.size());
+  EXPECT_EQ(sw.counters().parse_errors, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -133,14 +133,15 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(EndToEndStateful, CounterGatesTraffic) {
   // Forward AAPL only after 3 AAPL messages were seen in the same 100us
   // window: a stateful rate-gate expressed as a packet subscription.
-  auto schema = spec::make_itch_schema();
-  pubsub::Controller ctl(spec::make_itch_schema());
+  fixture::SingleSwitch plant;
   ASSERT_TRUE(
-      ctl.subscribe(1, "stock == AAPL and my_counter > 2 : fwd(1)").ok());
+      plant.ctl.subscribe(1, "stock == AAPL and my_counter > 2 : fwd(1)")
+          .ok());
   ASSERT_TRUE(
-      ctl.subscribe(1, "stock == AAPL : update(my_counter)").ok());
-  auto sw = ctl.build_switch();
-  ASSERT_TRUE(sw.ok()) << sw.error().to_string();
+      plant.ctl.subscribe(1, "stock == AAPL : update(my_counter)").ok());
+  auto installed = plant.commit_and_install();
+  ASSERT_TRUE(installed.ok()) << installed.error().to_string();
+  switchsim::Switch& sw = plant.sw;
 
   pubsub::Publisher pub;
   proto::ItchAddOrder m;
@@ -149,13 +150,13 @@ TEST(EndToEndStateful, CounterGatesTraffic) {
   m.price = 1;
 
   // Messages 1-3 in window [0,100) only bump the counter.
-  EXPECT_TRUE(sw.value().process(pub.publish(m), 10).empty());
-  EXPECT_TRUE(sw.value().process(pub.publish(m), 20).empty());
-  EXPECT_TRUE(sw.value().process(pub.publish(m), 30).empty());
+  EXPECT_TRUE(sw.process(pub.publish(m), 10).empty());
+  EXPECT_TRUE(sw.process(pub.publish(m), 20).empty());
+  EXPECT_TRUE(sw.process(pub.publish(m), 30).empty());
   // Message 4: counter is 3 > 2 -> forwarded.
-  EXPECT_EQ(sw.value().process(pub.publish(m), 40).size(), 1u);
+  EXPECT_EQ(sw.process(pub.publish(m), 40).size(), 1u);
   // New window: counter reset, gate closes again.
-  EXPECT_TRUE(sw.value().process(pub.publish(m), 150).empty());
+  EXPECT_TRUE(sw.process(pub.publish(m), 150).empty());
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Discrete-event simulator primitives and the Figure 7 market experiment.
 #include <gtest/gtest.h>
 
+#include "compiler/compile.hpp"
 #include "netsim/market_experiment.hpp"
 #include "netsim/sim.hpp"
-#include "pubsub/controller.hpp"
 #include "spec/itch_spec.hpp"
 
 namespace {
@@ -94,17 +94,20 @@ workload::Feed small_feed(double watched_fraction, std::size_t n = 20000) {
   return workload::generate_feed(p);
 }
 
-TEST(MarketExperiment, CamusDeliversExactlyWatched) {
+// The Camus switch of the Figure 7 experiments: port 1 wants GOOGL.
+switchsim::Switch googl_switch() {
   auto schema = spec::make_itch_schema();
-  pubsub::Controller ctl(spec::make_itch_schema());
-  ASSERT_TRUE(ctl.subscribe(1, "stock == GOOGL").ok());
-  auto sw = ctl.build_switch();
-  ASSERT_TRUE(sw.ok());
+  auto compiled = compiler::compile_source(schema, "stock == GOOGL : fwd(1)");
+  EXPECT_TRUE(compiled.ok());
+  return switchsim::Switch(schema, std::move(compiled).take().pipeline);
+}
 
+TEST(MarketExperiment, CamusDeliversExactlyWatched) {
+  auto sw = googl_switch();
   const auto feed = small_feed(0.05);
   netsim::MarketExperimentParams mp;
   mp.mode = netsim::FilterMode::kSwitchFilter;
-  auto res = netsim::run_market_experiment(mp, sw.value(), feed, "GOOGL");
+  auto res = netsim::run_market_experiment(mp, sw, feed, "GOOGL");
 
   EXPECT_EQ(res.published, feed.messages.size());
   EXPECT_EQ(res.delivered_to_host, feed.watched_count);
@@ -127,14 +130,10 @@ TEST(MarketExperiment, SwitchFilteringReducesTailLatency) {
   auto schema = spec::make_itch_schema();
   const auto feed = small_feed(0.05);
 
-  pubsub::Controller ctl(spec::make_itch_schema());
-  ASSERT_TRUE(ctl.subscribe(1, "stock == GOOGL").ok());
-  auto camus_sw = ctl.build_switch();
-  ASSERT_TRUE(camus_sw.ok());
+  auto camus_sw = googl_switch();
   netsim::MarketExperimentParams mp;
   mp.mode = netsim::FilterMode::kSwitchFilter;
-  auto camus = netsim::run_market_experiment(mp, camus_sw.value(), feed,
-                                             "GOOGL");
+  auto camus = netsim::run_market_experiment(mp, camus_sw, feed, "GOOGL");
 
   auto base_sw = switchsim::Switch::make_broadcast(schema, {1});
   mp.mode = netsim::FilterMode::kHostFilter;
@@ -147,14 +146,10 @@ TEST(MarketExperiment, SwitchFilteringReducesTailLatency) {
 }
 
 TEST(MarketExperiment, LatencyHasPhysicalFloor) {
-  auto schema = spec::make_itch_schema();
-  pubsub::Controller ctl(spec::make_itch_schema());
-  ASSERT_TRUE(ctl.subscribe(1, "stock == GOOGL").ok());
-  auto sw = ctl.build_switch();
-  ASSERT_TRUE(sw.ok());
+  auto sw = googl_switch();
   const auto feed = small_feed(0.02, 5000);
   netsim::MarketExperimentParams mp;
-  auto res = netsim::run_market_experiment(mp, sw.value(), feed, "GOOGL");
+  auto res = netsim::run_market_experiment(mp, sw, feed, "GOOGL");
   // Floor: two propagation delays + switch pipeline + CPU deliver cost.
   const double floor = 2 * mp.link_propagation_us + mp.switch_pipeline_us +
                        mp.deliver_cost_us;
@@ -205,12 +200,9 @@ TEST(MarketExperiment, BoundedHostQueueDropsUnderBroadcast) {
   EXPECT_LT(res.latency_us.max(), bound);
 
   // Switch filtering with the same limit drops nothing.
-  pubsub::Controller ctl(spec::make_itch_schema());
-  ASSERT_TRUE(ctl.subscribe(1, "stock == GOOGL").ok());
-  auto csw = ctl.build_switch();
-  ASSERT_TRUE(csw.ok());
+  auto csw = googl_switch();
   mp.mode = netsim::FilterMode::kSwitchFilter;
-  auto cres = netsim::run_market_experiment(mp, csw.value(), feed, "GOOGL");
+  auto cres = netsim::run_market_experiment(mp, csw, feed, "GOOGL");
   EXPECT_EQ(cres.host_drops, 0u);
   EXPECT_EQ(cres.watched_received, cres.watched_expected);
 }

@@ -1,8 +1,12 @@
 // Camus pub/sub runtime: controller, publisher/subscriber endpoints.
 #include <gtest/gtest.h>
 
-#include "pubsub/controller.hpp"
+#include <string>
+#include <vector>
+
+#include "compiler/p4gen.hpp"
 #include "pubsub/endpoints.hpp"
+#include "single_switch.hpp"
 #include "spec/itch_spec.hpp"
 
 namespace {
@@ -18,73 +22,80 @@ proto::ItchAddOrder order(std::string stock, std::uint32_t price = 100) {
 }
 
 TEST(Controller, SubscribeInterestOnlyForm) {
-  pubsub::Controller ctl(spec::make_itch_schema());
-  ASSERT_TRUE(ctl.subscribe(3, "stock == GOOGL").ok());
-  ASSERT_TRUE(ctl.subscribe(4, "stock == GOOGL : fwd(4)").ok());
-  EXPECT_EQ(ctl.subscription_count(), 2u);
+  fixture::SingleSwitch plant;
+  ASSERT_TRUE(plant.ctl.subscribe(3, "stock == GOOGL").ok());
+  ASSERT_TRUE(plant.ctl.subscribe(4, "stock == GOOGL : fwd(4)").ok());
+  EXPECT_EQ(plant.ctl.subscription_count(), 2u);
 
-  auto sw = ctl.build_switch();
-  ASSERT_TRUE(sw.ok()) << sw.error().to_string();
+  auto installed = plant.commit_and_install();
+  ASSERT_TRUE(installed.ok()) << installed.error().to_string();
   pubsub::Publisher pub;
-  const auto copies = sw.value().process(pub.publish(order("GOOGL")), 0);
+  const auto copies = plant.sw.process(pub.publish(order("GOOGL")), 0);
   std::vector<std::uint16_t> ports;
   for (const auto& c : copies) ports.push_back(c.port);
   EXPECT_EQ(ports, (std::vector<std::uint16_t>{3, 4}));
 }
 
 TEST(Controller, RejectsBadRules) {
-  pubsub::Controller ctl(spec::make_itch_schema());
-  EXPECT_FALSE(ctl.subscribe(1, "nosuchfield == 5").ok());
-  EXPECT_FALSE(ctl.subscribe(1, "stock == ").ok());
-  EXPECT_EQ(ctl.subscription_count(), 0u);
+  fixture::SingleSwitch plant;
+  const std::string journal = plant.storage.load().value();
+  EXPECT_FALSE(plant.ctl.subscribe(1, "nosuchfield == 5").ok());
+  EXPECT_FALSE(plant.ctl.subscribe(1, "stock == ").ok());
+  EXPECT_EQ(plant.ctl.subscription_count(), 0u);
+  // Rejected before journaling: replay never sees them.
+  EXPECT_EQ(plant.storage.load().value(), journal);
 }
 
 TEST(Controller, RecompilesOnChange) {
-  pubsub::Controller ctl(spec::make_itch_schema());
-  ASSERT_TRUE(ctl.subscribe(1, "stock == AAPL").ok());
-  ASSERT_TRUE(ctl.compile().ok());
-  const auto entries1 = ctl.compiled().value()->stats.total_entries;
-  ASSERT_TRUE(ctl.subscribe(2, "stock == MSFT and price > 100").ok());
-  ASSERT_TRUE(ctl.compile().ok());
-  EXPECT_GT(ctl.compiled().value()->stats.total_entries, entries1);
+  fixture::SingleSwitch plant;
+  ASSERT_TRUE(plant.ctl.subscribe(1, "stock == AAPL").ok());
+  ASSERT_TRUE(plant.ctl.commit().ok());
+  const auto entries1 = plant.program().total_entries();
+  ASSERT_TRUE(plant.ctl.subscribe(2, "stock == MSFT and price > 100").ok());
+  ASSERT_TRUE(plant.ctl.commit().ok());
+  EXPECT_GT(plant.program().total_entries(), entries1);
 }
 
 TEST(Controller, EmitsP4AndControlPlane) {
-  pubsub::Controller ctl(spec::make_itch_schema());
-  ASSERT_TRUE(ctl.subscribe(1, "stock == GOOGL and price > 500").ok());
-  ASSERT_TRUE(ctl.compile().ok());
+  fixture::SingleSwitch plant;
+  ASSERT_TRUE(plant.ctl.subscribe(1, "stock == GOOGL and price > 500").ok());
+  ASSERT_TRUE(plant.ctl.commit().ok());
 
-  const std::string p4 = ctl.p4_program();
+  const std::string p4 =
+      compiler::generate_p4(plant.ctl.schema(), &plant.program());
   EXPECT_NE(p4.find("parser CamusParser"), std::string::npos);
   EXPECT_NE(p4.find("table tbl_add_order_stock"), std::string::npos);
   EXPECT_NE(p4.find("register"), std::string::npos);
   EXPECT_NE(p4.find("V1Switch"), std::string::npos);
 
-  const std::string rules = ctl.control_plane_rules().value();
+  const std::string rules =
+      compiler::generate_control_plane_rules(plant.program());
   EXPECT_NE(rules.find("table_add tbl_add_order_stock"), std::string::npos);
   EXPECT_NE(rules.find("table_add tbl_leaf"), std::string::npos);
 }
 
 TEST(Controller, CompiledBeforeCompileIsDiagnosed) {
-  pubsub::Controller ctl(spec::make_itch_schema());
-  auto c = ctl.compiled();
-  ASSERT_FALSE(c.ok());
-  EXPECT_EQ(c.error().code, "E120");
-  auto rules = ctl.control_plane_rules();
-  ASSERT_FALSE(rules.ok());
-  EXPECT_EQ(rules.error().code, "E121");
+  fixture::SingleSwitch plant;
+  auto intended = plant.ctl.intended();
+  ASSERT_FALSE(intended.ok());
+  EXPECT_EQ(intended.error().code, "E122");
+  auto installed = plant.ctl.install(plant.installer, pubsub::FabricDelta{});
+  ASSERT_FALSE(installed.ok());
+  EXPECT_EQ(installed.error().code, "E122");
 }
 
 TEST(Controller, ClearResets) {
-  pubsub::Controller ctl(spec::make_itch_schema());
-  ASSERT_TRUE(ctl.subscribe(1, "stock == AAPL").ok());
-  ctl.clear();
-  EXPECT_EQ(ctl.subscription_count(), 0u);
-  ASSERT_TRUE(ctl.compile().ok());  // empty rule set compiles to drop-all
-  auto sw = ctl.build_switch();
-  ASSERT_TRUE(sw.ok());
+  fixture::SingleSwitch plant;
+  ASSERT_TRUE(plant.ctl.subscribe(1, "stock == AAPL").ok());
+  ASSERT_TRUE(plant.commit_and_install().ok());
   pubsub::Publisher pub;
-  EXPECT_TRUE(sw.value().process(pub.publish(order("AAPL")), 0).empty());
+  EXPECT_EQ(plant.sw.process(pub.publish(order("AAPL")), 0).size(), 1u);
+
+  // The last subscriber leaves: the empty set compiles to drop-all.
+  EXPECT_EQ(plant.ctl.unsubscribe(1).value(), 1u);
+  EXPECT_EQ(plant.ctl.subscription_count(), 0u);
+  ASSERT_TRUE(plant.commit_and_install().ok());
+  EXPECT_TRUE(plant.sw.process(pub.publish(order("AAPL")), 0).empty());
 }
 
 TEST(Publisher, SequencesMoldUdp) {
@@ -127,25 +138,26 @@ namespace unsubscribe_tests {
 using namespace camus;
 
 TEST(Controller, UnsubscribeRemovesPortRules) {
-  pubsub::Controller ctl(spec::make_itch_schema());
-  ASSERT_TRUE(ctl.subscribe(1, "stock == GOOGL").ok());
-  ASSERT_TRUE(ctl.subscribe(1, "stock == AAPL").ok());
-  ASSERT_TRUE(ctl.subscribe(2, "stock == MSFT").ok());
-  ASSERT_TRUE(ctl.subscribe(3, "stock == NVDA : fwd(3); fwd(4)").ok());
-  EXPECT_EQ(ctl.unsubscribe(1), 2u);
-  EXPECT_EQ(ctl.subscription_count(), 2u);
+  fixture::SingleSwitch plant;
+  ASSERT_TRUE(plant.ctl.subscribe(1, "stock == GOOGL").ok());
+  ASSERT_TRUE(plant.ctl.subscribe(1, "stock == AAPL").ok());
+  ASSERT_TRUE(plant.ctl.subscribe(2, "stock == MSFT").ok());
+  ASSERT_TRUE(plant.ctl.subscribe(3, "stock == NVDA : fwd(3); fwd(4)").ok());
+  EXPECT_EQ(plant.ctl.unsubscribe(1).value(), 2u);
+  EXPECT_EQ(plant.ctl.subscription_count(), 2u);
   // Port 3's rule also forwards to 4: kept.
-  EXPECT_EQ(ctl.unsubscribe(3), 0u);
-  EXPECT_EQ(ctl.unsubscribe(99), 0u);
+  EXPECT_EQ(plant.ctl.unsubscribe(3).value(), 0u);
+  EXPECT_EQ(plant.ctl.unsubscribe(99).value(), 0u);
 
-  auto sw = ctl.build_switch();
-  ASSERT_TRUE(sw.ok());
+  ASSERT_TRUE(plant.commit_and_install().ok());
   pubsub::Publisher pub;
   proto::ItchAddOrder m;
   m.stock = "GOOGL";
-  EXPECT_TRUE(sw.value().process(pub.publish(m), 0).empty());
+  EXPECT_TRUE(plant.sw.process(pub.publish(m), 0).empty());
   m.stock = "MSFT";
-  EXPECT_EQ(sw.value().process(pub.publish(m), 0).size(), 1u);
+  EXPECT_EQ(plant.sw.process(pub.publish(m), 0).size(), 1u);
+  m.stock = "NVDA";
+  EXPECT_EQ(plant.sw.process(pub.publish(m), 0).size(), 2u);
 }
 
 }  // namespace unsubscribe_tests

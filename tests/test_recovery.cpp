@@ -124,6 +124,39 @@ TEST(DurableController, UnsubscribeRemovesOnlySinglePortRules) {
   EXPECT_EQ(ctl.unsubscribe(3).value(), 0u);
 }
 
+// The journal stores one rule per line, so a rule text with a line break
+// would come back truncated on replay and fail every later open(), on
+// exact replay and after a checkpoint alike. Such text is rejected before
+// it is journaled.
+TEST(DurableController, MultiLineRuleRejectedBeforeJournaling) {
+  const auto schema = camus::spec::make_itch_schema();
+  for (const char* text : {"stock == GOOGL\n", "stock == GOOGL\nand price > 5",
+                           "stock == GOOGL :\nfwd(2)"}) {
+    for (const bool checkpoint : {false, true}) {
+      MemStorage st;
+      {
+        DurableController ctl(schema, st);
+        ASSERT_TRUE(ctl.open().ok());
+        ASSERT_TRUE(ctl.subscribe(1, "stock == IBM").ok());
+        const std::string journal = st.load().value();
+        auto rejected = ctl.subscribe(2, text);
+        ASSERT_FALSE(rejected.ok()) << text;
+        EXPECT_EQ(rejected.error().code, "E143");
+        EXPECT_EQ(st.load().value(), journal);
+        EXPECT_EQ(ctl.subscription_count(), 1u);
+        ASSERT_TRUE(ctl.commit().ok());
+        if (checkpoint) {
+          ASSERT_TRUE(ctl.checkpoint().ok());
+        }
+      }
+      DurableController ctl(schema, st);
+      auto info = ctl.open();
+      ASSERT_TRUE(info.ok()) << info.error().to_string();
+      EXPECT_EQ(ctl.subscription_count(), 1u);
+    }
+  }
+}
+
 // --- Exact-replay recovery -----------------------------------------------
 
 TEST(Recovery, ExactReplayIsBitIdentical) {
@@ -488,6 +521,105 @@ TEST(Recovery, CheckpointRecoveryIsSemanticallyEquivalent) {
               post.evaluate_actions(env).ports)
         << "probe " << i;
   }
+}
+
+// A checkpoint keeps the intent at the last accepted commit: the snapshot
+// holds the committed subscriptions, and the changes made since follow it
+// as the subscribe/unsubscribe records they were, which replay leaves
+// uncommitted.
+TEST(Recovery, CheckpointKeepsUncommittedChangesPending) {
+  const auto schema = camus::spec::make_itch_schema();
+  MemStorage st;
+  MemStorage at_checkpoint;
+  camus::table::Pipeline committed, next;
+  {
+    DurableController ctl(schema, st);
+    ASSERT_TRUE(ctl.open().ok());
+    ASSERT_TRUE(ctl.subscribe(1, "stock == IBM").ok());
+    ASSERT_TRUE(ctl.subscribe(2, "stock == GOOGL").ok());
+    ASSERT_TRUE(ctl.subscribe(3, "price > 1000").ok());
+    ASSERT_TRUE(ctl.commit().ok());
+    committed = intended_program(ctl);
+    ASSERT_EQ(ctl.unsubscribe(2).value(), 1u);
+    ASSERT_TRUE(ctl.subscribe(7, "stock == MSFT").ok());
+    ASSERT_TRUE(ctl.subscribe(2, "stock == AAPL").ok());
+    ASSERT_TRUE(ctl.checkpoint().value());
+    ASSERT_TRUE(at_checkpoint.replace(st.load().value()).ok());
+    ASSERT_TRUE(ctl.commit().ok());
+    next = intended_program(ctl);
+  }
+
+  DurableController recovered(schema, at_checkpoint);
+  auto info = recovered.open();
+  ASSERT_TRUE(info.ok()) << info.error().to_string();
+  EXPECT_TRUE(info.value().from_snapshot);
+  EXPECT_EQ(recovered.subscription_count(), 4u);
+  // Fresh state numbering: compare classification, not digests.
+  auto same_ports = [](const camus::table::Pipeline& want,
+                       const camus::table::Pipeline& got) {
+    camus::util::Rng probe_rng(400);
+    for (int i = 0; i < 300; ++i) {
+      const camus::lang::Env env = probe_env(probe_rng);
+      if (want.evaluate_actions(env).ports != got.evaluate_actions(env).ports)
+        return false;
+    }
+    return true;
+  };
+  EXPECT_TRUE(same_ports(committed, intended_program(recovered)));
+  ASSERT_TRUE(recovered.commit().ok());
+  EXPECT_TRUE(same_ports(next, intended_program(recovered)));
+  EXPECT_FALSE(same_ports(committed, next));
+}
+
+// A commit that fails to compile journals nothing, but its BDD nodes and
+// state ids stay in the compiler, so the next accepted commit could not
+// replay to its digest (J010). That commit is journaled as a checkpoint
+// instead, and recovery recompiles it from scratch.
+TEST(Recovery, CommitAfterFailedCompileIsJournaledAsSnapshot) {
+  const auto schema = camus::spec::make_itch_schema();
+  camus::compiler::CompileOptions opts;
+  opts.max_paths_per_component = 40;
+  const auto single = camus::compiler::FabricSpec::single_switch();
+  auto subscribe_kept = [](DurableController& ctl) {
+    return ctl.subscribe(1, "stock == GOOGL").ok() &&
+           ctl.subscribe(2, "stock == MSFT and price > 100").ok() &&
+           ctl.subscribe(3, "shares > 10").ok();
+  };
+  MemStorage st;
+  {
+    DurableController ctl(schema, st, single, opts);
+    ASSERT_TRUE(ctl.open().ok());
+    ASSERT_TRUE(ctl.subscribe(1, "stock == GOOGL").ok());
+    ASSERT_TRUE(ctl.commit().ok());
+    ASSERT_TRUE(ctl.subscribe(2, "stock == MSFT and price > 100").ok());
+    ASSERT_TRUE(ctl.subscribe(3, "shares > 10").ok());
+    for (int i = 1; i <= 40; ++i)
+      ASSERT_TRUE(ctl.subscribe(9, "price > " + std::to_string(i * 100) +
+                                       " and price < " +
+                                       std::to_string(i * 100 + 50))
+                      .ok());
+    const std::string journal = st.load().value();
+    auto failed = ctl.commit();
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.error().code, "E130");
+    EXPECT_EQ(st.load().value(), journal);
+    ASSERT_EQ(ctl.unsubscribe(9).value(), 40u);
+    ASSERT_TRUE(ctl.commit().ok());
+  }
+  DurableController ctl(schema, st, single, opts);
+  auto info = ctl.open();
+  ASSERT_TRUE(info.ok()) << info.error().to_string();
+  EXPECT_TRUE(info.value().from_snapshot);
+  EXPECT_EQ(info.value().digest_mismatches, 0u);
+  EXPECT_EQ(ctl.commit_seq(), 2u);
+  EXPECT_EQ(ctl.subscription_count(), 3u);
+  // The intent is the accepted commit, compiled from scratch.
+  MemStorage fresh_st;
+  DurableController fresh(schema, fresh_st, single, opts);
+  ASSERT_TRUE(fresh.open().ok());
+  ASSERT_TRUE(subscribe_kept(fresh));
+  ASSERT_TRUE(fresh.commit().ok());
+  EXPECT_EQ(intended_digest(ctl), intended_digest(fresh));
 }
 
 // --- The crash-point sweep -----------------------------------------------

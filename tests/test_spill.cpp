@@ -1,5 +1,5 @@
-// Graceful degradation (ISSUE 4): when the compiled pipeline exceeds the
-// switch's resource budget, the controller spills the lowest-priority
+// Graceful degradation: when the compiled pipeline exceeds the
+// switch's resource budget, the compiler spills the lowest-priority
 // subscriptions to end-host software filtering instead of rejecting the
 // install. The split must be provably complete — for every message, the
 // union of switch-matched and host-matched actions equals the unsplit BDD
@@ -14,8 +14,8 @@
 
 #include "baseline/matcher.hpp"
 #include "compiler/compile.hpp"
+#include "compiler/spill.hpp"
 #include "fault/plan.hpp"
-#include "pubsub/controller.hpp"
 #include "pubsub/install.hpp"
 #include "spec/itch_spec.hpp"
 #include "switchsim/extract.hpp"
@@ -28,12 +28,18 @@ namespace {
 
 using namespace camus;
 
+// A prioritized subscription set: rules with a parallel priority each.
+struct Subscriptions {
+  std::vector<lang::BoundRule> rules;
+  std::vector<int> priorities;
+};
+
 // The per-host-threshold workload deduplicates aggressively (that is the
 // paper's point), so per-subscription random thresholds are used here to
 // make the pipeline genuinely expensive and force a spill.
-pubsub::Controller make_controller(spec::Schema schema, std::size_t n_rules,
-                                   std::uint64_t seed,
-                                   std::vector<std::string>* symbols) {
+Subscriptions make_subscriptions(const spec::Schema& schema,
+                                 std::size_t n_rules, std::uint64_t seed,
+                                 std::vector<std::string>* symbols) {
   workload::ItchSubsParams sp;
   sp.seed = seed;
   sp.n_subscriptions = n_rules;
@@ -42,17 +48,21 @@ pubsub::Controller make_controller(spec::Schema schema, std::size_t n_rules,
   sp.per_host_threshold = false;
   auto subs = workload::generate_itch_subscriptions(schema, sp);
   if (symbols) *symbols = subs.symbols;
-  pubsub::Controller ctl(std::move(schema));
+  Subscriptions out;
   // Priorities cycle 0..4 so the spill boundary lands mid-set.
   int i = 0;
-  for (const auto& r : subs.rules) ctl.subscribe(r, i++ % 5);
-  return ctl;
+  for (const auto& r : subs.rules) {
+    out.rules.push_back(r);
+    out.priorities.push_back(i++ % 5);
+  }
+  return out;
 }
 
 TEST(Spill, GenerousBudgetDoesNotDegrade) {
   auto schema = spec::make_itch_schema();
-  auto ctl = make_controller(schema, 100, 1, nullptr);
-  auto split = ctl.compile_with_budget(table::ResourceBudget{});
+  auto subs = make_subscriptions(schema, 100, 1, nullptr);
+  auto split = compiler::compile_with_budget(
+      schema, subs.rules, subs.priorities, table::ResourceBudget{});
   ASSERT_TRUE(split.ok()) << split.error().to_string();
   EXPECT_FALSE(split.value().degraded());
   EXPECT_EQ(split.value().hw_rules.size(), 100u);
@@ -69,24 +79,23 @@ TEST(Spill, TightBudgetSpillsLowestPriorityFirst) {
   sp.n_hosts = 12;
   sp.per_host_threshold = false;
   auto subs = workload::generate_itch_subscriptions(schema, sp);
-  pubsub::Controller ctl(schema);
   std::vector<int> priorities;
-  for (std::size_t i = 0; i < subs.rules.size(); ++i) {
+  for (std::size_t i = 0; i < subs.rules.size(); ++i)
     priorities.push_back(static_cast<int>(i % 5));
-    ctl.subscribe(subs.rules[i], priorities.back());
-  }
 
   // Size the budget off the full compile so the test tracks the compiler:
   // allow roughly half the full pipeline's TCAM/SRAM needs. fits() checks
   // totals against per_stage * max_stages, so divide by the stage count.
-  ASSERT_TRUE(ctl.compile().ok());
-  const auto full = ctl.compiled().value()->pipeline.resources();
+  auto compiled = compiler::compile_rules(schema, subs.rules);
+  ASSERT_TRUE(compiled.ok());
+  const auto full = compiled.value().pipeline.resources();
   table::ResourceBudget budget;
   budget.max_stages = full.stages;
   budget.sram_entries_per_stage = 1 + full.sram_entries / (2 * full.stages);
   budget.tcam_entries_per_stage = 1 + full.tcam_entries / (2 * full.stages);
 
-  auto split_r = ctl.compile_with_budget(budget);
+  auto split_r =
+      compiler::compile_with_budget(schema, subs.rules, priorities, budget);
   ASSERT_TRUE(split_r.ok()) << split_r.error().to_string();
   const auto& split = split_r.value();
   ASSERT_TRUE(split.degraded());
@@ -106,8 +115,8 @@ TEST(Spill, TightBudgetSpillsLowestPriorityFirst) {
                    [&](std::size_t a, std::size_t b) {
                      return priorities[a] > priorities[b];
                    });
-  // Rule identity: the controller copies BoundRules, so the shared
-  // condition pointer identifies the original subscription.
+  // Rule identity: the split copies BoundRules, so the shared condition
+  // pointer identifies the original subscription.
   for (std::size_t i = 0; i < split.hw_rules.size(); ++i)
     EXPECT_EQ(split.hw_rules[i].cond.get(),
               subs.rules[ranked[i]].cond.get())
@@ -123,10 +132,11 @@ TEST(Spill, TightBudgetSpillsLowestPriorityFirst) {
 TEST(Spill, SplitSemanticsAreComplete) {
   auto schema = spec::make_itch_schema();
   std::vector<std::string> symbols;
-  auto ctl = make_controller(schema, 300, 3, &symbols);
+  auto subs = make_subscriptions(schema, 300, 3, &symbols);
 
-  ASSERT_TRUE(ctl.compile().ok());
-  auto unsplit = ctl.compiled().value()->pipeline;  // the full BDD semantics
+  auto compiled = compiler::compile_rules(schema, subs.rules);
+  ASSERT_TRUE(compiled.ok());
+  auto unsplit = compiled.value().pipeline;  // the full BDD semantics
   unsplit.finalize();
   const auto full = unsplit.resources();
 
@@ -134,7 +144,8 @@ TEST(Spill, SplitSemanticsAreComplete) {
   budget.max_stages = full.stages;
   budget.sram_entries_per_stage = 1 + full.sram_entries / (2 * full.stages);
   budget.tcam_entries_per_stage = 1 + full.tcam_entries / (2 * full.stages);
-  auto split_r = ctl.compile_with_budget(budget);
+  auto split_r = compiler::compile_with_budget(schema, subs.rules,
+                                               subs.priorities, budget);
   ASSERT_TRUE(split_r.ok()) << split_r.error().to_string();
   const auto& split = split_r.value();
   ASSERT_TRUE(split.degraded());

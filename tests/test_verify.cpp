@@ -5,9 +5,12 @@
 
 #include "compiler/compile.hpp"
 #include "lang/parser.hpp"
-#include "pubsub/controller.hpp"
+#include "pubsub/durable.hpp"
+#include "single_switch.hpp"
 #include "spec/itch_spec.hpp"
+#include "util/journal.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 #include "verify/verify.hpp"
 #include "workload/itch_subs.hpp"
 
@@ -546,27 +549,144 @@ TEST(Equivalence, ItchWorkloadAtScale) {
 // ---------------------------------------------------------------------
 
 TEST(VerifyCompiled, ControllerRejectPolicyKeepsLastGoodPipeline) {
-  pubsub::Controller ctl(spec::make_itch_schema());
+  fixture::SingleSwitch plant;
+  pubsub::DurableController& ctl = plant.ctl;
   ctl.set_lint_policy(pubsub::LintPolicy::kReject);
   ASSERT_TRUE(ctl.subscribe(1, "stock == GOOGL").ok());
-  ASSERT_TRUE(ctl.compile().ok()) << ctl.last_lint().to_text();
-  ASSERT_EQ(ctl.compiled().value()->stats.rule_count, 1u);
+  auto first = plant.commit_and_install();
+  ASSERT_TRUE(first.ok()) << first.error().to_string();
+  const std::uint64_t good = ctl.intended().value()->fabric_digest;
 
-  // An unsatisfiable subscription is an S001 error: the recompile is
-  // rejected and the previous pipeline keeps serving.
+  // An unsatisfiable subscription is an S001 error: the commit is
+  // rejected, nothing is journaled and the switch keeps the last-good
+  // program.
   ASSERT_TRUE(ctl.subscribe(2, "shares < 10 and shares > 20").ok());
-  auto r = ctl.compile();
+  const std::string journal = plant.storage.load().value();
+  auto r = ctl.commit();
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.error().message.find("S001"), std::string::npos);
   EXPECT_TRUE(ctl.last_lint().has_errors());
-  EXPECT_EQ(ctl.compiled().value()->stats.rule_count, 1u);  // previous good pipeline
+  EXPECT_EQ(ctl.intended().value()->fabric_digest, good);
+  EXPECT_EQ(ctl.commit_seq(), 1u);
+  EXPECT_EQ(plant.storage.load().value(), journal);
+  EXPECT_EQ(plant.sw.program_digest(), good);
 
-  // kWarn records the same findings but accepts the pipeline.
-  ctl.set_lint_policy(pubsub::LintPolicy::kWarn);
+  // Without that subscriber the next commit installs cleanly on the
+  // last-good program.
+  ASSERT_EQ(ctl.unsubscribe(2).value(), 1u);
   ASSERT_TRUE(ctl.subscribe(3, "stock == MSFT").ok());
-  ASSERT_TRUE(ctl.compile().ok());
+  auto next = plant.commit_and_install();
+  ASSERT_TRUE(next.ok()) << next.error().to_string();
+  EXPECT_FALSE(next.value().leaves[0].requires_reprogram);
+  EXPECT_FALSE(ctl.last_lint().has_errors());
+  EXPECT_EQ(plant.sw.program_digest(),
+            ctl.intended().value()->fabric_digest);
+
+  // kWarn records the same findings but accepts the commit.
+  ctl.set_lint_policy(pubsub::LintPolicy::kWarn);
+  ASSERT_TRUE(ctl.subscribe(2, "shares < 10 and shares > 20").ok());
+  auto warned = plant.commit_and_install();
+  ASSERT_TRUE(warned.ok()) << warned.error().to_string();
   EXPECT_TRUE(ctl.last_lint().has_errors());
-  EXPECT_EQ(ctl.compiled().value()->stats.rule_count, 3u);
+  EXPECT_EQ(ctl.commit_seq(), 3u);
+  EXPECT_EQ(plant.sw.program_digest(),
+            ctl.intended().value()->fabric_digest);
+}
+
+// The policy is not journaled and a rejected commit leaves no record, so
+// a restarted controller replays to the last accepted commit.
+TEST(VerifyCompiled, RejectedCommitReplaysToLastAccepted) {
+  const auto schema = spec::make_itch_schema();
+  // A checkpoint after the rejection must not make the rejected program
+  // the intent either: the snapshot holds only what was committed.
+  for (const bool checkpoint : {false, true}) {
+    SCOPED_TRACE(checkpoint ? "checkpoint" : "exact replay");
+    util::MemStorage storage;
+    std::uint64_t accepted = 0;
+    {
+      pubsub::DurableController ctl(schema, storage);
+      ASSERT_TRUE(ctl.open().ok());
+      ctl.set_lint_policy(pubsub::LintPolicy::kReject);
+      ASSERT_TRUE(ctl.subscribe(1, "stock == GOOGL").ok());
+      ASSERT_TRUE(ctl.commit().ok());
+      accepted = ctl.intended().value()->fabric_digest;
+      ASSERT_TRUE(ctl.subscribe(2, "shares < 10 and shares > 20").ok());
+      ASSERT_TRUE(ctl.subscribe(3, "stock == MSFT and price > 100").ok());
+      ASSERT_TRUE(ctl.subscribe(4, "price > 50 and shares > 5").ok());
+      ASSERT_FALSE(ctl.commit().ok());
+      if (checkpoint) {
+        ASSERT_TRUE(ctl.checkpoint().ok());
+      }
+    }
+    {
+      pubsub::DurableController ctl(schema, storage);
+      auto info = ctl.open();
+      ASSERT_TRUE(info.ok()) << info.error().to_string();
+      EXPECT_EQ(info.value().from_snapshot, checkpoint);
+      EXPECT_EQ(info.value().commits_replayed, checkpoint ? 0u : 1u);
+      EXPECT_EQ(ctl.intended().value()->fabric_digest, accepted);
+      // The rejected commit's subscriptions are journaled, not committed.
+      EXPECT_EQ(ctl.subscription_count(), 4u);
+
+      ctl.set_lint_policy(pubsub::LintPolicy::kReject);
+      ASSERT_FALSE(ctl.commit().ok());
+      ASSERT_EQ(ctl.unsubscribe(2).value(), 1u);
+      ASSERT_TRUE(ctl.commit().ok());
+      EXPECT_NE(ctl.intended().value()->fabric_digest, accepted);
+    }
+    // The rejected commits left BDD nodes in the compiler, so the accepted
+    // one was journaled as a snapshot: replay recompiles its
+    // subscriptions from scratch.
+    pubsub::DurableController ctl(schema, storage);
+    auto info = ctl.open();
+    ASSERT_TRUE(info.ok()) << info.error().to_string();
+    EXPECT_TRUE(info.value().from_snapshot);
+    EXPECT_EQ(info.value().digest_mismatches, 0u);
+    util::MemStorage fresh_storage;
+    pubsub::DurableController fresh(schema, fresh_storage);
+    ASSERT_TRUE(fresh.open().ok());
+    ASSERT_TRUE(fresh.subscribe(1, "stock == GOOGL").ok());
+    ASSERT_TRUE(fresh.subscribe(3, "stock == MSFT and price > 100").ok());
+    ASSERT_TRUE(fresh.subscribe(4, "price > 50 and shares > 5").ok());
+    ASSERT_TRUE(fresh.commit().ok());
+    EXPECT_EQ(ctl.intended().value()->fabric_digest,
+              fresh.intended().value()->fabric_digest);
+  }
+}
+
+// The gate only inspects: over a churn of satisfiable subscriptions a
+// kReject controller accepts every commit and compiles exactly the
+// programs an ungated one does.
+TEST(VerifyCompiled, GateLeavesProgramsUnchanged) {
+  const auto schema = spec::make_itch_schema();
+  const std::vector<std::string> symbols = {"GOOGL", "MSFT", "AAPL", "IBM"};
+  util::MemStorage gated_storage, plain_storage;
+  pubsub::DurableController gated(schema, gated_storage);
+  pubsub::DurableController plain(schema, plain_storage);
+  ASSERT_TRUE(gated.open().ok());
+  ASSERT_TRUE(plain.open().ok());
+  gated.set_lint_policy(pubsub::LintPolicy::kReject);
+  util::Rng rng(5);
+  for (int step = 0; step < 40; ++step) {
+    const auto port = static_cast<std::uint16_t>(rng.uniform(1, 8));
+    if (rng.chance(0.3)) {
+      ASSERT_TRUE(gated.unsubscribe(port).ok());
+      ASSERT_TRUE(plain.unsubscribe(port).ok());
+    } else {
+      const std::string rule = "stock == " + rng.pick(symbols) +
+                               " and price > " +
+                               std::to_string(rng.uniform(1, 50) * 100);
+      ASSERT_TRUE(gated.subscribe(port, rule).ok());
+      ASSERT_TRUE(plain.subscribe(port, rule).ok());
+    }
+    auto a = gated.commit();
+    ASSERT_TRUE(a.ok()) << "step " << step << ": " << a.error().to_string();
+    ASSERT_TRUE(plain.commit().ok());
+    EXPECT_FALSE(gated.last_lint().has_errors()) << "step " << step;
+    EXPECT_EQ(gated.intended().value()->fabric_digest,
+              plain.intended().value()->fabric_digest)
+        << "step " << step;
+  }
 }
 
 TEST(VerifyCompiled, RunsBothLayers) {
