@@ -1,12 +1,17 @@
-// Live-churn update benchmark (ISSUE 5 tentpole): a seeded stream of
-// subscribe/unsubscribe operations is committed through the incremental
-// compiler and installed as entry deltas (TwoPhaseInstaller::apply_delta
-// -> Switch::apply_delta RCU patch). Measures, per commit:
+// Live-churn update benchmark: a seeded stream of subscribe/unsubscribe
+// operations is committed through the incremental compiler and installed
+// as entry deltas (TwoPhaseInstaller::apply_delta -> Switch::apply_delta
+// RCU patch). Measures, per commit:
 //
 //   - commit latency (incremental recompile + diff),
 //   - delta install latency (serialize, stage, verify, patch, swap),
 //   - control-plane ops per commit vs the installed entry count,
-//   - entry reuse fraction (entries carried over unchanged).
+//   - entry reuse fraction (entries carried over unchanged),
+//
+// and, per op kind (an unsubscribe and a subscribe cost differently, so a
+// median over both would fall between two modes), the commit and install
+// latency, the commit's union phase, and two deterministic work counts:
+// BDD nodes created and union memo misses (both memos) per commit.
 //
 // A dedicated single-subscription probe (one add commit, one remove
 // commit) is reported separately — that is the paper's headline claim for
@@ -14,14 +19,16 @@
 // re-use") and what CI gates on: --gate-reuse F exits non-zero when
 // either probe's reuse fraction drops below F.
 //
-// CI runs this with --quick --gate-reuse 0.8; the committed
-// BENCH_churn.json is the full run. Seeds are explicit and recorded.
+// CI runs this with --quick --gate-reuse 0.8 and also gates the
+// unsubscribe union-miss median; the committed BENCH_churn.json is the
+// full run. Seeds are explicit and recorded.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <string>
 #include <string_view>
+#include <thread>
 
 #include "compiler/incremental.hpp"
 #include "pubsub/install.hpp"
@@ -48,6 +55,25 @@ struct Summary {
   double entries_sum = 0;
 };
 
+// One op kind's commits.
+struct KindSummary {
+  util::CdfSampler commit_ms;
+  util::CdfSampler install_ms;
+  util::CdfSampler union_ms;
+  util::CdfSampler bdd_nodes;     // nodes the commit added to the manager
+  util::CdfSampler union_misses;  // syntactic + semantic union memo misses
+};
+
+double sum_of(const util::CdfSampler& s) {
+  double t = 0;
+  for (double v : s.samples()) t += v;
+  return t;
+}
+
+double mean_of(const util::CdfSampler& s) {
+  return s.count() ? sum_of(s) / static_cast<double>(s.count()) : 0.0;
+}
+
 std::string cdf_json(const util::CdfSampler& s, double sum) {
   char buf[256];
   std::snprintf(buf, sizeof buf,
@@ -56,6 +82,28 @@ std::string cdf_json(const util::CdfSampler& s, double sum) {
                 s.count() ? sum / static_cast<double>(s.count()) : 0.0,
                 s.median(), s.p99(), s.max());
   return buf;
+}
+
+std::string cdf_json(const util::CdfSampler& s) {
+  return cdf_json(s, sum_of(s));
+}
+
+std::string kind_json(const KindSummary& k) {
+  char counts[256];
+  std::snprintf(counts, sizeof counts,
+                "\"bdd_nodes_created\": {\"mean\": %.1f, \"p50\": %.1f}, "
+                "\"union_memo_misses\": {\"mean\": %.1f, \"p50\": %.1f}",
+                mean_of(k.bdd_nodes), k.bdd_nodes.median(),
+                mean_of(k.union_misses), k.union_misses.median());
+  return "{\"commits\": " + std::to_string(k.commit_ms.count()) +
+         ", \"commit_ms\": " + cdf_json(k.commit_ms) +
+         ", \"install_ms\": " + cdf_json(k.install_ms) +
+         ", \"union_ms\": " + cdf_json(k.union_ms) + ", " + counts + "}";
+}
+
+std::uint64_t union_misses(const bdd::CacheStats& c) {
+  return (c.unite_probes - c.unite_hits) +
+         (c.unite_res_probes - c.unite_res_hits);
 }
 
 }  // namespace
@@ -116,15 +164,18 @@ int main(int argc, char** argv) {
   }
   const double initial_ms = t0.seconds() * 1e3;
   const std::size_t initial_entries = first.value().total_entries;
+  bdd::CacheStats cache = first.value().stats.cache;
 
   switchsim::Switch sw(schema, *inc.pipeline().value());
   pubsub::TwoPhaseInstaller installer(sw);
 
   // Churn loop: one commit + delta install per op.
   Summary s;
+  KindSummary by_kind[2];  // index: subscribe
   std::size_t commits = 0;
   for (std::size_t i = 0; i < n_ops; ++i) {
     auto op = churn.next();
+    KindSummary& kind = by_kind[op.subscribe];
     if (op.subscribe) {
       ids[op.slot] = inc.add(std::move(op.rule));
     } else {
@@ -158,6 +209,13 @@ int main(int argc, char** argv) {
     s.ops_sum += static_cast<double>(delta.value().ops.size());
     s.entries_sum += static_cast<double>(delta.value().total_entries);
     s.reuse_fraction.add(delta.value().reuse_fraction());
+    const bdd::CacheStats& now = delta.value().stats.cache;
+    kind.commit_ms.add(commit_ms);
+    kind.install_ms.add(install_ms);
+    kind.union_ms.add(delta.value().stats.t_union * 1e3);
+    kind.bdd_nodes.add(static_cast<double>(now.unique_nodes - cache.unique_nodes));
+    kind.union_misses.add(static_cast<double>(union_misses(now) - union_misses(cache)));
+    cache = now;
   }
 
   // Single-subscription probe: the headline reuse claim, measured on a
@@ -177,11 +235,7 @@ int main(int argc, char** argv) {
   const double probe_add_reuse = add_delta.value().reuse_fraction();
   const double probe_del_reuse = del_delta.value().reuse_fraction();
 
-  const double install_ms_sum = [&] {
-    double t = 0;
-    for (double v : s.install_ms.samples()) t += v;
-    return t;
-  }();
+  const double install_ms_sum = sum_of(s.install_ms);
 
   std::printf("Live-churn updates: base=%zu subs, %zu churn ops (seed %llu)\n",
               n_base, n_ops,
@@ -200,17 +254,22 @@ int main(int argc, char** argv) {
   row("commit latency (ms)", s.commit_ms, s.commit_ms_sum);
   row("delta install (ms)", s.install_ms, install_ms_sum);
   row("ops per commit", s.ops_per_commit, s.ops_sum);
+  for (const bool subscribe : {true, false}) {
+    const KindSummary& k = by_kind[subscribe];
+    const std::string tag = subscribe ? "subscribe " : "unsubscribe ";
+    row((tag + "commit (ms)").c_str(), k.commit_ms, sum_of(k.commit_ms));
+    row((tag + "install (ms)").c_str(), k.install_ms, sum_of(k.install_ms));
+    row((tag + "union (ms)").c_str(), k.union_ms, sum_of(k.union_ms));
+    row((tag + "BDD nodes created").c_str(), k.bdd_nodes, sum_of(k.bdd_nodes));
+    row((tag + "union memo misses").c_str(), k.union_misses,
+        sum_of(k.union_misses));
+  }
   std::printf("%s", table.to_string().c_str());
   std::printf("  entries (mean): %.0f   ops/entries: %.4f   reuse: mean %.4f "
               "min %.4f\n",
               s.entries_sum / static_cast<double>(commits),
               s.ops_sum / s.entries_sum,
-              [&] {
-                double t = 0;
-                for (double v : s.reuse_fraction.samples()) t += v;
-                return t / static_cast<double>(commits);
-              }(),
-              s.reuse_fraction.quantile(0.0));
+              mean_of(s.reuse_fraction), s.reuse_fraction.quantile(0.0));
   std::printf("  single-subscription probe: add reuse %.4f, remove reuse "
               "%.4f\n",
               probe_add_reuse, probe_del_reuse);
@@ -218,8 +277,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(sw.program_version()), commits);
 
   if (json) {
-    double reuse_sum = 0;
-    for (double v : s.reuse_fraction.samples()) reuse_sum += v;
     std::ofstream out(json_path);
     out << "{\n"
         << "  \"workload\": \"itch-churn\",\n"
@@ -227,6 +284,7 @@ int main(int argc, char** argv) {
         << "  \"base_subscriptions\": " << n_base << ",\n"
         << "  \"churn_ops\": " << n_ops << ",\n"
         << "  \"p_subscribe\": " << cp.p_subscribe << ",\n"
+        << "  \"hw_cores\": " << std::thread::hardware_concurrency() << ",\n"
         << "  \"initial\": {\"entries\": " << initial_entries
         << ", \"commit_ms\": " << util::json::format_double(initial_ms)
         << "},\n"
@@ -243,11 +301,14 @@ int main(int argc, char** argv) {
         << "  \"ops_vs_entries\": "
         << util::json::format_double(s.ops_sum / s.entries_sum) << ",\n"
         << "  \"reuse_fraction\": {\"mean\": "
-        << util::json::format_double(reuse_sum /
-                                     static_cast<double>(commits))
+        << util::json::format_double(mean_of(s.reuse_fraction))
         << ", \"min\": "
         << util::json::format_double(s.reuse_fraction.quantile(0.0))
         << "},\n"
+        << "  \"by_kind\": {\n"
+        << "    \"subscribe\": " << kind_json(by_kind[1]) << ",\n"
+        << "    \"unsubscribe\": " << kind_json(by_kind[0]) << "\n"
+        << "  },\n"
         << "  \"single_subscription_probe\": {\n"
         << "    \"add\": {\"ops\": " << add_delta.value().ops.size()
         << ", \"reuse_fraction\": "

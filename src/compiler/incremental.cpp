@@ -33,7 +33,8 @@ IncrementalCompiler::IncrementalCompiler(spec::Schema schema,
 IncrementalCompiler::SubscriptionId IncrementalCompiler::add(
     lang::BoundRule rule) {
   const SubscriptionId id = next_id_++;
-  rules_.emplace(id, std::move(rule));
+  subs_.emplace(id, Subscription{std::move(rule), take_leaf()});
+  unbuilt_.push_back(id);
   return id;
 }
 
@@ -47,8 +48,60 @@ Result<IncrementalCompiler::SubscriptionId> IncrementalCompiler::add_source(
 }
 
 bool IncrementalCompiler::remove(SubscriptionId id) {
-  rule_roots_.erase(id);
-  return rules_.erase(id) > 0;
+  auto it = subs_.find(id);
+  if (it == subs_.end()) return false;
+  set_leaf(it->second.leaf, manager_->drop());
+  free_leaves_.push_back(it->second.leaf);
+  subs_.erase(it);
+  return true;
+}
+
+std::uint32_t IncrementalCompiler::take_leaf() {
+  if (!free_leaves_.empty()) {
+    const std::uint32_t leaf = free_leaves_.back();
+    free_leaves_.pop_back();
+    return leaf;
+  }
+  if (levels_.empty()) {
+    levels_.push_back({manager_->drop()});
+  } else if (used_leaves_ == levels_[0].size()) {
+    // Double: the old tree becomes the left half of the new root, and
+    // every old pair keeps its place. The right half is all drop(), so
+    // the new root is the old one until a right-half leaf is set.
+    for (auto& level : levels_) level.resize(level.size() * 2, manager_->drop());
+    levels_.push_back({levels_.back()[0]});
+  }
+  return used_leaves_++;
+}
+
+void IncrementalCompiler::set_leaf(std::uint32_t leaf, bdd::NodeRef root) {
+  levels_[0][leaf] = root;
+  changed_.push_back(leaf);
+}
+
+bdd::NodeRef IncrementalCompiler::unite_changed() {
+  if (levels_.empty()) return manager_->drop();
+  std::sort(changed_.begin(), changed_.end());
+  changed_.erase(std::unique(changed_.begin(), changed_.end()),
+                 changed_.end());
+  for (std::size_t k = 1; k < levels_.size(); ++k) {
+    // The parents of this level's changed nodes, still sorted.
+    for (auto& j : changed_) j /= 2;
+    changed_.erase(std::unique(changed_.begin(), changed_.end()),
+                   changed_.end());
+    const auto& below = levels_[k - 1];
+    for (const std::uint32_t j : changed_) {
+      const bdd::NodeRef lo = below[2 * j], hi = below[2 * j + 1];
+      // A drop() child passes its sibling up unchanged, as unite_all
+      // passes an odd last root: a tree whose live leaves form a prefix
+      // unites exactly the pairs unite_all would.
+      levels_[k][j] = lo == manager_->drop()   ? hi
+                      : hi == manager_->drop() ? lo
+                      : manager_->unite(lo, hi, opts_.semantic_prune);
+    }
+  }
+  changed_.clear();
+  return levels_.back()[0];
 }
 
 namespace {
@@ -102,62 +155,61 @@ std::string IncrementalCompiler::Delta::to_json() const {
 Result<IncrementalCompiler::Delta> IncrementalCompiler::commit() {
   util::Timer timer;
   Delta delta;
-  delta.stats.rule_count = rules_.size();
+  delta.stats.rule_count = subs_.size();
 
   // The persistent-manager path has no partitioned variant: partitioning
   // rebuilds per-shard managers from scratch, which would forfeit the memo
   // caches and stable state ids this class exists to preserve. When the
-  // options ask for partitioned output (or the diff base came from a
-  // partitioned batch compile), say so instead of silently diverging.
+  // options ask for partitioned output, say so instead of silently
+  // diverging.
   const bool wants_partition =
       opts_.partition == PartitionMode::kForce ||
       (opts_.partition == PartitionMode::kAuto &&
-       rules_.size() >= opts_.partition_min_rules);
+       subs_.size() >= opts_.partition_min_rules);
   if (wants_partition) {
     delta.stats.partition_fallback =
         "I130: incremental commit compiles monolithically; requested "
         "partitioned output (mode=" +
         std::string(opts_.partition == PartitionMode::kForce ? "force"
                                                              : "auto") +
-        ", rules=" + std::to_string(rules_.size()) +
+        ", rules=" + std::to_string(subs_.size()) +
         " >= min=" + std::to_string(opts_.partition_min_rules) +
         ") is not produced on this path";
-  } else if (partitioned_base_) {
-    delta.stats.partition_fallback =
-        "I130: diff base was partition-compiled but incremental commit "
-        "compiles monolithically; first delta re-images the pipeline "
-        "structure";
   }
 
-  // Build (or reuse) the per-subscription rule BDDs.
+  // Build the rule BDDs of the subscriptions added since the last commit
+  // (in id order) into their leaves. A rule that fails to flatten fails
+  // the commit and stays unbuilt; the ones before it keep their BDDs.
   util::Timer phase;
   double t_flatten = 0;
-  std::vector<bdd::NodeRef> roots;
-  roots.reserve(rules_.size());
-  for (const auto& [id, rule] : rules_) {
-    auto it = rule_roots_.find(id);
-    if (it == rule_roots_.end()) {
-      phase.reset();
-      auto flat = lang::flatten_rule(rule, schema_, opts_.max_dnf_terms);
-      t_flatten += phase.seconds();
-      if (!flat.ok()) {
-        Error e = flat.error();
-        e.message = "subscription " + std::to_string(id) + ": " + e.message;
-        return e;
-      }
-      delta.stats.dnf_terms += flat.value().terms.size();
-      it = rule_roots_.emplace(id, manager_->build_rule(flat.value())).first;
+  std::size_t built = 0;
+  for (; built < unbuilt_.size(); ++built) {
+    const SubscriptionId id = unbuilt_[built];
+    const auto it = subs_.find(id);
+    if (it == subs_.end()) continue;  // removed before its first commit
+    phase.reset();
+    auto flat =
+        lang::flatten_rule(it->second.rule, schema_, opts_.max_dnf_terms);
+    t_flatten += phase.seconds();
+    if (!flat.ok()) {
+      unbuilt_.erase(unbuilt_.begin(),
+                     unbuilt_.begin() + static_cast<std::ptrdiff_t>(built));
+      Error e = flat.error();
+      e.message = "subscription " + std::to_string(id) + ": " + e.message;
+      return e;
     }
-    roots.push_back(it->second);
+    delta.stats.dnf_terms += flat.value().terms.size();
+    set_leaf(it->second.leaf, manager_->build_rule(flat.value()));
   }
+  unbuilt_.clear();
   delta.stats.t_flatten = t_flatten;
   delta.stats.t_build = timer.seconds() - t_flatten;
 
-  // Union (persistent memo caches make repeats cheap) and regenerate
+  // Union: only the changed leaves' paths to the root (the persistent
+  // memo caches make most of those unions lookups); then regenerate
   // tables with stable state ids.
   phase.reset();
-  bdd::NodeRef root = manager_->unite_all(std::move(roots),
-                                          opts_.semantic_prune);
+  bdd::NodeRef root = unite_changed();
   delta.stats.t_union = phase.seconds();
   delta.stats.bdd_before_prune = manager_->stats(root);
   phase.reset();
@@ -203,8 +255,6 @@ Result<IncrementalCompiler::Delta> IncrementalCompiler::commit() {
   delta.requires_reprogram = diff.requires_reprogram;
 
   installed_ = std::move(gen.pipeline);
-  // The base is now this commit's own (monolithic) output.
-  partitioned_base_ = false;
   delta.compile_seconds = timer.seconds();
   delta.stats.t_total = delta.compile_seconds;
   return delta;

@@ -7,9 +7,11 @@
 //
 // Both halves are implemented here:
 //  - Memoization: one persistent BddManager spans all commits, so the
-//    hash-consed unique table and union/prune memo caches carry over;
-//    rebuilding the combined BDD after a small change is mostly cache
-//    lookups. Per-subscription rule BDDs are also cached.
+//    hash-consed unique table and union/prune memo caches carry over.
+//    Per-subscription rule BDDs are cached, and the combined BDD is the
+//    root of a persistent union tree: each subscription owns one fixed
+//    leaf, and a commit re-unites only the ancestors of the leaves that
+//    changed, O(log n) unions that are mostly memo hits.
 //  - Entry re-use: a persistent StateAllocator keeps BDD-node -> state-id
 //    assignments stable across commits, so unchanged regions of the BDD
 //    produce byte-identical table entries. commit() returns the exact
@@ -20,9 +22,9 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "compiler/algorithm1.hpp"
 #include "compiler/compile.hpp"
@@ -47,7 +49,7 @@ class IncrementalCompiler {
   // Unregisters; returns false for unknown ids.
   bool remove(SubscriptionId id);
 
-  std::size_t subscription_count() const noexcept { return rules_.size(); }
+  std::size_t subscription_count() const noexcept { return subs_.size(); }
 
   // One control-plane operation: install, delete, or (leaf-only) modify
   // one entry. Shared with the installer and switch (table/delta.hpp) so
@@ -106,16 +108,6 @@ class IncrementalCompiler {
   // ids merely become unreferenced.
   void restore_installed(table::Pipeline last_good);
 
-  // Tells the compiler whether its diff base came from a PARTITIONED batch
-  // compile (compile_rules with partition_groups > 0). Incremental commits
-  // always run the monolithic path; when partitioning was requested or the
-  // base was partition-compiled, the next commit() surfaces the silent
-  // fallback in Delta::stats.partition_fallback (I130) instead of quietly
-  // emitting a structurally different pipeline.
-  void note_partitioned_base(bool partitioned) noexcept {
-    partitioned_base_ = partitioned;
-  }
-
   const spec::Schema& schema() const noexcept { return schema_; }
 
   // The persistent BDD manager and the root of the last committed BDD —
@@ -131,21 +123,44 @@ class IncrementalCompiler {
   // reconciliation pass so the two can never disagree about what a
   // minimal update is.
 
+  // A subscription and the union-tree leaf it owns until removed.
+  struct Subscription {
+    lang::BoundRule rule;
+    std::uint32_t leaf = 0;
+  };
+
+  // Takes a free leaf for a new subscription, doubling the tree when
+  // every leaf is taken.
+  std::uint32_t take_leaf();
+  void set_leaf(std::uint32_t leaf, bdd::NodeRef root);
+  // Re-unites the ancestors of the leaves changed since the last commit,
+  // bottom-up, and returns the tree's root.
+  bdd::NodeRef unite_changed();
+
   spec::Schema schema_;
   CompileOptions opts_;
 
-  std::map<SubscriptionId, lang::BoundRule> rules_;
+  std::map<SubscriptionId, Subscription> subs_;
   SubscriptionId next_id_ = 1;
+  // Subscriptions whose rule BDD is not built yet, in id order.
+  std::vector<SubscriptionId> unbuilt_;
 
   // Persistent compilation state (see file comment).
   std::shared_ptr<bdd::BddManager> manager_;
-  std::map<SubscriptionId, bdd::NodeRef> rule_roots_;
+  // The union tree, a complete binary tree of partial unions stored level
+  // by level: levels_[0] holds one rule BDD per leaf (drop() when free),
+  // levels_[k][j] is the union of levels_[k-1][2j] and [2j+1], and
+  // levels_.back()[0] is the root. Leaves never move, so a removal changes
+  // one root-ward path and no other pair.
+  std::vector<std::vector<bdd::NodeRef>> levels_;
+  std::uint32_t used_leaves_ = 0;          // leaves ever handed out
+  std::vector<std::uint32_t> free_leaves_;  // freed by remove(), reused LIFO
+  std::vector<std::uint32_t> changed_;      // leaves set since last commit
   StateAllocator states_;
   std::optional<std::uint32_t> pinned_root_raw_;
   bdd::NodeRef last_root_;
 
   std::optional<table::Pipeline> installed_;
-  bool partitioned_base_ = false;  // see note_partitioned_base
 };
 
 }  // namespace camus::compiler

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
-#include <map>
-#include <set>
+#include <compare>
+#include <functional>
+#include <iterator>
 #include <sstream>
 #include <tuple>
 
@@ -36,80 +37,100 @@ Error err(std::string code, std::string msg) {
   return Error{std::move(msg), 0, 0, std::move(code)};
 }
 
-// `released` is set when the op drops or replaces a multi-port leaf, whose
-// multicast group may then be unused.
-Result<ApplyStats> apply_one(Pipeline& pipe, const EntryOp& op,
-                             ApplyStats& stats, bool& released) {
-  if (op.is_leaf()) {
-    const LeafEntry* existing = pipe.leaf.lookup(op.state);
-    if (existing && op.kind != EntryOp::Kind::kAdd &&
-        existing->actions.ports.size() > 1)
-      released = true;
-    switch (op.kind) {
-      case EntryOp::Kind::kRemove:
-        if (!existing || !(existing->actions == op.actions))
-          return err("U005", "leaf remove: state " + std::to_string(op.state) +
-                                 (existing ? " actions mismatch (have " +
-                                                 existing->actions.to_string() +
-                                                 ", delta says " +
-                                                 op.actions.to_string() + ")"
-                                           : " has no entry"));
-        pipe.leaf.remove_entry(op.state);
-        ++stats.removes;
-        return stats;
-      case EntryOp::Kind::kModify: {
-        if (!existing)
-          return err("U005", "leaf modify: state " + std::to_string(op.state) +
-                                 " has no entry");
-        LeafEntry e;
-        e.state = op.state;
-        e.actions = op.actions;
-        if (e.actions.ports.size() > 1)
-          e.mcast_group = pipe.mcast.intern(e.actions.ports);
-        pipe.leaf.replace_entry(op.state, std::move(e));
-        ++stats.modifies;
-        return stats;
-      }
-      case EntryOp::Kind::kAdd: {
-        if (existing)
-          return err("U006", "leaf add: state " + std::to_string(op.state) +
-                                 " already has an entry");
-        LeafEntry e;
-        e.state = op.state;
-        e.actions = op.actions;
-        if (e.actions.ports.size() > 1)
-          e.mcast_group = pipe.mcast.intern(e.actions.ports);
-        pipe.leaf.add_entry(std::move(e));
-        ++stats.adds;
-        return stats;
-      }
-    }
-    return err("U004", "leaf op with unknown kind");
-  }
+// An entry's canonical order: (state, match kind, lo, hi, next state).
+// Diffs, digests and the delta apply all sort and compare by it.
+struct EntryKey {
+  StateId state = 0;
+  std::uint8_t kind = 0;
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+  StateId next = 0;
 
-  Table* t = pipe.find_table(op.table);
-  if (!t)
-    return err("U001", "delta op targets unknown table '" + op.table + "'");
-  const Entry e{op.state, op.match, op.next_state};
-  switch (op.kind) {
-    case EntryOp::Kind::kRemove:
-      if (!t->remove_matching(e))
-        return err("U002", "remove: no entry in '" + op.table + "' matches " +
-                               op.to_string());
-      ++stats.removes;
-      return stats;
-    case EntryOp::Kind::kAdd:
-      if (!t->insert_entry(e))
-        return err("U003", "add: entry already present in '" + op.table +
-                               "': " + op.to_string());
-      ++stats.adds;
-      return stats;
-    case EntryOp::Kind::kModify:
-      return err("U004",
-                 "modify is leaf-only (field entry changes are remove+add): " +
-                     op.to_string());
+  friend auto operator<=>(const EntryKey&, const EntryKey&) = default;
+};
+
+EntryKey key_of(StateId state, const ValueMatch& m, StateId next) {
+  return {state, static_cast<std::uint8_t>(m.kind), m.lo, m.hi, next};
+}
+EntryKey key_of(const Entry& e) {
+  return key_of(e.state, e.match, e.next_state);
+}
+EntryKey key_of(const EntryOp& op) {
+  return key_of(op.state, op.match, op.next_state);
+}
+
+// One op of a delta, resolved: its table (nullptr for the leaf table),
+// its entry key (a leaf op keys on its state alone) and its position in
+// the delta. `claimed` marks an op an entry was paired with.
+struct OpRef {
+  Table* table = nullptr;
+  EntryKey key;
+  std::uint32_t index = 0;
+  bool claimed = false;
+
+  // Groups a table's ops, then equal keys in delta order.
+  friend bool operator<(const OpRef& a, const OpRef& b) {
+    if (a.table != b.table) return std::less<const Table*>{}(a.table, b.table);
+    return std::tie(a.key, a.index) < std::tie(b.key, b.index);
   }
-  return err("U004", "field op with unknown kind");
+};
+
+// Pairs an entry of key k with the earliest unclaimed op of that key in
+// `refs` (sorted) and returns it, or nullptr. Walking a table in order,
+// the k-th entry of a key meets the k-th op of that key in delta order,
+// as repeated first-match lookups would.
+OpRef* claim(std::span<OpRef> refs, const EntryKey& k) {
+  auto it = std::lower_bound(
+      refs.begin(), refs.end(), k,
+      [](const OpRef& r, const EntryKey& key) { return r.key < key; });
+  while (it != refs.end() && it->key == k && it->claimed) ++it;
+  if (it == refs.end() || it->key != k) return nullptr;
+  it->claimed = true;
+  return &*it;
+}
+
+// Calls f(table, ops) once per table, over its run of sorted field ops.
+template <typename F>
+void per_table(std::vector<OpRef>& refs, F f) {
+  for (auto first = refs.begin(); first != refs.end();) {
+    const auto last = std::find_if(first, refs.end(), [&](const OpRef& r) {
+      return r.table != first->table;
+    });
+    f(*first->table, std::span<OpRef>(first, last));
+    first = last;
+  }
+}
+
+// The failure a per-op apply in delta order would meet first: among one
+// pass's failing ops, the earliest. An op's outcome depends only on the
+// pass's earlier ops on the same entry or state, so the earliest failure
+// is the same whichever order the checks run in.
+struct FirstError {
+  std::size_t at = SIZE_MAX;
+  Error error;
+
+  void note(std::size_t i, Error e) {
+    if (i < at) {
+      at = i;
+      error = std::move(e);
+    }
+  }
+  bool failed() const noexcept { return at != SIZE_MAX; }
+};
+
+Error unknown_table(const EntryOp& op) {
+  return err("U001", "delta op targets unknown table '" + op.table + "'");
+}
+
+// Leaf entry for a leaf add or modify; multicast groups are interned
+// locally, so deltas are independent of group renumbering.
+LeafEntry leaf_entry(Pipeline& pipe, const EntryOp& op) {
+  LeafEntry e;
+  e.state = op.state;
+  e.actions = op.actions;
+  if (e.actions.ports.size() > 1)
+    e.mcast_group = pipe.mcast.intern(e.actions.ports);
+  return e;
 }
 
 }  // namespace
@@ -128,27 +149,136 @@ std::string EntryOp::to_string() const {
 }
 
 Result<ApplyStats> apply_ops(Pipeline& pipe, std::span<const EntryOp> ops) {
-  ApplyStats stats;
-  bool released = false;
   // Removes first, then modifies, then adds: a remove+add pair over the
   // same value region never transiently overlaps, and re-adding a just-
-  // removed leaf state is legal within one delta.
-  for (auto pass : {EntryOp::Kind::kRemove, EntryOp::Kind::kModify,
-                    EntryOp::Kind::kAdd}) {
-    for (const EntryOp& op : ops) {
-      if (op.kind != pass) continue;
-      if (auto r = apply_one(pipe, op, stats, released); !r.ok())
-        return r.error();
+  // removed leaf state is legal within one delta. Each pass reports the
+  // error a per-op apply in delta order would, but touches each table
+  // once: the pass's ops are sorted per table (k log k) and probed in one
+  // walk over the table's entries (N log k).
+  ApplyStats stats;
+  bool released = false;  // a multi-port leaf was dropped or replaced
+  std::vector<OpRef> field_removes, field_adds, leaf_removes, leaf_adds;
+  std::vector<Table*> table_of(ops.size(), nullptr);
+  FirstError failed_remove, failed_add;
+  for (std::uint32_t i = 0; i < ops.size(); ++i) {
+    const EntryOp& op = ops[i];
+    if (op.kind == EntryOp::Kind::kModify) continue;  // modify pass
+    const bool remove = op.kind == EntryOp::Kind::kRemove;
+    if (op.is_leaf()) {
+      (remove ? leaf_removes : leaf_adds)
+          .push_back({nullptr, EntryKey{op.state}, i});
+      continue;
     }
+    table_of[i] = pipe.find_table(op.table);
+    if (!table_of[i]) {
+      (remove ? failed_remove : failed_add).note(i, unknown_table(op));
+      continue;
+    }
+    (remove ? field_removes : field_adds)
+        .push_back({table_of[i], key_of(op), i});
   }
-  // Drop the groups no leaf uses any more. Re-interning the live leaves'
-  // groups in table order keeps the ids dense, as deserialize_pipeline
-  // requires; ids are outside every digest and the data plane never
-  // reads them.
-  if (released) {
-    pipe.mcast = MulticastGroups{};
-    pipe.leaf.intern_groups(pipe.mcast);
+  for (auto* refs : {&field_removes, &field_adds, &leaf_removes, &leaf_adds})
+    std::sort(refs->begin(), refs->end());
+
+  // --- removes: one compaction per touched table, then the leaf table.
+  std::vector<std::size_t> drop;
+  per_table(field_removes, [&](Table& t, std::span<OpRef> refs) {
+    drop.clear();
+    for (std::size_t i = 0; i < t.entries().size(); ++i)
+      if (claim(refs, key_of(t.entries()[i]))) drop.push_back(i);
+    t.remove_entries(drop);
+  });
+  for (const OpRef& r : field_removes)
+    if (!r.claimed)
+      failed_remove.note(r.index, err("U002", "remove: no entry in '" +
+                                                  ops[r.index].table +
+                                                  "' matches " +
+                                                  ops[r.index].to_string()));
+  drop.clear();
+  const auto& leaves = pipe.leaf.entries();
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    const OpRef* r = claim(leaf_removes, EntryKey{leaves[i].state});
+    if (!r) continue;
+    const EntryOp& op = ops[r->index];
+    if (!(leaves[i].actions == op.actions)) {
+      failed_remove.note(
+          r->index,
+          err("U005", "leaf remove: state " + std::to_string(op.state) +
+                          " actions mismatch (have " +
+                          leaves[i].actions.to_string() + ", delta says " +
+                          op.actions.to_string() + ")"));
+      continue;
+    }
+    if (leaves[i].actions.ports.size() > 1) released = true;
+    drop.push_back(i);
   }
+  for (const OpRef& r : leaf_removes)
+    if (!r.claimed)
+      failed_remove.note(r.index, err("U005", "leaf remove: state " +
+                                                  std::to_string(r.key.state) +
+                                                  " has no entry"));
+  if (failed_remove.failed()) return failed_remove.error;
+  pipe.leaf.remove_entries(drop);
+  stats.removes = field_removes.size() + leaf_removes.size();
+
+  // --- modifies, in delta order (leaf-only; a few per delta).
+  for (const EntryOp& op : ops) {
+    if (op.kind != EntryOp::Kind::kModify) continue;
+    if (!op.is_leaf())
+      return pipe.find_table(op.table)
+                 ? err("U004",
+                       "modify is leaf-only (field entry changes are "
+                       "remove+add): " +
+                           op.to_string())
+                 : unknown_table(op);
+    const LeafEntry* existing = pipe.leaf.lookup(op.state);
+    if (!existing)
+      return err("U005", "leaf modify: state " + std::to_string(op.state) +
+                             " has no entry");
+    if (existing->actions.ports.size() > 1) released = true;
+    pipe.leaf.replace_entry(op.state, leaf_entry(pipe, op));
+    ++stats.modifies;
+  }
+
+  // --- adds: an add fails when its entry or state is already installed,
+  // or an earlier add of this delta installs it. Check all, then append
+  // in delta order.
+  auto present = [&](const OpRef& r) {
+    const EntryOp& op = ops[r.index];
+    failed_add.note(
+        r.index, r.table ? err("U003", "add: entry already present in '" +
+                                           op.table + "': " + op.to_string())
+                         : err("U006", "leaf add: state " +
+                                           std::to_string(op.state) +
+                                           " already has an entry"));
+  };
+  per_table(field_adds, [&](Table& t, std::span<OpRef> refs) {
+    for (const Entry& e : t.entries())
+      if (const OpRef* r = claim(refs, key_of(e))) present(*r);
+  });
+  for (const OpRef& r : leaf_adds)
+    if (pipe.leaf.lookup(r.key.state)) present(r);
+  for (const auto* refs : {&field_adds, &leaf_adds})
+    for (std::size_t r = 1; r < refs->size(); ++r)
+      if ((*refs)[r].table == (*refs)[r - 1].table &&
+          (*refs)[r].key == (*refs)[r - 1].key)
+        present((*refs)[r]);
+  if (failed_add.failed()) return failed_add.error;
+  for (std::uint32_t i = 0; i < ops.size(); ++i) {
+    const EntryOp& op = ops[i];
+    if (op.kind != EntryOp::Kind::kAdd) continue;
+    if (op.is_leaf())
+      pipe.leaf.add_entry(leaf_entry(pipe, op));
+    else
+      table_of[i]->add_entry({op.state, op.match, op.next_state});
+  }
+  stats.adds = field_adds.size() + leaf_adds.size();
+
+  // Drop the groups no leaf uses any more. Renumbering the live leaves'
+  // groups by first use in table order keeps the ids dense, as
+  // deserialize_pipeline requires; ids are outside every digest and the
+  // data plane never reads them.
+  if (released) pipe.leaf.compact_groups(pipe.mcast);
   // Rebuild lookup indices for the touched tables (idempotent: untouched
   // tables keep their index) and re-check structural soundness before the
   // patch counts as committed.
@@ -310,69 +440,94 @@ std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t v) {
 
 constexpr std::uint64_t kFnvSeed = 0xcbf29ce484222325ULL;
 
-// Canonical field-entry key: (table, state, match kind, lo, hi, next).
-// Sorted-set semantics make digests and diffs independent of entry order.
-using FieldKey = std::tuple<std::string, StateId, std::uint8_t, std::uint64_t,
-                            std::uint64_t, StateId>;
-using LeafMap = std::map<StateId, lang::ActionSet>;
-
-std::set<FieldKey> field_keys(const Pipeline& pipe) {
-  std::set<FieldKey> keys;
-  auto collect = [&](const Table& t) {
-    for (const auto& e : t.entries())
-      keys.emplace(t.name(), e.state,
-                   static_cast<std::uint8_t>(e.match.kind), e.match.lo,
-                   e.match.hi, e.next_state);
-  };
-  for (const auto& t : pipe.value_maps) collect(t);
-  for (const auto& t : pipe.tables) collect(t);
-  return keys;
+void append_keys(const Table& t, std::vector<EntryKey>& out) {
+  for (const auto& e : t.entries()) out.push_back(key_of(e));
 }
 
-LeafMap leaf_map(const Pipeline& pipe) {
-  LeafMap m;
-  // Multicast group ids are renumbered per compilation; keying on the
-  // action set keeps renumbering from showing up as divergence.
-  for (const auto& e : pipe.leaf.entries()) m.emplace(e.state, e.actions);
-  return m;
+// The leaf entries' (state, actions) in state order; a shadowed duplicate
+// state is dropped (first wins, as LeafTable::lookup resolves). Keyed on
+// the action set, not the multicast group id: ids are renumbered per
+// compilation.
+using LeafKey = std::pair<StateId, const lang::ActionSet*>;
+std::vector<LeafKey> sorted_leaves(const LeafTable& leaf) {
+  std::vector<LeafKey> out;
+  out.reserve(leaf.entries().size());
+  for (const auto& e : leaf.entries()) out.emplace_back(e.state, &e.actions);
+  auto by_state = [](const LeafKey& a, const LeafKey& b) {
+    return a.first < b.first;
+  };
+  std::stable_sort(out.begin(), out.end(), by_state);
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const LeafKey& a, const LeafKey& b) {
+                          return a.first == b.first;
+                        }),
+            out.end());
+  return out;
 }
 
 std::uint64_t digest_table(const Table& t) {
-  // Sort canonical entry tuples so insertion order cannot matter.
-  std::vector<std::tuple<StateId, std::uint8_t, std::uint64_t, std::uint64_t,
-                         StateId>>
-      keys;
+  // Sorted keys, so insertion order cannot matter.
+  std::vector<EntryKey> keys;
   keys.reserve(t.entries().size());
-  for (const auto& e : t.entries())
-    keys.emplace_back(e.state, static_cast<std::uint8_t>(e.match.kind),
-                      e.match.lo, e.match.hi, e.next_state);
+  append_keys(t, keys);
   std::sort(keys.begin(), keys.end());
   std::uint64_t h = kFnvSeed;
-  for (const auto& [state, kind, lo, hi, next] : keys) {
-    h = fnv1a_mix(h, state);
-    h = fnv1a_mix(h, kind);
-    h = fnv1a_mix(h, lo);
-    h = fnv1a_mix(h, hi);
-    h = fnv1a_mix(h, next);
+  for (const EntryKey& k : keys) {
+    h = fnv1a_mix(h, k.state);
+    h = fnv1a_mix(h, k.kind);
+    h = fnv1a_mix(h, k.lo);
+    h = fnv1a_mix(h, k.hi);
+    h = fnv1a_mix(h, k.next);
   }
   return h;
 }
 
 std::uint64_t digest_leaf(const LeafTable& leaf) {
-  const LeafMap m = [&] {
-    LeafMap out;
-    for (const auto& e : leaf.entries()) out.emplace(e.state, e.actions);
-    return out;
-  }();
   std::uint64_t h = kFnvSeed;
-  for (const auto& [state, actions] : m) {
+  for (const auto& [state, actions] : sorted_leaves(leaf)) {
     h = fnv1a_mix(h, state);
     h = fnv1a_mix(h, 0x1eafULL);
-    for (const auto p : actions.ports) h = fnv1a_mix(h, p);
+    for (const auto p : actions->ports) h = fnv1a_mix(h, p);
     h = fnv1a_mix(h, 0x5ca1eULL);
-    for (const auto u : actions.state_updates) h = fnv1a_mix(h, u);
+    for (const auto u : actions->state_updates) h = fnv1a_mix(h, u);
   }
   return h;
+}
+
+// A pipeline's match stages (value maps and field tables) in name order.
+std::vector<const Table*> stages_by_name(const Pipeline* pipe) {
+  std::vector<const Table*> out;
+  if (!pipe) return out;
+  out.reserve(pipe->value_maps.size() + pipe->tables.size());
+  for (const auto& t : pipe->value_maps) out.push_back(&t);
+  for (const auto& t : pipe->tables) out.push_back(&t);
+  std::stable_sort(out.begin(), out.end(), [](const Table* a, const Table* b) {
+    return a->name() < b->name();
+  });
+  return out;
+}
+
+EntryOp field_op(EntryOp::Kind kind, const std::string& table,
+                 const EntryKey& k) {
+  EntryOp op;
+  op.kind = kind;
+  op.table = table;
+  op.state = k.state;
+  op.match.kind = static_cast<ValueMatch::Kind>(k.kind);
+  op.match.lo = k.lo;
+  op.match.hi = k.hi;
+  op.next_state = k.next;
+  return op;
+}
+
+EntryOp leaf_op(EntryOp::Kind kind, StateId state,
+                const lang::ActionSet& actions) {
+  EntryOp op;
+  op.kind = kind;
+  op.table = std::string(kLeafTableName);
+  op.state = state;
+  op.actions = actions;
+  return op;
 }
 
 }  // namespace
@@ -405,60 +560,77 @@ std::uint64_t pipeline_digest(const Pipeline& pipe) {
 PipelineDiff diff_pipelines(const Pipeline* have, const Pipeline& want) {
   PipelineDiff diff;
 
-  const std::set<FieldKey> new_field = field_keys(want);
-  const LeafMap new_leaf = leaf_map(want);
-  const std::set<FieldKey> old_field =
-      have ? field_keys(*have) : std::set<FieldKey>{};
-  const LeafMap old_leaf = have ? leaf_map(*have) : LeafMap{};
-
-  auto field_op = [](EntryOp::Kind kind, const FieldKey& k) {
-    EntryOp op;
-    op.kind = kind;
-    op.table = std::get<0>(k);
-    op.state = std::get<1>(k);
-    op.match.kind = static_cast<ValueMatch::Kind>(std::get<2>(k));
-    op.match.lo = std::get<3>(k);
-    op.match.hi = std::get<4>(k);
-    op.next_state = std::get<5>(k);
-    return op;
-  };
-  for (const auto& k : new_field) {
-    if (!old_field.count(k))
-      diff.ops.push_back(field_op(EntryOp::Kind::kAdd, k));
-    else
-      ++diff.reused_entries;
+  // Field entries: per stage name, the sorted, de-duplicated entry keys
+  // of both sides, merged in one walk. Names are visited in order, so the
+  // ops come out by (table, entry): every field add, then every field
+  // remove. A name several stages share pools their entries.
+  const std::vector<const Table*> old_stages = stages_by_name(have);
+  const std::vector<const Table*> new_stages = stages_by_name(&want);
+  std::vector<EntryKey> old_keys, new_keys;
+  std::vector<EntryOp> removes;
+  auto o = old_stages.begin();
+  auto n = new_stages.begin();
+  while (o != old_stages.end() || n != new_stages.end()) {
+    const std::string& name =
+        n == new_stages.end() ||
+                (o != old_stages.end() && (*o)->name() < (*n)->name())
+            ? (*o)->name()
+            : (*n)->name();
+    auto gather = [&name](auto& it, auto end, std::vector<EntryKey>& keys) {
+      keys.clear();
+      for (; it != end && (*it)->name() == name; ++it) append_keys(**it, keys);
+      std::sort(keys.begin(), keys.end());
+      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    };
+    gather(o, old_stages.end(), old_keys);
+    gather(n, new_stages.end(), new_keys);
+    std::size_t i = 0, j = 0;
+    while (i < old_keys.size() || j < new_keys.size()) {
+      if (i == old_keys.size() ||
+          (j < new_keys.size() && new_keys[j] < old_keys[i])) {
+        diff.ops.push_back(field_op(EntryOp::Kind::kAdd, name, new_keys[j++]));
+      } else if (j == new_keys.size() || old_keys[i] < new_keys[j]) {
+        removes.push_back(field_op(EntryOp::Kind::kRemove, name, old_keys[i++]));
+      } else {
+        ++diff.reused_entries;
+        ++i;
+        ++j;
+      }
+    }
+    diff.total_entries += new_keys.size();
   }
-  for (const auto& k : old_field) {
-    if (!new_field.count(k))
-      diff.ops.push_back(field_op(EntryOp::Kind::kRemove, k));
-  }
+  std::move(removes.begin(), removes.end(), std::back_inserter(diff.ops));
+  removes.clear();
 
-  auto leaf_op = [](EntryOp::Kind kind, StateId state,
-                    const lang::ActionSet& actions) {
-    EntryOp op;
-    op.kind = kind;
-    op.table = std::string(kLeafTableName);
-    op.state = state;
-    op.actions = actions;
-    return op;
-  };
   // Leaf diff by state: a surviving state whose ActionSet changed is one
-  // kModify op (one control-plane write), not a remove+add pair.
-  for (const auto& [state, actions] : new_leaf) {
-    auto old_it = old_leaf.find(state);
-    if (old_it == old_leaf.end())
-      diff.ops.push_back(leaf_op(EntryOp::Kind::kAdd, state, actions));
-    else if (!(old_it->second == actions))
-      diff.ops.push_back(leaf_op(EntryOp::Kind::kModify, state, actions));
-    else
-      ++diff.reused_entries;
+  // kModify op (one control-plane write), not a remove+add pair. Adds and
+  // modifies come out in state order, then the removes.
+  const std::vector<LeafKey> old_leaf =
+      have ? sorted_leaves(have->leaf) : std::vector<LeafKey>{};
+  const std::vector<LeafKey> new_leaf = sorted_leaves(want.leaf);
+  std::size_t i = 0, j = 0;
+  while (i < old_leaf.size() || j < new_leaf.size()) {
+    if (i == old_leaf.size() ||
+        (j < new_leaf.size() && new_leaf[j].first < old_leaf[i].first)) {
+      diff.ops.push_back(leaf_op(EntryOp::Kind::kAdd, new_leaf[j].first,
+                                 *new_leaf[j].second));
+      ++j;
+    } else if (j == new_leaf.size() || old_leaf[i].first < new_leaf[j].first) {
+      removes.push_back(leaf_op(EntryOp::Kind::kRemove, old_leaf[i].first,
+                                *old_leaf[i].second));
+      ++i;
+    } else {
+      if (*old_leaf[i].second == *new_leaf[j].second)
+        ++diff.reused_entries;
+      else
+        diff.ops.push_back(leaf_op(EntryOp::Kind::kModify, new_leaf[j].first,
+                                   *new_leaf[j].second));
+      ++i;
+      ++j;
+    }
   }
-  for (const auto& [state, actions] : old_leaf) {
-    if (!new_leaf.count(state))
-      diff.ops.push_back(leaf_op(EntryOp::Kind::kRemove, state, actions));
-  }
-
-  diff.total_entries = new_field.size() + new_leaf.size();
+  std::move(removes.begin(), removes.end(), std::back_inserter(diff.ops));
+  diff.total_entries += new_leaf.size();
 
   // Structural applicability against `have` (= what the switch runs):
   // entry ops can only patch a program whose stage layout already equals

@@ -27,20 +27,29 @@ std::string ValueMatch::to_string() const {
   return "?";
 }
 
-bool Table::insert_entry(const Entry& e) {
-  if (std::find(entries_.begin(), entries_.end(), e) != entries_.end())
-    return false;
-  entries_.push_back(e);
-  indexed_ = false;
-  return true;
+namespace {
+// Compacts `v` over the strictly increasing indices in `ascending`,
+// keeping the survivors' order.
+template <typename T>
+void erase_at(std::vector<T>& v, std::span<const std::size_t> ascending) {
+  if (ascending.empty()) return;
+  std::size_t kept = ascending.front();
+  auto next = ascending.begin();
+  for (std::size_t i = kept; i < v.size(); ++i) {
+    if (next != ascending.end() && *next == i) {
+      ++next;
+      continue;
+    }
+    v[kept++] = std::move(v[i]);
+  }
+  v.resize(kept);
 }
+}  // namespace
 
-bool Table::remove_matching(const Entry& e) {
-  auto it = std::find(entries_.begin(), entries_.end(), e);
-  if (it == entries_.end()) return false;
-  entries_.erase(it);
+void Table::remove_entries(std::span<const std::size_t> ascending) {
+  if (ascending.empty()) return;
+  erase_at(entries_, ascending);
   indexed_ = false;
-  return true;
 }
 
 void Table::finalize() const {
@@ -129,6 +138,22 @@ std::uint32_t MulticastGroups::intern(
   return id;
 }
 
+void MulticastGroups::renumber(std::span<const std::uint32_t> remap,
+                               std::uint32_t kept) {
+  std::vector<std::vector<std::uint16_t>> groups(kept);
+  for (std::uint32_t g = 0; g < groups_.size(); ++g)
+    if (remap[g] != kDropped) groups[remap[g]] = std::move(groups_[g]);
+  groups_ = std::move(groups);
+  for (auto it = ids_.begin(); it != ids_.end();) {
+    if (remap[it->second] == kDropped) {
+      it = ids_.erase(it);
+    } else {
+      it->second = remap[it->second];
+      ++it;
+    }
+  }
+}
+
 void LeafTable::add_entry(LeafEntry e) {
   index_.emplace(e.state, entries_.size());
   entries_.push_back(std::move(e));
@@ -145,12 +170,10 @@ void LeafTable::reindex() {
     index_.emplace(entries_[i].state, i);  // emplace keeps first-wins
 }
 
-bool LeafTable::remove_entry(StateId state) {
-  auto it = index_.find(state);
-  if (it == index_.end()) return false;
-  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(it->second));
+void LeafTable::remove_entries(std::span<const std::size_t> ascending) {
+  if (ascending.empty()) return;
+  erase_at(entries_, ascending);
   reindex();
-  return true;
 }
 
 bool LeafTable::replace_entry(StateId state, LeafEntry e) {
@@ -160,10 +183,24 @@ bool LeafTable::replace_entry(StateId state, LeafEntry e) {
   return true;
 }
 
-void LeafTable::intern_groups(MulticastGroups& groups) {
-  for (LeafEntry& e : entries_)
-    if (e.actions.ports.size() > 1)
-      e.mcast_group = groups.intern(e.actions.ports);
+void LeafTable::compact_groups(MulticastGroups& groups) {
+  std::vector<std::uint32_t> remap(groups.size(), MulticastGroups::kDropped);
+  std::uint32_t kept = 0;
+  for (LeafEntry& e : entries_) {
+    if (e.actions.ports.size() <= 1) continue;
+    // Group ids are unique per port set (intern deduplicates), so ids
+    // stand for port sets.
+    const std::uint32_t g =
+        e.mcast_group && *e.mcast_group < groups.size() &&
+                groups.ports(*e.mcast_group) == e.actions.ports
+            ? *e.mcast_group
+            : groups.intern(e.actions.ports);
+    // intern may have appended g.
+    remap.resize(groups.size(), MulticastGroups::kDropped);
+    if (remap[g] == MulticastGroups::kDropped) remap[g] = kept++;
+    e.mcast_group = remap[g];
+  }
+  groups.renumber(remap, kept);
 }
 
 void ResourceUsage::accumulate(const ResourceUsage& other) {

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -107,14 +108,13 @@ class Table {
     indexed_ = false;
   }
 
-  // --- runtime control-plane updates (live churn path) ----------------
-  // Installs one entry unless an identical one is already present
-  // (idempotent; returns false on the duplicate). Invalidates the index.
-  bool insert_entry(const Entry& e);
-  // Removes the first entry identical to e; false when absent. Match
-  // priority is structural (exact > range > wildcard; ranges disjoint),
-  // so removal position never changes lookup semantics.
-  bool remove_matching(const Entry& e);
+  // Removes the entries at `ascending` (strictly increasing indices) in
+  // one pass that keeps the survivors' order, invalidating the index when
+  // anything goes. The delta apply path (table::apply_ops) batches a
+  // table's removes into one call. Match priority is structural (exact >
+  // range > wildcard; ranges disjoint), so positions never change lookup
+  // semantics.
+  void remove_entries(std::span<const std::size_t> ascending);
 
   // Builds per-state indices: hash lookup for exact entries, binary search
   // over sorted disjoint ranges, wildcard fallback. Specific entries win
@@ -156,8 +156,15 @@ class Table {
 // multicast groups" separately from unicast forwards).
 class MulticastGroups {
  public:
+  static constexpr std::uint32_t kDropped = 0xffffffffu;
+
   // Interns a port set (must be sorted unique). Returns the group id.
   std::uint32_t intern(const std::vector<std::uint16_t>& ports);
+
+  // Keeps group g as group remap[g], or drops it when remap[g] is
+  // kDropped. `remap` has one slot per group, and the kept groups' new ids
+  // are exactly 0..kept-1.
+  void renumber(std::span<const std::uint32_t> remap, std::uint32_t kept);
 
   const std::vector<std::uint16_t>& ports(std::uint32_t group) const {
     return groups_.at(group);
@@ -185,17 +192,20 @@ class LeafTable {
   const LeafEntry* lookup(StateId state) const;
 
   // --- runtime control-plane updates (live churn path) ----------------
-  // Removes the entry for `state`; false when absent. First-wins duplicate
-  // semantics are preserved: if a shadowed duplicate for the same state
-  // exists it becomes visible, exactly as a freshly built table would
-  // resolve.
-  bool remove_entry(StateId state);
+  // Removes the entries at `ascending` (strictly increasing indices) in
+  // one pass, then re-indexes once. First-wins duplicate semantics are
+  // preserved: if a shadowed duplicate of a removed state survives it
+  // becomes visible, exactly as a freshly built table would resolve.
+  void remove_entries(std::span<const std::size_t> ascending);
   // Replaces the entry for `state` in place (ActionSet-only modify);
   // false when absent.
   bool replace_entry(StateId state, LeafEntry e);
-  // Interns every multi-port entry's port set into `groups`, in table
-  // order, and points the entry at the returned id.
-  void intern_groups(MulticastGroups& groups);
+  // Drops the groups no multi-port entry uses and renumbers the others
+  // by first use in table order, pointing every multi-port entry at its
+  // port set's new id: the groups and ids that interning each multi-port
+  // entry's ports into an empty table would give, without re-interning
+  // (an entry whose id does not name its port set is looked up).
+  void compact_groups(MulticastGroups& groups);
 
  private:
   void reindex();

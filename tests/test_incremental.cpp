@@ -2,13 +2,17 @@
 // changes must produce small deltas; state ids must stay stable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "compiler/compile.hpp"
 #include "compiler/incremental.hpp"
+#include "lang/eval.hpp"
 #include "lang/parser.hpp"
 #include "spec/itch_spec.hpp"
 #include "switchsim/switch.hpp"
 #include "util/intern.hpp"
 #include "util/rng.hpp"
+#include "workload/churn.hpp"
 #include "workload/itch_subs.hpp"
 
 namespace {
@@ -240,11 +244,208 @@ TEST_P(IncrementalChurn, AlwaysMatchesBatch) {
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalChurn,
                          ::testing::Values(61, 62, 63, 64));
 
+// --- Union tree -------------------------------------------------------------
+// Each subscription owns one fixed leaf of a persistent tree of partial
+// unions, and a commit re-unites only the changed leaves' paths to the
+// root. So the union work of a commit follows the change, not the size of
+// the program or the position of the removed rule.
+
+std::uint64_t union_misses(const bdd::CacheStats& c) {
+  return (c.unite_probes - c.unite_hits) +
+         (c.unite_res_probes - c.unite_res_hits);
+}
+
+// Union memo misses per single-subscription remove commit on a
+// 1,500-rule churn population (deterministic): the median is 915 on the
+// union tree, and the bound is twice that. A flat pairwise union over the
+// compacted rule order, which re-pairs every rule after the removed one,
+// reads 6,992.
+TEST(IncrementalUnionTree, SingleRemoveUnionWorkFollowsTheChange) {
+  const auto schema = spec::make_itch_schema();
+  compiler::CompileOptions opts;
+  opts.order = bdd::OrderHeuristic::kExactFirst;
+  workload::ChurnParams cp;
+  cp.seed = 20260806;
+  cp.subs.seed = cp.seed ^ 0x5eedULL;
+  cp.subs.n_subscriptions = 1500;
+  cp.subs.n_symbols = 100;
+  cp.subs.n_hosts = 200;
+  workload::ChurnGenerator churn(schema, cp);
+  IncrementalCompiler inc(schema, opts);
+  std::vector<IncrementalCompiler::SubscriptionId> ids;
+  for (const auto& r : churn.base()) ids.push_back(inc.add(r));
+  auto base = inc.commit();
+  ASSERT_TRUE(base.ok()) << base.error().to_string();
+  std::uint64_t before = union_misses(base.value().stats.cache);
+
+  util::Rng rng(7);
+  std::vector<std::uint64_t> per_commit;
+  for (int i = 0; i < 15; ++i) {
+    const auto k = static_cast<std::size_t>(rng.uniform(0, ids.size() - 1));
+    ASSERT_TRUE(inc.remove(ids[k]));
+    ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(k));
+    auto d = inc.commit();
+    ASSERT_TRUE(d.ok()) << d.error().to_string();
+    const std::uint64_t after = union_misses(d.value().stats.cache);
+    per_commit.push_back(after - before);
+    before = after;
+  }
+  std::sort(per_commit.begin(), per_commit.end());
+  const std::uint64_t median = per_commit[per_commit.size() / 2];
+  EXPECT_LT(median, 2 * 915u) << "median union memo misses per remove commit";
+}
+
+// Re-adding a removed rule puts it back in its freed leaf, so the tree
+// holds the pairs it held before: every union is a memo hit, the commit
+// creates no BDD node, and the root is the old root. A rule placed in a
+// fresh leaf would pair differently and create nodes.
+TEST(IncrementalUnionTree, RemoveThenAddReusesTheFreedLeaf) {
+  const auto schema = spec::make_itch_schema();
+  const std::vector<std::string> sources = {
+      "stock == GOOGL : fwd(1)", "stock == MSFT and price > 10 : fwd(2)",
+      "price > 500 : fwd(3)", "shares < 20 : fwd(4)",
+      "stock == AAPL or shares > 900 : fwd(5)"};
+  IncrementalCompiler inc(schema);
+  std::vector<IncrementalCompiler::SubscriptionId> ids;
+  for (const auto& src : sources) {
+    auto id = inc.add_source(src);
+    ASSERT_TRUE(id.ok()) << src;
+    ids.push_back(id.value());
+  }
+  auto base = inc.commit();
+  ASSERT_TRUE(base.ok());
+  const bdd::NodeRef root = inc.root();
+  const std::size_t nodes = base.value().stats.cache.unique_nodes;
+
+  // Remove then add in one commit.
+  ASSERT_TRUE(inc.remove(ids[1]));
+  ASSERT_TRUE(inc.add_source(sources[1]).ok());
+  auto same = inc.commit();
+  ASSERT_TRUE(same.ok());
+  EXPECT_EQ(same.value().stats.cache.unique_nodes, nodes);
+  EXPECT_EQ(inc.root(), root);
+  EXPECT_TRUE(same.value().ops.empty());
+
+  // Remove, commit, then add back: the re-add creates no node.
+  ASSERT_TRUE(inc.remove(ids[3]));
+  auto removed = inc.commit();
+  ASSERT_TRUE(removed.ok());
+  EXPECT_NE(inc.root(), root);
+  ASSERT_TRUE(inc.add_source(sources[3]).ok());
+  auto readded = inc.commit();
+  ASSERT_TRUE(readded.ok());
+  EXPECT_EQ(readded.value().stats.cache.unique_nodes,
+            removed.value().stats.cache.unique_nodes);
+  EXPECT_EQ(inc.root(), root);
+
+  // A different rule in a freed leaf classifies like the live rules.
+  ASSERT_TRUE(inc.remove(ids[2]));
+  ASSERT_TRUE(inc.add_source("price < 5 : fwd(8)").ok());
+  ASSERT_TRUE(inc.commit().ok());
+  std::vector<lang::BoundRule> live;
+  for (const std::string& src :
+       {sources[0], sources[1], sources[3], sources[4],
+        std::string("price < 5 : fwd(8)")})
+    live.push_back(lang::bind_rule(lang::parse_rule(src).value(), schema)
+                       .value());
+  util::Rng rng(3);
+  const std::vector<std::string> syms = {"GOOGL", "MSFT", "AAPL", "X"};
+  for (int trial = 0; trial < 500; ++trial) {
+    const auto env = itch_env(rng.uniform(0, 1000), rng.pick(syms),
+                              rng.uniform(0, 1000));
+    ASSERT_EQ(inc.pipeline().value()->evaluate_actions(env),
+              lang::brute_eval_rules(live, env))
+        << trial;
+  }
+}
+
+TEST(IncrementalUnionTree, RemovingEverySubscriptionCommitsDropAll) {
+  IncrementalCompiler inc(spec::make_itch_schema());
+  std::vector<IncrementalCompiler::SubscriptionId> ids;
+  for (int i = 0; i < 7; ++i) {
+    auto id = inc.add_source("price > " + std::to_string(100 * i) +
+                             " : fwd(" + std::to_string(i + 1) + ")");
+    ASSERT_TRUE(id.ok());
+    ids.push_back(id.value());
+  }
+  auto first = inc.commit();
+  ASSERT_TRUE(first.ok());
+  ASSERT_GT(inc.pipeline().value()->leaf.entries().size(), 0u);
+
+  for (const auto id : ids) ASSERT_TRUE(inc.remove(id));
+  auto none = inc.commit();
+  ASSERT_TRUE(none.ok()) << none.error().to_string();
+  EXPECT_EQ(inc.subscription_count(), 0u);
+  EXPECT_EQ(inc.root(), inc.manager()->drop());
+  const table::Pipeline& p = *inc.pipeline().value();
+  EXPECT_TRUE(p.leaf.entries().empty());
+  EXPECT_GT(none.value().removes(), 0u);
+  EXPECT_EQ(none.value().adds(), 0u);
+  for (std::uint64_t price : {0u, 150u, 650u, 5000u})
+    EXPECT_TRUE(p.evaluate_actions(itch_env(1, "GOOGL", price)).is_drop());
+
+  // The empty tree takes subscriptions again.
+  ASSERT_TRUE(inc.add_source("price > 250 : fwd(9)").ok());
+  ASSERT_TRUE(inc.commit().ok());
+  const lang::ActionSet& actions =
+      inc.pipeline().value()->evaluate_actions(itch_env(1, "X", 300));
+  EXPECT_EQ(actions.ports, std::vector<std::uint16_t>{9});
+}
+
+// Waves of adds and removes that take the tree from 4 to 32 leaves (23 in
+// use, freed leaves reused): after every commit the program classifies
+// like a fresh compiler given only the live rules, and like the
+// brute-force evaluator.
+TEST(IncrementalUnionTree, DoubledTreeClassifiesLikeAFreshCompiler) {
+  const auto schema = spec::make_itch_schema();
+  workload::ItchSubsParams p;
+  p.seed = 9;
+  p.n_subscriptions = 40;
+  p.n_symbols = 6;
+  p.n_hosts = 12;
+  p.round_robin = false;
+  const auto pool = workload::generate_itch_subscriptions(schema, p).rules;
+  compiler::CompileOptions opts;
+  opts.order = bdd::OrderHeuristic::kExactFirst;
+  IncrementalCompiler inc(schema, opts);
+  std::vector<std::pair<IncrementalCompiler::SubscriptionId, std::size_t>> live;
+  std::size_t next = 0;
+  util::Rng rng(9);
+  const std::vector<std::string> syms =
+      workload::generate_itch_subscriptions(schema, p).symbols;
+  const struct { int adds, removes; } waves[] = {
+      {3, 0}, {5, 0}, {2, 4}, {12, 1}, {0, 6}, {14, 2}};
+  for (const auto& wave : waves) {
+    for (int r = 0; r < wave.removes && !live.empty(); ++r) {
+      const auto k = static_cast<std::size_t>(rng.uniform(0, live.size() - 1));
+      ASSERT_TRUE(inc.remove(live[k].first));
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+    }
+    for (int a = 0; a < wave.adds; ++a, ++next)
+      live.emplace_back(inc.add(pool[next]), next);
+    ASSERT_TRUE(inc.commit().ok());
+
+    std::vector<lang::BoundRule> rules;
+    IncrementalCompiler fresh(schema, opts);
+    for (const auto& [id, k] : live) {
+      rules.push_back(pool[k]);
+      fresh.add(pool[k]);
+    }
+    ASSERT_TRUE(fresh.commit().ok());
+    for (int trial = 0; trial < 300; ++trial) {
+      const auto env = itch_env(rng.uniform(0, 1000), rng.pick(syms),
+                                rng.uniform(0, 1000));
+      const auto& got = inc.pipeline().value()->evaluate_actions(env);
+      ASSERT_EQ(got, fresh.pipeline().value()->evaluate_actions(env));
+      ASSERT_EQ(got, lang::brute_eval_rules(rules, env));
+    }
+  }
+}
+
 // --- Partition-fallback diagnostic (I130) ---------------------------------
 // The persistent-manager path has no partitioned variant; when the options
-// ask for partitioned output (or the diff base came from a partitioned
-// batch compile) the commit must SAY so instead of silently emitting a
-// structurally different pipeline.
+// ask for partitioned output the commit must SAY so instead of silently
+// emitting a structurally different pipeline.
 
 TEST(IncrementalPartitionFallback, ForcedPartitionRequestSurfacesI130) {
   compiler::CompileOptions opts;
@@ -271,21 +472,6 @@ TEST(IncrementalPartitionFallback, AutoBelowThresholdStaysSilent) {
   ASSERT_TRUE(d.ok());
   EXPECT_TRUE(d.value().stats.partition_fallback.empty())
       << d.value().stats.partition_fallback;
-}
-
-TEST(IncrementalPartitionFallback, PartitionedBaseSurfacesOnceThenClears) {
-  IncrementalCompiler inc(spec::make_itch_schema());
-  ASSERT_TRUE(inc.add_source("stock == GOOGL : fwd(1)").ok());
-  inc.note_partitioned_base(true);
-  auto first = inc.commit();
-  ASSERT_TRUE(first.ok());
-  EXPECT_NE(first.value().stats.partition_fallback.find("I130"),
-            std::string::npos);
-  // The base is now the commit's own monolithic output: no more warning.
-  ASSERT_TRUE(inc.add_source("stock == MSFT : fwd(2)").ok());
-  auto second = inc.commit();
-  ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second.value().stats.partition_fallback.empty());
 }
 
 }  // namespace
