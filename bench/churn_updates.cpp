@@ -1,10 +1,12 @@
 // Live-churn update benchmark: a seeded stream of subscribe/unsubscribe
 // operations is committed through the incremental compiler and installed
-// as entry deltas (TwoPhaseInstaller::apply_delta -> Switch::apply_delta
-// RCU patch). Measures, per commit:
+// as entry deltas (TwoPhaseInstaller::apply_delta ships the ops;
+// Switch::stage applies them to one copy of the running pipeline and
+// lowers it; Switch::commit publishes it with an RCU swap). Measures, per
+// commit:
 //
 //   - commit latency (incremental recompile + diff),
-//   - delta install latency (serialize, stage, verify, patch, swap),
+//   - delta install latency (serialize, ship, verify, stage, commit),
 //   - control-plane ops per commit vs the installed entry count,
 //   - entry reuse fraction (entries carried over unchanged),
 //

@@ -287,8 +287,9 @@ bool run_mode(const spec::Schema& schema, bool file_backed, int n_commits,
   }
 
   // --- 4a. Repair delta: the switch missed exactly one install.
-  const table::Pipeline have = sw.pipeline_snapshot();
-  const table::PipelineDiff diff = table::diff_pipelines(&have, intended);
+  const auto have = sw.pipeline_snapshot();
+  const table::PipelineDiff diff =
+      table::diff_pipelines(have.get(), intended);
   out.delta_bytes = table::serialize_ops(diff.ops).size();
   out.full_bytes = table::serialize_pipeline(intended).size();
   util::Timer repair_t;

@@ -387,7 +387,7 @@ struct Scenario {
     const std::size_t i = rng.uniform(0, topology.switches() - 1);
     switchsim::Switch& sw = switch_at(i);
     const std::uint64_t before = sw.program_version();
-    auto rejected = sw.reprogram_fenced(*deposed_epoch, table::Pipeline{});
+    auto rejected = sw.commit(sw.stage(table::Pipeline{}), *deposed_epoch);
     const bool bounced = !rejected.ok() && rejected.error().code == "E140" &&
                          sw.program_version() == before;
     if (bounced) ++stats.stale_rejected;

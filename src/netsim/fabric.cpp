@@ -55,14 +55,9 @@ pubsub::FabricTargets Fabric::targets() {
 }
 
 void Fabric::program(const compiler::FabricProgram& program) {
-  for (Node& n : spine_) {
-    n.sw->reprogram(table::Pipeline(program.spine));
-    n.installer->resync_from_switch();
-  }
-  for (std::size_t l = 0; l < leaf_.size(); ++l) {
+  for (Node& n : spine_) n.sw->reprogram(table::Pipeline(program.spine));
+  for (std::size_t l = 0; l < leaf_.size(); ++l)
     leaf_[l].sw->reprogram(table::Pipeline(program.leaves[l]));
-    leaf_[l].installer->resync_from_switch();
-  }
 }
 
 std::vector<FabricDelivery> Fabric::inject(std::span<const std::uint8_t> frame,

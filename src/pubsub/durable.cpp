@@ -539,9 +539,9 @@ Result<FabricDelta> DurableController::commit() {
 
 void DurableController::rewind(const FabricTargets& targets,
                                const FabricDelta& delta) {
-  // Every switch still runs what its installer serves (rollback already
-  // undid any commit): the node's next delta must land on that, so the
-  // next commit recompiles it against the rewound base.
+  // The node's next delta must land on what its switch runs (rollback
+  // already undid any commit this install made), so the next commit
+  // recompiles it against that program.
   if (spine_ && !FabricDelta::empty(delta.spine)) {
     spine_->inc.restore_installed(
         table::Pipeline(*targets.spines[0]->active()));
@@ -618,9 +618,11 @@ Result<FabricInstallReport> DurableController::install(
     ++report.staged;
   }
 
-  // --- Phase 2: commit switch by switch. Every delta already passed
-  // verification, so the only failure left is fencing (a newer controller
-  // took a switch) — which rolls back the switches already flipped.
+  // --- Phase 2: commit switch by switch. Every switch already staged its
+  // program, so a commit fails only on fencing (a newer controller took
+  // the switch, E140) or on a moved base (the switch was written after its
+  // delta was staged, E144). Either rolls back the switches already
+  // flipped.
   for (std::size_t k = 0;; ++k) {
     if (crash_after_commits_ >= 0 &&
         static_cast<std::size_t>(crash_after_commits_) ==
@@ -634,7 +636,7 @@ Result<FabricInstallReport> DurableController::install(
     }
     if (k == touched.size()) break;
     const std::size_t i = touched[k];
-    const bool ok = targets.at(i).commit_staged(staged[i]);
+    const bool ok = targets.at(i).commit(staged[i]);
     report.reports[i] = staged[i].report;
     if (!ok) {
       report.error = "commit failed on switch " + std::to_string(i) + ": " +
@@ -700,14 +702,13 @@ Result<FabricReconcileReport> DurableController::reconcile(
       ++report.in_sync;
       report.reused_entries += want.total_entries();
       report.total_entries += want.total_entries();
-      installer.resync_from_switch();
       continue;
     }
 
     // Minimal repair in the same diff currency as live churn deltas, so
     // reconciliation and the compilers never disagree about an update.
-    const table::Pipeline running = sw.pipeline_snapshot();
-    table::PipelineDiff diff = table::diff_pipelines(&running, want);
+    const auto running = sw.pipeline_snapshot();
+    table::PipelineDiff diff = table::diff_pipelines(running.get(), want);
     report.reused_entries += diff.reused_entries;
     report.total_entries += diff.total_entries;
     InstallReport install;
@@ -716,9 +717,6 @@ Result<FabricReconcileReport> DurableController::reconcile(
       install = installer.install(want, faults, chunk_bytes, max_attempts,
                                   chunk_retries);
     } else {
-      // Re-seed the installer's dry-run base from the switch's actual
-      // program so the repair ops apply against reality.
-      installer.resync_from_switch();
       report.repair_ops += diff.ops.size();
       install = installer.apply_delta(diff.ops, faults, chunk_bytes,
                                       max_attempts, chunk_retries);

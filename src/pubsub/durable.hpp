@@ -60,9 +60,9 @@
 // Per-node intent and diff base stay separate. The journaled commit is the
 // intent, and reconcile() keeps driving every switch toward it. The diff
 // base is what each node's next delta is computed against: an aborted or
-// rolled-back install rewinds every node it meant to touch to that
-// switch's installer active(), and a reconcile repair re-seeds it from the
-// intent.
+// rolled-back install rewinds every node it meant to touch to the program
+// its switch runs (the installer's active()), and a reconcile repair
+// re-seeds it from the intent.
 //
 // The fencing half: each open() adopts a strictly larger epoch and stamps
 // it on every switch write, so a deposed controller's stragglers are
@@ -221,6 +221,9 @@ struct FabricReconcileReport {
 //   E122  intended() or install() before the first commit()
 //   E142  operation before a successful open()
 //   E143  rule text spans lines (the journal stores one rule per line)
+//   E140, E141, E144  from the switches (Switch::commit, Switch::fence):
+//         a stale epoch at commit or at fence, a staged delta whose base
+//         program no longer runs
 //   F150  stateful rule on a multi-switch topology (rejected at subscribe)
 //   F151  degenerate topology, or targets/delta shaped for another one
 //   J010  replayed commit digest mismatch (journal corruption or broken
@@ -280,7 +283,8 @@ class DurableController {
   // non-empty node delta on its switch (entry ops, or the node's full
   // intended image when the delta requires a reprogram), then commit each.
   // Any stage failure aborts with zero switches modified; a commit-phase
-  // failure (fencing) rolls back the switches already committed. `faults`
+  // failure (fencing, or a switch written since its stage) rolls back the
+  // switches already committed. `faults`
   // models the control channel of the switch at flat index `fault_switch`
   // (-1 = every switch shares the plan). Journaled as one kInstallBegin /
   // kInstallCommit-or-Abort pair around the whole transaction.

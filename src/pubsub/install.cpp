@@ -132,49 +132,9 @@ std::vector<std::uint8_t> ChunkReceiver::assemble() const {
   return out;
 }
 
-TwoPhaseInstaller::TwoPhaseInstaller(switchsim::Switch& sw) : sw_(sw) {
-  auto current = std::make_shared<table::Pipeline>(sw.pipeline_snapshot());
-  current->finalize();
-  active_ = std::move(current);
-}
-
-void TwoPhaseInstaller::publish(
-    std::shared_ptr<const table::Pipeline> next) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  previous_ = std::move(active_);
-  active_ = std::move(next);
-  ++commits_;
-}
-
-std::shared_ptr<const table::Pipeline> TwoPhaseInstaller::active() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return active_;
-}
-
 bool TwoPhaseInstaller::rollback() {
-  std::shared_ptr<const table::Pipeline> prev;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (!previous_) return false;
-    prev = std::move(previous_);
-  }
-  if (epoch_ > 0) {
-    if (!sw_.reprogram_fenced(epoch_, table::Pipeline(*prev)).ok())
-      return false;  // fenced out by a newer controller
-  } else {
-    sw_.reprogram(table::Pipeline(*prev));
-  }
-  const std::lock_guard<std::mutex> lock(mu_);
-  active_ = std::move(prev);
-  return true;
-}
-
-void TwoPhaseInstaller::resync_from_switch() {
-  auto current = std::make_shared<table::Pipeline>(sw_.pipeline_snapshot());
-  current->finalize();
-  const std::lock_guard<std::mutex> lock(mu_);
-  active_ = std::move(current);
-  previous_.reset();
+  const switchsim::Switch::Staged previous = std::exchange(previous_, {});
+  return previous && sw_.commit(previous, epoch_).ok();
 }
 
 bool TwoPhaseInstaller::stage_attempt(std::span<const std::uint8_t> bytes,
@@ -314,10 +274,7 @@ StagedInstall TwoPhaseInstaller::stage_image(const std::string& image,
             "staged image rejected: " + parsed.error().to_string();
         continue;
       }
-      // deserialize_pipeline finalized the pipeline, so readers of a
-      // snapshot published from this image never race a lazy index build.
-      out.pipeline =
-          std::make_shared<table::Pipeline>(std::move(parsed).take());
+      out.program = sw_.stage(std::move(parsed).take());
     } else {
       auto parsed = table::deserialize_ops(text);
       if (!parsed.ok()) {
@@ -325,19 +282,17 @@ StagedInstall TwoPhaseInstaller::stage_image(const std::string& image,
             "staged delta rejected: " + parsed.error().to_string();
         continue;
       }
-      // Dry run on a scratch copy of the active pipeline. A delta that
-      // does not land exactly (U0xx) means the controller and switch
-      // disagree about the installed state — aborting here is what keeps
-      // them from silently diverging, and retrying cannot fix it.
-      auto scratch = std::make_shared<table::Pipeline>(*active());
-      auto applied = table::apply_ops(*scratch, parsed.value());
-      if (!applied.ok()) {
+      // The switch applies the ops to a copy of the program it runs. A
+      // delta that does not land exactly (U0xx) means the controller and
+      // switch disagree about the installed state — aborting here is what
+      // keeps them from silently diverging, and retrying cannot fix it.
+      auto staged = sw_.stage(parsed.value());
+      if (!staged.ok()) {
         out.report.error =
-            "delta does not apply: " + applied.error().to_string();
+            "delta does not apply: " + staged.error().to_string();
         return out;
       }
-      out.pipeline = std::move(scratch);  // finalized+validated by apply_ops
-      out.ops = std::move(parsed).take();
+      out.program = std::move(staged).take();
     }
     out.staged = true;
     out.report.error.clear();
@@ -368,39 +323,23 @@ StagedInstall TwoPhaseInstaller::stage(std::span<const table::EntryOp> ops,
   return out;
 }
 
-bool TwoPhaseInstaller::commit_staged(StagedInstall& s) {
-  if (!s.staged || !s.pipeline) {
+bool TwoPhaseInstaller::commit(StagedInstall& s) {
+  if (!s.staged) {
     if (s.report.error.empty())
       s.report.error = "commit of an image that was never staged";
     return false;
   }
-  // --- Commit: patch the running program in place (RCU swap inside
-  // Switch::apply_delta) or reprogram it with the verified image — either
-  // epoch-fenced when an epoch is set — then swap the reader-visible
-  // snapshot.
-  if (s.ops) {
-    auto committed = epoch_ > 0 ? sw_.apply_delta_fenced(epoch_, *s.ops)
-                                : sw_.apply_delta(*s.ops);
-    if (!committed.ok()) {
-      s.report.fenced_out = committed.error().code == "E140";
-      s.report.error =
-          "switch rejected the delta: " + committed.error().to_string();
-      return false;
-    }
-    s.report.applied = committed.value();
-  } else if (epoch_ > 0) {
-    auto fenced = sw_.reprogram_fenced(epoch_, table::Pipeline(*s.pipeline));
-    if (!fenced.ok()) {
-      // A newer controller owns the switch; retrying cannot help.
-      s.report.fenced_out = true;
-      s.report.error =
-          "switch fenced the install out: " + fenced.error().to_string();
-      return false;
-    }
-  } else {
-    sw_.reprogram(table::Pipeline(*s.pipeline));
+  auto replaced = sw_.commit(s.program, epoch_);
+  if (!replaced.ok()) {
+    // E140: a newer controller owns the switch; retrying cannot help.
+    s.report.fenced_out = replaced.error().code == "E140";
+    s.report.error =
+        "switch rejected the commit: " + replaced.error().to_string();
+    return false;
   }
-  publish(s.pipeline);
+  previous_ = std::move(replaced).take();
+  ++commits_;
+  s.report.applied = s.program.applied();
   s.report.committed = true;
   s.report.error.clear();
   return true;
@@ -412,7 +351,7 @@ InstallReport TwoPhaseInstaller::install(const table::Pipeline& pipeline,
                                          int max_attempts, int chunk_retries) {
   StagedInstall s = stage(pipeline, faults, chunk_bytes, max_attempts,
                           chunk_retries);
-  if (s.staged) commit_staged(s);
+  if (s.staged) commit(s);
   return s.report;
 }
 
@@ -420,8 +359,8 @@ InstallReport TwoPhaseInstaller::apply_delta(
     std::span<const table::EntryOp> ops, const fault::Plan* faults,
     std::size_t chunk_bytes, int max_attempts, int chunk_retries) {
   if (ops.empty()) {
-    // A no-op commit ships nothing and commits trivially: the active
-    // pipeline already is the target.
+    // A no-op commit ships nothing and commits trivially: the running
+    // program already is the target.
     InstallReport report;
     report.epoch = epoch_;
     report.committed = true;
@@ -429,7 +368,7 @@ InstallReport TwoPhaseInstaller::apply_delta(
   }
   StagedInstall s = stage(ops, faults, chunk_bytes, max_attempts,
                           chunk_retries);
-  if (s.staged) commit_staged(s);
+  if (s.staged) commit(s);
   return s.report;
 }
 

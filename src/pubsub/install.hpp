@@ -5,25 +5,25 @@
 //             ops) is shipped in digest-protected chunks over a channel
 //             that may drop or corrupt (modelled by a fault::Plan);
 //             damaged chunks are retransmitted.
-//   verify  — the staged image must match the full-image digest, parse
-//             (table::deserialize_pipeline validates structure), and
-//             finalize before it can touch the switch; staged ops must
-//             apply to a scratch copy of the active pipeline.
-//   commit  — one reprogram() with the verified pipeline (or one in-place
-//             apply_delta() of the ops), then an atomic swap of the
-//             reader-visible snapshot.
+//   verify  — the staged image must match the full-image digest and parse
+//             (table::deserialize_pipeline validates structure); then the
+//             switch stages it (Switch::stage): it lowers the image, or
+//             applies the ops to a copy of the program it runs and lowers
+//             that. Ops that do not apply abort here (U0xx).
+//   commit  — one Switch::commit() publishes the staged program, fenced by
+//             the controller epoch; staged ops land only on the program
+//             they were applied to (E144).
 //
-// Any fault before commit leaves the switch and the snapshot on the
-// last-good pipeline — a mid-update link failure degrades to "the update
-// didn't happen", never to a half-programmed switch. Readers only ever
-// observe complete pipelines through active() (exercised under TSAN in
+// The installer holds no pipeline of its own: the switch decides what
+// runs, and active() reads it. Any fault before commit leaves the switch
+// on the last-good program — a mid-update link failure degrades to "the
+// update didn't happen", never to a half-programmed switch. Readers only
+// ever observe complete programs through active() (exercised under TSAN in
 // tests/test_concurrent_lookup.cpp).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -127,37 +127,34 @@ struct InstallReport {
 };
 
 // A staged-but-uncommitted install: a full image or an op list crossed
-// the channel and passed verification, but the switch is untouched.
-// Dropping a StagedInstall aborts it for free.
+// the channel and passed verification, and the switch staged the program
+// it makes, but nothing runs it yet. Dropping a StagedInstall aborts it
+// for free.
 struct StagedInstall {
-  bool staged = false;    // verification passed; pipeline is non-null
+  bool staged = false;    // verification passed; program is set
   InstallReport report;   // stage-phase telemetry (committed still false)
-  // The verified, finalized program the commit publishes: the staged
-  // image, or the dry-run result of the staged ops.
-  std::shared_ptr<table::Pipeline> pipeline;
-  // Set when an op list was staged: the commit patches the running
-  // program in place instead of reprogramming it.
-  std::optional<std::vector<table::EntryOp>> ops;
+  // The program the commit publishes, lowered by the switch: the staged
+  // image, or the staged ops applied to the program the switch ran then.
+  switchsim::Switch::Staged program;
 };
 
 class TwoPhaseInstaller {
  public:
-  // The installer snapshots the switch's current pipeline as last-good.
-  explicit TwoPhaseInstaller(switchsim::Switch& sw);
+  explicit TwoPhaseInstaller(switchsim::Switch& sw) : sw_(sw) {}
 
   // Stages, verifies, and commits `pipeline`. `faults` models the control
   // channel (nullptr = reliable); each chunk send consumes one fault-plan
   // decision, so a campaign is exactly reproducible from the plan seed.
   // A chunk is retried up to `chunk_retries` times, a full attempt up to
   // `max_attempts` times; exhaustion aborts with the switch untouched.
-  // Equivalent to stage() followed by commit_staged().
+  // Equivalent to stage() followed by commit().
   InstallReport install(const table::Pipeline& pipeline,
                         const fault::Plan* faults = nullptr,
                         std::size_t chunk_bytes = 512, int max_attempts = 3,
                         int chunk_retries = 8);
 
   // Transactional delta install: ships only the entry ops of an
-  // incremental commit — stage() of the op list, then commit_staged(). An
+  // incremental commit — stage() of the op list, then commit(). An
   // empty op list commits trivially without touching the channel.
   InstallReport apply_delta(std::span<const table::EntryOp> ops,
                             const fault::Plan* faults = nullptr,
@@ -165,11 +162,12 @@ class TwoPhaseInstaller {
                             int max_attempts = 3, int chunk_retries = 8);
 
   // Phase split for transactions that span switches: stage() ships and
-  // verifies a pipeline or an op list and leaves the switch untouched. Ops
-  // are verified by a dry-run apply_ops on a scratch copy of active(); a
-  // delta that does not apply aborts at once (retrying the channel cannot
-  // fix a controller/switch desync). A coordinator stages on every switch
-  // and commits only when every StagedInstall::staged.
+  // verifies a pipeline or an op list and has the switch stage the
+  // program it makes (Switch::stage); nothing is published. A delta that
+  // does not apply to the program the switch runs aborts at once
+  // (retrying the channel cannot fix a controller/switch desync). A
+  // coordinator stages on every switch and commits only when every
+  // StagedInstall::staged.
   StagedInstall stage(const table::Pipeline& pipeline,
                       const fault::Plan* faults = nullptr,
                       std::size_t chunk_bytes = 512, int max_attempts = 3,
@@ -179,45 +177,42 @@ class TwoPhaseInstaller {
                       std::size_t chunk_bytes = 512, int max_attempts = 3,
                       int chunk_retries = 8);
 
-  // Commits a staged image (epoch-fenced reprogram) or op list (in-place
-  // Switch::apply_delta), then publishes the verified program. Updates
-  // s.report in place and returns s.report.committed: false on a stale
-  // epoch (E140) or when s was never staged.
-  bool commit_staged(StagedInstall& s);
+  // Publishes s's staged program with one Switch::commit at this
+  // installer's epoch. Updates s.report in place and returns
+  // s.report.committed: false on a stale epoch (E140), when the switch no
+  // longer runs the program s's ops were staged on (E144), or when s was
+  // never staged.
+  bool commit(StagedInstall& s);
 
-  // Restores the previously committed pipeline (undo of the last
-  // successful install or apply_delta). False when there is nothing to
-  // roll back to, or when the switch fences the write out as stale.
+  // Re-commits the program the last successful commit replaced (undo of
+  // the last install or apply_delta), without copying or lowering it
+  // again. False when there is nothing to roll back to, when the switch
+  // has been written since that commit (E144), or when the switch fences
+  // the write out as stale.
   bool rollback();
 
-  // The committed pipeline, finalized, safe for concurrent read-only
-  // evaluation. Never observes a partially staged image.
-  std::shared_ptr<const table::Pipeline> active() const;
+  // The program the switch runs (Switch::pipeline_snapshot: finalized,
+  // shared, not copied), safe for concurrent read-only evaluation. Never
+  // observes a partially staged image.
+  std::shared_ptr<const table::Pipeline> active() const {
+    return sw_.pipeline_snapshot();
+  }
 
   std::uint64_t commits() const noexcept { return commits_; }
 
   // --- crash-safety hooks -------------------------------------------------
 
-  // Stamps every subsequent commit with this controller epoch: commits go
-  // through the switch's fenced write path, so a crashed predecessor's
-  // stragglers are rejected (E140) instead of clobbering this
-  // controller's installs. Epoch 0 (the default) keeps the legacy
-  // unfenced path for single-controller tools and tests.
+  // Stamps every subsequent commit and rollback with this controller
+  // epoch, so a crashed predecessor's stragglers are rejected (E140)
+  // instead of clobbering this controller's installs. Epoch 0 (the
+  // default) commits unfenced, for single-controller tools and tests.
   void set_epoch(std::uint64_t epoch) noexcept { epoch_ = epoch; }
   std::uint64_t epoch() const noexcept { return epoch_; }
-
-  // Re-snapshots last-good from the program the switch actually runs —
-  // called after a switch reboot or a reconciliation repair so the next
-  // apply_delta()'s dry-run base matches reality. Drops the rollback
-  // point (it described a pre-reboot world).
-  void resync_from_switch();
 
   // The switch this installer programs (reconciliation reads its digests).
   switchsim::Switch& target() noexcept { return sw_; }
 
  private:
-  void publish(std::shared_ptr<const table::Pipeline> next);
-
   // One staging attempt: ships `bytes` in explicitly framed, CRC-checked,
   // slot-addressed chunks over the faultable channel (drop, corruption,
   // duplication, and reordering are all exercised; see ChunkReceiver).
@@ -234,9 +229,9 @@ class TwoPhaseInstaller {
                             int max_attempts, int chunk_retries);
 
   switchsim::Switch& sw_;
-  mutable std::mutex mu_;
-  std::shared_ptr<const table::Pipeline> active_;
-  std::shared_ptr<const table::Pipeline> previous_;
+  // What the last successful commit replaced, staged onto the program it
+  // published (Switch::commit's return); empty after a rollback.
+  switchsim::Switch::Staged previous_;
   std::uint64_t commits_ = 0;
   std::uint64_t epoch_ = 0;
   std::uint64_t next_xfer_id_ = 1;

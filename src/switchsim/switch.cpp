@@ -1,5 +1,7 @@
 #include "switchsim/switch.hpp"
 
+#include <utility>
+
 #include "proto/generic.hpp"
 #include "proto/packet.hpp"
 #include "util/flat_map.hpp"
@@ -12,13 +14,12 @@ Switch::Switch(spec::Schema schema, table::Pipeline pipeline)
       extractor_(*schema_),
       registers_(*schema_) {
   // Build the lookup indexes now, not lazily under the first packet.
-  publish(std::move(pipeline));
+  reprogram(std::move(pipeline));
 }
 
 // Lowers a pipeline into one immutable program generation. Runs outside
-// the slot lock where possible: finalize + flatten are the expensive part
-// of an update.
-std::shared_ptr<Switch::Program> Switch::make_program(
+// the slot lock: finalize + flatten are the expensive part of an update.
+std::shared_ptr<const Switch::Program> Switch::make_program(
     table::Pipeline pipeline) {
   auto prog = std::make_shared<Program>();
   prog->pipeline = std::move(pipeline);
@@ -28,37 +29,22 @@ std::shared_ptr<Switch::Program> Switch::make_program(
   return prog;
 }
 
-void Switch::publish(table::Pipeline pipeline) {
-  auto prog = make_program(std::move(pipeline));
-  const std::lock_guard<std::mutex> lock(slot_->mu);
-  prog->version = (slot_->published ? slot_->published->version : 0) + 1;
-  const std::uint64_t v = prog->version;
-  slot_->published = std::move(prog);
-  // Release store after the locked publish: a reader that sees the new
-  // version is guaranteed to find (at least) that program in the slot.
-  slot_->version.store(v, std::memory_order_release);
+Switch::Staged Switch::stage(table::Pipeline pipeline) const {
+  Staged s;
+  s.program_ = make_program(std::move(pipeline));
+  return s;
 }
 
-void Switch::reprogram(table::Pipeline pipeline) {
-  publish(std::move(pipeline));
-}
-
-util::Result<table::ApplyStats> Switch::apply_delta(
-    std::span<const table::EntryOp> ops) {
-  // The whole patch runs under the slot lock so concurrent updaters
-  // serialize instead of losing each other's ops (readers only take the
-  // lock on a version change, so the data plane stays unblocked on its
-  // current snapshot).
-  const std::lock_guard<std::mutex> lock(slot_->mu);
-  table::Pipeline patched = slot_->published->pipeline;
-  auto applied = table::apply_ops(patched, ops);
+util::Result<Switch::Staged> Switch::stage(
+    std::span<const table::EntryOp> ops) const {
+  Staged s;
+  s.base_ = pin_program();
+  table::Pipeline next = s.base_->pipeline;
+  auto applied = table::apply_ops(next, ops);
   if (!applied.ok()) return applied.error();  // running program untouched
-  auto prog = make_program(std::move(patched));
-  prog->version = slot_->published->version + 1;
-  const std::uint64_t v = prog->version;
-  slot_->published = std::move(prog);
-  slot_->version.store(v, std::memory_order_release);
-  return applied;
+  s.program_ = make_program(std::move(next));
+  s.applied_ = applied.value();
+  return s;
 }
 
 namespace {
@@ -70,6 +56,48 @@ util::Error stale_epoch_error(std::uint64_t epoch, std::uint64_t fence,
 }
 }  // namespace
 
+util::Result<Switch::Staged> Switch::commit(const Staged& staged,
+                                            std::uint64_t epoch) {
+  // Check-and-publish is atomic under the slot lock against a competing
+  // writer; readers take the lock only on a version change, so the data
+  // plane stays unblocked on its current snapshot.
+  const std::lock_guard<std::mutex> lock(slot_->mu);
+  const std::uint64_t fence =
+      slot_->fence_epoch.load(std::memory_order_relaxed);
+  if (epoch > 0 && epoch < fence) {
+    slot_->stale_epoch_rejects.fetch_add(1, std::memory_order_relaxed);
+    return stale_epoch_error(epoch, fence, "E140");
+  }
+  if (!staged.program_)
+    return util::Error{"commit of a program that was never staged", 0, 0,
+                       "E144"};
+  if (staged.base_ && staged.base_ != slot_->published)
+    return util::Error{"delta staged on a program the switch no longer runs",
+                       0, 0, "E144"};
+  if (epoch > 0) slot_->fence_epoch.store(epoch, std::memory_order_release);
+  Staged replaced;
+  replaced.program_ = std::exchange(slot_->published, staged.program_);
+  replaced.base_ = staged.program_;
+  // Release store after the locked publish: a reader that sees the new
+  // version is guaranteed to find (at least) that program in the slot.
+  slot_->version.fetch_add(1, std::memory_order_release);
+  return replaced;
+}
+
+void Switch::reprogram(table::Pipeline pipeline) {
+  // A full image at epoch 0 passes every check of commit().
+  (void)commit(stage(std::move(pipeline)));
+}
+
+util::Result<table::ApplyStats> Switch::apply_delta(
+    std::span<const table::EntryOp> ops) {
+  auto staged = stage(ops);
+  if (!staged.ok()) return staged.error();
+  auto committed = commit(staged.value());
+  if (!committed.ok()) return committed.error();
+  return staged.value().applied();
+}
+
 util::Result<std::uint64_t> Switch::fence(std::uint64_t epoch) {
   const std::lock_guard<std::mutex> lock(slot_->mu);
   const std::uint64_t cur = slot_->fence_epoch.load(std::memory_order_relaxed);
@@ -79,45 +107,6 @@ util::Result<std::uint64_t> Switch::fence(std::uint64_t epoch) {
   }
   slot_->fence_epoch.store(epoch, std::memory_order_release);
   return epoch;
-}
-
-util::Result<std::uint64_t> Switch::reprogram_fenced(
-    std::uint64_t epoch, table::Pipeline pipeline) {
-  // Lower outside the lock (the expensive part), fence-check inside it so
-  // check-and-publish is atomic against a competing newer controller.
-  auto prog = make_program(std::move(pipeline));
-  const std::lock_guard<std::mutex> lock(slot_->mu);
-  const std::uint64_t cur = slot_->fence_epoch.load(std::memory_order_relaxed);
-  if (epoch < cur) {
-    slot_->stale_epoch_rejects.fetch_add(1, std::memory_order_relaxed);
-    return stale_epoch_error(epoch, cur, "E140");
-  }
-  slot_->fence_epoch.store(epoch, std::memory_order_release);
-  prog->version = slot_->published->version + 1;
-  const std::uint64_t v = prog->version;
-  slot_->published = std::move(prog);
-  slot_->version.store(v, std::memory_order_release);
-  return v;
-}
-
-util::Result<table::ApplyStats> Switch::apply_delta_fenced(
-    std::uint64_t epoch, std::span<const table::EntryOp> ops) {
-  const std::lock_guard<std::mutex> lock(slot_->mu);
-  const std::uint64_t cur = slot_->fence_epoch.load(std::memory_order_relaxed);
-  if (epoch < cur) {
-    slot_->stale_epoch_rejects.fetch_add(1, std::memory_order_relaxed);
-    return stale_epoch_error(epoch, cur, "E140");
-  }
-  table::Pipeline patched = slot_->published->pipeline;
-  auto applied = table::apply_ops(patched, ops);
-  if (!applied.ok()) return applied.error();  // running program untouched
-  slot_->fence_epoch.store(epoch, std::memory_order_release);
-  auto prog = make_program(std::move(patched));
-  prog->version = slot_->published->version + 1;
-  const std::uint64_t v = prog->version;
-  slot_->published = std::move(prog);
-  slot_->version.store(v, std::memory_order_release);
-  return applied;
 }
 
 std::vector<table::StageDigest> Switch::stage_digests() const {
@@ -135,9 +124,10 @@ std::uint64_t Switch::program_digest() const {
 
 const Switch::Program& Switch::current() const {
   const std::uint64_t v = slot_->version.load(std::memory_order_acquire);
-  if (!cur_ || cur_->version != v) {
+  if (!cur_ || cur_version_ != v) {
     const std::lock_guard<std::mutex> lock(slot_->mu);
     cur_ = slot_->published;
+    cur_version_ = slot_->version.load(std::memory_order_relaxed);
   }
   return *cur_;
 }

@@ -75,6 +75,9 @@ struct BatchStats {
 };
 
 class Switch {
+  // One immutable generation of the switch's program (defined below).
+  struct Program;
+
  public:
   // Takes ownership of the pipeline and a copy of the schema: the switch
   // is self-contained and safe to move or outlive its controller. The
@@ -156,39 +159,71 @@ class Switch {
   const SwitchCounters& counters() const noexcept { return counters_; }
   const BatchStats& batch_stats() const noexcept { return batch_stats_; }
   // References into the current program snapshot: valid until the calling
-  // thread's next process*/classify/reprogram/apply_delta call observes a
-  // newer program (the snapshot itself is kept alive until then).
+  // thread's next process*/classify call observes a newer program (the
+  // snapshot itself is kept alive until then).
   const table::CompiledPipeline& compiled() const {
     return current().compiled;
   }
   const table::Pipeline& pipeline() const { return current().pipeline; }
   StateRegisters& registers() noexcept { return registers_; }
 
-  // Installs a recompiled pipeline (e.g. from the incremental compiler)
-  // without disturbing registers or counters — the runtime analogue of a
-  // control-plane table update. The replacement program (finalized
-  // pipeline + rebuilt flattened fast path) is built off to the side and
-  // published with an atomic version bump: a concurrently running
-  // process_batch() keeps reading its complete old snapshot and picks the
-  // new one up at its next call (RCU-style; TSAN-exercised in
-  // tests/test_concurrent_lookup.cpp). The hot-key memo survives the swap
-  // when the new program's prefix stages are bit-identical (see
-  // CompiledPipeline::prefix_signature); otherwise it is invalidated on
+  // --- program writes: stage, then commit ---------------------------------
+  //
+  // The runtime analogue of a control-plane table update, in two steps.
+  // stage() builds the next program (finalized pipeline + flattened fast
+  // path) off to the side; commit() publishes it with an atomic version
+  // bump. A concurrently running process_batch() keeps reading its
+  // complete old snapshot and picks the new one up at its next call
+  // (RCU-style; TSAN-exercised in tests/test_concurrent_lookup.cpp).
+  // Registers and counters are untouched; the hot-key memo survives the
+  // swap when the new program's prefix stages are bit-identical (see
+  // CompiledPipeline::prefix_signature), and is otherwise invalidated on
   // the data-plane thread, never from the updater.
-  void reprogram(table::Pipeline pipeline);
 
-  // Patches the running program in place with a control-plane entry delta
-  // — how a real ASIC takes incremental table updates from its driver.
-  // The delta is applied to a scratch copy of the current pipeline
-  // (strict U0xx diagnostics on any desync; the running program is
-  // untouched on error), lowered, and published exactly like
-  // reprogram(). Registers, counters, and the memo (prefix permitting)
-  // are preserved.
+  // A program built by stage() and not yet running; cheap to copy.
+  // Dropping it aborts the write.
+  class Staged {
+   public:
+    explicit operator bool() const noexcept { return program_ != nullptr; }
+    // The staged ops' kind breakdown as applied; zero for a full image.
+    const table::ApplyStats& applied() const noexcept { return applied_; }
+
+   private:
+    friend class Switch;
+    std::shared_ptr<const Program> program_;
+    // The program the ops were applied to, the only one the result
+    // commits onto; null for a full image, which commits onto any.
+    std::shared_ptr<const Program> base_;
+    table::ApplyStats applied_;
+  };
+
+  // Stages a full image: moved in and lowered, not copied.
+  Staged stage(table::Pipeline pipeline) const;
+  // Stages an entry delta, the way a real ASIC takes incremental table
+  // updates from its driver: copies the running pipeline once, applies the
+  // ops once (strict U0xx diagnostics on any desync) and lowers it once.
+  util::Result<Staged> stage(std::span<const table::EntryOp> ops) const;
+
+  // The one path by which a program starts running. Refuses, publishing
+  // nothing:
+  //   E140  a stale epoch: nonzero and below the fence (counted in
+  //         stale_epoch_rejects()); epoch 0 is unfenced;
+  //   E144  staged ops whose base no longer runs (a write landed after the
+  //         stage), or nothing staged.
+  // Otherwise raises the fence to a nonzero epoch, publishes, and returns
+  // the program it replaced, staged onto the one it published: committing
+  // that back undoes this commit until anything else is written.
+  util::Result<Staged> commit(const Staged& staged, std::uint64_t epoch = 0);
+
+  // Unfenced shorthands for tests, tools and the fuzz harness: stage, then
+  // commit at epoch 0. apply_delta() returns the ops' kind breakdown, a
+  // U0xx error, or E144 when a concurrent writer committed in between.
+  void reprogram(table::Pipeline pipeline);
   util::Result<table::ApplyStats> apply_delta(
       std::span<const table::EntryOp> ops);
 
-  // Monotone program version, bumped by every successful
-  // reprogram()/apply_delta(). Readers can poll it cheaply.
+  // Monotone program version, bumped by every successful commit(). Readers
+  // can poll it cheaply.
   std::uint64_t program_version() const noexcept {
     return slot_->version.load(std::memory_order_acquire);
   }
@@ -197,28 +232,18 @@ class Switch {
   //
   // A controller stamps every program write with its epoch — a monotonic
   // counter it persists in its journal and bumps on every restart. The
-  // switch stores the highest epoch it has accepted and rejects writes
-  // from any lower epoch, so a crashed controller's delayed or retried
-  // messages can never clobber its successor's installs (the classic
-  // fencing-token discipline). Unfenced reprogram()/apply_delta() remain
-  // for tests and single-controller tools; production paths (the
-  // installer) always go through the fenced variants.
+  // switch stores the highest epoch it has accepted and commit() rejects
+  // writes from any lower nonzero epoch, so a crashed controller's delayed
+  // or retried messages can never clobber its successor's installs (the
+  // classic fencing-token discipline). DurableController writes at its
+  // epoch (>= 1 once opened); epoch 0 (a bare TwoPhaseInstaller, the
+  // shorthands above) writes unfenced.
 
   // Raises the fence to `epoch` without writing a program — how a freshly
   // recovered controller locks out its predecessor before reconciling.
   // Idempotent for equal epochs. E141 if `epoch` is below the current
   // fence (a stale controller trying to attach).
   util::Result<std::uint64_t> fence(std::uint64_t epoch);
-
-  // Fenced variants of reprogram()/apply_delta(): the write is accepted
-  // only if `epoch` >= the switch's fence (and the fence is raised to
-  // `epoch`). A stale epoch is rejected with E140, counted in
-  // stale_epoch_rejects(), and leaves the running program untouched.
-  // reprogram_fenced returns the new program version on success.
-  util::Result<std::uint64_t> reprogram_fenced(std::uint64_t epoch,
-                                               table::Pipeline pipeline);
-  util::Result<table::ApplyStats> apply_delta_fenced(
-      std::uint64_t epoch, std::span<const table::EntryOp> ops);
 
   // The highest controller epoch this switch has accepted (0 = never
   // fenced) and the number of writes rejected as stale.
@@ -241,12 +266,13 @@ class Switch {
   std::vector<table::StageDigest> stage_digests() const;
   std::uint64_t program_digest() const;
 
-  // Thread-safe copy of the running program's pipeline — for controller
-  // resync after a switch reboot. Unlike pipeline(), never touches the
-  // data-plane snapshot cache, so it can run while the data plane is
-  // processing.
-  table::Pipeline pipeline_snapshot() const {
-    return pin_program()->pipeline;
+  // The running program's pipeline (finalized), shared, not copied: it
+  // stays valid for as long as the caller holds it, across later commits.
+  // Unlike pipeline(), never touches the data-plane snapshot cache, so it
+  // is safe from any thread while the data plane is processing.
+  std::shared_ptr<const table::Pipeline> pipeline_snapshot() const {
+    const auto prog = pin_program();
+    return {prog, &prog->pipeline};
   }
 
   // Resource audit: whether the compiled pipeline fits the budget.
@@ -258,9 +284,9 @@ class Switch {
  private:
   // One immutable generation of the switch's program: the IR pipeline
   // (fallback evaluator + delta base) and its flattened form. Readers
-  // hold a shared_ptr snapshot; updaters publish a wholly new Program.
+  // hold a shared_ptr snapshot; updaters publish a wholly new Program, or
+  // an earlier one again (a rollback), so the version lives in the slot.
   struct Program {
-    std::uint64_t version = 0;
     table::Pipeline pipeline;
     table::CompiledPipeline compiled;
     // Cached compiled.prefix_signature(): the per-message memo
@@ -312,7 +338,7 @@ class Switch {
 
   // Direct-mapped hot-key memo: (prefix key values) -> state after the
   // leading exact stages. Purely a function of the key, so a stale entry
-  // cannot exist — only reprogram() must clear it. current_data_plane()
+  // cannot exist — only a new prefix must clear it. current_data_plane()
   // sizes it for the first program with a memo prefix.
   struct MemoSlot {
     std::array<std::uint64_t, table::CompiledPipeline::kMaxPrefix> key{};
@@ -327,17 +353,16 @@ class Switch {
   struct ProgramSlot {
     std::mutex mu;
     std::shared_ptr<const Program> published;  // guarded by mu
-    std::atomic<std::uint64_t> version{0};     // == published->version
+    // Bumped by every publication of `published`; stored under mu.
+    std::atomic<std::uint64_t> version{0};
     // Fencing state (atomics so accessors need no lock; writes happen
     // under mu so check-and-raise is atomic w.r.t. program publication).
     std::atomic<std::uint64_t> fence_epoch{0};
     std::atomic<std::uint64_t> stale_epoch_rejects{0};
   };
 
-  // Builds a Program (finalize + flatten) and swaps it in as the newest
-  // generation.
-  static std::shared_ptr<Program> make_program(table::Pipeline pipeline);
-  void publish(table::Pipeline pipeline);
+  // Lowers a pipeline into one program generation (finalize + flatten).
+  static std::shared_ptr<const Program> make_program(table::Pipeline pipeline);
 
   // Returns the calling thread's current program snapshot, refreshing the
   // thread-confined cache from the slot when the version moved. The const
@@ -351,10 +376,12 @@ class Switch {
   // extractor and register file hold references into it).
   std::shared_ptr<const spec::Schema> schema_;
   std::unique_ptr<ProgramSlot> slot_;
-  // Data-plane-confined cache of the published program. Mutable so const
-  // accessors can refresh it; never touched concurrently (the data plane
-  // is single-threaded; updaters only touch slot_).
+  // Data-plane-confined cache of the published program and the version it
+  // was published under. Mutable so const accessors can refresh it; never
+  // touched concurrently (the data plane is single-threaded; updaters only
+  // touch slot_).
   mutable std::shared_ptr<const Program> cur_;
+  mutable std::uint64_t cur_version_ = 0;
   // Prefix signature the memo contents were computed under.
   std::uint64_t memo_sig_ = 0;
   ItchFieldExtractor extractor_;

@@ -70,8 +70,8 @@ struct ApplyStats {
 //   U006  leaf add: state already has an entry
 //   U007  patched pipeline failed structural validation
 // On error the pipeline may hold a partial patch: callers apply to a
-// scratch copy and swap (see TwoPhaseInstaller::apply_delta), never to a
-// pipeline readers can observe. Leaf adds/modifies intern multicast
+// scratch copy and swap (see Switch::stage), never to a pipeline readers
+// can observe. Leaf adds/modifies intern multicast
 // groups locally, so deltas are independent of group renumbering; a
 // delta that removes or modifies a multi-port leaf renumbers the groups
 // densely over the live leaves, dropping those no leaf uses.

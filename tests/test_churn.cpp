@@ -170,7 +170,7 @@ TEST(ChurnDelta, DeltasReleaseUnusedMulticastGroups) {
     auto report = installer.apply_delta(delta.value().ops);
     ASSERT_TRUE(report.committed) << "op " << i << ": " << report.error;
 
-    const table::Pipeline running = sw.pipeline_snapshot();
+    const table::Pipeline running = *sw.pipeline_snapshot();
     std::set<std::vector<std::uint16_t>> port_sets;
     for (const auto& e : running.leaf.entries())
       if (e.actions.ports.size() > 1) port_sets.insert(e.actions.ports);

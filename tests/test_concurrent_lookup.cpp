@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -156,9 +157,12 @@ TEST(ConcurrentLookup, PrefixDecompositionIsConst) {
 
 // Two-phase install under concurrent readers (TSAN job): while a writer
 // repeatedly installs a new pipeline over a faulty control channel and
-// rolls back, hot-path readers evaluating through installer.active() must
-// only ever observe one of the two COMPLETE pipelines — never a
-// half-committed image, never a torn pointer, even mid-rollback.
+// rolls back, hot-path readers evaluating through installer.active() (the
+// switch's published program) must only ever observe one of the two
+// COMPLETE pipelines — never a half-committed image, never a torn
+// pointer, even mid-rollback. A data-plane thread runs process_batch on
+// the same switch throughout: each batch runs under one complete program,
+// so its egress is exactly p1's or p2's.
 TEST(ConcurrentLookup, TwoPhaseInstallNeverExposesPartialPipeline) {
   auto schema = spec::make_itch_schema();
 
@@ -203,8 +207,35 @@ TEST(ConcurrentLookup, TwoPhaseInstallNeverExposesPartialPipeline) {
   const std::uint64_t want1 = digest_of(p1);
   const std::uint64_t want2 = digest_of(p2);
 
+  const auto packed = workload::pack_feed_frames(feed);
+  std::vector<switchsim::Switch::Frame> frames;
+  for (const auto& pf : packed)
+    frames.push_back({std::span<const std::uint8_t>(pf.bytes), pf.t_us});
+  auto egress_digest = [&frames](switchsim::Switch& s) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const auto& pkt : s.process_batch(frames)) {
+      h = fnv_step(h, pkt.port);
+      for (const std::uint8_t b : pkt.frame) h = fnv_step(h, b);
+    }
+    return h;
+  };
+  switchsim::Switch ref1(schema, p1), ref2(schema, p2);
+  const std::uint64_t egress1 = egress_digest(ref1);
+  const std::uint64_t egress2 = egress_digest(ref2);
+  EXPECT_NE(egress1, egress2);
+
   std::atomic<bool> stop{false};
   std::atomic<int> bad_snapshots{0};
+  std::atomic<int> bad_batches{0};
+  std::atomic<std::uint64_t> batches{0};
+  std::thread data_plane([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      const std::uint64_t h = egress_digest(sw);
+      if (h != egress1 && h != egress2)
+        bad_batches.fetch_add(1, std::memory_order_relaxed);
+      batches.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
   std::vector<std::thread> readers;
   for (int t = 0; t < kThreads; ++t) {
     readers.emplace_back([&] {
@@ -219,7 +250,10 @@ TEST(ConcurrentLookup, TwoPhaseInstallNeverExposesPartialPipeline) {
   }
 
   // Writer: clean installs, faulted installs (some abort and implicitly
-  // keep last-good), and explicit rollbacks, interleaved.
+  // keep last-good), and explicit rollbacks, interleaved, from the data
+  // plane's first batch on.
+  while (batches.load(std::memory_order_acquire) == 0)
+    std::this_thread::yield();
   fault::FaultSpec spec;
   spec.drop = 0.3;
   spec.corrupt = 0.2;
@@ -230,8 +264,11 @@ TEST(ConcurrentLookup, TwoPhaseInstallNeverExposesPartialPipeline) {
   }
   stop.store(true, std::memory_order_release);
   for (auto& th : readers) th.join();
+  data_plane.join();
 
   EXPECT_EQ(bad_snapshots.load(), 0);
+  EXPECT_EQ(bad_batches.load(), 0);
+  EXPECT_GT(batches.load(), 0u);
   // The final committed snapshot still evaluates to a legal digest.
   const std::uint64_t final_digest = digest_of(*installer.active());
   EXPECT_TRUE(final_digest == want1 || final_digest == want2);

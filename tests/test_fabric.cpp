@@ -520,6 +520,65 @@ TEST(FabricController, PartitionedSwitchAbortsAllOrNothing) {
   EXPECT_TRUE(rec.value().converged);
 }
 
+// A delta that no longer fits one switch fails at stage, before any switch
+// flips: the installers hold no copy of the program, so a leaf wiped
+// behind its installer stages against what it really runs.
+TEST(FabricController, DeltaThatCannotLandOnALeafTouchesNoSwitch) {
+  camus::compiler::CompileOptions opts;
+  opts.order = camus::bdd::OrderHeuristic::kExactFirst;
+  FabricPlant plant(2, 2, opts);
+  ASSERT_TRUE(plant.ctl.open().ok());
+  camus::util::Rng rng(7);
+  for (int i = 0; i < 16; ++i)
+    ASSERT_TRUE(plant.ctl
+                    .subscribe(static_cast<std::uint16_t>(rng.uniform(0, 7)),
+                               "stock == SYM" +
+                                   std::to_string(rng.uniform(0, 5)) +
+                                   " and price > " +
+                                   std::to_string(rng.uniform(1, 99) * 100))
+                    .ok());
+  auto base = plant.ctl.commit();
+  ASSERT_TRUE(base.ok()) << base.error().to_string();
+  auto based = plant.ctl.install(plant.fabric.targets(), base.value());
+  ASSERT_TRUE(based.ok());
+  ASSERT_TRUE(based.value().committed) << based.value().error;
+
+  // A symbol new to leaf 1 (port 11): entry ops for both spines and for
+  // leaf 1, the last switch the install touches.
+  ASSERT_TRUE(plant.ctl.subscribe(11, "stock == ZZZZ and price > 777").ok());
+  auto next = plant.ctl.commit();
+  ASSERT_TRUE(next.ok()) << next.error().to_string();
+  ASSERT_EQ(next.value().touched(2), (std::vector<std::size_t>{0, 1, 3}));
+  ASSERT_FALSE(next.value().spine.requires_reprogram);
+  ASSERT_FALSE(next.value().leaves[1].requires_reprogram);
+
+  // Leaf 1 loses its program behind its installer, as fault::Injector and
+  // Fabric::program write.
+  plant.fabric.leaf(1).reprogram(camus::table::Pipeline{});
+  auto versions = [&] {
+    return std::vector<std::uint64_t>{
+        plant.fabric.spine(0).program_version(),
+        plant.fabric.spine(1).program_version(),
+        plant.fabric.leaf(0).program_version(),
+        plant.fabric.leaf(1).program_version()};
+  };
+  const auto before = versions();
+
+  auto rep = plant.ctl.install(plant.fabric.targets(), next.value());
+  ASSERT_TRUE(rep.ok()) << rep.error().to_string();
+  EXPECT_FALSE(rep.value().committed);
+  EXPECT_TRUE(rep.value().all_or_nothing_abort) << rep.value().error;
+  EXPECT_EQ(rep.value().committed_switches, 0u);
+  EXPECT_EQ(rep.value().rolled_back, 0u);
+  EXPECT_EQ(versions(), before);  // no switch flipped, none rolled back
+
+  // The journaled commit remains the intent; reconcile converges.
+  auto rec = plant.ctl.reconcile(plant.fabric.targets());
+  ASSERT_TRUE(rec.ok()) << rec.error().to_string();
+  EXPECT_TRUE(rec.value().converged) << rec.value().error;
+  plant.expect_runs_intent(plant.ctl);
+}
+
 TEST(FabricController, CrashBetweenCommitsRecoversToConvergence) {
   FabricPlant plant(2, 1);
   ASSERT_TRUE(plant.ctl.open().ok());

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -210,20 +211,26 @@ TEST(Fencing, StaleEpochWritesBounce) {
   Plant plant;
   ASSERT_TRUE(plant.sw.fence(5).ok());
 
-  // A deposed controller (epoch 3) tries to reprogram and patch.
+  // A deposed controller (epoch 3) tries to reprogram and patch: both
+  // stage, and both commits bounce.
   const std::uint64_t version = plant.sw.program_version();
-  auto reprogram = plant.sw.reprogram_fenced(3, camus::table::Pipeline{});
+  auto reprogram =
+      plant.sw.commit(plant.sw.stage(camus::table::Pipeline{}), 3);
   ASSERT_FALSE(reprogram.ok());
   EXPECT_EQ(reprogram.error().code, "E140");
-  auto patch = plant.sw.apply_delta_fenced(3, {});
+  auto staged_patch = plant.sw.stage(std::span<const camus::table::EntryOp>{});
+  ASSERT_TRUE(staged_patch.ok());
+  auto patch = plant.sw.commit(staged_patch.value(), 3);
   ASSERT_FALSE(patch.ok());
   EXPECT_EQ(patch.error().code, "E140");
   EXPECT_EQ(plant.sw.program_version(), version);  // nothing landed
   EXPECT_EQ(plant.sw.stale_epoch_rejects(), 2u);
 
   // The rightful epoch (and any later one) still writes.
-  EXPECT_TRUE(plant.sw.reprogram_fenced(5, camus::table::Pipeline{}).ok());
-  EXPECT_TRUE(plant.sw.reprogram_fenced(9, camus::table::Pipeline{}).ok());
+  EXPECT_TRUE(
+      plant.sw.commit(plant.sw.stage(camus::table::Pipeline{}), 5).ok());
+  EXPECT_TRUE(
+      plant.sw.commit(plant.sw.stage(camus::table::Pipeline{}), 9).ok());
   EXPECT_EQ(plant.sw.fence_epoch(), 9u);
 }
 
@@ -260,7 +267,7 @@ TEST(Fencing, DeposedControllerCannotClobberSuccessor) {
   // The deposed controller's straggler write must bounce.
   const std::uint64_t digest = plant.sw.program_digest();
   auto stale =
-      plant.sw.reprogram_fenced(old_epoch, camus::table::Pipeline{});
+      plant.sw.commit(plant.sw.stage(camus::table::Pipeline{}), old_epoch);
   ASSERT_FALSE(stale.ok());
   EXPECT_EQ(stale.error().code, "E140");
   EXPECT_EQ(plant.sw.program_digest(), digest);

@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "baseline/matcher.hpp"
@@ -20,6 +22,7 @@
 #include "spec/itch_spec.hpp"
 #include "switchsim/extract.hpp"
 #include "switchsim/switch.hpp"
+#include "table/delta.hpp"
 #include "util/rng.hpp"
 #include "workload/feed.hpp"
 #include "workload/itch_subs.hpp"
@@ -281,6 +284,37 @@ TEST(TwoPhaseInstall, DeadChannelAbortsWithSwitchUntouched) {
   // the last-good snapshot.
   EXPECT_EQ(sw.pipeline().total_entries(), p1.total_entries());
   EXPECT_EQ(installer.active().get(), before.get());
+  EXPECT_EQ(installer.commits(), 0u);
+}
+
+// The installer holds no copy of the program: a write that bypasses it
+// (fault::Injector, netsim::Fabric::program) is what active() then reads,
+// and what a delta is staged on.
+TEST(TwoPhaseInstall, InstallerSeesTheSwitchProgram) {
+  auto schema = spec::make_itch_schema();
+  auto p1 = compile_set(schema, 1, 40);
+  switchsim::Switch sw(schema, p1);
+  pubsub::TwoPhaseInstaller installer(sw);
+  ASSERT_FALSE(p1.leaf.entries().empty());
+  const table::LeafEntry& gone = p1.leaf.entries().front();
+
+  sw.reprogram(table::Pipeline{});  // wiped behind the installer
+  EXPECT_EQ(table::pipeline_digest(*installer.active()), sw.program_digest());
+
+  // A delta written against p1 removes a leaf entry the switch no longer
+  // holds: the switch refuses to stage it, and nothing is published.
+  table::EntryOp remove;
+  remove.kind = table::EntryOp::Kind::kRemove;
+  remove.table = std::string(table::kLeafTableName);
+  remove.state = gone.state;
+  remove.actions = gone.actions;
+  const std::uint64_t version = sw.program_version();
+  const auto staged =
+      installer.stage(std::span<const table::EntryOp>(&remove, 1));
+  EXPECT_FALSE(staged.staged);
+  EXPECT_NE(staged.report.error.find("U005"), std::string::npos)
+      << staged.report.error;
+  EXPECT_EQ(sw.program_version(), version);
   EXPECT_EQ(installer.commits(), 0u);
 }
 

@@ -7,6 +7,7 @@
 #include "proto/packet.hpp"
 #include "spec/itch_spec.hpp"
 #include "switchsim/switch.hpp"
+#include "table/delta.hpp"
 #include "util/intern.hpp"
 
 namespace {
@@ -262,6 +263,141 @@ TEST(Switch, EveryEntryPointRunsTheCompiledEngine) {
       fallback.classify(ex.extract(order("MSFT", 1, 5)), 0).ports.empty());
   EXPECT_EQ(fallback.counters().matched, 2u);
   EXPECT_EQ(fallback.batch_stats().memo_probes, 0u);
+}
+
+// ---- program writes: stage, then commit ------------------------------------
+
+// Two programs that differ only in GOOGL's egress port, and the entry
+// delta from the first to the second.
+struct TwoPrograms {
+  spec::Schema schema = spec::make_itch_schema();
+  table::Pipeline p1 = compile("stock == GOOGL : fwd(1)");
+  table::Pipeline p2 = compile("stock == GOOGL : fwd(2)");
+  std::vector<table::EntryOp> ops;
+
+  TwoPrograms() {
+    auto diff = table::diff_pipelines(&p1, p2);
+    EXPECT_FALSE(diff.requires_reprogram);
+    EXPECT_FALSE(diff.ops.empty());
+    ops = std::move(diff.ops);
+  }
+
+  table::Pipeline compile(const char* rules) const {
+    auto compiled = compiler::compile_source(schema, rules);
+    EXPECT_TRUE(compiled.ok());
+    return compiled.ok() ? std::move(compiled.value().pipeline)
+                         : table::Pipeline{};
+  }
+};
+
+std::vector<std::uint16_t> googl_ports(switchsim::Switch& sw) {
+  std::vector<std::uint16_t> out;
+  for (const auto& c : sw.process(frame_for(order("GOOGL", 10, 5)), 0))
+    out.push_back(c.port);
+  return out;
+}
+
+TEST(Switch, StageLeavesTheRunningProgramAndCommitPublishesOnce) {
+  TwoPrograms t;
+  switchsim::Switch sw(t.schema, t.p1);
+  const std::uint64_t version = sw.program_version();
+  const std::uint64_t digest = sw.program_digest();
+  const std::vector<std::uint16_t> port1{1}, port2{2};
+
+  // Staging an image or a delta publishes nothing: the version, the
+  // readback and the data plane all stay on p1.
+  const switchsim::Switch::Staged image = sw.stage(t.p2);
+  auto delta = sw.stage(t.ops);
+  ASSERT_TRUE(delta.ok()) << delta.error().to_string();
+  EXPECT_TRUE(image);
+  EXPECT_EQ(delta.value().applied().modifies + delta.value().applied().adds +
+                delta.value().applied().removes,
+            t.ops.size());
+  EXPECT_EQ(sw.program_version(), version);
+  EXPECT_EQ(sw.program_digest(), digest);
+  EXPECT_EQ(googl_ports(sw), port1);
+
+  // One commit, one version.
+  auto replaced = sw.commit(delta.value());
+  ASSERT_TRUE(replaced.ok()) << replaced.error().to_string();
+  EXPECT_EQ(sw.program_version(), version + 1);
+  EXPECT_EQ(googl_ports(sw), port2);
+  EXPECT_EQ(sw.program_digest(), table::pipeline_digest(t.p2));
+
+  // Committing what the commit replaced undoes it, again as one version.
+  ASSERT_TRUE(sw.commit(replaced.value()).ok());
+  EXPECT_EQ(sw.program_version(), version + 2);
+  EXPECT_EQ(sw.program_digest(), digest);
+  EXPECT_EQ(googl_ports(sw), port1);
+
+  // A full image commits onto whatever runs.
+  ASSERT_TRUE(sw.commit(image).ok());
+  EXPECT_EQ(sw.program_version(), version + 3);
+  EXPECT_EQ(googl_ports(sw), port2);
+}
+
+TEST(Switch, DeltaStagedBeforeAnotherWriteIsE144) {
+  TwoPrograms t;
+  switchsim::Switch sw(t.schema, t.p1);
+  auto delta = sw.stage(t.ops);
+  ASSERT_TRUE(delta.ok()) << delta.error().to_string();
+  auto first = sw.commit(sw.stage(t.p2));
+  ASSERT_TRUE(first.ok());
+
+  // Another write landed after the stage (even one that restores the same
+  // entries): the delta no longer has its base, and nothing is published.
+  sw.reprogram(t.p1);
+  const std::uint64_t version = sw.program_version();
+  const std::uint64_t digest = sw.program_digest();
+  auto moved = sw.commit(delta.value(), 7);
+  ASSERT_FALSE(moved.ok());
+  EXPECT_EQ(moved.error().code, "E144");
+  EXPECT_EQ(sw.program_version(), version);
+  EXPECT_EQ(sw.program_digest(), digest);
+  EXPECT_EQ(sw.fence_epoch(), 0u);  // a refused commit raises no fence
+
+  // So is undoing a commit that is no longer the last write, and
+  // committing a value that was never staged.
+  auto undo = sw.commit(first.value());
+  ASSERT_FALSE(undo.ok());
+  EXPECT_EQ(undo.error().code, "E144");
+  auto nothing = sw.commit(switchsim::Switch::Staged{});
+  ASSERT_FALSE(nothing.ok());
+  EXPECT_EQ(nothing.error().code, "E144");
+  EXPECT_EQ(sw.program_version(), version);
+  EXPECT_EQ(sw.stale_epoch_rejects(), 0u);
+}
+
+TEST(Switch, StaleEpochIsRefusedAtCommit) {
+  TwoPrograms t;
+  switchsim::Switch sw(t.schema, t.p1);
+  ASSERT_TRUE(sw.fence(5).ok());
+  const std::uint64_t version = sw.program_version();
+  const std::vector<std::uint16_t> port1{1}, port2{2};
+
+  // Staging is not a write: a stale controller may stage, but its commit
+  // bounces with E140, is counted, and publishes nothing.
+  auto delta = sw.stage(t.ops);
+  ASSERT_TRUE(delta.ok());
+  auto stale = sw.commit(delta.value(), 4);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.error().code, "E140");
+  EXPECT_EQ(sw.stale_epoch_rejects(), 1u);
+  EXPECT_EQ(sw.program_version(), version);
+  EXPECT_EQ(sw.fence_epoch(), 5u);
+  EXPECT_EQ(googl_ports(sw), port1);
+
+  // The fence's own epoch commits; a later one raises the fence.
+  ASSERT_TRUE(sw.commit(delta.value(), 5).ok());
+  EXPECT_EQ(googl_ports(sw), port2);
+  ASSERT_TRUE(sw.commit(sw.stage(t.p1), 8).ok());
+  EXPECT_EQ(sw.fence_epoch(), 8u);
+  EXPECT_EQ(sw.program_version(), version + 2);
+
+  // Epoch 0 is unfenced (tests and single-controller tools).
+  ASSERT_TRUE(sw.commit(sw.stage(t.p2)).ok());
+  EXPECT_EQ(sw.fence_epoch(), 8u);
+  EXPECT_EQ(sw.stale_epoch_rejects(), 1u);
 }
 
 }  // namespace
