@@ -24,7 +24,7 @@ ActionSet NaiveMatcher::match(const Env& env) const {
 }
 
 CountingMatcher::CountingMatcher(const std::vector<FlatRule>& rules,
-                                 const spec::Schema& schema) {
+                                 const spec::Schema& /*schema*/) {
   rule_actions_.reserve(rules.size());
   // Collect constraints per subject across all conjunctions.
   std::map<Subject, std::vector<std::pair<IntervalSet, std::uint32_t>>>

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
+#include <utility>
 
 namespace camus::bdd {
 
@@ -34,8 +35,8 @@ double CacheStats::memo_hit_rate() const noexcept {
 BddManager::BddManager(VarOrder order, DomainMap domains)
     : order_(std::move(order)), domains_(std::move(domains)) {
   // Terminal 0 is always the empty ActionSet (drop).
-  terminals_.emplace_back();
-  terminal_ids_.emplace(ActionSet{}, 0u);
+  terminals_.push_back(lang::drop_actions());
+  terminal_index_.insert(terminals_[0]->hash(), 0);
 }
 
 std::uint32_t BddManager::var_for(const BoundPredicate& p) {
@@ -49,19 +50,43 @@ std::uint32_t BddManager::var_for(const BoundPredicate& p) {
   return id;
 }
 
-NodeRef BddManager::terminal(const ActionSet& actions) {
-  auto it = terminal_ids_.find(actions);
-  if (it != terminal_ids_.end()) return NodeRef::terminal(it->second);
+template <typename Make>
+NodeRef BddManager::intern_terminal(const ActionSet& actions, Make&& make) {
+  const std::uint64_t h = actions.hash();
+  const std::uint32_t found = terminal_index_.find(
+      h, [&](std::uint32_t id) { return *terminals_[id] == actions; });
+  if (found != util::FlatIndex::kNone) return NodeRef::terminal(found);
   const std::uint32_t id = static_cast<std::uint32_t>(terminals_.size());
-  terminals_.push_back(actions);
-  terminal_ids_.emplace(actions, id);
+  terminals_.push_back(make());
+  terminal_index_.insert(h, id);
   return NodeRef::terminal(id);
 }
 
-const ActionSet& BddManager::terminal_actions(NodeRef t) const {
+NodeRef BddManager::terminal(const ActionSet& actions) {
+  return intern_terminal(
+      actions, [&] { return std::make_shared<const ActionSet>(actions); });
+}
+
+NodeRef BddManager::terminal(ActionSet&& actions) {
+  return intern_terminal(actions, [&] {
+    return std::make_shared<const ActionSet>(std::move(actions));
+  });
+}
+
+NodeRef BddManager::terminal(const lang::ActionSetPtr& actions) {
+  return intern_terminal(*actions, [&] { return actions; });
+}
+
+const lang::ActionSetPtr& BddManager::terminal_set(NodeRef t) const {
   if (!t.is_terminal())
     throw std::invalid_argument("terminal_actions on a non-terminal ref");
   return terminals_.at(t.index());
+}
+
+NodeRef BddManager::merge_terminals(NodeRef a, NodeRef b) {
+  ActionSet merged = terminal_actions(a);
+  merged.merge(terminal_actions(b));
+  return terminal(std::move(merged));
 }
 
 NodeRef BddManager::mk(std::uint32_t var, NodeRef lo, NodeRef hi) {
@@ -180,11 +205,7 @@ NodeRef BddManager::unite_rec(NodeRef a, NodeRef b) {
   if (a == b) return a;
   if (a == drop()) return b;
   if (b == drop()) return a;
-  if (a.is_terminal() && b.is_terminal()) {
-    ActionSet merged = terminal_actions(a);
-    merged.merge(terminal_actions(b));
-    return terminal(merged);
-  }
+  if (a.is_terminal() && b.is_terminal()) return merge_terminals(a, b);
   // Union is commutative: canonicalize the cache key.
   if (a.raw() > b.raw()) std::swap(a, b);
   const std::uint64_t key =
@@ -215,12 +236,8 @@ NodeRef BddManager::unite_rec(NodeRef a, NodeRef b) {
 
 NodeRef BddManager::unite_res(NodeRef a, NodeRef b, std::size_t rank_in,
                               std::uint32_t residual_id) {
-  if (a.is_terminal() && b.is_terminal()) {
-    if (a == b) return a;
-    ActionSet merged = terminal_actions(a);
-    merged.merge(terminal_actions(b));
-    return terminal(merged);
-  }
+  if (a.is_terminal() && b.is_terminal())
+    return a == b ? a : merge_terminals(a, b);
   // Union is commutative: canonicalize the memo key.
   if (a.raw() > b.raw()) std::swap(a, b);
 
@@ -317,7 +334,7 @@ NodeRef BddManager::import(const BddManager& src, NodeRef root) {
       continue;
     }
     if (r.is_terminal()) {
-      memo.emplace(r.raw(), terminal(src.terminal_actions(r)));
+      memo.emplace(r.raw(), terminal(src.terminal_set(r)));
       stack.pop_back();
       continue;
     }
@@ -471,27 +488,30 @@ bool BddManager::equivalent(NodeRef a, NodeRef b) const {
 
 BddStats BddManager::stats(NodeRef root) const {
   BddStats s;
-  std::unordered_set<std::uint32_t> seen_nodes;
-  std::unordered_set<std::uint32_t> seen_terms;
-  std::unordered_set<std::uint32_t> seen_vars;
+  // Visits marked in flat arrays sized to the node, terminal and variable
+  // tables: one pass, no hashing.
+  std::vector<std::uint8_t> seen_nodes(nodes_.size());
+  std::vector<std::uint8_t> seen_terms(terminals_.size());
+  std::vector<std::uint8_t> seen_vars(vars_.size());
+  std::vector<std::size_t> per_var(vars_.size());
   std::vector<NodeRef> stack{root};
   while (!stack.empty()) {
     const NodeRef r = stack.back();
     stack.pop_back();
     if (r.is_terminal()) {
-      seen_terms.insert(r.index());
+      s.terminal_count += !std::exchange(seen_terms[r.index()], 1);
       continue;
     }
-    if (!seen_nodes.insert(r.index()).second) continue;
+    if (std::exchange(seen_nodes[r.index()], 1)) continue;
+    ++s.node_count;
     const Node& n = node(r);
-    seen_vars.insert(n.var);
-    ++s.nodes_per_subject[vars_[n.var].subject];
+    s.var_count += !std::exchange(seen_vars[n.var], 1);
+    ++per_var[n.var];
     stack.push_back(n.lo);
     stack.push_back(n.hi);
   }
-  s.node_count = seen_nodes.size();
-  s.terminal_count = seen_terms.size();
-  s.var_count = seen_vars.size();
+  for (std::uint32_t v = 0; v < per_var.size(); ++v)
+    if (per_var[v]) s.nodes_per_subject[vars_[v].subject] += per_var[v];
   return s;
 }
 
@@ -512,10 +532,12 @@ CacheStats BddManager::cache_stats() const {
 std::size_t BddManager::memory_bytes() const {
   std::size_t bytes = nodes_.capacity() * sizeof(Node);
   bytes += vars_.capacity() * sizeof(BoundPredicate);
-  bytes += terminals_.capacity() * sizeof(ActionSet);
-  for (const ActionSet& t : terminals_)
-    bytes += t.ports.capacity() * sizeof(t.ports[0]) +
-             t.state_updates.capacity() * sizeof(t.state_updates[0]);
+  // Each terminal's set once (it is shared with the tables, not copied).
+  bytes += terminals_.capacity() * sizeof(lang::ActionSetPtr);
+  for (const lang::ActionSetPtr& t : terminals_)
+    bytes += sizeof(ActionSet) + t->ports.capacity() * sizeof(t->ports[0]) +
+             t->state_updates.capacity() * sizeof(t->state_updates[0]);
+  bytes += terminal_index_.memory_bytes();
   bytes += unique_.memory_bytes();
   bytes += unite_cache_.memory_bytes();
   bytes += unite_res_cache_.memory_bytes();

@@ -106,9 +106,19 @@ class BddManager {
   std::size_t var_count() const noexcept { return vars_.size(); }
 
   // --- terminals -------------------------------------------------------
+  // Each distinct set is stored once, as an immutable shared object that
+  // every table generated from this manager references. The set overload
+  // copies (or moves) the set in when it is new; the pointer overload
+  // shares it (another manager's terminal, on import).
   NodeRef terminal(const ActionSet& actions);
+  NodeRef terminal(ActionSet&& actions);
+  NodeRef terminal(const lang::ActionSetPtr& actions);
   NodeRef drop() const { return NodeRef::terminal(0); }
-  const ActionSet& terminal_actions(NodeRef t) const;
+  const ActionSet& terminal_actions(NodeRef t) const {
+    return *terminal_set(t);
+  }
+  // The terminal's shared set; never null.
+  const lang::ActionSetPtr& terminal_set(NodeRef t) const;
   std::size_t terminal_count() const noexcept { return terminals_.size(); }
 
   // --- nodes -----------------------------------------------------------
@@ -212,6 +222,12 @@ class BddManager {
   std::uint32_t intern_set(const util::IntervalSet& s);
   std::uint32_t full_set_id(std::size_t rank);
 
+  // Interns a set by content; `make` yields the shared set when it is new.
+  template <typename Make>
+  NodeRef intern_terminal(const ActionSet& actions, Make&& make);
+  // The terminal for the union of two terminals' sets.
+  NodeRef merge_terminals(NodeRef a, NodeRef b);
+
   NodeRef unite_rec(NodeRef a, NodeRef b);
   NodeRef unite_res(NodeRef a, NodeRef b, std::size_t rank_in,
                     std::uint32_t residual_id);
@@ -222,8 +238,8 @@ class BddManager {
   std::vector<BoundPredicate> vars_;
   std::map<BoundPredicate, std::uint32_t> var_ids_;
 
-  std::vector<ActionSet> terminals_;
-  std::map<ActionSet, std::uint32_t> terminal_ids_;
+  std::vector<lang::ActionSetPtr> terminals_;
+  util::FlatIndex terminal_index_;  // ActionSet::hash -> terminal id
 
   std::vector<Node> nodes_;
 

@@ -290,14 +290,14 @@ util::Result<TableGenResult> bdd_to_tables(const BddManager& mgr,
   }
 
   // --- leaf table ---------------------------------------------------------
+  // Each entry shares its terminal's set, as does a group it creates.
   for (NodeRef t : a.terminals) {
-    const auto& actions = mgr.terminal_actions(t);
-    if (actions.is_drop() && !opts.emit_drop_entries) continue;
+    const lang::ActionSetPtr& actions = mgr.terminal_set(t);
+    if (actions->is_drop() && !opts.emit_drop_entries) continue;
     LeafEntry e;
     e.state = state_of_raw.at(t.raw());
     e.actions = actions;
-    if (actions.ports.size() > 1)
-      e.mcast_group = pipe.mcast.intern(actions.ports);
+    if (actions->ports.size() > 1) e.mcast_group = pipe.mcast.intern(actions);
     pipe.leaf.add_entry(std::move(e));
   }
 

@@ -204,9 +204,13 @@ Result<Compiled> compile_rules(const spec::Schema& schema,
 
   // 4. Reduction (iii): remove predicates implied by ancestors.
   t.reset();
+  const bdd::NodeRef unpruned = out.root;
   if (opts.semantic_prune) out.root = mgr.prune(out.root);
   out.stats.t_prune = t.seconds();
-  out.stats.bdd_after_prune = mgr.stats(out.root);
+  // A prune that changed nothing needs no second walk.
+  out.stats.bdd_after_prune = out.root == unpruned
+                                  ? out.stats.bdd_before_prune
+                                  : mgr.stats(out.root);
 
   // 5. Algorithm 1: slice into per-field tables.
   t.reset();

@@ -162,13 +162,19 @@ InternStats intern_entries(table::Pipeline& pipeline) {
   // entries never influence a state's observable class.
   std::vector<std::uint32_t> cls(n);
   {
-    std::map<lang::ActionSet, std::uint32_t> obs_ids;
+    // Keyed on the shared sets' contents, not on copies of them.
+    auto by_content = [](const lang::ActionSet* a, const lang::ActionSet* b) {
+      return *a < *b;
+    };
+    std::map<const lang::ActionSet*, std::uint32_t, decltype(by_content)>
+        obs_ids(by_content);
     for (std::size_t i = 0; i < n; ++i) {
       const LeafEntry* le = pipeline.leaf.lookup(state_of[i]);
       if (!le) {
         cls[i] = 0;  // no-entry observation (drop)
       } else {
-        auto [it, ins] = obs_ids.emplace(le->actions, obs_ids.size() + 1);
+        auto [it, ins] =
+            obs_ids.emplace(le->actions.get(), obs_ids.size() + 1);
         cls[i] = it->second;
       }
     }

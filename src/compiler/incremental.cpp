@@ -213,9 +213,14 @@ Result<IncrementalCompiler::Delta> IncrementalCompiler::commit() {
   delta.stats.t_union = phase.seconds();
   delta.stats.bdd_before_prune = manager_->stats(root);
   phase.reset();
+  const bdd::NodeRef unpruned = root;
   if (opts_.semantic_prune) root = manager_->prune(root);
   delta.stats.t_prune = phase.seconds();
-  delta.stats.bdd_after_prune = manager_->stats(root);
+  // The semantic union already prunes, so the root is usually unchanged
+  // and its statistics need no second walk.
+  delta.stats.bdd_after_prune = root == unpruned
+                                    ? delta.stats.bdd_before_prune
+                                    : manager_->stats(root);
   last_root_ = root;
 
   // Pin the (non-terminal) root to the initial state id. The root node

@@ -318,9 +318,9 @@ util::Result<Compiled> compile_partitioned(const spec::Schema& schema,
     for (const auto& le : sp.leaf.entries()) {
       table::LeafEntry ne;
       ne.state = le.state + base;
-      ne.actions = le.actions;
-      if (ne.actions.ports.size() > 1)
-        ne.mcast_group = merged.mcast.intern(ne.actions.ports);
+      ne.actions = le.actions;  // the shard's set, shared
+      if (ne.actions->ports.size() > 1)
+        ne.mcast_group = merged.mcast.intern(ne.actions);
       merged.leaf.add_entry(std::move(ne));
     }
     sp = table::Pipeline{};  // release shard storage as we go

@@ -1,8 +1,10 @@
 #include "lang/bound.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
+#include "util/flat_map.hpp"
 #include "util/intern.hpp"
 
 namespace camus::lang {
@@ -29,9 +31,55 @@ void ActionSet::add_update(std::uint32_t var) {
   if (it == state_updates.end() || *it != var) state_updates.insert(it, var);
 }
 
+namespace {
+// Sorted-unique union in one linear pass.
+template <typename T>
+void union_into(std::vector<T>& into, const std::vector<T>& other) {
+  if (other.empty()) return;
+  std::vector<T> out;
+  out.reserve(into.size() + other.size());
+  std::set_union(into.begin(), into.end(), other.begin(), other.end(),
+                 std::back_inserter(out));
+  into = std::move(out);
+}
+}  // namespace
+
 void ActionSet::merge(const ActionSet& other) {
-  for (auto p : other.ports) add_port(p);
-  for (auto v : other.state_updates) add_update(v);
+  union_into(ports, other.ports);
+  union_into(state_updates, other.state_updates);
+}
+
+namespace {
+// Folds a sorted id list four 16-bit (or two 32-bit) ids per multiply.
+template <typename T>
+std::uint64_t fold_ids(std::uint64_t h, const std::vector<T>& ids) {
+  constexpr std::size_t kPerWord = 8 / sizeof(T);
+  std::size_t i = 0;
+  for (; i + kPerWord <= ids.size(); i += kPerWord) {
+    std::uint64_t w = 0;
+    for (std::size_t k = 0; k < kPerWord; ++k)
+      w |= static_cast<std::uint64_t>(ids[i + k]) << (k * 8 * sizeof(T));
+    h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 29;
+  }
+  std::uint64_t tail = 0;
+  for (std::size_t k = 0; i + k < ids.size(); ++k)
+    tail |= static_cast<std::uint64_t>(ids[i + k]) << (k * 8 * sizeof(T));
+  return util::mix64(h ^ tail ^ ids.size());
+}
+}  // namespace
+
+std::uint64_t ActionSet::ports_hash() const noexcept {
+  return fold_ids(0x6a09e667f3bcc908ULL, ports);
+}
+
+std::uint64_t ActionSet::hash() const noexcept {
+  return fold_ids(ports_hash(), state_updates);
+}
+
+const ActionSetPtr& drop_actions() {
+  static const ActionSetPtr kDrop = std::make_shared<const ActionSet>();
+  return kDrop;
 }
 
 std::string ActionSet::to_string() const {

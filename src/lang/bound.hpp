@@ -63,10 +63,23 @@ struct ActionSet {
   void add_update(std::uint32_t var);
   void merge(const ActionSet& other);
 
+  // Content hashes: of the port list alone (the multicast group key), and
+  // of the whole set (the BDD terminal key).
+  std::uint64_t ports_hash() const noexcept;
+  std::uint64_t hash() const noexcept;
+
   std::string to_string() const;
 
   friend auto operator<=>(const ActionSet&, const ActionSet&) = default;
 };
+
+// A leaf's action set as every layer holds it: created once, never
+// mutated after, shared by reference (BDD terminal, leaf entries,
+// multicast groups, the lowered program).
+using ActionSetPtr = std::shared_ptr<const ActionSet>;
+
+// The one shared empty set (drop): the value of a default leaf entry.
+const ActionSetPtr& drop_actions();
 
 struct BoundCond;
 using BoundCondPtr = std::shared_ptr<const BoundCond>;

@@ -166,11 +166,12 @@ const Switch::Program& Switch::current_data_plane() {
 Switch Switch::make_broadcast(spec::Schema schema,
                               std::vector<std::uint16_t> ports) {
   table::Pipeline pipe;
+  lang::ActionSet actions;
+  for (std::uint16_t p : ports) actions.add_port(p);
   table::LeafEntry e;
   e.state = table::kInitialState;
-  for (std::uint16_t p : ports) e.actions.add_port(p);
-  if (e.actions.ports.size() > 1)
-    e.mcast_group = pipe.mcast.intern(e.actions.ports);
+  e.actions = std::make_shared<const lang::ActionSet>(std::move(actions));
+  if (e.actions->ports.size() > 1) e.mcast_group = pipe.mcast.intern(e.actions);
   pipe.leaf.add_entry(std::move(e));
   pipe.finalize();
   return Switch(schema, std::move(pipe));
@@ -272,7 +273,7 @@ const lang::ActionSet* Switch::classify_fast(
     env_scratch_.fields = fields;
     env_scratch_.states = snap_;
     const table::LeafEntry* l = prog.pipeline.evaluate(env_scratch_);
-    actions = l ? &l->actions : nullptr;
+    actions = l ? l->actions.get() : nullptr;
   }
   if (actions) {
     for (std::uint32_t var : actions->state_updates) {

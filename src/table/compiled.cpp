@@ -1,7 +1,6 @@
 #include "table/compiled.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "util/flat_map.hpp"
 
@@ -177,19 +176,12 @@ CompiledPipeline::CompiledPipeline(const Pipeline& pipe) {
 
   leaf_state_to_idx_ = arena_.take<std::uint32_t>(n_states_);
   for (std::uint32_t& v : leaf_state_to_idx_) v = kMiss;
-  leaf_entries_.reserve(pipe.leaf.entries().size());
-  leaf_action_idx_.reserve(pipe.leaf.entries().size());
-  std::map<lang::ActionSet, std::uint32_t> interned;
+  leaf_actions_.reserve(pipe.leaf.entries().size());
   for (const LeafEntry& e : pipe.leaf.entries()) {
-    const auto idx = static_cast<std::uint32_t>(leaf_entries_.size());
-    // First entry wins for duplicate states (LeafTable::add_entry uses
-    // emplace, which keeps the existing mapping).
+    const auto idx = static_cast<std::uint32_t>(leaf_actions_.size());
+    // First entry wins for duplicate states, as in LeafTable::add_entry.
     if (leaf_state_to_idx_[e.state] == kMiss) leaf_state_to_idx_[e.state] = idx;
-    auto [it, inserted] = interned.emplace(
-        e.actions, static_cast<std::uint32_t>(action_sets_.size()));
-    if (inserted) action_sets_.push_back(e.actions);
-    leaf_action_idx_.push_back(it->second);
-    leaf_entries_.push_back(e);
+    leaf_actions_.push_back(e.actions.get());
   }
   valid_ = true;
 }

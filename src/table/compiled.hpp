@@ -6,8 +6,8 @@
 //  - range entries -> one sorted array per stage with per-state offset
 //    slices and a branchless upper-bound scan;
 //  - wildcard entries -> a dense per-state fallback array;
-//  - leaf entries -> a dense state -> leaf-index array with the distinct
-//    ActionSets interned and referenced by index.
+//  - leaf entries -> a dense state -> leaf-index array, and one pointer
+//    per leaf index into the leaf's shared, immutable ActionSet.
 //
 // Every array lives in a single arena allocation, so a full traversal
 // touches a handful of cache lines and performs zero heap allocation.
@@ -39,9 +39,12 @@ class CompiledPipeline {
   CompiledPipeline() = default;
 
   // Lowers a pipeline. The source pipeline is only read; it does not need
-  // to be finalized. Degenerate inputs (sparse gigantic state ids, more
-  // value maps than the traversal's stack buffer) leave the structure
-  // invalid; callers fall back to Pipeline::evaluate.
+  // to be finalized. The leaf's action sets are referenced, not copied:
+  // they must outlive this structure, which any copy of the source
+  // pipeline's leaf guarantees (switchsim keeps both in one program).
+  // Degenerate inputs (sparse gigantic state ids, more value maps than the
+  // traversal's stack buffer) leave the structure invalid; callers fall
+  // back to Pipeline::evaluate.
   explicit CompiledPipeline(const Pipeline& pipe);
 
   bool valid() const noexcept { return valid_; }
@@ -72,13 +75,9 @@ class CompiledPipeline {
                        std::span<const std::uint64_t> states) const noexcept;
 
   // --- leaf access ----------------------------------------------------
-  const LeafEntry& leaf_entry(std::uint32_t leaf_idx) const {
-    return leaf_entries_[leaf_idx];
-  }
-  // Interned ActionSet for a leaf index (nullptr for kMiss).
+  // The leaf's shared ActionSet for a leaf index (nullptr for kMiss).
   const lang::ActionSet* actions(std::uint32_t leaf_idx) const noexcept {
-    return leaf_idx == kMiss ? nullptr
-                             : &action_sets_[leaf_action_idx_[leaf_idx]];
+    return leaf_idx == kMiss ? nullptr : leaf_actions_[leaf_idx];
   }
 
   // Fingerprint of the memo prefix: hashes the prefix stages' flattened
@@ -95,7 +94,6 @@ class CompiledPipeline {
     return maps_.size() + stages_.size();
   }
   std::uint32_t n_states() const noexcept { return n_states_; }
-  std::size_t action_set_count() const noexcept { return action_sets_.size(); }
 
  private:
   struct ExactSlot {
@@ -145,9 +143,8 @@ class CompiledPipeline {
   std::vector<MapStage> maps_;
   std::vector<Stage> stages_;
   std::span<std::uint32_t> leaf_state_to_idx_;  // dense; kMiss = no entry
-  std::vector<LeafEntry> leaf_entries_;         // source LeafTable order
-  std::vector<std::uint32_t> leaf_action_idx_;  // leaf idx -> interned set
-  std::vector<lang::ActionSet> action_sets_;    // distinct ActionSets
+  // Leaf index (source LeafTable order) -> the entry's shared set.
+  std::vector<const lang::ActionSet*> leaf_actions_;
   StateId initial_state_ = kInitialState;
   std::uint32_t n_states_ = 0;
   std::size_t prefix_stages_ = 0;

@@ -5,8 +5,9 @@
 #include <compare>
 #include <functional>
 #include <iterator>
-#include <sstream>
 #include <tuple>
+
+#include "table/text_format.hpp"
 
 namespace camus::table {
 
@@ -122,14 +123,15 @@ Error unknown_table(const EntryOp& op) {
   return err("U001", "delta op targets unknown table '" + op.table + "'");
 }
 
-// Leaf entry for a leaf add or modify; multicast groups are interned
-// locally, so deltas are independent of group renumbering.
+// Leaf entry for a leaf add or modify: one new shared set, which a new
+// multicast group then shares too. Groups are interned locally, so deltas
+// are independent of group renumbering.
 LeafEntry leaf_entry(Pipeline& pipe, const EntryOp& op) {
   LeafEntry e;
   e.state = op.state;
-  e.actions = op.actions;
-  if (e.actions.ports.size() > 1)
-    e.mcast_group = pipe.mcast.intern(e.actions.ports);
+  e.actions = std::make_shared<const lang::ActionSet>(op.actions);
+  if (e.actions->ports.size() > 1)
+    e.mcast_group = pipe.mcast.intern(e.actions);
   return e;
 }
 
@@ -200,16 +202,16 @@ Result<ApplyStats> apply_ops(Pipeline& pipe, std::span<const EntryOp> ops) {
     const OpRef* r = claim(leaf_removes, EntryKey{leaves[i].state});
     if (!r) continue;
     const EntryOp& op = ops[r->index];
-    if (!(leaves[i].actions == op.actions)) {
+    if (!(*leaves[i].actions == op.actions)) {
       failed_remove.note(
           r->index,
           err("U005", "leaf remove: state " + std::to_string(op.state) +
                           " actions mismatch (have " +
-                          leaves[i].actions.to_string() + ", delta says " +
+                          leaves[i].actions->to_string() + ", delta says " +
                           op.actions.to_string() + ")"));
       continue;
     }
-    if (leaves[i].actions.ports.size() > 1) released = true;
+    if (leaves[i].actions->ports.size() > 1) released = true;
     drop.push_back(i);
   }
   for (const OpRef& r : leaf_removes)
@@ -235,7 +237,7 @@ Result<ApplyStats> apply_ops(Pipeline& pipe, std::span<const EntryOp> ops) {
     if (!existing)
       return err("U005", "leaf modify: state " + std::to_string(op.state) +
                              " has no entry");
-    if (existing->actions.ports.size() > 1) released = true;
+    if (existing->actions->ports.size() > 1) released = true;
     pipe.leaf.replace_entry(op.state, leaf_entry(pipe, op));
     ++stats.modifies;
   }
@@ -289,99 +291,89 @@ Result<ApplyStats> apply_ops(Pipeline& pipe, std::span<const EntryOp> ops) {
   return stats;
 }
 
-std::string serialize_ops(std::span<const EntryOp> ops) {
-  std::ostringstream os;
-  os << "camus-delta v" << kDeltaFormatVersion << "\n";
-  for (const EntryOp& op : ops) {
-    os << "op " << kind_name(op.kind) << " " << op.table << " " << op.state;
-    if (op.is_leaf()) {
-      os << " ports=";
-      if (op.actions.ports.empty()) {
-        os << "-";
-      } else {
-        for (std::size_t i = 0; i < op.actions.ports.size(); ++i)
-          os << (i ? "," : "") << op.actions.ports[i];
-      }
-      os << " updates=";
-      if (op.actions.state_updates.empty()) {
-        os << "-";
-      } else {
-        for (std::size_t i = 0; i < op.actions.state_updates.size(); ++i)
-          os << (i ? "," : "") << op.actions.state_updates[i];
-      }
-    } else {
-      os << " " << value_kind_name(op.match.kind) << " " << op.match.lo << " "
-         << op.match.hi << " " << op.next_state;
-    }
-    os << "\n";
+namespace {
+
+void put_u64(std::string& out, std::uint64_t v) {
+  char buf[20];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
+
+// "1,2,3", or "-" for an empty list.
+template <typename T>
+void put_list(std::string& out, const std::vector<T>& v) {
+  if (v.empty()) {
+    out += '-';
+    return;
   }
-  os << "end\n";
-  return os.str();
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i) out += ',';
+    put_u64(out, v[i]);
+  }
+}
+
+// An upper bound on an op's encoded line, so the output is sized once.
+std::size_t max_line_bytes(const EntryOp& op) {
+  return 96 + op.table.size() + 6 * op.actions.ports.size() +
+         11 * op.actions.state_updates.size();
+}
+
+}  // namespace
+
+std::string serialize_ops(std::span<const EntryOp> ops) {
+  std::size_t bytes = 32;
+  for (const EntryOp& op : ops) bytes += max_line_bytes(op);
+  std::string out;
+  out.reserve(bytes);
+  out += "camus-delta v";
+  put_u64(out, kDeltaFormatVersion);
+  out += '\n';
+  for (const EntryOp& op : ops) {
+    out += "op ";
+    out += kind_name(op.kind);
+    out += ' ';
+    out += op.table;
+    out += ' ';
+    put_u64(out, op.state);
+    if (op.is_leaf()) {
+      out += " ports=";
+      put_list(out, op.actions.ports);
+      out += " updates=";
+      put_list(out, op.actions.state_updates);
+    } else {
+      out += ' ';
+      out += value_kind_name(op.match.kind);
+      out += ' ';
+      put_u64(out, op.match.lo);
+      out += ' ';
+      put_u64(out, op.match.hi);
+      out += ' ';
+      put_u64(out, op.next_state);
+    }
+    out += '\n';
+  }
+  out += "end\n";
+  return out;
 }
 
 Result<std::vector<EntryOp>> deserialize_ops(std::string_view text) {
   std::vector<EntryOp> ops;
-  std::size_t pos = 0;
-  int line_no = 0;
+  textio::Lines in(text);
+  auto fail = [&](std::string msg) { return in.err(std::move(msg)); };
 
-  auto next_line = [&]() -> std::vector<std::string_view> {
-    while (pos < text.size()) {
-      std::size_t eol = text.find('\n', pos);
-      if (eol == std::string_view::npos) eol = text.size();
-      std::string_view line = text.substr(pos, eol - pos);
-      pos = eol + 1;
-      ++line_no;
-      std::vector<std::string_view> toks;
-      std::size_t i = 0;
-      while (i < line.size()) {
-        while (i < line.size() && line[i] == ' ') ++i;
-        std::size_t j = i;
-        while (j < line.size() && line[j] != ' ') ++j;
-        if (j > i) toks.push_back(line.substr(i, j - i));
-        i = j;
-      }
-      if (!toks.empty()) return toks;
-    }
-    return {};
-  };
-  auto fail = [&](std::string msg) { return Error{std::move(msg), line_no}; };
-  auto parse_u64 = [](std::string_view s, std::uint64_t* out) {
-    auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-    return ec == std::errc() && p == s.data() + s.size();
-  };
-  auto parse_list = [&](std::string_view v,
-                        std::vector<std::uint64_t>* out) -> bool {
-    if (v == "-") return true;
-    std::size_t i = 0;
-    while (i < v.size()) {
-      std::size_t j = v.find(',', i);
-      if (j == std::string_view::npos) j = v.size();
-      std::uint64_t x = 0;
-      if (!parse_u64(v.substr(i, j - i), &x)) return false;
-      out->push_back(x);
-      i = j + 1;
-    }
-    return true;
-  };
-  auto kv = [](std::string_view tok, std::string_view key) -> std::string_view {
-    if (tok.size() <= key.size() + 1) return {};
-    if (tok.substr(0, key.size()) != key || tok[key.size()] != '=') return {};
-    return tok.substr(key.size() + 1);
-  };
-
-  auto toks = next_line();
-  if (toks.size() != 2 || toks[0] != "camus-delta" ||
-      toks[1] != "v" + std::to_string(kDeltaFormatVersion))
+  if (!in.next() || in.n != 2 || in.tok[0] != "camus-delta" ||
+      in.tok[1] != "v" + std::to_string(kDeltaFormatVersion))
     return fail("bad header (expected 'camus-delta v1')");
 
   bool done = false;
-  for (toks = next_line(); !toks.empty(); toks = next_line()) {
+  while (in.next()) {
+    const auto& toks = in.tok;
     if (toks[0] == "end") {
       done = true;
       break;
     }
     if (toks[0] != "op") return fail("expected 'op' or 'end'");
-    if (toks.size() < 4) return fail("truncated op line");
+    if (in.n < 4) return fail("truncated op line");
     EntryOp op;
     if (toks[1] == "add") op.kind = EntryOp::Kind::kAdd;
     else if (toks[1] == "del") op.kind = EntryOp::Kind::kRemove;
@@ -389,26 +381,35 @@ Result<std::vector<EntryOp>> deserialize_ops(std::string_view text) {
     else return fail("bad op kind '" + std::string(toks[1]) + "'");
     op.table = std::string(toks[2]);
     std::uint64_t state = 0;
-    if (!parse_u64(toks[3], &state)) return fail("bad op state");
+    if (!textio::parse_u64(toks[3], &state)) return fail("bad op state");
     op.state = static_cast<StateId>(state);
     if (op.is_leaf()) {
-      if (toks.size() != 6) return fail("bad leaf op line");
-      std::vector<std::uint64_t> ports, updates;
-      if (!parse_list(kv(toks[4], "ports"), &ports))
+      if (in.n != 6) return fail("bad leaf op line");
+      // Lists are read in wire order, then made sorted and unique as
+      // ActionSet::add_port/add_update would.
+      bool port_range = true;
+      auto& ports = op.actions.ports;
+      auto& updates = op.actions.state_updates;
+      auto add_port = [&](std::uint64_t p) {
+        port_range &= p <= 0xffff;
+        ports.push_back(static_cast<std::uint16_t>(p));
+      };
+      auto add_update = [&](std::uint64_t u) {
+        updates.push_back(static_cast<std::uint32_t>(u));
+      };
+      if (!textio::parse_list(textio::kv(toks[4], "ports"), add_port))
         return fail("bad leaf op ports");
-      if (!parse_list(kv(toks[5], "updates"), &updates))
+      if (!textio::parse_list(textio::kv(toks[5], "updates"), add_update))
         return fail("bad leaf op updates");
-      for (auto p : ports) {
-        if (p > 0xffff) return fail("leaf op port out of range");
-        op.actions.add_port(static_cast<std::uint16_t>(p));
-      }
-      for (auto u : updates)
-        op.actions.add_update(static_cast<std::uint32_t>(u));
+      if (!port_range) return fail("leaf op port out of range");
+      textio::sort_unique(ports);
+      textio::sort_unique(updates);
     } else {
-      if (toks.size() != 8) return fail("bad field op line");
+      if (in.n != 8) return fail("bad field op line");
       std::uint64_t lo = 0, hi = 0, next = 0;
-      if (!parse_u64(toks[5], &lo) || !parse_u64(toks[6], &hi) ||
-          !parse_u64(toks[7], &next))
+      if (!textio::parse_u64(toks[5], &lo) ||
+          !textio::parse_u64(toks[6], &hi) ||
+          !textio::parse_u64(toks[7], &next))
         return fail("bad field op numbers");
       if (toks[4] == "any") op.match = ValueMatch::any();
       else if (toks[4] == "exact") op.match = ValueMatch::exact(lo);
@@ -452,7 +453,8 @@ using LeafKey = std::pair<StateId, const lang::ActionSet*>;
 std::vector<LeafKey> sorted_leaves(const LeafTable& leaf) {
   std::vector<LeafKey> out;
   out.reserve(leaf.entries().size());
-  for (const auto& e : leaf.entries()) out.emplace_back(e.state, &e.actions);
+  for (const auto& e : leaf.entries())
+    out.emplace_back(e.state, e.actions.get());
   auto by_state = [](const LeafKey& a, const LeafKey& b) {
     return a.first < b.first;
   };
@@ -620,7 +622,9 @@ PipelineDiff diff_pipelines(const Pipeline* have, const Pipeline& want) {
                                 *old_leaf[i].second));
       ++i;
     } else {
-      if (*old_leaf[i].second == *new_leaf[j].second)
+      // Shared sets: equal pointers are equal sets, without a compare.
+      if (old_leaf[i].second == new_leaf[j].second ||
+          *old_leaf[i].second == *new_leaf[j].second)
         ++diff.reused_entries;
       else
         diff.ops.push_back(leaf_op(EntryOp::Kind::kModify, new_leaf[j].first,

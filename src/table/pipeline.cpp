@@ -96,7 +96,7 @@ const LeafEntry* Pipeline::evaluate_mapped(const lang::Env& env) const {
 
 const lang::ActionSet& Pipeline::evaluate_actions(const lang::Env& env) const {
   const LeafEntry* e = evaluate(env);
-  return e ? e->actions : kDropActions;
+  return e ? *e->actions : kDropActions;
 }
 
 ResourceUsage Pipeline::resources() const {
@@ -123,7 +123,7 @@ std::string Pipeline::to_dot() const {
   // States that terminate in the leaf table render as boxes with actions.
   for (const auto& e : leaf.entries()) {
     os << "  s" << e.state << " [shape=box,label=\"" << e.state << "\\n"
-       << e.actions.to_string() << "\"];\n";
+       << e.actions->to_string() << "\"];\n";
   }
   std::size_t cluster = 0;
   auto emit_table = [&](const Table& t) {
@@ -190,7 +190,7 @@ Pipeline::Trace Pipeline::explain(const lang::Env& env) const {
   trace.final_state = state;
   const LeafEntry* leaf_entry = leaf.lookup(state);
   trace.leaf_hit = leaf_entry != nullptr;
-  if (leaf_entry) trace.actions = leaf_entry->actions;
+  if (leaf_entry) trace.actions = *leaf_entry->actions;
   return trace;
 }
 
@@ -237,7 +237,7 @@ std::string Pipeline::to_string() const {
   os << "Leaf Table\n";
   util::TextTable tt({"state", "action"});
   for (const auto& e : leaf.entries()) {
-    std::string action = e.actions.to_string();
+    std::string action = e.actions->to_string();
     if (e.mcast_group) action += "  [mcast group " +
                                  std::to_string(*e.mcast_group) + "]";
     tt.add_row({std::to_string(e.state), action});

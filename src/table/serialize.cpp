@@ -1,8 +1,10 @@
 #include "table/serialize.hpp"
 
-#include <charconv>
 #include <sstream>
+#include <unordered_map>
 #include <vector>
+
+#include "table/text_format.hpp"
 
 namespace camus::table {
 
@@ -41,75 +43,15 @@ void write_table(std::ostringstream& os, const char* tag, const Table& t) {
   }
 }
 
-// Tokenizing line parser.
-struct LineParser {
-  std::string_view text;
-  std::size_t pos = 0;
-  int line_no = 0;
-
-  // Returns the next non-empty line split into whitespace tokens; empty
-  // vector at end of input.
-  std::vector<std::string_view> next_line() {
-    while (pos < text.size()) {
-      std::size_t eol = text.find('\n', pos);
-      if (eol == std::string_view::npos) eol = text.size();
-      std::string_view line = text.substr(pos, eol - pos);
-      pos = eol + 1;
-      ++line_no;
-      std::vector<std::string_view> toks;
-      std::size_t i = 0;
-      while (i < line.size()) {
-        while (i < line.size() && line[i] == ' ') ++i;
-        std::size_t j = i;
-        while (j < line.size() && line[j] != ' ') ++j;
-        if (j > i) toks.push_back(line.substr(i, j - i));
-        i = j;
-      }
-      if (!toks.empty()) return toks;
-    }
-    return {};
-  }
-
-  Error err(std::string msg) const { return Error{std::move(msg), line_no}; }
-};
-
-bool parse_u64(std::string_view s, std::uint64_t* out) {
-  auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return ec == std::errc() && p == s.data() + s.size();
-}
-
-// Parses "key=value" returning the value part, or empty on mismatch.
-std::string_view kv(std::string_view tok, std::string_view key) {
-  if (tok.size() <= key.size() + 1) return {};
-  if (tok.substr(0, key.size()) != key || tok[key.size()] != '=') return {};
-  return tok.substr(key.size() + 1);
-}
-
 Result<lang::Subject> parse_subject(std::string_view v) {
   if (v.empty()) return Error{"bad subject"};
   std::uint64_t id = 0;
-  if (!parse_u64(v.substr(1), &id)) return Error{"bad subject id"};
+  if (!textio::parse_u64(v.substr(1), &id)) return Error{"bad subject id"};
   if (v[0] == 'f')
     return lang::Subject::field(static_cast<std::uint32_t>(id));
   if (v[0] == 's')
     return lang::Subject::state(static_cast<std::uint32_t>(id));
   return Error{"bad subject kind"};
-}
-
-// Parses a comma-separated u64 list ("1,2,3" or "-").
-Result<std::vector<std::uint64_t>> parse_list(std::string_view v) {
-  std::vector<std::uint64_t> out;
-  if (v == "-") return out;
-  std::size_t i = 0;
-  while (i < v.size()) {
-    std::size_t j = v.find(',', i);
-    if (j == std::string_view::npos) j = v.size();
-    std::uint64_t x = 0;
-    if (!parse_u64(v.substr(i, j - i), &x)) return Error{"bad list value"};
-    out.push_back(x);
-    i = j + 1;
-  }
-  return out;
 }
 
 }  // namespace
@@ -122,19 +64,20 @@ std::string serialize_pipeline(const Pipeline& pipeline) {
   for (const auto& t : pipeline.tables) write_table(os, "table", t);
   os << "leaf\n";
   for (const auto& e : pipeline.leaf.entries()) {
+    const lang::ActionSet& actions = *e.actions;
     os << "entry " << e.state << " ports=";
-    if (e.actions.ports.empty()) {
+    if (actions.ports.empty()) {
       os << "-";
     } else {
-      for (std::size_t i = 0; i < e.actions.ports.size(); ++i)
-        os << (i ? "," : "") << e.actions.ports[i];
+      for (std::size_t i = 0; i < actions.ports.size(); ++i)
+        os << (i ? "," : "") << actions.ports[i];
     }
     os << " updates=";
-    if (e.actions.state_updates.empty()) {
+    if (actions.state_updates.empty()) {
       os << "-";
     } else {
-      for (std::size_t i = 0; i < e.actions.state_updates.size(); ++i)
-        os << (i ? "," : "") << e.actions.state_updates[i];
+      for (std::size_t i = 0; i < actions.state_updates.size(); ++i)
+        os << (i ? "," : "") << actions.state_updates[i];
     }
     os << " mcast=" << (e.mcast_group ? std::to_string(*e.mcast_group) : "-")
        << "\n";
@@ -151,45 +94,48 @@ std::string serialize_pipeline(const Pipeline& pipeline) {
 }
 
 Result<Pipeline> deserialize_pipeline(std::string_view text) {
-  LineParser lp{text};
+  textio::Lines lp(text);
+  const auto& toks = lp.tok;
   Pipeline pipe;
 
-  auto toks = lp.next_line();
-  if (toks.size() != 2 || toks[0] != "camus-pipeline" ||
+  if (!lp.next() || lp.n != 2 || toks[0] != "camus-pipeline" ||
       toks[1] != "v" + std::to_string(kPipelineFormatVersion))
     return lp.err("bad header (expected 'camus-pipeline v1')");
 
-  toks = lp.next_line();
   std::uint64_t init = 0;
-  if (toks.size() != 2 || toks[0] != "initial_state" ||
-      !parse_u64(toks[1], &init))
+  if (!lp.next() || lp.n != 2 || toks[0] != "initial_state" ||
+      !textio::parse_u64(toks[1], &init))
     return lp.err("bad initial_state line");
   pipe.initial_state = static_cast<StateId>(init);
 
   Table* current = nullptr;  // table receiving 'entry' lines
   bool in_leaf = false;
   bool done = false;
+  // Group id -> the set of the first leaf entry naming it, which the
+  // group then shares (leaf lines precede mcast lines).
+  std::unordered_map<std::uint64_t, lang::ActionSetPtr> group_set;
 
-  for (toks = lp.next_line(); !toks.empty(); toks = lp.next_line()) {
+  while (lp.next()) {
     if (toks[0] == "end") {
       done = true;
       break;
     }
     if (toks[0] == "table" || toks[0] == "value_map") {
-      if (toks.size() != 6) return lp.err("bad table line");
-      auto subj = parse_subject(kv(toks[2], "subject"));
+      if (lp.n != 6) return lp.err("bad table line");
+      auto subj = parse_subject(textio::kv(toks[2], "subject"));
       if (!subj.ok()) return lp.err(subj.error().message);
-      const std::string_view kind_v = kv(toks[3], "kind");
+      const std::string_view kind_v = textio::kv(toks[3], "kind");
       MatchKind kind;
       if (kind_v == "exact") kind = MatchKind::kExact;
       else if (kind_v == "range") kind = MatchKind::kRange;
       else if (kind_v == "ternary") kind = MatchKind::kTernary;
       else return lp.err("bad table kind");
       std::uint64_t width = 0, symbol = 0;
-      if (!parse_u64(kv(toks[4], "width"), &width) || width == 0 ||
-          width > 64)
+      if (!textio::parse_u64(textio::kv(toks[4], "width"), &width) ||
+          width == 0 || width > 64)
         return lp.err("bad table width");
-      if (!parse_u64(kv(toks[5], "symbol"), &symbol) || symbol > 1)
+      if (!textio::parse_u64(textio::kv(toks[5], "symbol"), &symbol) ||
+          symbol > 1)
         return lp.err("bad symbol flag");
       auto& vec = toks[0] == "table" ? pipe.tables : pipe.value_maps;
       vec.emplace_back(std::string(toks[1]), subj.value(), kind,
@@ -205,52 +151,73 @@ Result<Pipeline> deserialize_pipeline(std::string_view text) {
       continue;
     }
     if (toks[0] == "mcast") {
-      if (toks.size() != 3) return lp.err("bad mcast line");
-      auto ports = parse_list(kv(toks[2], "ports"));
-      if (!ports.ok() || ports.value().empty())
-        return lp.err("bad mcast ports");
+      if (lp.n != 3) return lp.err("bad mcast line");
       std::vector<std::uint16_t> p16;
-      for (auto p : ports.value()) {
-        if (p > 0xffff) return lp.err("mcast port out of range");
-        p16.push_back(static_cast<std::uint16_t>(p));
-      }
+      bool in_range = true;
+      if (!textio::parse_list(textio::kv(toks[2], "ports"),
+                              [&](std::uint64_t p) {
+                                in_range &= p <= 0xffff;
+                                p16.push_back(static_cast<std::uint16_t>(p));
+                              }) ||
+          p16.empty())
+        return lp.err("bad mcast ports");
+      if (!in_range) return lp.err("mcast port out of range");
       std::uint64_t gid = 0;
-      if (!parse_u64(toks[1], &gid)) return lp.err("bad mcast id");
-      if (pipe.mcast.intern(p16) != gid)
-        return lp.err("non-sequential multicast group id");
+      if (!textio::parse_u64(toks[1], &gid)) return lp.err("bad mcast id");
+      const auto first = group_set.find(gid);
+      const std::uint32_t id =
+          first != group_set.end() && first->second->ports == p16
+              ? pipe.mcast.intern(first->second)
+              : pipe.mcast.intern(std::move(p16));
+      if (id != gid) return lp.err("non-sequential multicast group id");
       continue;
     }
     if (toks[0] == "entry") {
       if (in_leaf) {
-        if (toks.size() != 5) return lp.err("bad leaf entry");
+        if (lp.n != 5) return lp.err("bad leaf entry");
         std::uint64_t state = 0;
-        if (!parse_u64(toks[1], &state)) return lp.err("bad leaf state");
+        if (!textio::parse_u64(toks[1], &state))
+          return lp.err("bad leaf state");
         LeafEntry e;
         e.state = static_cast<StateId>(state);
-        auto ports = parse_list(kv(toks[2], "ports"));
-        if (!ports.ok()) return lp.err("bad leaf ports");
-        for (auto p : ports.value()) {
-          if (p > 0xffff) return lp.err("leaf port out of range");
-          e.actions.add_port(static_cast<std::uint16_t>(p));
-        }
-        auto updates = parse_list(kv(toks[3], "updates"));
-        if (!updates.ok()) return lp.err("bad leaf updates");
-        for (auto u : updates.value())
-          e.actions.add_update(static_cast<std::uint32_t>(u));
-        const std::string_view mc = kv(toks[4], "mcast");
+        // One new set per entry, read in wire order and then made sorted
+        // and unique as ActionSet::add_port/add_update would.
+        lang::ActionSet actions;
+        bool in_range = true;
+        if (!textio::parse_list(textio::kv(toks[2], "ports"),
+                                [&](std::uint64_t p) {
+                                  in_range &= p <= 0xffff;
+                                  actions.ports.push_back(
+                                      static_cast<std::uint16_t>(p));
+                                }))
+          return lp.err("bad leaf ports");
+        if (!in_range) return lp.err("leaf port out of range");
+        if (!textio::parse_list(textio::kv(toks[3], "updates"),
+                                [&](std::uint64_t u) {
+                                  actions.state_updates.push_back(
+                                      static_cast<std::uint32_t>(u));
+                                }))
+          return lp.err("bad leaf updates");
+        textio::sort_unique(actions.ports);
+        textio::sort_unique(actions.state_updates);
+        e.actions = std::make_shared<const lang::ActionSet>(std::move(actions));
+        const std::string_view mc = textio::kv(toks[4], "mcast");
         if (mc != "-") {
           std::uint64_t gid = 0;
-          if (!parse_u64(mc, &gid)) return lp.err("bad leaf mcast id");
+          if (!textio::parse_u64(mc, &gid)) return lp.err("bad leaf mcast id");
           e.mcast_group = static_cast<std::uint32_t>(gid);
+          group_set.emplace(gid, e.actions);
         }
         pipe.leaf.add_entry(std::move(e));
         continue;
       }
       if (!current) return lp.err("entry outside any table");
-      if (toks.size() != 6) return lp.err("bad table entry");
+      if (lp.n != 6) return lp.err("bad table entry");
       std::uint64_t state = 0, lo = 0, hi = 0, next = 0;
-      if (!parse_u64(toks[1], &state) || !parse_u64(toks[3], &lo) ||
-          !parse_u64(toks[4], &hi) || !parse_u64(toks[5], &next))
+      if (!textio::parse_u64(toks[1], &state) ||
+          !textio::parse_u64(toks[3], &lo) ||
+          !textio::parse_u64(toks[4], &hi) ||
+          !textio::parse_u64(toks[5], &next))
         return lp.err("bad entry numbers");
       Entry e;
       e.state = static_cast<StateId>(state);

@@ -122,52 +122,57 @@ std::optional<StateId> Table::lookup(StateId state,
   return si.any;  // wildcard fallback, or miss
 }
 
-std::uint32_t MulticastGroups::intern(
-    const std::vector<std::uint16_t>& ports) {
-  std::string key;
-  key.reserve(ports.size() * 2);
-  for (std::uint16_t p : ports) {
-    key.push_back(static_cast<char>(p & 0xff));
-    key.push_back(static_cast<char>(p >> 8));
-  }
-  auto it = ids_.find(key);
-  if (it != ids_.end()) return it->second;
-  const std::uint32_t id = static_cast<std::uint32_t>(groups_.size());
-  groups_.push_back(ports);
-  ids_.emplace(std::move(key), id);
+std::uint32_t MulticastGroups::intern(const lang::ActionSetPtr& set) {
+  const std::uint64_t h = set->ports_hash();
+  const std::uint32_t found = index_.find(h, [&](std::uint32_t g) {
+    return groups_[g] == set || groups_[g]->ports == set->ports;
+  });
+  if (found != kDropped) return found;
+  const auto id = static_cast<std::uint32_t>(groups_.size());
+  groups_.push_back(set);
+  index_.insert(h, id);
   return id;
+}
+
+std::uint32_t MulticastGroups::intern(std::vector<std::uint16_t> ports) {
+  lang::ActionSet set;
+  set.ports = std::move(ports);
+  return intern(std::make_shared<const lang::ActionSet>(std::move(set)));
 }
 
 void MulticastGroups::renumber(std::span<const std::uint32_t> remap,
                                std::uint32_t kept) {
-  std::vector<std::vector<std::uint16_t>> groups(kept);
+  std::vector<lang::ActionSetPtr> groups(kept);
   for (std::uint32_t g = 0; g < groups_.size(); ++g)
     if (remap[g] != kDropped) groups[remap[g]] = std::move(groups_[g]);
   groups_ = std::move(groups);
-  for (auto it = ids_.begin(); it != ids_.end();) {
-    if (remap[it->second] == kDropped) {
-      it = ids_.erase(it);
-    } else {
-      it->second = remap[it->second];
-      ++it;
-    }
-  }
+  index_.renumber(remap);
+}
+
+std::uint32_t LeafTable::find(StateId state) const {
+  return index_.find(util::mix64(state), [&](std::uint32_t i) {
+    return entries_[i].state == state;
+  });
 }
 
 void LeafTable::add_entry(LeafEntry e) {
-  index_.emplace(e.state, entries_.size());
+  // First wins: a duplicate state stays shadowed by the earlier entry.
+  if (find(e.state) == util::FlatIndex::kNone)
+    index_.insert(util::mix64(e.state),
+                  static_cast<std::uint32_t>(entries_.size()));
   entries_.push_back(std::move(e));
 }
 
 const LeafEntry* LeafTable::lookup(StateId state) const {
-  auto it = index_.find(state);
-  return it == index_.end() ? nullptr : &entries_[it->second];
+  const std::uint32_t i = find(state);
+  return i == util::FlatIndex::kNone ? nullptr : &entries_[i];
 }
 
 void LeafTable::reindex() {
   index_.clear();
-  for (std::size_t i = 0; i < entries_.size(); ++i)
-    index_.emplace(entries_[i].state, i);  // emplace keeps first-wins
+  for (std::uint32_t i = 0; i < entries_.size(); ++i)
+    if (find(entries_[i].state) == util::FlatIndex::kNone)
+      index_.insert(util::mix64(entries_[i].state), i);
 }
 
 void LeafTable::remove_entries(std::span<const std::size_t> ascending) {
@@ -177,9 +182,9 @@ void LeafTable::remove_entries(std::span<const std::size_t> ascending) {
 }
 
 bool LeafTable::replace_entry(StateId state, LeafEntry e) {
-  auto it = index_.find(state);
-  if (it == index_.end() || e.state != state) return false;
-  entries_[it->second] = std::move(e);
+  const std::uint32_t i = find(state);
+  if (i == util::FlatIndex::kNone || e.state != state) return false;
+  entries_[i] = std::move(e);
   return true;
 }
 
@@ -187,14 +192,16 @@ void LeafTable::compact_groups(MulticastGroups& groups) {
   std::vector<std::uint32_t> remap(groups.size(), MulticastGroups::kDropped);
   std::uint32_t kept = 0;
   for (LeafEntry& e : entries_) {
-    if (e.actions.ports.size() <= 1) continue;
+    if (e.actions->ports.size() <= 1) continue;
     // Group ids are unique per port set (intern deduplicates), so ids
-    // stand for port sets.
+    // stand for port sets. An entry that interned its group shares the
+    // group's set, so the pointer test settles most entries.
     const std::uint32_t g =
         e.mcast_group && *e.mcast_group < groups.size() &&
-                groups.ports(*e.mcast_group) == e.actions.ports
+                (groups.set(*e.mcast_group) == e.actions ||
+                 groups.ports(*e.mcast_group) == e.actions->ports)
             ? *e.mcast_group
-            : groups.intern(e.actions.ports);
+            : groups.intern(e.actions);
     // intern may have appended g.
     remap.resize(groups.size(), MulticastGroups::kDropped);
     if (remap[g] == MulticastGroups::kDropped) remap[g] = kept++;

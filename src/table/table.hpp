@@ -3,6 +3,12 @@
 // per field matching (entry state, field value) -> next state, plus a leaf
 // table mapping the final state to the merged ActionSet / multicast group.
 //
+// A leaf's ActionSet is an immutable shared object (lang::ActionSetPtr):
+// the BDD terminal's own set on a compiled program, one new set per entry
+// an op or a parse adds. Leaf entries, multicast groups, pipeline copies
+// and the lowered program all reference it, so copying, diffing or
+// freeing a program moves pointers, not port lists.
+//
 // Miss semantics: a lookup miss leaves the state metadata unchanged. This
 // is how packets "pass through" tables for fields their current BDD path
 // does not predicate on; a packet whose state survives to the leaf table
@@ -17,6 +23,7 @@
 #include <vector>
 
 #include "lang/bound.hpp"
+#include "util/flat_map.hpp"
 #include "util/result.hpp"
 
 namespace camus::table {
@@ -153,13 +160,18 @@ class Table {
 
 // Multicast group table: one group per distinct multi-port set. Unicast
 // actions do not consume a group (matching how the paper counts "198
-// multicast groups" separately from unicast forwards).
+// multicast groups" separately from unicast forwards). A group holds the
+// shared set of the first leaf that used its ports, not a copy of them,
+// and is found by the ports' hash in a flat index.
 class MulticastGroups {
  public:
-  static constexpr std::uint32_t kDropped = 0xffffffffu;
+  static constexpr std::uint32_t kDropped = util::FlatIndex::kNone;
 
-  // Interns a port set (must be sorted unique). Returns the group id.
-  std::uint32_t intern(const std::vector<std::uint16_t>& ports);
+  // Interns a set's port list and returns its group id: the existing
+  // group with these ports, or a new one (the next id) holding `set`.
+  std::uint32_t intern(const lang::ActionSetPtr& set);
+  // Interns a port set (sorted unique), making a set for a new group.
+  std::uint32_t intern(std::vector<std::uint16_t> ports);
 
   // Keeps group g as group remap[g], or drops it when remap[g] is
   // kDropped. `remap` has one slot per group, and the kept groups' new ids
@@ -167,19 +179,24 @@ class MulticastGroups {
   void renumber(std::span<const std::uint32_t> remap, std::uint32_t kept);
 
   const std::vector<std::uint16_t>& ports(std::uint32_t group) const {
+    return groups_.at(group)->ports;
+  }
+  // The set the group was interned from.
+  const lang::ActionSetPtr& set(std::uint32_t group) const {
     return groups_.at(group);
   }
   std::size_t size() const noexcept { return groups_.size(); }
 
  private:
-  std::vector<std::vector<std::uint16_t>> groups_;
-  std::unordered_map<std::string, std::uint32_t> ids_;  // key: packed ports
+  std::vector<lang::ActionSetPtr> groups_;
+  util::FlatIndex index_;  // ActionSet::ports_hash -> group id
 };
 
 struct LeafEntry {
   StateId state = kInitialState;
-  lang::ActionSet actions;
-  // Multicast group id when actions.ports.size() > 1; otherwise unused.
+  // Immutable and shared; never null (the default is the shared drop set).
+  lang::ActionSetPtr actions = lang::drop_actions();
+  // Multicast group id when actions->ports.size() > 1; otherwise unused.
   std::optional<std::uint32_t> mcast_group;
 };
 
@@ -208,10 +225,11 @@ class LeafTable {
   void compact_groups(MulticastGroups& groups);
 
  private:
+  std::uint32_t find(StateId state) const;
   void reindex();
 
   std::vector<LeafEntry> entries_;
-  std::unordered_map<StateId, std::size_t> index_;
+  util::FlatIndex index_;  // state hash -> first entry of that state
 };
 
 // Resource accounting for one pipeline (paper §3.2, "Resource

@@ -5,8 +5,10 @@
 // No erase support (the caches only grow, then clear wholesale).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -88,6 +90,80 @@ class FlatMap {
   std::size_t size_ = 0;
   mutable std::uint64_t probes_ = 0;
   mutable std::uint64_t hits_ = 0;
+};
+
+// Open-addressed index over the positions of an array that holds its own
+// keys (leaf states, multicast port sets, BDD terminals): slots store only
+// (key hash, position), so the index copies as one flat vector and never
+// duplicates a key. Callers pass the key's hash and a test of whether the
+// key sits at a position. Insert-only, like FlatMap; rebuild after erasing.
+// Unlike FlatMap, find() keeps no counters, so concurrent readers are safe.
+class FlatIndex {
+ public:
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
+  // The position whose key `is_key` accepts among those hashed to `hash`,
+  // or kNone.
+  template <typename IsKey>
+  std::uint32_t find(std::uint64_t hash, IsKey&& is_key) const {
+    if (slots_.empty()) return kNone;
+    for (std::size_t i = hash & mask_; slots_[i].pos != kNone;
+         i = (i + 1) & mask_)
+      if (slots_[i].hash == hash && is_key(slots_[i].pos)) return slots_[i].pos;
+    return kNone;
+  }
+
+  // Adds a position; its key must not be indexed yet.
+  void insert(std::uint64_t hash, std::uint32_t pos) {
+    if ((size_ + 1) * 2 > slots_.size()) grow();
+    place(hash, pos);
+    ++size_;
+  }
+
+  // Keeps each position p as remap[p], or drops it when remap[p] is kNone
+  // (`remap` has a slot per indexed position).
+  void renumber(std::span<const std::uint32_t> remap) {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.size(), Slot{});
+    size_ = 0;
+    for (const Slot& s : old) {
+      if (s.pos == kNone || remap[s.pos] == kNone) continue;
+      place(s.hash, remap[s.pos]);
+      ++size_;
+    }
+  }
+
+  // Empties the index, keeping its capacity.
+  void clear() {
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    size_ = 0;
+  }
+  std::size_t memory_bytes() const noexcept {
+    return slots_.capacity() * sizeof(Slot);
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t hash = 0;
+    std::uint32_t pos = kNone;
+  };
+
+  void place(std::uint64_t hash, std::uint32_t pos) {
+    std::size_t i = hash & mask_;
+    while (slots_[i].pos != kNone) i = (i + 1) & mask_;
+    slots_[i] = {hash, pos};
+  }
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
+    mask_ = slots_.size() - 1;
+    for (const Slot& s : old)
+      if (s.pos != kNone) place(s.hash, s.pos);
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  std::size_t size_ = 0;
 };
 
 // 64-bit mixer (splitmix64 finalizer) for composite integer keys.

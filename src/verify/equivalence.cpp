@@ -66,6 +66,10 @@ struct TripleHash {
 };
 
 struct Checker {
+  Checker(const bdd::BddManager& m, NodeRef r, const table::Pipeline& p,
+          const spec::Schema& s, const EquivalenceOptions& o)
+      : mgr(m), root(r), pipe(p), schema(s), opts(o) {}
+
   const bdd::BddManager& mgr;
   NodeRef root;
   const table::Pipeline& pipe;
@@ -258,7 +262,7 @@ struct Checker {
       // strictly later in the order, so no node survives the last rank).
       const table::LeafEntry* leaf = pipe.leaf.lookup(state);
       static const lang::ActionSet kDrop{};
-      const lang::ActionSet& got = leaf ? leaf->actions : kDrop;
+      const lang::ActionSet& got = leaf ? *leaf->actions : kDrop;
       const lang::ActionSet& want = mgr.terminal_actions(u);
       if (got == want) return true;
       return report_divergence();

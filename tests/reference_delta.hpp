@@ -44,18 +44,18 @@ inline util::Result<bool> apply_one(table::Pipeline& pipe,
   if (op.is_leaf()) {
     const table::LeafEntry* existing = pipe.leaf.lookup(op.state);
     if (existing && op.kind != Kind::kAdd &&
-        existing->actions.ports.size() > 1)
+        existing->actions->ports.size() > 1)
       released = true;
     table::LeafEntry e;
     e.state = op.state;
-    e.actions = op.actions;
+    e.actions = std::make_shared<const lang::ActionSet>(op.actions);
     switch (op.kind) {
       case Kind::kRemove: {
-        if (!existing || !(existing->actions == op.actions))
+        if (!existing || !(*existing->actions == op.actions))
           return delta_error(
               "U005", "leaf remove: state " + std::to_string(op.state) +
                           (existing ? " actions mismatch (have " +
-                                          existing->actions.to_string() +
+                                          existing->actions->to_string() +
                                           ", delta says " +
                                           op.actions.to_string() + ")"
                                     : " has no entry"));
@@ -70,8 +70,8 @@ inline util::Result<bool> apply_one(table::Pipeline& pipe,
           return delta_error("U005", "leaf modify: state " +
                                          std::to_string(op.state) +
                                          " has no entry");
-        if (e.actions.ports.size() > 1)
-          e.mcast_group = pipe.mcast.intern(e.actions.ports);
+        if (e.actions->ports.size() > 1)
+          e.mcast_group = pipe.mcast.intern(e.actions);
         pipe.leaf.replace_entry(op.state, std::move(e));
         ++stats.modifies;
         return true;
@@ -80,8 +80,8 @@ inline util::Result<bool> apply_one(table::Pipeline& pipe,
           return delta_error("U006", "leaf add: state " +
                                          std::to_string(op.state) +
                                          " already has an entry");
-        if (e.actions.ports.size() > 1)
-          e.mcast_group = pipe.mcast.intern(e.actions.ports);
+        if (e.actions->ports.size() > 1)
+          e.mcast_group = pipe.mcast.intern(e.actions);
         pipe.leaf.add_entry(std::move(e));
         ++stats.adds;
         return true;
@@ -141,8 +141,8 @@ inline util::Result<table::ApplyStats> reference_apply_ops(
     pipe.mcast = table::MulticastGroups{};
     table::LeafTable leaf;
     for (table::LeafEntry e : pipe.leaf.entries()) {
-      if (e.actions.ports.size() > 1)
-        e.mcast_group = pipe.mcast.intern(e.actions.ports);
+      if (e.actions->ports.size() > 1)
+        e.mcast_group = pipe.mcast.intern(e.actions);
       leaf.add_entry(std::move(e));
     }
     pipe.leaf = std::move(leaf);
@@ -177,7 +177,7 @@ inline table::PipelineDiff reference_diff_pipelines(
   };
   auto leaf_map = [](const table::Pipeline& pipe) {
     LeafMap m;
-    for (const auto& e : pipe.leaf.entries()) m.emplace(e.state, e.actions);
+    for (const auto& e : pipe.leaf.entries()) m.emplace(e.state, *e.actions);
     return m;
   };
 

@@ -70,11 +70,11 @@ class ReferenceSwitch {
       env.states = registers_.snapshot(now_us);
       const table::LeafEntry* leaf = pipeline_.evaluate(env);
       if (!leaf) continue;
-      for (const std::uint32_t var : leaf->actions.state_updates) {
+      for (const std::uint32_t var : leaf->actions->state_updates) {
         registers_.apply_update(var, env.fields, now_us);
         ++counters_.state_updates;
       }
-      for (const std::uint16_t p : leaf->actions.ports)
+      for (const std::uint16_t p : leaf->actions->ports)
         per_port[p].push_back(msg);
     }
     if (per_port.empty()) {

@@ -439,7 +439,7 @@ TEST(ProcessBatch, FallbackWhenPipelineNotFlattenable) {
   p.tables.push_back(std::move(t));
   table::LeafEntry e;
   e.state = huge;
-  e.actions.add_port(5);
+  e.actions = std::make_shared<const lang::ActionSet>(lang::ActionSet{{5}, {}});
   p.leaf.add_entry(e);
   p.finalize();
 
@@ -496,8 +496,8 @@ TEST(ProcessBatch, StatefulPrefixMemoAcrossRegisterRollover) {
   for (std::uint32_t s = 1; s <= 3; ++s) {
     table::LeafEntry e;
     e.state = s;
-    e.actions.add_port(static_cast<std::uint16_t>(s));
-    e.actions.state_updates.push_back(*var);
+    e.actions = std::make_shared<const lang::ActionSet>(
+        lang::ActionSet{{static_cast<std::uint16_t>(s)}, {*var}});
     p.leaf.add_entry(std::move(e));
   }
   p.finalize();

@@ -173,7 +173,7 @@ TEST(ChurnDelta, DeltasReleaseUnusedMulticastGroups) {
     const table::Pipeline running = *sw.pipeline_snapshot();
     std::set<std::vector<std::uint16_t>> port_sets;
     for (const auto& e : running.leaf.entries())
-      if (e.actions.ports.size() > 1) port_sets.insert(e.actions.ports);
+      if (e.actions->ports.size() > 1) port_sets.insert(e.actions->ports);
     EXPECT_EQ(sw.resources().multicast_groups, port_sets.size())
         << "op " << i;
     EXPECT_EQ(sw.resources().multicast_groups,

@@ -24,6 +24,10 @@ using namespace camus;
 using namespace camus::table;
 using camus::lang::Subject;
 
+lang::ActionSetPtr fwd(std::uint16_t port) {
+  return std::make_shared<const lang::ActionSet>(lang::ActionSet{{port}, {}});
+}
+
 // Leaf index the reference evaluator lands on: the entry's position in the
 // source leaf table (the order CompiledPipeline::traverse reports), or
 // kMiss on drop.
@@ -80,13 +84,13 @@ Pipeline random_pipeline(util::Rng& rng) {
     if (rng.next() % 2) continue;
     LeafEntry e;
     e.state = s;
-    e.actions.add_port(static_cast<std::uint16_t>(rng.next() % 4));
+    e.actions = fwd(static_cast<std::uint16_t>(rng.next() % 4));
     p.leaf.add_entry(std::move(e));
     // Duplicate leaf states must resolve first-wins in both evaluators.
     if (rng.next() % 4 == 0) {
       LeafEntry dup;
       dup.state = s;
-      dup.actions.add_port(63);
+      dup.actions = fwd(63);
       p.leaf.add_entry(std::move(dup));
     }
   }
@@ -112,8 +116,9 @@ TEST(CompiledPipeline, RandomizedEquivalence) {
       if (want != CompiledPipeline::kMiss) {
         const lang::ActionSet* a = cp.actions(got);
         ASSERT_NE(a, nullptr);
-        EXPECT_EQ(*a, p.leaf.entries()[want].actions);
-        EXPECT_EQ(cp.leaf_entry(got).state, p.leaf.entries()[want].state);
+        EXPECT_EQ(*a, *p.leaf.entries()[want].actions);
+        // The lowered leaf points at the entry's own shared set.
+        EXPECT_EQ(a, p.leaf.entries()[want].actions.get());
       } else {
         EXPECT_EQ(cp.actions(got), nullptr);
       }
@@ -132,7 +137,7 @@ TEST(CompiledPipeline, EmptyAndLeafOnlyPipelines) {
   Pipeline leaf_only;  // no tables: every packet lands in the initial state
   LeafEntry e;
   e.state = kInitialState;
-  e.actions.add_port(9);
+  e.actions = fwd(9);
   leaf_only.leaf.add_entry(e);
   leaf_only.finalize();
   const CompiledPipeline cl(leaf_only);
@@ -150,7 +155,7 @@ TEST(CompiledPipeline, WildcardOnlyTable) {
   p.tables.push_back(std::move(t));
   LeafEntry e;
   e.state = 4;
-  e.actions.add_port(2);
+  e.actions = fwd(2);
   p.leaf.add_entry(e);
   p.finalize();
   const CompiledPipeline cp(p);
@@ -187,7 +192,7 @@ TEST(CompiledPipeline, ValueMapEquivalenceIncludingMapMiss) {
                     StateId{8}}) {
     LeafEntry e;
     e.state = s;
-    e.actions.add_port(static_cast<std::uint16_t>(s + 10));
+    e.actions = fwd(static_cast<std::uint16_t>(s + 10));
     p.leaf.add_entry(e);
   }
   p.finalize();

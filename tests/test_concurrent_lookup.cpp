@@ -332,7 +332,11 @@ TEST(ConcurrentLookup, DeltaSwapUnderBatchLoad) {
   });
 
   // Control-plane thread (this one): 24 churn commits patched in, every
-  // sixth swap a full reprogram instead of a delta.
+  // sixth swap a full reprogram instead of a delta, from the data plane's
+  // first batch on (24 small patches can otherwise all land before the
+  // data-plane thread is first scheduled).
+  while (batches.load(std::memory_order_acquire) == 0)
+    std::this_thread::yield();
   int update_failures = 0;
   for (int round = 0; round < 24; ++round) {
     auto op = churn.next();
@@ -360,6 +364,116 @@ TEST(ConcurrentLookup, DeltaSwapUnderBatchLoad) {
   EXPECT_EQ(sw.program_version(), 25u);
 
   // Converged: patched switch == fresh switch on the final pipeline.
+  switchsim::Switch fresh(schema, *inc.pipeline().value());
+  EXPECT_EQ(egress_digest(sw), egress_digest(fresh));
+}
+
+// Leaf action sets are shared by reference between the programs a switch
+// publishes, the ones it rolls back to and every copy a reader takes, so
+// their reference counts move on three threads at once (TSAN job). The
+// control thread stages op deltas, commits them and rolls every third one
+// back and re-applies it; the data plane batches throughout; a reader
+// copies the published pipeline and walks its sets and groups.
+TEST(ConcurrentLookup, SharedLeafSetsAcrossStageCommitRollback) {
+  auto schema = spec::make_itch_schema();
+  compiler::CompileOptions opts;
+  opts.order = bdd::OrderHeuristic::kExactFirst;
+
+  workload::ChurnParams cp;
+  cp.seed = 67;
+  cp.subs.seed = 71;
+  cp.subs.n_subscriptions = 60;
+  cp.subs.n_symbols = 20;
+  cp.subs.n_hosts = 8;
+  workload::ChurnGenerator churn(schema, cp);
+
+  compiler::IncrementalCompiler inc(schema, opts);
+  std::map<std::size_t, compiler::IncrementalCompiler::SubscriptionId> ids;
+  for (std::size_t slot = 0; slot < churn.base().size(); ++slot)
+    ids[slot] = inc.add(churn.base()[slot]);
+  ASSERT_TRUE(inc.commit().ok());
+  switchsim::Switch sw(schema, *inc.pipeline().value());
+  pubsub::TwoPhaseInstaller installer(sw);
+
+  workload::FeedParams fp;
+  fp.seed = 73;
+  fp.n_messages = 1500;
+  fp.symbols = churn.symbols();
+  const auto packed = workload::pack_feed_frames(workload::generate_feed(fp));
+  std::vector<switchsim::Switch::Frame> frames;
+  for (const auto& pf : packed)
+    frames.push_back({std::span<const std::uint8_t>(pf.bytes), pf.t_us});
+  auto egress_digest = [&frames](switchsim::Switch& s) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const auto& pkt : s.process_batch(frames)) {
+      h = fnv_step(h, pkt.port);
+      for (const std::uint8_t b : pkt.frame) h = fnv_step(h, b);
+    }
+    return h;
+  };
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> batches{0}, copies{0};
+  std::thread data_plane([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      (void)sw.process_batch(frames);
+      batches.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  std::atomic<std::uint64_t> ports_seen{0};
+  std::thread copier([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      const table::Pipeline copy = *installer.active();
+      std::uint64_t n = 0;
+      for (const table::LeafEntry& e : copy.leaf.entries())
+        n += e.actions->ports.size();
+      for (std::uint32_t g = 0; g < copy.mcast.size(); ++g)
+        n += copy.mcast.ports(g).size();
+      ports_seen.fetch_add(n, std::memory_order_relaxed);
+      copies.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  while (batches.load(std::memory_order_acquire) == 0 ||
+         copies.load(std::memory_order_acquire) == 0)
+    std::this_thread::yield();
+  int failures = 0;
+  std::uint64_t publishes = 1;  // the constructor's
+  for (int round = 0; round < 24 && failures == 0; ++round) {
+    auto op = churn.next();
+    if (op.subscribe) {
+      ids[op.slot] = inc.add(std::move(op.rule));
+    } else {
+      inc.remove(ids.at(op.slot));
+      ids.erase(op.slot);
+    }
+    auto delta = inc.commit();
+    if (!delta.ok() || delta.value().requires_reprogram) {
+      ++failures;
+      break;
+    }
+    const auto& ops = delta.value().ops;
+    pubsub::StagedInstall staged = installer.stage(ops);
+    if (!staged.staged || !installer.commit(staged)) {
+      ++failures;
+      break;
+    }
+    ++publishes;
+    if (round % 3 == 1 && !ops.empty()) {
+      // Back to the program the commit replaced, then forward again (an
+      // empty delta would re-commit without a publish).
+      if (!installer.rollback() || !installer.apply_delta(ops).committed)
+        ++failures;
+      publishes += 2;
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  data_plane.join();
+  copier.join();
+
+  EXPECT_EQ(failures, 0);
+  EXPECT_GT(ports_seen.load(), 0u);
+  EXPECT_EQ(sw.program_version(), publishes);
   switchsim::Switch fresh(schema, *inc.pipeline().value());
   EXPECT_EQ(egress_digest(sw), egress_digest(fresh));
 }

@@ -140,7 +140,7 @@ EntryOp leaf_op(Kind kind, const table::LeafEntry& e) {
   op.kind = kind;
   op.table = std::string(table::kLeafTableName);
   op.state = e.state;
-  op.actions = e.actions;
+  op.actions = *e.actions;
   return op;
 }
 
@@ -314,9 +314,12 @@ TEST(DeltaDifferential, DuplicateEntriesOnEitherSide) {
   t.add_entry(dup);
   ASSERT_FALSE(have.leaf.entries().empty());
   table::LeafEntry shadow = have.leaf.entries().front();
-  shadow.actions.add_port(77);
-  if (shadow.actions.ports.size() > 1)
-    shadow.mcast_group = have.mcast.intern(shadow.actions.ports);
+  lang::ActionSet shadow_actions = *shadow.actions;
+  shadow_actions.add_port(77);
+  shadow.actions =
+      std::make_shared<const lang::ActionSet>(std::move(shadow_actions));
+  if (shadow.actions->ports.size() > 1)
+    shadow.mcast_group = have.mcast.intern(shadow.actions);
   have.leaf.add_entry(shadow);
   have.finalize();
 
@@ -351,16 +354,16 @@ TEST(DeltaDifferential, LeafRemoveReaddAndMulticastReleases) {
   const table::LeafEntry* multi = nullptr;
   const table::LeafEntry* single = nullptr;
   for (const auto& e : have.leaf.entries()) {
-    if (e.actions.ports.size() > 1 && !multi) multi = &e;
-    if (e.actions.ports.size() == 1 && !single) single = &e;
+    if (e.actions->ports.size() > 1 && !multi) multi = &e;
+    if (e.actions->ports.size() == 1 && !single) single = &e;
   }
   ASSERT_NE(multi, nullptr);
   ASSERT_NE(single, nullptr);
 
   EntryOp to_single = leaf_op(Kind::kModify, *multi);
-  to_single.actions = single->actions;
+  to_single.actions = *single->actions;
   EntryOp to_multi = leaf_op(Kind::kModify, *single);
-  to_multi.actions = multi->actions;
+  to_multi.actions = *multi->actions;
   to_multi.actions.add_port(99);
   EntryOp readd = leaf_op(Kind::kAdd, *multi);
   readd.actions.add_port(98);
@@ -395,7 +398,7 @@ TEST(DeltaDifferential, LeafRemoveReaddAndMulticastReleases) {
   ASSERT_TRUE(skewed.leaf.replace_entry(bent.state, bent));
   const table::LeafEntry* other = nullptr;
   for (const auto& e : skewed.leaf.entries())
-    if (e.actions.ports.size() > 1 && e.state != multi->state) other = &e;
+    if (e.actions->ports.size() > 1 && e.state != multi->state) other = &e;
   ASSERT_NE(other, nullptr);
   EXPECT_EQ(expect_same_apply(skewed, Ops{leaf_op(Kind::kRemove, *other)}),
             "");

@@ -143,7 +143,9 @@ TEST_P(IntervalSetModel, MatchesBitsetSemantics) {
     const auto& ivs = a.intervals();
     for (std::size_t i = 0; i < ivs.size(); ++i) {
       EXPECT_LE(ivs[i].lo, ivs[i].hi);
-      if (i > 0) EXPECT_GT(ivs[i].lo, ivs[i - 1].hi + 1);
+      if (i > 0) {
+        EXPECT_GT(ivs[i].lo, ivs[i - 1].hi + 1);
+      }
     }
   }
 }

@@ -123,8 +123,12 @@ TEST(MessageSplit, SplitFramesReparseCleanly) {
     auto pkt = proto::decode_market_data_packet(tx.frame);
     ASSERT_TRUE(pkt.has_value());
     for (const auto& m : pkt->itch.add_orders) {
-      if (tx.port == 4) EXPECT_GT(m.shares, 500u);
-      if (tx.port == 5) EXPECT_EQ(m.stock, "NVDA");
+      if (tx.port == 4) {
+        EXPECT_GT(m.shares, 500u);
+      }
+      if (tx.port == 5) {
+        EXPECT_EQ(m.stock, "NVDA");
+      }
     }
   }
 }

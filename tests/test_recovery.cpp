@@ -173,7 +173,9 @@ TEST(Recovery, ExactReplayIsBitIdentical) {
       ASSERT_TRUE(
           ctl.subscribe(static_cast<std::uint16_t>(1 + i % 7), gen_rule(rng))
               .ok());
-      if (i % 3 == 2) ASSERT_TRUE(ctl.commit().ok());
+      if (i % 3 == 2) {
+        ASSERT_TRUE(ctl.commit().ok());
+      }
     }
     ASSERT_TRUE(ctl.commit().ok());
     pre_crash_digest = intended_digest(ctl);
@@ -500,7 +502,9 @@ TEST(Recovery, CheckpointRecoveryIsSemanticallyEquivalent) {
       ASSERT_TRUE(
           ctl.subscribe(static_cast<std::uint16_t>(1 + i % 7), gen_rule(rng))
               .ok());
-      if (i % 4 == 3) ASSERT_TRUE(ctl.commit().ok());
+      if (i % 4 == 3) {
+        ASSERT_TRUE(ctl.commit().ok());
+      }
     }
     ASSERT_TRUE(ctl.checkpoint().value());
     // More churn after the checkpoint: replay = snapshot + suffix.

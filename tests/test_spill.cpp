@@ -307,7 +307,7 @@ TEST(TwoPhaseInstall, InstallerSeesTheSwitchProgram) {
   remove.kind = table::EntryOp::Kind::kRemove;
   remove.table = std::string(table::kLeafTableName);
   remove.state = gone.state;
-  remove.actions = gone.actions;
+  remove.actions = *gone.actions;
   const std::uint64_t version = sw.program_version();
   const auto staged =
       installer.stage(std::span<const table::EntryOp>(&remove, 1));

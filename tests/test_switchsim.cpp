@@ -250,7 +250,7 @@ TEST(Switch, EveryEntryPointRunsTheCompiledEngine) {
   p.tables.push_back(std::move(t));
   table::LeafEntry e;
   e.state = huge;
-  e.actions.add_port(5);
+  e.actions = std::make_shared<const lang::ActionSet>(lang::ActionSet{{5}, {}});
   p.leaf.add_entry(e);
   switchsim::Switch fallback(schema, p);
   ASSERT_FALSE(fallback.compiled().valid());

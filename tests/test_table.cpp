@@ -93,10 +93,11 @@ TEST(LeafTableTest, LookupAndMiss) {
   LeafTable leaf;
   LeafEntry e;
   e.state = 7;
-  e.actions.add_port(3);
+  e.actions = std::make_shared<const camus::lang::ActionSet>(
+      camus::lang::ActionSet{{3}, {}});
   leaf.add_entry(e);
   ASSERT_NE(leaf.lookup(7), nullptr);
-  EXPECT_EQ(leaf.lookup(7)->actions.ports,
+  EXPECT_EQ(leaf.lookup(7)->actions->ports,
             (std::vector<std::uint16_t>{3}));
   EXPECT_EQ(leaf.lookup(8), nullptr);
 }
@@ -179,7 +180,8 @@ TEST(PipelineTest, MissKeepsStateThroughStages) {
   pipe.tables.push_back(std::move(t2));
   LeafEntry leaf;
   leaf.state = 6;
-  leaf.actions.add_port(1);
+  leaf.actions = std::make_shared<const camus::lang::ActionSet>(
+      camus::lang::ActionSet{{1}, {}});
   pipe.leaf.add_entry(leaf);
   pipe.finalize();
 

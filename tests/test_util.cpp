@@ -78,7 +78,9 @@ TEST(Zipf, PmfSumsToOneAndIsMonotone) {
   double sum = 0;
   for (std::size_t k = 0; k < 100; ++k) {
     sum += z.pmf(k);
-    if (k > 0) EXPECT_LE(z.pmf(k), z.pmf(k - 1) + 1e-12);
+    if (k > 0) {
+      EXPECT_LE(z.pmf(k), z.pmf(k - 1) + 1e-12);
+    }
   }
   EXPECT_NEAR(sum, 1.0, 1e-9);
 }

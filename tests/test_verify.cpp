@@ -231,8 +231,11 @@ TEST(SubscriptionLint, NegligibleSelectivityIgnoresPointConstraints) {
   // The exact ticker match is deliberate; the two-value price window on a
   // 32-bit field (~2^-31) is the accident S007 exists for.
   ASSERT_EQ(report.count(LintCode::kRuleNegligible), 1u);
-  for (const auto& d : report.diagnostics())
-    if (d.code == LintCode::kRuleNegligible) EXPECT_EQ(*d.rule, 1u);
+  for (const auto& d : report.diagnostics()) {
+    if (d.code == LintCode::kRuleNegligible) {
+      EXPECT_EQ(*d.rule, 1u);
+    }
+  }
 }
 
 TEST(SubscriptionLint, PairBudgetTruncatesLoudly) {
@@ -284,10 +287,8 @@ table::Pipeline one_table(table::Table t,
   return p;
 }
 
-lang::ActionSet fwd(std::uint16_t port) {
-  lang::ActionSet a;
-  a.add_port(port);
-  return a;
+lang::ActionSetPtr fwd(std::uint16_t port) {
+  return std::make_shared<const lang::ActionSet>(lang::ActionSet{{port}, {}});
 }
 
 TEST(PipelineLint, ShadowedDuplicateExactEntry) {
@@ -356,9 +357,11 @@ TEST(PipelineLint, DanglingTransitionHeuristic) {
   Report report;
   verify::lint_pipeline(p, report);
   ASSERT_EQ(report.count(LintCode::kDanglingTransition), 1u);
-  for (const auto& d : report.diagnostics())
-    if (d.code == LintCode::kDanglingTransition)
+  for (const auto& d : report.diagnostics()) {
+    if (d.code == LintCode::kDanglingTransition) {
       EXPECT_EQ(d.severity, Severity::kWarning);
+    }
+  }
 
   table::Table t2("price", lang::Subject::field(0), table::MatchKind::kExact,
                   32);
@@ -369,9 +372,11 @@ TEST(PipelineLint, DanglingTransitionHeuristic) {
   verify::lint_pipeline(p2, report2);
   // One diagnostic per dangling entry; both downgrade to notes.
   ASSERT_EQ(report2.count(LintCode::kDanglingTransition), 2u);
-  for (const auto& d : report2.diagnostics())
-    if (d.code == LintCode::kDanglingTransition)
+  for (const auto& d : report2.diagnostics()) {
+    if (d.code == LintCode::kDanglingTransition) {
       EXPECT_EQ(d.severity, Severity::kNote);
+    }
+  }
 }
 
 TEST(PipelineLint, StageAndPipelineBudgets) {
