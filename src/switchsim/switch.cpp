@@ -13,7 +13,6 @@ Switch::Switch(spec::Schema schema, table::Pipeline pipeline)
       slot_(std::make_unique<ProgramSlot>()),
       extractor_(*schema_),
       registers_(*schema_) {
-  // Build the lookup indexes now, not lazily under the first packet.
   reprogram(std::move(pipeline));
 }
 
@@ -157,8 +156,7 @@ const Switch::Program& Switch::current_data_plane() {
     for (MemoSlot& s : memo_) s.used = false;
     memo_sig_ = prog.prefix_sig;
   }
-  if (memo_.empty() && prog.compiled.valid() &&
-      prog.compiled.prefix_stages() > 0)
+  if (memo_.empty() && prog.compiled.prefix_stages() > 0)
     memo_.resize(kMemoSlots);
   return prog;
 }
@@ -241,40 +239,30 @@ const lang::ActionSet* Switch::classify_fast(
     std::uint64_t now_us) {
   const table::CompiledPipeline& compiled = prog.compiled;
   refresh_snapshot(now_us);
-  const lang::ActionSet* actions = nullptr;
-  if (compiled.valid()) {
-    std::uint32_t leaf;
-    const std::size_t np = compiled.prefix_stages();
-    if (np > 0 && !memo_.empty()) {
-      std::array<std::uint64_t, table::CompiledPipeline::kMaxPrefix> key{};
-      compiled.prefix_key(fields, snap_, key.data());
-      std::uint64_t h = 0;
-      for (std::size_t i = 0; i < np; ++i) h = util::mix64(h ^ key[i]);
-      MemoSlot& slot = memo_[h & (kMemoSlots - 1)];
-      ++batch_stats_.memo_probes;
-      std::uint32_t state;
-      if (slot.used && slot.key == key) {
-        state = slot.state;
-        ++batch_stats_.memo_hits;
-      } else {
-        state = compiled.run_prefix(fields, snap_);
-        slot.key = key;
-        slot.state = state;
-        slot.used = true;
-      }
-      leaf = compiled.finish(state, fields, snap_);
+  std::uint32_t leaf;
+  const std::size_t np = compiled.prefix_stages();
+  if (np > 0 && !memo_.empty()) {
+    std::array<std::uint64_t, table::CompiledPipeline::kMaxPrefix> key{};
+    compiled.prefix_key(fields, snap_, key.data());
+    std::uint64_t h = 0;
+    for (std::size_t i = 0; i < np; ++i) h = util::mix64(h ^ key[i]);
+    MemoSlot& slot = memo_[h & (kMemoSlots - 1)];
+    ++batch_stats_.memo_probes;
+    std::uint32_t state;
+    if (slot.used && slot.key == key) {
+      state = slot.state;
+      ++batch_stats_.memo_hits;
     } else {
-      leaf = compiled.traverse(fields, snap_);
+      state = compiled.run_prefix(fields, snap_);
+      slot.key = key;
+      slot.state = state;
+      slot.used = true;
     }
-    actions = compiled.actions(leaf);
+    leaf = compiled.finish(state, fields, snap_);
   } else {
-    // The pipeline could not be flattened (degenerate shape); fall back to
-    // the reference evaluator, still with the cached snapshot.
-    env_scratch_.fields = fields;
-    env_scratch_.states = snap_;
-    const table::LeafEntry* l = prog.pipeline.evaluate(env_scratch_);
-    actions = l ? l->actions.get() : nullptr;
+    leaf = compiled.traverse(fields, snap_);
   }
+  const lang::ActionSet* actions = compiled.actions(leaf);
   if (actions) {
     for (std::uint32_t var : actions->state_updates) {
       registers_.apply_update(var, fields, now_us);

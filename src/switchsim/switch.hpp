@@ -81,8 +81,8 @@ class Switch {
  public:
   // Takes ownership of the pipeline and a copy of the schema: the switch
   // is self-contained and safe to move or outlive its controller. The
-  // pipeline is finalized here (idempotent) so the per-packet lookup path
-  // never hits the lazy index build.
+  // pipeline is finalized here (idempotent) so threads that evaluate a
+  // pipeline_snapshot() never hit the lazy index build.
   Switch(spec::Schema schema, table::Pipeline pipeline);
 
   // Builds a broadcast "switch" that forwards every parseable frame to the
@@ -96,9 +96,8 @@ class Switch {
   };
 
   // Entry points. All four classify through one engine (classify_fast():
-  // the flattened CompiledPipeline behind a hot-key memo, with
-  // Pipeline::evaluate only for pipelines that cannot be flattened);
-  // they differ in what they take in and what they emit.
+  // the flattened CompiledPipeline behind a hot-key memo, which lowers
+  // every pipeline); they differ in what they take in and what they emit.
 
   // Processes one ingress frame at time now_us. Returns the egress ports
   // the frame is replicated to (the frame bytes are unmodified). A packet
@@ -283,7 +282,7 @@ class Switch {
 
  private:
   // One immutable generation of the switch's program: the IR pipeline
-  // (fallback evaluator + delta base) and its flattened form. Readers
+  // (delta base and readback source) and its flattened form. Readers
   // hold a shared_ptr snapshot; updaters publish a wholly new Program, or
   // an earlier one again (a rollback), so the version lives in the slot.
   struct Program {
@@ -323,8 +322,7 @@ class Switch {
   // The engine's classification step, shared by every entry point:
   // returns the matched ActionSet (nullptr on drop) and applies its state
   // updates. Allocation-free — cached register snapshot, flattened
-  // traversal with hot-key memo, Pipeline::evaluate fallback when the
-  // pipeline could not be flattened. Takes the program explicitly: a
+  // traversal with hot-key memo. Takes the program explicitly: a
   // batch pins ONE snapshot for all its messages, because the returned
   // pointer aims into that program's interned actions — re-reading
   // current_data_plane() per message could adopt a newer program
@@ -412,7 +410,6 @@ class Switch {
   std::vector<std::uint8_t> egress_;
   // The last call's packets as (port, size), in egress_ order.
   std::vector<std::pair<std::uint16_t, std::uint32_t>> tx_;
-  lang::Env env_scratch_;  // fallback path only
 };
 
 }  // namespace camus::switchsim

@@ -18,6 +18,12 @@ std::uint64_t exact_hash(StateId state, std::uint64_t value) noexcept {
   return util::mix64(value ^ (0x9e3779b97f4a7c15ULL * (state + 1)));
 }
 
+struct StateHash {
+  std::size_t operator()(StateId s) const noexcept {
+    return static_cast<std::size_t>(util::mix64(s));
+  }
+};
+
 // Per-table layout computed in the sizing pass and replayed in the fill
 // pass (the arena requires reserve/take calls to mirror each other).
 struct TableCounts {
@@ -27,48 +33,88 @@ struct TableCounts {
   bool has_any = false;
 };
 
-TableCounts count_table(const Table& t) {
-  TableCounts c;
-  std::size_t n_exact = 0;
-  std::uint32_t max_state = 0;
-  for (const Entry& e : t.entries()) {
-    max_state = std::max(max_state, e.state);
-    switch (e.match.kind) {
-      case ValueMatch::Kind::kExact: ++n_exact; break;
-      case ValueMatch::Kind::kRange: ++c.n_ranges; break;
-      case ValueMatch::Kind::kAny: c.has_any = true; break;
-    }
-  }
-  if (!t.entries().empty()) c.states = max_state + 1;
-  if (n_exact > 0) c.exact_cap = next_pow2(std::max<std::size_t>(8, n_exact * 2));
-  return c;
-}
-
 }  // namespace
 
 CompiledPipeline::CompiledPipeline(const Pipeline& pipe) {
-  initial_state_ = pipe.initial_state;
+  // ---- value-map chains ----------------------------------------------
+  // Each stage folds the maps of the subject it reads, in pipeline order,
+  // as Pipeline::evaluate rewrites the env; a map no stage reads cannot
+  // change a result and is not lowered. The compiler maps a subject only
+  // when one stage reads it, so no chain is lowered twice.
+  std::vector<std::size_t> map_order;
+  stages_.resize(pipe.tables.size());
+  for (std::size_t i = 0; i < pipe.tables.size(); ++i) {
+    Stage& s = stages_[i];
+    s.subject = pipe.tables[i].subject();
+    s.map_begin = static_cast<std::uint32_t>(map_order.size());
+    for (std::size_t j = 0; j < pipe.value_maps.size(); ++j)
+      if (pipe.value_maps[j].subject() == s.subject) map_order.push_back(j);
+    s.map_end = static_cast<std::uint32_t>(map_order.size());
+  }
+
+  // ---- dense states --------------------------------------------------
+  // ids holds what the fill pass writes, in the order it writes it: per
+  // lowered map entry and per table entry (state, next), then per leaf
+  // entry its state. A map is looked up at state 0 and its next_state is a
+  // code, so its entries keep their values and those off state 0, which no
+  // lookup reaches, are marked kEmptyState and skipped. Table and leaf
+  // states are renumbered by first appearance: initial state, tables in
+  // stage order, leaf.
+  std::size_t n_ids = pipe.leaf.entries().size();
+  for (const std::size_t j : map_order)
+    n_ids += 2 * pipe.value_maps[j].entries().size();
+  for (const Table& t : pipe.tables) n_ids += 2 * t.entries().size();
+  std::vector<StateId> ids;
+  ids.reserve(n_ids);
+  for (const std::size_t j : map_order) {
+    for (const Entry& e : pipe.value_maps[j].entries()) {
+      ids.push_back(e.state == kInitialState ? kInitialState : kEmptyState);
+      ids.push_back(e.next_state);
+    }
+  }
+  util::FlatMap<StateId, StateId, StateHash> dense;
+  auto densify = [&](StateId raw) {
+    if (const StateId* d = dense.find(raw)) return *d;
+    const auto d = static_cast<StateId>(dense.size());
+    dense.insert(raw, d);
+    return d;
+  };
+  densify(pipe.initial_state);  // dense id 0 = kInitialState
+  for (const Table& t : pipe.tables) {
+    for (const Entry& e : t.entries()) {
+      ids.push_back(densify(e.state));
+      ids.push_back(densify(e.next_state));
+    }
+  }
+  for (const LeafEntry& e : pipe.leaf.entries()) ids.push_back(densify(e.state));
+  n_states_ = static_cast<std::uint32_t>(dense.size());
 
   // ---- sizing pass ---------------------------------------------------
-  // Pipeline-wide dense state domain: every state a traversal can reach
-  // (initial, any table's next_state) plus every leaf state.
-  std::uint32_t max_state = pipe.initial_state;
-  for (const Table& t : pipe.tables)
-    for (const Entry& e : t.entries())
-      max_state = std::max({max_state, e.state, e.next_state});
-  for (const LeafEntry& e : pipe.leaf.entries())
-    max_state = std::max(max_state, e.state);
-  n_states_ = max_state + 1;
-  if (n_states_ > kMaxDenseStates || n_states_ == 0) return;
-  if (pipe.value_maps.size() > kMaxValueMaps) return;
-
+  const StateId* id = ids.data();
+  auto count_table = [&](const Table& t) {
+    TableCounts c;
+    std::size_t n_exact = 0;
+    for (const Entry& e : t.entries()) {
+      const StateId state = *id;
+      id += 2;
+      if (state == kEmptyState) continue;
+      c.states = std::max(c.states, state + 1);
+      switch (e.match.kind) {
+        case ValueMatch::Kind::kExact: ++n_exact; break;
+        case ValueMatch::Kind::kRange: ++c.n_ranges; break;
+        case ValueMatch::Kind::kAny: c.has_any = true; break;
+      }
+    }
+    if (n_exact > 0)
+      c.exact_cap = next_pow2(std::max<std::size_t>(8, n_exact * 2));
+    return c;
+  };
   std::vector<TableCounts> map_counts, table_counts;
-  map_counts.reserve(pipe.value_maps.size());
+  map_counts.reserve(map_order.size());
   table_counts.reserve(pipe.tables.size());
-  for (const Table& t : pipe.value_maps) map_counts.push_back(count_table(t));
+  for (const std::size_t j : map_order)
+    map_counts.push_back(count_table(pipe.value_maps[j]));
   for (const Table& t : pipe.tables) table_counts.push_back(count_table(t));
-  for (const TableCounts& c : map_counts)
-    if (c.states > kMaxDenseStates) return;
 
   auto reserve_table = [&](const TableCounts& c) {
     arena_.reserve<ExactSlot>(c.exact_cap);
@@ -95,24 +141,27 @@ CompiledPipeline::CompiledPipeline(const Pipeline& pipe) {
 
     std::size_t n_ranges = 0;
     for (const Entry& e : t.entries()) {
+      const StateId state = id[0];
+      const StateId next = id[1];
+      id += 2;
+      if (state == kEmptyState) continue;
       switch (e.match.kind) {
         case ValueMatch::Kind::kExact: {
           // Last entry wins for duplicate (state, value), mirroring
           // Table::finalize's map assignment.
-          std::size_t i = exact_hash(e.state, e.match.lo) & flat.exact_mask;
+          std::size_t i = exact_hash(state, e.match.lo) & flat.exact_mask;
           while (flat.exact[i].state != kEmptyState &&
-                 !(flat.exact[i].state == e.state &&
+                 !(flat.exact[i].state == state &&
                    flat.exact[i].value == e.match.lo))
             i = (i + 1) & flat.exact_mask;
-          flat.exact[i] = {e.match.lo, e.state, e.next_state};
+          flat.exact[i] = {e.match.lo, state, next};
           break;
         }
         case ValueMatch::Kind::kRange:
-          flat.ranges[n_ranges++] = {e.match.lo, e.match.hi, e.state,
-                                     e.next_state};
+          flat.ranges[n_ranges++] = {e.match.lo, e.match.hi, state, next};
           break;
         case ValueMatch::Kind::kAny:
-          flat.any_next[e.state] = e.next_state;
+          flat.any_next[state] = next;
           break;
       }
     }
@@ -133,45 +182,24 @@ CompiledPipeline::CompiledPipeline(const Pipeline& pipe) {
     return flat;
   };
 
-  maps_.reserve(pipe.value_maps.size());
-  for (std::size_t i = 0; i < pipe.value_maps.size(); ++i) {
-    MapStage m;
-    m.flat = fill_table(pipe.value_maps[i], map_counts[i]);
-    m.subject = pipe.value_maps[i].subject();
-    // A map whose subject an earlier map already wrote reads that map's
-    // code, mirroring Pipeline::evaluate's progressive env update.
-    for (std::size_t j = i; j-- > 0;) {
-      if (pipe.value_maps[j].subject() == m.subject) {
-        m.input_code_idx = static_cast<std::int32_t>(j);
-        break;
-      }
-    }
-    maps_.push_back(m);
-  }
+  id = ids.data();
+  maps_.reserve(map_order.size());
+  for (std::size_t k = 0; k < map_order.size(); ++k)
+    maps_.push_back(fill_table(pipe.value_maps[map_order[k]], map_counts[k]));
 
-  stages_.reserve(pipe.tables.size());
   prefix_stages_ = 0;
   bool in_prefix = true;
   for (std::size_t i = 0; i < pipe.tables.size(); ++i) {
-    Stage s;
+    Stage& s = stages_[i];
     s.flat = fill_table(pipe.tables[i], table_counts[i]);
-    s.subject = pipe.tables[i].subject();
-    // The table reads the last value map for its subject, if any.
-    for (std::size_t j = pipe.value_maps.size(); j-- > 0;) {
-      if (pipe.value_maps[j].subject() == s.subject) {
-        s.code_idx = static_cast<std::int32_t>(j);
-        break;
-      }
-    }
     // Hot-key memo prefix: leading exact-match stages on raw (unmapped)
     // subjects — low-cardinality keys like the ITCH symbol stage.
     if (in_prefix && pipe.tables[i].kind() == MatchKind::kExact &&
-        s.code_idx < 0 && prefix_stages_ < kMaxPrefix) {
+        s.map_begin == s.map_end && prefix_stages_ < kMaxPrefix) {
       ++prefix_stages_;
     } else {
       in_prefix = false;
     }
-    stages_.push_back(s);
   }
 
   leaf_state_to_idx_ = arena_.take<std::uint32_t>(n_states_);
@@ -179,11 +207,11 @@ CompiledPipeline::CompiledPipeline(const Pipeline& pipe) {
   leaf_actions_.reserve(pipe.leaf.entries().size());
   for (const LeafEntry& e : pipe.leaf.entries()) {
     const auto idx = static_cast<std::uint32_t>(leaf_actions_.size());
+    const StateId state = *id++;
     // First entry wins for duplicate states, as in LeafTable::add_entry.
-    if (leaf_state_to_idx_[e.state] == kMiss) leaf_state_to_idx_[e.state] = idx;
+    if (leaf_state_to_idx_[state] == kMiss) leaf_state_to_idx_[state] = idx;
     leaf_actions_.push_back(e.actions.get());
   }
-  valid_ = true;
 }
 
 std::uint32_t CompiledPipeline::flat_lookup(const FlatTable& t, StateId state,
@@ -218,12 +246,17 @@ std::uint32_t CompiledPipeline::flat_lookup(const FlatTable& t, StateId state,
 
 std::uint64_t CompiledPipeline::input_value(
     const Stage& s, std::span<const std::uint64_t> fields,
-    std::span<const std::uint64_t> states,
-    const std::uint64_t* codes) const noexcept {
-  if (s.code_idx >= 0) return codes[s.code_idx];
+    std::span<const std::uint64_t> states) const noexcept {
   const auto& src = s.subject.kind == lang::Subject::Kind::kField ? fields
                                                                   : states;
-  return s.subject.id < src.size() ? src[s.subject.id] : 0;
+  std::uint64_t value = s.subject.id < src.size() ? src[s.subject.id] : 0;
+  for (std::uint32_t m = s.map_begin; m < s.map_end; ++m) {
+    const std::uint32_t code = flat_lookup(maps_[m], kInitialState, value);
+    // The mapping stage partitions the domain; a miss maps to code 0
+    // defensively, as in Pipeline::evaluate.
+    value = code == kMiss ? 0 : code;
+  }
+  return value;
 }
 
 std::uint32_t CompiledPipeline::traverse(
@@ -233,9 +266,8 @@ std::uint32_t CompiledPipeline::traverse(
 }
 
 std::uint64_t CompiledPipeline::prefix_signature() const noexcept {
-  if (!valid_) return 0;
-  std::uint64_t h = util::mix64(0x9e3779b97f4a7c15ULL ^ initial_state_);
-  h = util::mix64(h ^ prefix_stages_);
+  if (!valid()) return 0;
+  std::uint64_t h = util::mix64(0x9e3779b97f4a7c15ULL ^ prefix_stages_);
   for (std::size_t i = 0; i < prefix_stages_; ++i) {
     const Stage& s = stages_[i];
     h = util::mix64(h ^ (static_cast<std::uint64_t>(s.subject.id) << 1 ^
@@ -257,23 +289,17 @@ std::uint64_t CompiledPipeline::prefix_signature() const noexcept {
 void CompiledPipeline::prefix_key(std::span<const std::uint64_t> fields,
                                   std::span<const std::uint64_t> states,
                                   std::uint64_t* out) const noexcept {
-  for (std::size_t i = 0; i < prefix_stages_; ++i) {
-    const Stage& s = stages_[i];
-    const auto& src = s.subject.kind == lang::Subject::Kind::kField ? fields
-                                                                    : states;
-    out[i] = s.subject.id < src.size() ? src[s.subject.id] : 0;
-  }
+  for (std::size_t i = 0; i < prefix_stages_; ++i)
+    out[i] = input_value(stages_[i], fields, states);
 }
 
 std::uint32_t CompiledPipeline::run_prefix(
     std::span<const std::uint64_t> fields,
     std::span<const std::uint64_t> states) const noexcept {
-  std::uint32_t state = initial_state_;
-  // Prefix stages are never value-mapped, so no codes are needed here.
+  std::uint32_t state = kInitialState;
   for (std::size_t i = 0; i < prefix_stages_; ++i) {
-    const std::uint32_t next =
-        flat_lookup(stages_[i].flat, state,
-                    input_value(stages_[i], fields, states, nullptr));
+    const std::uint32_t next = flat_lookup(
+        stages_[i].flat, state, input_value(stages_[i], fields, states));
     if (next != kMiss) state = next;
   }
   return state;
@@ -282,25 +308,9 @@ std::uint32_t CompiledPipeline::run_prefix(
 std::uint32_t CompiledPipeline::finish(
     std::uint32_t state, std::span<const std::uint64_t> fields,
     std::span<const std::uint64_t> states) const noexcept {
-  std::uint64_t codes[kMaxValueMaps];
-  for (std::size_t i = 0; i < maps_.size(); ++i) {
-    const MapStage& m = maps_[i];
-    std::uint64_t raw;
-    if (m.input_code_idx >= 0) {
-      raw = codes[m.input_code_idx];
-    } else {
-      const auto& src =
-          m.subject.kind == lang::Subject::Kind::kField ? fields : states;
-      raw = m.subject.id < src.size() ? src[m.subject.id] : 0;
-    }
-    const std::uint32_t code = flat_lookup(m.flat, kInitialState, raw);
-    // The mapping stage partitions the domain; a miss maps to code 0
-    // defensively, as in Pipeline::evaluate.
-    codes[i] = code == kMiss ? 0 : code;
-  }
   for (std::size_t i = prefix_stages_; i < stages_.size(); ++i) {
     const std::uint32_t next = flat_lookup(
-        stages_[i].flat, state, input_value(stages_[i], fields, states, codes));
+        stages_[i].flat, state, input_value(stages_[i], fields, states));
     if (next != kMiss) state = next;
   }
   return state < n_states_ ? leaf_state_to_idx_[state] : kMiss;

@@ -1,11 +1,18 @@
 // Flattened data-plane lookup structure: a Pipeline lowered into dense,
-// state-indexed contiguous arrays for the simulator's fast path.
+// state-indexed contiguous arrays, the switch's one classification engine.
 //
+//  - states -> dense ids by first appearance (the initial state, then each
+//    table's entries in stage order, then the leaf), so every per-state
+//    array is sized by the states the pipeline references, whatever ids
+//    the compiler's allocator handed out;
 //  - exact entries -> one open-addressed flat table per stage keyed by
 //    (state, value), linear probing, load factor <= 0.5;
 //  - range entries -> one sorted array per stage with per-state offset
 //    slices and a branchless upper-bound scan;
 //  - wildcard entries -> a dense per-state fallback array;
+//  - value maps -> flat tables of their state-0 entries (the only ones a
+//    lookup at state 0 reaches; their next_state is a code, not a state),
+//    folded in pipeline order by each stage that reads the mapped subject;
 //  - leaf entries -> a dense state -> leaf-index array, and one pointer
 //    per leaf index into the leaf's shared, immutable ActionSet.
 //
@@ -38,16 +45,15 @@ class CompiledPipeline {
 
   CompiledPipeline() = default;
 
-  // Lowers a pipeline. The source pipeline is only read; it does not need
-  // to be finalized. The leaf's action sets are referenced, not copied:
-  // they must outlive this structure, which any copy of the source
+  // Lowers any pipeline. The source pipeline is only read; it does not
+  // need to be finalized. The leaf's action sets are referenced, not
+  // copied: they must outlive this structure, which any copy of the source
   // pipeline's leaf guarantees (switchsim keeps both in one program).
-  // Degenerate inputs (sparse gigantic state ids, more value maps than the
-  // traversal's stack buffer) leave the structure invalid; callers fall
-  // back to Pipeline::evaluate.
   explicit CompiledPipeline(const Pipeline& pipe);
 
-  bool valid() const noexcept { return valid_; }
+  // Whether this holds a lowered pipeline: false only when
+  // default-constructed.
+  bool valid() const noexcept { return n_states_ != 0; }
 
   // Full traversal. `fields` / `states` are indexed by field id / state
   // variable id (the lang::Env layout). Returns the leaf entry index (the
@@ -65,11 +71,11 @@ class CompiledPipeline {
   void prefix_key(std::span<const std::uint64_t> fields,
                   std::span<const std::uint64_t> states,
                   std::uint64_t* out) const noexcept;
-  // State after the prefix stages, starting from the initial state.
+  // Dense state after the prefix stages, starting from the initial state.
   std::uint32_t run_prefix(
       std::span<const std::uint64_t> fields,
       std::span<const std::uint64_t> states) const noexcept;
-  // Value maps + remaining stages + leaf lookup, from a prefix state.
+  // Remaining stages + leaf lookup, from a dense prefix state.
   std::uint32_t finish(std::uint32_t state,
                        std::span<const std::uint64_t> fields,
                        std::span<const std::uint64_t> states) const noexcept;
@@ -81,18 +87,18 @@ class CompiledPipeline {
   }
 
   // Fingerprint of the memo prefix: hashes the prefix stages' flattened
-  // tables plus the initial state. Equal signatures mean every prefix key
-  // classifies to the same post-prefix state in both pipelines, so a
+  // tables. Dense ids of the prefix states depend on the prefix tables
+  // alone (they are numbered first), so equal signatures mean every prefix
+  // key classifies to the same post-prefix state in both pipelines, and a
   // hot-key memo built against one remains valid for the other — the RCU
   // swap in switchsim::Switch keeps its memo warm across a reprogram that
-  // leaves the prefix stages untouched. 0 for an invalid pipeline.
+  // leaves the prefix stages untouched. 0 when default-constructed.
   std::uint64_t prefix_signature() const noexcept;
 
   // --- layout telemetry ----------------------------------------------
   std::size_t arena_bytes() const noexcept { return arena_.bytes(); }
-  std::size_t stage_count() const noexcept {
-    return maps_.size() + stages_.size();
-  }
+  // Distinct states the pipeline references: the initial state, every
+  // table entry's state and next_state, and every leaf state.
   std::uint32_t n_states() const noexcept { return n_states_; }
 
  private:
@@ -107,11 +113,10 @@ class CompiledPipeline {
     StateId state = 0;  // build-time sort key; unused after
     StateId next = 0;
   };
-  // Empty-slot marker for the open-addressed exact tables. Dense state ids
-  // are capped far below this by kMaxDenseStates.
+  // Empty-slot marker for the open-addressed exact tables, and in lowering
+  // the mark of a map entry no lookup reaches. Dense ids count referenced
+  // states, so none reaches it.
   static constexpr StateId kEmptyState = 0xffffffffu;
-  static constexpr std::uint32_t kMaxDenseStates = 1u << 24;
-  static constexpr std::size_t kMaxValueMaps = 32;
 
   struct FlatTable {
     std::span<ExactSlot> exact;  // power-of-two capacity, or empty
@@ -124,31 +129,28 @@ class CompiledPipeline {
   struct Stage {
     FlatTable flat;
     lang::Subject subject;
-    std::int32_t code_idx = -1;  // >= 0: input is value-map code [idx]
-  };
-  struct MapStage {
-    FlatTable flat;
-    lang::Subject subject;
-    std::int32_t input_code_idx = -1;  // duplicate-subject map chains
+    // The subject's value-map chain, maps_[map_begin, map_end), in
+    // pipeline order; empty for an unmapped subject.
+    std::uint32_t map_begin = 0;
+    std::uint32_t map_end = 0;
   };
 
   static std::uint32_t flat_lookup(const FlatTable& t, StateId state,
                                    std::uint64_t value) noexcept;
+  // The value a stage matches: its subject's input, folded through the
+  // subject's value maps.
   std::uint64_t input_value(
       const Stage& s, std::span<const std::uint64_t> fields,
-      std::span<const std::uint64_t> states,
-      const std::uint64_t* codes) const noexcept;
+      std::span<const std::uint64_t> states) const noexcept;
 
   util::Arena arena_;
-  std::vector<MapStage> maps_;
+  std::vector<FlatTable> maps_;  // each stage's chain, contiguous
   std::vector<Stage> stages_;
   std::span<std::uint32_t> leaf_state_to_idx_;  // dense; kMiss = no entry
   // Leaf index (source LeafTable order) -> the entry's shared set.
   std::vector<const lang::ActionSet*> leaf_actions_;
-  StateId initial_state_ = kInitialState;
   std::uint32_t n_states_ = 0;
   std::size_t prefix_stages_ = 0;
-  bool valid_ = false;
 };
 
 }  // namespace camus::table

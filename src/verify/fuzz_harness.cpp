@@ -204,19 +204,17 @@ void run_direct(const spec::Schema& schema, const FuzzSample& s,
       return;
     }
 
-    if (fast.valid()) {
-      const lang::ActionSet* a = fast.actions(fast.traverse(
-          std::span(env.fields.data(), env.fields.size()),
-          std::span(env.states.data(), env.states.size())));
-      static const lang::ActionSet kDrop{};
-      const lang::ActionSet& fast_got = a ? *a : kDrop;
-      if (fast_got != want) {
-        diverge(res, FuzzMode::kDirect,
-                mismatch_str("CompiledPipeline::traverse", fast_got, want, i,
-                             env, schema, s),
-                i);
-        return;
-      }
+    const lang::ActionSet* a = fast.actions(fast.traverse(
+        std::span(env.fields.data(), env.fields.size()),
+        std::span(env.states.data(), env.states.size())));
+    static const lang::ActionSet kDrop{};
+    const lang::ActionSet& fast_got = a ? *a : kDrop;
+    if (fast_got != want) {
+      diverge(res, FuzzMode::kDirect,
+              mismatch_str("CompiledPipeline::traverse", fast_got, want, i,
+                           env, schema, s),
+              i);
+      return;
     }
 
     // The switch's register file must be in lockstep with the mirror: as
@@ -440,12 +438,9 @@ void run_fault(const spec::Schema& schema, const FuzzSample& s,
       // are only asserted when the verifier proved the fault neutral.
       const lang::ActionSet& got = sw.classify(p.fields, p.now_us);
       static const lang::ActionSet kDrop{};
-      const lang::ActionSet* fa =
-          mutated_fast.valid()
-              ? mutated_fast.actions(mutated_fast.traverse(
-                    std::span(env.fields.data(), env.fields.size()),
-                    std::span(env.states.data(), env.states.size())))
-              : nullptr;
+      const lang::ActionSet* fa = mutated_fast.actions(mutated_fast.traverse(
+          std::span(env.fields.data(), env.fields.size()),
+          std::span(env.states.data(), env.states.size())));
       const lang::ActionSet& fast_got = fa ? *fa : kDrop;
 
       if (eq.proven_equivalent()) {
@@ -458,7 +453,7 @@ void run_fault(const spec::Schema& schema, const FuzzSample& s,
                   i);
           return;
         }
-        if (mutated_fast.valid() && fast_got != want) {
+        if (fast_got != want) {
           diverge(res, FuzzMode::kFault,
                   "verifier PROVED equivalence after " +
                       injection->to_string() + " but " +

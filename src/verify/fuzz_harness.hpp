@@ -5,7 +5,7 @@
 //  kDirect  — four-way oracle agreement per adversarial probe:
 //             brute-force AST evaluator (lang/eval.hpp, the ground truth)
 //             ≡ baseline::NaiveMatcher (DNF path)
-//             ≡ table::Pipeline::evaluate_actions (interpreted switchsim)
+//             ≡ table::Pipeline::evaluate_actions (the IR evaluator)
 //             ≡ table::CompiledPipeline::traverse (flattened fast path)
 //             ≡ switchsim::Switch::classify (the switch's engine: hot-key
 //             memo over the flattened pipeline, registers in lockstep

@@ -5,7 +5,7 @@
 // with malformed/truncated frames interleaved, across batch sizes, in 4-
 // and 40-message frames (egress ports 0 and 65535 among them), with
 // stateful rules, a reprogram mid-stream (hot-key memo invalidation), and
-// the non-flattenable fallback path.
+// state ids far beyond any dense array.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -420,17 +420,17 @@ TEST(ProcessBatch, ReprogramInvalidatesMemo) {
   expect_identical(ref, fast);
 }
 
-// A pipeline the flattener refuses (leaf state far beyond the dense-id
-// cap) must push the batched path onto the Pipeline::evaluate fallback —
-// still bit-identical.
-TEST(ProcessBatch, FallbackWhenPipelineNotFlattenable) {
+// State ids far beyond any dense array (2^25) are renumbered when the
+// pipeline is lowered: the batched path still runs the compiled engine,
+// memo included, and stays bit-identical to the reference.
+TEST(ProcessBatch, SparseStateIdsRunCompiled) {
   auto schema = spec::make_itch_schema();
   // Field id of "stock" comes from the extractor order: shares=0, stock=1,
   // price=2 per the spec text; match GOOGL's 64-bit symbol key.
   proto::ItchAddOrder probe;
   probe.stock = "GOOGL";
   const std::uint64_t googl = probe.stock_key();
-  const table::StateId huge = 1u << 25;  // > kMaxDenseStates
+  const table::StateId huge = 1u << 25;
 
   table::Pipeline p;
   table::Table t("stock", lang::Subject::field(1), table::MatchKind::kExact,
@@ -445,7 +445,8 @@ TEST(ProcessBatch, FallbackWhenPipelineNotFlattenable) {
 
   ReferenceSwitch sw_ref(schema, p);
   Switch sw_fast(schema, p);
-  ASSERT_FALSE(sw_fast.compiled().valid());
+  ASSERT_EQ(sw_fast.compiled().n_states(), 2u);  // initial + huge
+  ASSERT_EQ(sw_fast.compiled().prefix_stages(), 1u);
 
   std::vector<workload::PackedFrame> frames;
   const char* names[] = {"GOOGL", "MSFT"};
@@ -467,6 +468,7 @@ TEST(ProcessBatch, FallbackWhenPipelineNotFlattenable) {
   const auto fast = run_batched(sw_fast, frames, 16, 1000);
   ASSERT_EQ(ref.pkts.size(), 100u);  // every GOOGL frame forwarded
   expect_identical(ref, fast);
+  EXPECT_GT(sw_fast.batch_stats().memo_probes, 0u);
 }
 
 // The hot-key memo keys on the prefix signature plus the raw prefix key

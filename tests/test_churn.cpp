@@ -18,7 +18,9 @@
 #include "pubsub/durable.hpp"
 #include "pubsub/install.hpp"
 #include "spec/itch_spec.hpp"
+#include "switchsim/extract.hpp"
 #include "switchsim/switch.hpp"
+#include "table/compiled.hpp"
 #include "table/delta.hpp"
 #include "table/serialize.hpp"
 #include "workload/churn.hpp"
@@ -127,6 +129,87 @@ TEST(ChurnDifferential, IncrementalMatchesFromScratchPerCommit) {
         << op.slot << ", " << live.size() << " live)";
   }
   EXPECT_EQ(inc.subscription_count(), live.size());
+}
+
+// The lowered program stays dense under churn. The incremental compiler
+// never reuses a state id, so the running pipeline's raw ids drift
+// upward with every commit; the switch's CompiledPipeline must still be
+// sized by the states the pipeline references, and traverse must agree
+// with Pipeline::evaluate after every delta.
+TEST(ChurnLowering, DenseStatesAndReferenceAgreementAfterEveryOp) {
+  auto schema = spec::make_itch_schema();
+  compiler::CompileOptions opts;
+  opts.order = bdd::OrderHeuristic::kExactFirst;
+
+  workload::ChurnParams cp;
+  cp.seed = 23;
+  cp.subs.seed = 29;
+  cp.subs.n_subscriptions = 200;
+  cp.subs.n_symbols = 40;
+  cp.subs.n_hosts = 24;
+  workload::ChurnGenerator churn(schema, cp);
+
+  std::map<std::size_t, compiler::IncrementalCompiler::SubscriptionId> ids;
+  compiler::IncrementalCompiler inc(schema, opts);
+  for (std::size_t slot = 0; slot < churn.base().size(); ++slot)
+    ids[slot] = inc.add(churn.base()[slot]);
+  ASSERT_TRUE(inc.commit().ok());
+  switchsim::Switch sw(schema, *inc.pipeline().value());
+
+  workload::FeedParams fp;
+  fp.seed = 31;
+  fp.n_messages = 500;
+  fp.symbols = churn.symbols();
+  fp.price_min = 1;
+  fp.price_max = 1200;
+  const auto feed = workload::generate_feed(fp);
+  const switchsim::ItchFieldExtractor ex(schema);
+  std::vector<lang::Env> envs(feed.messages.size());
+  for (std::size_t m = 0; m < envs.size(); ++m) {
+    envs[m].fields = ex.extract(feed.messages[m].msg);
+    envs[m].states.assign(schema.state_vars().size(), m % 7);
+  }
+
+  std::size_t matched = 0;
+  for (std::size_t i = 0; i < 300; ++i) {
+    auto op = churn.next();
+    if (op.subscribe) {
+      ids[op.slot] = inc.add(std::move(op.rule));
+    } else {
+      ASSERT_TRUE(inc.remove(ids.at(op.slot))) << "op " << i;
+      ids.erase(op.slot);
+    }
+    auto delta = inc.commit();
+    ASSERT_TRUE(delta.ok()) << "op " << i << ": "
+                            << delta.error().to_string();
+    ASSERT_TRUE(sw.apply_delta(delta.value().ops).ok()) << "op " << i;
+
+    const table::Pipeline& running = sw.pipeline();
+    const table::CompiledPipeline& lowered = sw.compiled();
+    std::set<table::StateId> referenced{running.initial_state};
+    for (const table::Table& t : running.tables) {
+      for (const table::Entry& e : t.entries()) {
+        referenced.insert(e.state);
+        referenced.insert(e.next_state);
+      }
+    }
+    for (const table::LeafEntry& e : running.leaf.entries())
+      referenced.insert(e.state);
+    ASSERT_EQ(lowered.n_states(), referenced.size())
+        << "op " << i << ", largest raw id " << *referenced.rbegin();
+
+    for (std::size_t m = 0; m < envs.size(); ++m) {
+      const table::LeafEntry* want = running.evaluate(envs[m]);
+      const std::uint32_t want_idx =
+          want ? static_cast<std::uint32_t>(want -
+                                            running.leaf.entries().data())
+               : table::CompiledPipeline::kMiss;
+      ASSERT_EQ(lowered.traverse(envs[m].fields, envs[m].states), want_idx)
+          << "op " << i << ", message " << m;
+      matched += want != nullptr;
+    }
+  }
+  EXPECT_GT(matched, 0u);
 }
 
 // Entry deltas must release the multicast groups of the multi-port

@@ -2,8 +2,8 @@
 // to Pipeline::evaluate — randomized pipelines (exact/range/wildcard
 // mixes, duplicates, state subjects), compiled ITCH programs under both
 // stage orderings and with domain compression, manual value-map chains,
-// and degenerate shapes. The hot-key memo split (prefix_key / run_prefix /
-// finish) must compose to a full traverse.
+// forty value maps, and degenerate shapes. The hot-key memo split
+// (prefix_key / run_prefix / finish) must compose to a full traverse.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -207,6 +207,41 @@ TEST(CompiledPipeline, ValueMapEquivalenceIncludingMapMiss) {
       env.fields[1] = f1;
       ASSERT_EQ(cp.traverse(env.fields, env.states), ref_leaf_index(p, env))
           << "f0=" << f0 << " f1=" << f1;
+    }
+  }
+
+  // Forty value maps over random pipelines: the first eight chained on
+  // field 0, the rest spread over every subject, some of which no table
+  // reads. Each map leaves gaps (a miss codes to 0) and carries one entry
+  // off state 0, which no lookup reaches.
+  util::Rng rng(0x4d617073);
+  for (int trial = 0; trial < 20; ++trial) {
+    Pipeline many = random_pipeline(rng);
+    for (int m = 0; m < 40; ++m) {
+      const Subject subj = m < 8             ? Subject::field(0)
+                           : rng.next() % 3 ? Subject::field(rng.next() % 3)
+                                            : Subject::state(rng.next() % 2);
+      Table map("map" + std::to_string(m), subj, MatchKind::kRange, 16);
+      for (std::uint64_t lo = rng.next() % 3; lo < kValueSpan;) {
+        const std::uint64_t hi = lo + rng.next() % 6;
+        map.add_entry({kInitialState, ValueMatch::range(lo, hi),
+                       static_cast<StateId>(rng.next() % 16)});
+        lo = hi + 1 + rng.next() % 3;
+      }
+      map.add_entry({StateId{3}, ValueMatch::any(), 7});
+      many.value_maps.push_back(std::move(map));
+    }
+    many.finalize();
+    const CompiledPipeline cm(many);
+    ASSERT_TRUE(cm.valid());
+    lang::Env e;
+    e.fields.resize(3);
+    e.states.resize(2);
+    for (int i = 0; i < 300; ++i) {
+      for (auto& f : e.fields) f = rng.next() % kValueSpan;
+      for (auto& v : e.states) v = rng.next() % kValueSpan;
+      ASSERT_EQ(cm.traverse(e.fields, e.states), ref_leaf_index(many, e))
+          << "trial " << trial << " iter " << i;
     }
   }
 }

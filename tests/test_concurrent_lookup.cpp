@@ -113,8 +113,9 @@ TEST(ConcurrentLookup, EvaluateAndTraverseAfterControllerCompile) {
 }
 
 // The memo decomposition is equally const: concurrent prefix_key /
-// run_prefix / finish calls over one shared CompiledPipeline.
-TEST(ConcurrentLookup, PrefixDecompositionIsConst) {
+// run_prefix / finish calls over one shared CompiledPipeline, with and
+// without domain compression (whose value-map chains finish() folds).
+void prefix_decomposition_is_const(bool domain_compression) {
   auto schema = spec::make_itch_schema();
   workload::ItchSubsParams sp;
   sp.seed = 29;
@@ -124,8 +125,10 @@ TEST(ConcurrentLookup, PrefixDecompositionIsConst) {
   auto subs = workload::generate_itch_subscriptions(schema, sp);
   compiler::CompileOptions co;
   co.order = bdd::OrderHeuristic::kExactFirst;
+  co.domain_compression = domain_compression;
   auto pipeline = compiler::compile_rules(schema, subs.rules, co).take().pipeline;
   pipeline.finalize();
+  ASSERT_EQ(pipeline.value_maps.empty(), !domain_compression);
   const table::CompiledPipeline cp(pipeline);
   ASSERT_TRUE(cp.valid());
   ASSERT_GT(cp.prefix_stages(), 0u);
@@ -153,6 +156,11 @@ TEST(ConcurrentLookup, PrefixDecompositionIsConst) {
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0);
+}
+
+TEST(ConcurrentLookup, PrefixDecompositionIsConst) {
+  prefix_decomposition_is_const(false);
+  prefix_decomposition_is_const(true);
 }
 
 // Two-phase install under concurrent readers (TSAN job): while a writer

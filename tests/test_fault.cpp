@@ -476,6 +476,24 @@ TEST(Reassembler, CorruptSequenceBeyondWindowIsRejected) {
   h.reasm->on_timer(h.reasm->next_deadline());
   ASSERT_EQ(h.requests.size(), 1u);
   EXPECT_EQ(h.requests[0], (std::pair<std::uint64_t, std::uint16_t>(4, 2)));
+
+  // The window's edge: expected + max_seq_jump is inside, one more is out.
+  const double never = std::numeric_limits<double>::infinity();
+  ReasmHarness data(p);  // expected = 1
+  data.offer(0, 1 + p.max_seq_jump + 1, 1);
+  EXPECT_EQ(data.reasm->stats().seq_jump_rejects, 1u);
+  EXPECT_EQ(data.reasm->next_deadline(), never);
+  data.offer(1, 1 + p.max_seq_jump, 1);  // admitted: buffered behind a gap
+  EXPECT_EQ(data.reasm->stats().seq_jump_rejects, 1u);
+  EXPECT_NE(data.reasm->next_deadline(), never);
+
+  ReasmHarness beat(p);  // expected = 1
+  beat.reasm->offer(0, 1 + p.max_seq_jump + 1, {});
+  EXPECT_EQ(beat.reasm->stats().seq_jump_rejects, 1u);
+  EXPECT_EQ(beat.reasm->next_deadline(), never);
+  beat.reasm->offer(1, 1 + p.max_seq_jump, {});  // moves the horizon
+  EXPECT_EQ(beat.reasm->stats().seq_jump_rejects, 1u);
+  EXPECT_NE(beat.reasm->next_deadline(), never);
 }
 
 TEST(Reassembler, RecoveryLatencyIsSampled) {

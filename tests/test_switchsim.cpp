@@ -5,6 +5,7 @@
 #include "compiler/compile.hpp"
 #include "proto/generic.hpp"
 #include "proto/packet.hpp"
+#include "reference_switch.hpp"
 #include "spec/itch_spec.hpp"
 #include "switchsim/switch.hpp"
 #include "table/delta.hpp"
@@ -209,8 +210,9 @@ TEST(Switch, ResourceAuditForLargePipeline) {
 
 // Every entry point runs the compiled engine: on a program whose leading
 // stage is the exact-match symbol table, process(), process_generic() and
-// classify() each probe the hot-key memo; on a pipeline the flattener
-// refuses, all three still answer through the Pipeline::evaluate fallback.
+// classify() each probe the hot-key memo; on a pipeline with a 2^25 state
+// id, which lowering renumbers densely, all three still do and agree with
+// the reference interpreter.
 TEST(Switch, EveryEntryPointRunsTheCompiledEngine) {
   auto schema = spec::make_itch_schema();
   compiler::CompileOptions co;
@@ -240,7 +242,6 @@ TEST(Switch, EveryEntryPointRunsTheCompiledEngine) {
   EXPECT_GT(sw.batch_stats().memo_probes, probes);
   EXPECT_GT(sw.batch_stats().memo_hits, 0u);  // GOOGL's key repeated
 
-  // A leaf state beyond the dense-id cap leaves the pipeline unflattened.
   const table::StateId huge = 1u << 25;
   table::Pipeline p;
   table::Table t("stock", lang::Subject::field(1), table::MatchKind::kExact,
@@ -252,17 +253,34 @@ TEST(Switch, EveryEntryPointRunsTheCompiledEngine) {
   e.state = huge;
   e.actions = std::make_shared<const lang::ActionSet>(lang::ActionSet{{5}, {}});
   p.leaf.add_entry(e);
-  switchsim::Switch fallback(schema, p);
-  ASSERT_FALSE(fallback.compiled().valid());
+  p.finalize();
+  switchsim::Switch sparse(schema, p);
+  ASSERT_EQ(sparse.compiled().n_states(), 2u);  // initial + huge
 
+  oracle::ReferenceSwitch ref(schema, p);
+  const auto msft = order("MSFT", 1, 5);
+  for (const proto::ItchAddOrder* m : {&googl, &msft}) {
+    const auto frame = frame_for(*m);
+    std::vector<std::uint16_t> want, got;
+    for (const auto& pkt : ref.process(frame, 0)) want.push_back(pkt.port);
+    for (const auto& c : sparse.process(frame, 0)) got.push_back(c.port);
+    EXPECT_EQ(got, want) << m->stock;
+
+    lang::Env env;
+    env.fields = ex.extract(*m);
+    const std::vector<std::uint16_t>& ports = p.evaluate_actions(env).ports;
+    got.clear();
+    for (const auto& c : sparse.process_generic(
+             proto::encode_generic_packet(schema, env.fields), 0))
+      got.push_back(c.port);
+    EXPECT_EQ(got, ports) << m->stock;
+    EXPECT_EQ(sparse.classify(env.fields, 0).ports, ports) << m->stock;
+  }
   const std::vector<std::uint16_t> port5{5};
-  EXPECT_EQ(fallback.process(frame_for(googl), 0).size(), 1u);
-  EXPECT_EQ(fallback.process_generic(googl_generic, 0).size(), 1u);
-  EXPECT_EQ(fallback.classify(ex.extract(googl), 0).ports, port5);
-  EXPECT_TRUE(
-      fallback.classify(ex.extract(order("MSFT", 1, 5)), 0).ports.empty());
-  EXPECT_EQ(fallback.counters().matched, 2u);
-  EXPECT_EQ(fallback.batch_stats().memo_probes, 0u);
+  EXPECT_EQ(sparse.classify(ex.extract(googl), 0).ports, port5);
+  EXPECT_EQ(ref.counters().matched, 1u);
+  EXPECT_EQ(sparse.counters().matched, 2u);  // process + process_generic
+  EXPECT_GT(sparse.batch_stats().memo_probes, 0u);
 }
 
 // ---- program writes: stage, then commit ------------------------------------
