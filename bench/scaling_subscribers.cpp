@@ -12,11 +12,10 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include <map>
 #include <string>
 
 #include "compiler/compile.hpp"
-#include "netsim/market_experiment.hpp"
+#include "netsim/experiment.hpp"
 #include "spec/itch_spec.hpp"
 #include "util/stats.hpp"
 #include "workload/itch_subs.hpp"
@@ -74,27 +73,26 @@ int main(int argc, char** argv) {
                          "baseline GB to hosts", "camus GB to hosts"});
 
   for (std::uint16_t n_hosts : {2, 4, 8, 16, 32}) {
-    std::map<std::string, std::uint16_t> interest;
+    // One message per frame over fault-free links without recovery.
+    netsim::ExperimentParams mp;
+    mp.n_ports = n_hosts;
+    mp.msgs_per_frame = 1;
+    mp.recovery_enabled = false;
     std::string rules;
     for (std::size_t s = 0; s < symbols.size(); ++s) {
       const std::uint16_t port =
           static_cast<std::uint16_t>(1 + s % n_hosts);
-      interest[symbols[s]] = port;
+      mp.interest[symbols[s]] = port;
       rules += "stock == " + symbols[s] + " : fwd(" + std::to_string(port) +
                ")\n";
     }
-
-    netsim::MarketExperimentParams mp;
-    mp.host_filter_cost_us = 2.0;
-    mp.deliver_cost_us = 0.8;
 
     // Baseline: broadcast to every host; each filters in software.
     std::vector<std::uint16_t> all_ports;
     for (std::uint16_t p = 1; p <= n_hosts; ++p) all_ports.push_back(p);
     auto bcast = switchsim::Switch::make_broadcast(schema, all_ports);
     mp.mode = netsim::FilterMode::kHostFilter;
-    const auto base =
-        netsim::run_fanout_experiment(mp, bcast, feed, interest, n_hosts);
+    const auto base = netsim::run_experiment(mp, bcast, feed);
 
     // Camus: compiled per-host subscriptions.
     compiler::CompileOptions copts;
@@ -105,8 +103,7 @@ int main(int argc, char** argv) {
       std::fprintf(json_out, "%s\n", compiled.value().stats.to_json().c_str());
     switchsim::Switch sw(schema, std::move(compiled).take().pipeline);
     mp.mode = netsim::FilterMode::kSwitchFilter;
-    const auto camus =
-        netsim::run_fanout_experiment(mp, sw, feed, interest, n_hosts);
+    const auto camus = netsim::run_experiment(mp, sw, feed);
 
     table.add_row(
         {std::to_string(n_hosts),
