@@ -12,8 +12,9 @@
 //
 // and, per op kind (an unsubscribe and a subscribe cost differently, so a
 // median over both would fall between two modes), the commit and install
-// latency, the commit's union phase, and two deterministic work counts:
-// BDD nodes created and union memo misses (both memos) per commit.
+// latency, the commit's union and tables phases, and three deterministic
+// work counts: BDD nodes created, union memo misses (both memos) and In
+// nodes whose entries Algorithm 1 regenerated, per commit.
 //
 // A dedicated single-subscription probe (one add commit, one remove
 // commit) is reported separately — that is the paper's headline claim for
@@ -22,8 +23,9 @@
 // either probe's reuse fraction drops below F.
 //
 // CI runs this with --quick --gate-reuse 0.8 and also gates the
-// unsubscribe union-miss median; the committed BENCH_churn.json is the
-// full run. Seeds are explicit and recorded.
+// unsubscribe medians of union misses and regenerated In nodes; the
+// committed BENCH_churn.json is the full run. Seeds are explicit and
+// recorded.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -62,8 +64,10 @@ struct KindSummary {
   util::CdfSampler commit_ms;
   util::CdfSampler install_ms;
   util::CdfSampler union_ms;
+  util::CdfSampler tables_ms;
   util::CdfSampler bdd_nodes;     // nodes the commit added to the manager
   util::CdfSampler union_misses;  // syntactic + semantic union memo misses
+  util::CdfSampler regenerated;   // In nodes whose entries were generated
 };
 
 double sum_of(const util::CdfSampler& s) {
@@ -91,16 +95,19 @@ std::string cdf_json(const util::CdfSampler& s) {
 }
 
 std::string kind_json(const KindSummary& k) {
-  char counts[256];
+  char counts[384];
   std::snprintf(counts, sizeof counts,
                 "\"bdd_nodes_created\": {\"mean\": %.1f, \"p50\": %.1f}, "
-                "\"union_memo_misses\": {\"mean\": %.1f, \"p50\": %.1f}",
+                "\"union_memo_misses\": {\"mean\": %.1f, \"p50\": %.1f}, "
+                "\"in_nodes_regenerated\": {\"mean\": %.1f, \"p50\": %.1f}",
                 mean_of(k.bdd_nodes), k.bdd_nodes.median(),
-                mean_of(k.union_misses), k.union_misses.median());
+                mean_of(k.union_misses), k.union_misses.median(),
+                mean_of(k.regenerated), k.regenerated.median());
   return "{\"commits\": " + std::to_string(k.commit_ms.count()) +
          ", \"commit_ms\": " + cdf_json(k.commit_ms) +
          ", \"install_ms\": " + cdf_json(k.install_ms) +
-         ", \"union_ms\": " + cdf_json(k.union_ms) + ", " + counts + "}";
+         ", \"union_ms\": " + cdf_json(k.union_ms) +
+         ", \"tables_ms\": " + cdf_json(k.tables_ms) + ", " + counts + "}";
 }
 
 std::uint64_t union_misses(const bdd::CacheStats& c) {
@@ -215,8 +222,11 @@ int main(int argc, char** argv) {
     kind.commit_ms.add(commit_ms);
     kind.install_ms.add(install_ms);
     kind.union_ms.add(delta.value().stats.t_union * 1e3);
+    kind.tables_ms.add(delta.value().stats.t_tables * 1e3);
     kind.bdd_nodes.add(static_cast<double>(now.unique_nodes - cache.unique_nodes));
     kind.union_misses.add(static_cast<double>(union_misses(now) - union_misses(cache)));
+    kind.regenerated.add(static_cast<double>(
+        delta.value().stats.tablegen.in_nodes_regenerated));
     cache = now;
   }
 
@@ -262,9 +272,12 @@ int main(int argc, char** argv) {
     row((tag + "commit (ms)").c_str(), k.commit_ms, sum_of(k.commit_ms));
     row((tag + "install (ms)").c_str(), k.install_ms, sum_of(k.install_ms));
     row((tag + "union (ms)").c_str(), k.union_ms, sum_of(k.union_ms));
+    row((tag + "tables (ms)").c_str(), k.tables_ms, sum_of(k.tables_ms));
     row((tag + "BDD nodes created").c_str(), k.bdd_nodes, sum_of(k.bdd_nodes));
     row((tag + "union memo misses").c_str(), k.union_misses,
         sum_of(k.union_misses));
+    row((tag + "In nodes regenerated").c_str(), k.regenerated,
+        sum_of(k.regenerated));
   }
   std::printf("%s", table.to_string().c_str());
   std::printf("  entries (mean): %.0f   ops/entries: %.4f   reuse: mean %.4f "

@@ -27,6 +27,10 @@ namespace camus::compiler {
 struct TableGenStats {
   std::size_t components = 0;         // non-empty field components
   std::size_t in_nodes = 0;           // total In nodes across components
+  // In nodes whose entries this compile generated: all of them on a cold
+  // compile; on an incremental commit, the root and the In nodes that are
+  // new since the last commit.
+  std::size_t in_nodes_regenerated = 0;
   std::size_t paths_enumerated = 0;   // DFS path segments walked
 
   // Per-stage telemetry: entries emitted for each field table, in pipeline
@@ -53,7 +57,40 @@ struct TableGenResult {
 struct StateAllocator {
   std::unordered_map<std::uint32_t, table::StateId> ids;  // by NodeRef raw
   table::StateId next = table::kInitialState;
+
+  // r's id, allocating the next one when r has none.
+  table::StateId assign(bdd::NodeRef r) {
+    auto [it, inserted] = ids.emplace(r.raw(), next);
+    if (inserted) ++next;
+    return it->second;
+  }
 };
+
+// Algorithm 1 for one In node `u`: appends to `out` the entries
+// (state(u), range) -> state(v) for every Out node v reached from u
+// through u's field component, with the per-successor range union and the
+// wildcard encodings described above. The entries depend only on u's
+// subgraph and on the state ids of its Out nodes, which `states` must
+// already hold, so an In node whose id survives a recompilation keeps
+// exactly the entries it had: the incremental compiler regenerates only
+// the In nodes that are new. `paths` accumulates the DFS path segments
+// walked; E130 once it exceeds opts.max_paths_per_component. Returns
+// whether a range entry was emitted.
+util::Result<bool> in_node_entries(const bdd::BddManager& mgr, bdd::NodeRef u,
+                                   const spec::Schema& schema,
+                                   const CompileOptions& opts,
+                                   const StateAllocator& states,
+                                   std::size_t& paths,
+                                   std::vector<table::Entry>& out);
+
+// The match kind of subject `s`'s stage: kRange once it holds a range
+// entry; otherwise exact (SRAM) when the field is exact-hinted or, for a
+// stage generated from a non-empty `component`, when
+// opts.exact_match_optimization applies (every entry is a point). A
+// materialized empty stage follows the hint alone.
+table::MatchKind stage_kind(const spec::Schema& schema, lang::Subject s,
+                            const CompileOptions& opts, bool component,
+                            bool has_range);
 
 // Translates the BDD rooted at `root` into a finalized pipeline.
 // Diagnostics (never throws — E1xx convention, so controller recovery

@@ -104,6 +104,7 @@ std::string CompileStats::to_json() const {
   os << ",\"tablegen\":{"
      << "\"components\":" << tablegen.components
      << ",\"in_nodes\":" << tablegen.in_nodes
+     << ",\"in_nodes_regenerated\":" << tablegen.in_nodes_regenerated
      << ",\"paths_enumerated\":" << tablegen.paths_enumerated << "}";
   os << ",\"stages\":[";
   for (std::size_t i = 0; i < tablegen.stage_entries.size(); ++i) {

@@ -17,6 +17,14 @@
 //    produce byte-identical table entries. commit() returns the exact
 //    add/remove delta against the previously installed tables — the
 //    control-plane update cost.
+//  - Delta emission: an In node's entries depend only on its own subgraph
+//    and its Out nodes' ids, so an In node that survives a commit with its
+//    id keeps exactly the entries it has installed. A commit therefore
+//    runs Algorithm 1 only for the In nodes that are new (and the pinned
+//    root), removes the entries of the In nodes that left, and emits the
+//    ops straight from that, in table::diff_pipelines' order. Reference
+//    counts over the BDD (LiveGraph) tell which In nodes and terminals
+//    arrived or left by visiting only the nodes that changed.
 #pragma once
 
 #include <cstdint>
@@ -90,7 +98,15 @@ class IncrementalCompiler {
   };
 
   // Recompiles and returns the delta against the previous commit. The
-  // first commit reports every entry as an add.
+  // first commit reports every entry as an add. A commit whose diff base
+  // is its own last commit emits the delta from the In nodes it changed.
+  // The first commit after restore_installed() or after a commit that
+  // failed, a commit under domain_compression, one whose root is or was a
+  // terminal, and one that flips a stage's match kind regenerate every
+  // table and diff them against the base instead (table::diff_pipelines).
+  // Both give the same ops. After an emitted delta, pipeline() is the base
+  // with the ops applied, entry for entry what a switch that applied them
+  // runs.
   util::Result<Delta> commit();
 
   // The currently installed pipeline. E122 before a successful commit()
@@ -105,7 +121,8 @@ class IncrementalCompiler {
   // output is rejected downstream (lint policy, failed install) so the
   // next commit diffs against what the switch actually runs. The
   // persistent state allocator is untouched: it only grows, and stale
-  // ids merely become unreferenced.
+  // ids merely become unreferenced. The next commit regenerates every
+  // table and diffs them against this base.
   void restore_installed(table::Pipeline last_good);
 
   const spec::Schema& schema() const noexcept { return schema_; }
@@ -137,6 +154,55 @@ class IncrementalCompiler {
   // bottom-up, and returns the tree's root.
   bdd::NodeRef unite_changed();
 
+  // Reachability of the BDD rooted at the last committed root, kept as
+  // reference counts: moving the root visits only the nodes that became
+  // reachable or unreachable, and reports which In nodes and terminals
+  // arrived or left. Indexed by node and terminal index.
+  class LiveGraph {
+   public:
+    struct Moved {
+      std::vector<bdd::NodeRef> arrived;    // became In nodes
+      std::vector<bdd::NodeRef> departed;   // stopped being In nodes
+      std::vector<bdd::NodeRef> terminals;  // became (un)reachable, by index
+      std::vector<std::size_t> flipped;     // ranks whose component became
+                                            // empty or non-empty
+    };
+    Moved move_to(const bdd::BddManager& mgr, bdd::NodeRef root);
+
+    bool is_in(bdd::NodeRef n) const { return is_in_[n.index()] != 0; }
+    bool reachable_terminal(bdd::NodeRef t) const {
+      return term_refs_[t.index()] != 0;
+    }
+    // Whether any reachable node predicates on the rank's subject.
+    bool component(std::size_t rank) const { return rank_nodes_[rank] != 0; }
+    std::size_t in_nodes() const noexcept { return in_nodes_; }
+    // BddManager::stats of the root, from the counts.
+    bdd::BddStats stats(const bdd::BddManager& mgr) const;
+
+   private:
+    std::optional<bdd::NodeRef> root_;
+    std::vector<std::uint32_t> refs_;     // edges from reachable parents,
+                                          // +1 for the root
+    std::vector<std::uint32_t> in_refs_;  // those from another subject's
+                                          // node, +1 for the root
+    std::vector<std::uint8_t> is_in_;     // an In node of the root
+    std::vector<std::uint32_t> term_refs_;
+    std::vector<std::size_t> rank_nodes_;  // reachable nodes per rank
+    std::vector<std::uint32_t> var_nodes_;  // reachable nodes per variable
+    std::size_t nodes_ = 0, terminals_ = 0, vars_ = 0, in_nodes_ = 0;
+  };
+
+  // Maps `root` to the initial state, releasing the previous root's id.
+  void pin_root(bdd::NodeRef root);
+  // Emits this commit's delta from the In nodes that arrived or left and
+  // applies it to installed_. False when ops on this base cannot express
+  // it (a stage's match kind would flip): the caller regenerates instead.
+  util::Result<bool> emit_delta(bdd::NodeRef prev_root, bdd::NodeRef root,
+                                const LiveGraph::Moved& moved, Delta& delta);
+  // Runs Algorithm 1 over the whole BDD and diffs the result against
+  // installed_ (table::diff_pipelines).
+  util::Result<bool> regenerate(bdd::NodeRef root, Delta& delta);
+
   spec::Schema schema_;
   CompileOptions opts_;
 
@@ -159,8 +225,13 @@ class IncrementalCompiler {
   StateAllocator states_;
   std::optional<std::uint32_t> pinned_root_raw_;
   bdd::NodeRef last_root_;
+  LiveGraph live_;  // rooted at last_root_
 
   std::optional<table::Pipeline> installed_;
+  // installed_ is this compiler's last commit (not a restored snapshot or
+  // the base of a failed commit), so its entries per In node are exactly
+  // what Algorithm 1 generates for it.
+  bool base_from_commit_ = false;
 };
 
 }  // namespace camus::compiler

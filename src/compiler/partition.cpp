@@ -364,6 +364,7 @@ util::Result<Compiled> compile_partitioned(const spec::Schema& schema,
     out.stats.shards.push_back(task.stats);
     out.stats.tablegen.components += task.components;
     out.stats.tablegen.in_nodes += task.in_nodes;
+    out.stats.tablegen.in_nodes_regenerated += task.in_nodes;
     out.stats.tablegen.paths_enumerated += task.paths;
     out.stats.mem.bdd_bytes =
         std::max<std::uint64_t>(out.stats.mem.bdd_bytes,

@@ -80,9 +80,16 @@ CompiledPipeline::CompiledPipeline(const Pipeline& pipe) {
     return d;
   };
   densify(pipe.initial_state);  // dense id 0 = kInitialState
+  // A table's entries come grouped by state, so most repeat the previous
+  // entry's state: remember the last pair instead of probing again.
+  StateId last_raw = pipe.initial_state, last_dense = 0;
   for (const Table& t : pipe.tables) {
     for (const Entry& e : t.entries()) {
-      ids.push_back(densify(e.state));
+      if (e.state != last_raw) {
+        last_raw = e.state;
+        last_dense = densify(e.state);
+      }
+      ids.push_back(last_dense);
       ids.push_back(densify(e.next_state));
     }
   }

@@ -643,18 +643,21 @@ PipelineDiff diff_pipelines(const Pipeline* have, const Pipeline& want) {
   // patch), a stage appearing or retiring, a value-map change, or even an
   // EMPTY stage present on one side only — must ship the full image, or
   // the patched program would never digest-converge with the intended one
-  // (an empty stage has no entries to diff, but it is still a stage).
+  // (an empty stage has no entries to diff, but it is still a stage). A
+  // stage whose match kind changed (an exact table gaining a range entry)
+  // is a layout change too: ops never touch a stage's kind, which decides
+  // its memory (SRAM or TCAM) and its P4 match type.
   if (!have) {
     diff.requires_reprogram = true;
   } else {
-    auto stage_names = [](const Pipeline& p) {
-      std::vector<std::string> names;
-      names.reserve(p.value_maps.size() + p.tables.size());
-      for (const auto& m : p.value_maps) names.push_back(m.name());
-      for (const auto& t : p.tables) names.push_back(t.name());
-      return names;
+    auto layout = [](const Pipeline& p) {
+      std::vector<std::pair<std::string_view, MatchKind>> stages;
+      stages.reserve(p.value_maps.size() + p.tables.size());
+      for (const auto& m : p.value_maps) stages.emplace_back(m.name(), m.kind());
+      for (const auto& t : p.tables) stages.emplace_back(t.name(), t.kind());
+      return stages;
     };
-    if (stage_names(*have) != stage_names(want) ||
+    if (layout(*have) != layout(want) ||
         have->initial_state != want.initial_state)
       diff.requires_reprogram = true;
   }

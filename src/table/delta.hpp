@@ -123,9 +123,10 @@ struct PipelineDiff {
   std::size_t total_entries = 0;   // entries in `want`
   // True when the delta cannot ship as ops against `have`: there is no
   // `have` (cold start), the stage layouts differ (even by an empty
-  // stage — entry ops cannot create or retire stages), or the initial
-  // state moved (a wholesale renumbering; entry ops cannot re-aim the
-  // walk's entry point). Install the full `want` image instead.
+  // stage or by one stage's match kind — entry ops cannot create, retire
+  // or re-type stages), or the initial state moved (a wholesale
+  // renumbering; entry ops cannot re-aim the walk's entry point). Install
+  // the full `want` image instead.
   bool requires_reprogram = false;
 
   double reuse_fraction() const noexcept {

@@ -12,19 +12,27 @@ constexpr std::uint8_t kMagic = 0xA6;
 // Header: magic(1) type(1) len(4) crc(4), little-endian fixed.
 constexpr std::size_t kHeaderBytes = 10;
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> t{};
+// Slicing-by-8 tables: t[0] is the byte-at-a-time table, and t[k][b] is
+// the CRC of byte b followed by k zero bytes, so eight table lookups fold
+// eight input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k)
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    t[i] = c;
+    t[0][i] = c;
   }
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::uint32_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
   return t;
 }
 
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> t = make_crc_table();
+const CrcTables& crc_tables() {
+  static const CrcTables t = make_crc_tables();
   return t;
 }
 
@@ -45,9 +53,18 @@ std::uint32_t get_u32(const char* p) {
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes, std::uint32_t seed) {
+  const CrcTables& t = crc_tables();
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (const std::uint8_t b : bytes)
-    c = crc_table()[(c ^ b) & 0xff] ^ (c >> 8);
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ get_u32(reinterpret_cast<const char*>(p));
+    const std::uint32_t hi = get_u32(reinterpret_cast<const char*>(p + 4));
+    c = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+        t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xff] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

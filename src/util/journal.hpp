@@ -31,7 +31,7 @@ namespace camus::util {
 
 // CRC-32 (IEEE 802.3, reflected 0xEDB88320) — the chunk-channel and
 // journal framing checksum. Stronger mixing than FNV for short inputs and
-// a stable wire constant.
+// a stable wire constant. Computed eight bytes a step (slicing-by-8).
 std::uint32_t crc32(std::span<const std::uint8_t> bytes,
                     std::uint32_t seed = 0);
 std::uint32_t crc32(std::string_view bytes, std::uint32_t seed = 0);

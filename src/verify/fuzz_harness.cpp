@@ -235,21 +235,81 @@ void run_direct(const spec::Schema& schema, const FuzzSample& s,
 
 // --- churn mode --------------------------------------------------------
 
+}  // namespace
+
+std::string delta_mismatch(const compiler::IncrementalCompiler::Delta& got,
+                           const compiler::IncrementalCompiler::Delta& want) {
+  const std::size_t n = std::min(got.ops.size(), want.ops.size());
+  for (std::size_t i = 0; i < n; ++i)
+    if (!(got.ops[i] == want.ops[i]))
+      return "op " + std::to_string(i) + ": " + got.ops[i].to_string() +
+             ", oracle " + want.ops[i].to_string();
+  if (got.ops.size() != want.ops.size())
+    return std::to_string(got.ops.size()) + " ops, oracle " +
+           std::to_string(want.ops.size());
+  auto differs = [](const char* what, std::size_t a, std::size_t b) {
+    return a == b ? std::string()
+                  : std::string(what) + " " + std::to_string(a) +
+                        ", oracle " + std::to_string(b);
+  };
+  const compiler::TableGenStats& g = got.stats.tablegen;
+  const compiler::TableGenStats& w = want.stats.tablegen;
+  for (const std::string& d :
+       {differs("reused_entries", got.reused_entries, want.reused_entries),
+        differs("total_entries", got.total_entries, want.total_entries),
+        differs("requires_reprogram", got.requires_reprogram,
+                want.requires_reprogram),
+        differs("components", g.components, w.components),
+        differs("in_nodes", g.in_nodes, w.in_nodes),
+        differs("leaf_entries", g.leaf_entries, w.leaf_entries),
+        differs("stats.entries", got.stats.total_entries,
+                want.stats.total_entries),
+        differs("multicast_groups", got.stats.multicast_groups,
+                want.stats.multicast_groups),
+        differs("bdd nodes", got.stats.bdd_after_prune.node_count,
+                want.stats.bdd_after_prune.node_count)})
+    if (!d.empty()) return d;
+  if (g.stage_entries.size() != w.stage_entries.size())
+    return "stage telemetry of " + std::to_string(g.stage_entries.size()) +
+           " stages, oracle " + std::to_string(w.stage_entries.size());
+  for (std::size_t i = 0; i < g.stage_entries.size(); ++i)
+    if (g.stage_entries[i].table != w.stage_entries[i].table ||
+        g.stage_entries[i].entries != w.stage_entries[i].entries)
+      return "stage " + g.stage_entries[i].table + " telemetry " +
+             std::to_string(g.stage_entries[i].entries) + ", oracle " +
+             w.stage_entries[i].table + " " +
+             std::to_string(w.stage_entries[i].entries);
+  return "";
+}
+
+namespace {
+
 void run_churn(const spec::Schema& schema, const FuzzSample& s,
                FuzzCaseResult& res) {
   if (s.bound.empty()) return;
   if (!check_bound(schema, s, res, FuzzMode::kChurn)) return;
 
+  // `oracle` takes the same adds and removes (so its subscription ids are
+  // `inc`'s), and regenerates every table at each commit (its diff base
+  // is restored first): the emitted deltas must equal its diffs.
   compiler::IncrementalCompiler inc(schema, compile_opts(s));
+  compiler::IncrementalCompiler oracle(schema, compile_opts(s));
   std::vector<compiler::IncrementalCompiler::SubscriptionId> ids;
   ids.reserve(s.bound.size());
-  for (const auto& r : s.bound) ids.push_back(inc.add(r));
+  for (const auto& r : s.bound) {
+    ids.push_back(inc.add(r));
+    oracle.add(r);
+  }
 
   auto d0 = inc.commit();
   if (!d0.ok()) {
     diverge(res, FuzzMode::kChurn,
             "first incremental commit failed: " + d0.error().to_string() +
                 "; repro: " + hint(s));
+    return;
+  }
+  if (!oracle.commit().ok()) {
+    diverge(res, FuzzMode::kChurn, "oracle commit failed; repro: " + hint(s));
     return;
   }
   switchsim::Switch sw(schema, table::Pipeline(*inc.pipeline().value()));
@@ -260,16 +320,32 @@ void run_churn(const spec::Schema& schema, const FuzzSample& s,
   std::vector<lang::BoundRule> removed;
   for (std::size_t i = 0; i < ids.size(); i += 2) {
     inc.remove(ids[i]);
+    oracle.remove(ids[i]);
     removed.push_back(s.bound[i]);
   }
   for (int phase = 0; phase < 2; ++phase) {
     if (phase == 1)
-      for (const auto& r : removed) inc.add(r);
+      for (const auto& r : removed) {
+        inc.add(r);
+        oracle.add(r);
+      }
     auto d = inc.commit();
     if (!d.ok()) {
       diverge(res, FuzzMode::kChurn,
               "incremental commit failed mid-churn: " +
                   d.error().to_string() + "; repro: " + hint(s));
+      return;
+    }
+    oracle.restore_installed(*oracle.pipeline().value());
+    auto want = oracle.commit();
+    const std::string mismatch =
+        want.ok() ? delta_mismatch(d.value(), want.value())
+                  : "oracle commit failed: " + want.error().to_string();
+    if (!mismatch.empty()) {
+      diverge(res, FuzzMode::kChurn,
+              "emitted delta differs from the regenerated diff at commit " +
+                  std::to_string(phase + 1) + ": " + mismatch +
+                  "; repro: " + hint(s));
       return;
     }
     if (d.value().requires_reprogram) {

@@ -13,7 +13,10 @@
 //             re-parses to the same AST (parser/printer round trip).
 //  kChurn   — IncrementalCompiler commit deltas (remove half, re-add)
 //             applied through Switch::apply_delta must converge to the
-//             same classification function as a from-scratch compile.
+//             same classification function as a from-scratch compile,
+//             and every commit's emitted delta must equal, op for op,
+//             the diff of a full regeneration against the previous
+//             program (delta_mismatch).
 //  kFault   — fault::Injector register/entry bit-flips and evictions:
 //             a register flip mirrored into the oracle's register file
 //             must keep all oracles agreeing; after an entry fault the
@@ -38,11 +41,23 @@
 #include <string_view>
 #include <vector>
 
+#include "compiler/incremental.hpp"
 #include "spec/schema.hpp"
 #include "util/result.hpp"
 #include "workload/fuzz.hpp"
 
 namespace camus::verify {
+
+// The differential oracle of IncrementalCompiler's emitted deltas: a
+// second compiler driven by the same adds and removes, whose diff base is
+// restored before each commit, so that every commit regenerates all
+// tables and diffs them against its last program. Returns the first
+// difference between `got` (the emitted delta) and `want` (the oracle's)
+// in ops (element for element), reused and total entries,
+// requires_reprogram and the whole-program table telemetry; empty when
+// they agree.
+std::string delta_mismatch(const compiler::IncrementalCompiler::Delta& got,
+                           const compiler::IncrementalCompiler::Delta& want);
 
 enum class FuzzMode : std::uint8_t { kDirect, kChurn, kFault, kLint };
 

@@ -28,6 +28,7 @@
 #include "spec/spec_parser.hpp"
 #include "switchsim/switch.hpp"
 #include "table/serialize.hpp"
+#include "util/intern.hpp"
 #include "util/rng.hpp"
 #include "verify/fuzz_harness.hpp"
 #include "workload/fuzz.hpp"
@@ -420,11 +421,15 @@ TEST_F(GrammarFuzz, CommittedCorpusReplaysGreen) {
 // churn used to shed that stage entirely, and the next commit's entry
 // delta targeted a table the switch did not run (U001). Stage
 // materialization keeps the stage list stable, so remove/re-add churn
-// round-trips through Switch::apply_delta.
+// round-trips through Switch::apply_delta. The corpus cases collapse the
+// range-hinted shares stage, whose materialized (empty) form is a range
+// table and whose generated form here an exact one: that match-kind flip
+// is a reprogram, which the corpus replays take. The exact-hinted stock
+// stage collapses the same way with no kind flip, so the deltas ship.
 TEST_F(GrammarFuzz, ChurnDeltasSurviveStructuralCollapse) {
   auto rules = lang::parse_rules(
-      "shares == 410 : fwd(2,6)\n"
-      "!(shares == 410) : fwd(2,6)\n");
+      "stock == GOOGL : fwd(2,6)\n"
+      "!(stock == GOOGL) : fwd(2,6)\n");
   ASSERT_TRUE(rules.ok());
   auto bound = lang::bind_rules(rules.value(), schema_);
   ASSERT_TRUE(bound.ok());
@@ -435,9 +440,9 @@ TEST_F(GrammarFuzz, ChurnDeltasSurviveStructuralCollapse) {
   ASSERT_TRUE(inc.commit().ok());
   switchsim::Switch sw(schema_, table::Pipeline(*inc.pipeline().value()));
 
-  // With both rules live the union is constant — but the shares stage must
+  // With both rules live the union is constant — but the stock stage must
   // still exist (empty), or the re-add below cannot ship as a delta.
-  EXPECT_NE(inc.pipeline().value()->find_table("add_order.shares"), nullptr);
+  EXPECT_NE(inc.pipeline().value()->find_table("add_order.stock"), nullptr);
 
   inc.remove(id0);
   auto d1 = inc.commit();
@@ -452,12 +457,12 @@ TEST_F(GrammarFuzz, ChurnDeltasSurviveStructuralCollapse) {
   ASSERT_TRUE(sw.apply_delta(d2.value().ops).ok());
 
   // The delta-patched switch equals the brute-force oracle everywhere.
-  for (std::uint64_t v : {0ULL, 409ULL, 410ULL, 411ULL, 1ULL << 40}) {
+  for (const char* stock : {"GOOGL", "GOOG", "MSFT", "A"}) {
     lang::Env e;
-    e.fields = {v, 0, 0};
+    e.fields = {0, util::encode_symbol(stock), 0};
     EXPECT_EQ(sw.classify(e.fields, 0),
               lang::brute_eval_rules(bound.value(), e))
-        << "shares=" << v;
+        << "stock=" << stock;
   }
 }
 

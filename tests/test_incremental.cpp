@@ -3,15 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <string>
 
 #include "compiler/compile.hpp"
 #include "compiler/incremental.hpp"
+#include "compiler/p4gen.hpp"
 #include "lang/eval.hpp"
 #include "lang/parser.hpp"
 #include "spec/itch_spec.hpp"
 #include "switchsim/switch.hpp"
+#include "table/delta.hpp"
+#include "table/serialize.hpp"
 #include "util/intern.hpp"
 #include "util/rng.hpp"
+#include "verify/fuzz_harness.hpp"
 #include "workload/churn.hpp"
 #include "workload/itch_subs.hpp"
 
@@ -440,6 +447,336 @@ TEST(IncrementalUnionTree, DoubledTreeClassifiesLikeAFreshCompiler) {
       ASSERT_EQ(got, lang::brute_eval_rules(rules, env));
     }
   }
+}
+
+// --- Emitted delta ---------------------------------------------------------
+// A commit runs Algorithm 1 only for the In nodes it changed and emits the
+// ops from that walk. The differential oracle (the method of "Testing
+// Compilers for Programmable Switches Through Switch Hardware
+// Simulation"): a second compiler driven by the same adds and removes,
+// whose diff base is restored before every commit, so that it regenerates
+// every table and diffs them against its last program. Both must agree op
+// for op (verify::delta_mismatch).
+
+using Delta = IncrementalCompiler::Delta;
+
+// Two compilers in lockstep: `inc` emits its deltas, `oracle` regenerates.
+struct DeltaPair {
+  DeltaPair(const spec::Schema& schema, const compiler::CompileOptions& opts)
+      : inc(schema, opts), oracle(schema, opts) {}
+
+  // Both compilers number their subscriptions alike.
+  IncrementalCompiler::SubscriptionId add(const lang::BoundRule& rule) {
+    oracle.add(rule);
+    return inc.add(rule);
+  }
+  IncrementalCompiler::SubscriptionId add(const spec::Schema& schema,
+                                          const std::string& source) {
+    return add(lang::bind_rule(lang::parse_rule(source).value(), schema)
+                   .value());
+  }
+  void remove(IncrementalCompiler::SubscriptionId id) {
+    EXPECT_TRUE(inc.remove(id));
+    EXPECT_TRUE(oracle.remove(id));
+  }
+
+  // Commits both; `want` receives the oracle's delta. Fails the test when
+  // the two disagree.
+  util::Result<Delta> commit(Delta* want = nullptr) {
+    if (oracle.has_pipeline())
+      oracle.restore_installed(*oracle.pipeline().value());
+    auto got = inc.commit();
+    auto expected = oracle.commit();
+    EXPECT_EQ(got.ok(), expected.ok());
+    if (got.ok() && expected.ok()) {
+      EXPECT_EQ(verify::delta_mismatch(got.value(), expected.value()), "");
+      if (want) *want = expected.value();
+    }
+    return got;
+  }
+
+  IncrementalCompiler inc;
+  IncrementalCompiler oracle;
+};
+
+compiler::CompileOptions exact_first_opts() {
+  compiler::CompileOptions opts;
+  opts.order = bdd::OrderHeuristic::kExactFirst;
+  return opts;
+}
+
+// Installs a delta: the ops, or the full image when they cannot express it.
+void install(switchsim::Switch& sw, const Delta& d,
+             const table::Pipeline& image) {
+  if (d.requires_reprogram) {
+    sw.reprogram(image);
+  } else {
+    auto applied = sw.apply_delta(d.ops);
+    ASSERT_TRUE(applied.ok()) << applied.error().to_string();
+  }
+}
+
+// Whether two programs hold the same stages, entries in the same order,
+// leaf entries and multicast groups: what serialize_pipeline writes,
+// compared without the text.
+bool same_program(const table::Pipeline& a, const table::Pipeline& b) {
+  auto same_stages = [](const std::vector<table::Table>& x,
+                        const std::vector<table::Table>& y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                      [](const table::Table& s, const table::Table& t) {
+                        return s.name() == t.name() && s.kind() == t.kind() &&
+                               s.width_bits() == t.width_bits() &&
+                               s.entries() == t.entries();
+                      });
+  };
+  const auto& la = a.leaf.entries();
+  const auto& lb = b.leaf.entries();
+  if (a.initial_state != b.initial_state ||
+      !same_stages(a.value_maps, b.value_maps) ||
+      !same_stages(a.tables, b.tables) || la.size() != lb.size() ||
+      a.mcast.size() != b.mcast.size())
+    return false;
+  for (std::size_t i = 0; i < la.size(); ++i)
+    if (la[i].state != lb[i].state || *la[i].actions != *lb[i].actions ||
+        la[i].mcast_group != lb[i].mcast_group)
+      return false;
+  for (std::uint32_t g = 0; g < a.mcast.size(); ++g)
+    if (a.mcast.ports(g) != b.mcast.ports(g)) return false;
+  return true;
+}
+
+// The BENCH_churn op stream (2,000 base subscriptions over 100 symbols
+// and 200 hosts, 500 ops, symbol stage first). After every commit, the
+// switch that applied the emitted ops, the switch that applied the
+// oracle's and the compiler's own program are the same program; at the
+// end they serialize to the same bytes.
+TEST(IncrementalDelta, ChurnStreamMatchesTheRegeneratingOracle) {
+  const auto schema = spec::make_itch_schema();
+  workload::ChurnParams cp;
+  cp.seed = 20260806;
+  cp.subs.seed = cp.seed ^ 0x5eedULL;
+  cp.subs.n_subscriptions = 2000;
+  cp.subs.n_symbols = 100;
+  cp.subs.n_hosts = 200;
+  workload::ChurnGenerator churn(schema, cp);
+  DeltaPair pair(schema, exact_first_opts());
+  std::map<std::size_t, IncrementalCompiler::SubscriptionId> ids;
+  for (std::size_t slot = 0; slot < churn.base().size(); ++slot)
+    ids[slot] = pair.add(churn.base()[slot]);
+  ASSERT_TRUE(pair.commit().ok());
+  switchsim::Switch sw(schema, *pair.inc.pipeline().value());
+  switchsim::Switch sw_oracle(schema, *pair.oracle.pipeline().value());
+
+  std::size_t regenerated = 0, live = 0;
+  for (int i = 0; i < 500; ++i) {
+    SCOPED_TRACE("op " + std::to_string(i));
+    auto op = churn.next();
+    if (op.subscribe) {
+      ids[op.slot] = pair.add(op.rule);
+    } else {
+      pair.remove(ids.at(op.slot));
+      ids.erase(op.slot);
+    }
+    Delta want;
+    auto got = pair.commit(&want);
+    ASSERT_TRUE(got.ok()) << got.error().to_string();
+    if (HasFailure()) return;
+    install(sw, got.value(), *pair.inc.pipeline().value());
+    install(sw_oracle, want, *pair.oracle.pipeline().value());
+    ASSERT_TRUE(same_program(*sw.pipeline_snapshot(),
+                             *sw_oracle.pipeline_snapshot()));
+    ASSERT_TRUE(
+        same_program(*sw.pipeline_snapshot(), *pair.inc.pipeline().value()));
+    regenerated += got.value().stats.tablegen.in_nodes_regenerated;
+    live += got.value().stats.tablegen.in_nodes;
+  }
+  const std::string image = table::serialize_pipeline(*sw.pipeline_snapshot());
+  EXPECT_EQ(image, table::serialize_pipeline(*sw_oracle.pipeline_snapshot()));
+  EXPECT_EQ(image, table::serialize_pipeline(*pair.inc.pipeline().value()));
+  // Commits cost what they change: the stream regenerates a few In nodes
+  // per commit of the ~50 the program holds.
+  EXPECT_LT(regenerated * 10, live);
+}
+
+// An unsubscribe replaces its symbol's price In node; resubscribing the
+// identical rule brings the departed node back with its old state id, and
+// its entries return as adds.
+TEST(IncrementalDelta, ResubscribedRuleReturnsWithItsOldState) {
+  const auto schema = spec::make_itch_schema();
+  DeltaPair pair(schema, exact_first_opts());
+  pair.add(schema, "stock == GOOGL and price > 10 : fwd(1)");
+  const auto id = pair.add(schema, "stock == GOOGL and price > 20 : fwd(2)");
+  pair.add(schema, "stock == MSFT and price > 5 : fwd(3)");
+  ASSERT_TRUE(pair.commit().ok());
+
+  pair.remove(id);
+  auto removed = pair.commit();
+  ASSERT_TRUE(removed.ok());
+  std::set<table::StateId> departed;
+  for (const table::EntryOp& op : removed.value().ops)
+    if (op.kind == table::EntryOp::Kind::kRemove && !op.is_leaf() &&
+        op.state != table::kInitialState)
+      departed.insert(op.state);
+  ASSERT_FALSE(departed.empty());
+
+  pair.add(schema, "stock == GOOGL and price > 20 : fwd(2)");
+  auto back = pair.commit();
+  ASSERT_TRUE(back.ok());
+  std::set<table::StateId> returned;
+  for (const table::EntryOp& op : back.value().ops)
+    if (op.kind == table::EntryOp::Kind::kAdd && !op.is_leaf() &&
+        op.state != table::kInitialState)
+      returned.insert(op.state);
+  EXPECT_EQ(returned, departed);
+}
+
+// A commit whose output was rejected downstream is rolled back with
+// restore_installed: the next commit diffs against the restored base, and
+// the one after emits its delta again.
+TEST(IncrementalDelta, CommitAfterRestoreDiffsTheRestoredBase) {
+  const auto schema = spec::make_itch_schema();
+  DeltaPair pair(schema, exact_first_opts());
+  pair.add(schema, "stock == GOOGL and price > 10 : fwd(1)");
+  pair.add(schema, "stock == MSFT : fwd(2)");
+  ASSERT_TRUE(pair.commit().ok());
+  const table::Pipeline accepted = *pair.inc.pipeline().value();
+  const table::Pipeline oracle_accepted = *pair.oracle.pipeline().value();
+
+  pair.add(schema, "stock == AAPL and price < 50 : fwd(3)");
+  ASSERT_TRUE(pair.commit().ok());
+  pair.inc.restore_installed(accepted);
+  pair.oracle.restore_installed(oracle_accepted);
+
+  pair.add(schema, "stock == GOOGL and price > 30 : fwd(4)");
+  auto next = pair.commit();
+  ASSERT_TRUE(next.ok());
+  table::Pipeline patched = accepted;
+  ASSERT_TRUE(table::apply_ops(patched, next.value().ops).ok());
+  EXPECT_EQ(table::pipeline_digest(patched),
+            table::pipeline_digest(*pair.inc.pipeline().value()));
+
+  pair.add(schema, "stock == IBM : fwd(5)");
+  ASSERT_TRUE(pair.commit().ok());
+}
+
+// A rule that fails to flatten fails its commit before the union; the
+// next commit still emits its delta against the last accepted program.
+TEST(IncrementalDelta, CommitAfterAFailedFlatten) {
+  const auto schema = spec::make_itch_schema();
+  compiler::CompileOptions opts = exact_first_opts();
+  opts.max_dnf_terms = 4;
+  DeltaPair pair(schema, opts);
+  pair.add(schema, "stock == GOOGL and price > 10 : fwd(1)");
+  pair.add(schema, "stock == MSFT : fwd(2)");
+  ASSERT_TRUE(pair.commit().ok());
+
+  const auto wide = pair.add(
+      schema,
+      "(shares == 1 or shares == 2 or shares == 3) and "
+      "(price == 1 or price == 2) : fwd(3)");
+  EXPECT_FALSE(pair.commit().ok());
+  pair.remove(wide);
+  pair.add(schema, "stock == GOOGL and price > 40 : fwd(4)");
+  auto next = pair.commit();
+  ASSERT_TRUE(next.ok()) << next.error().to_string();
+  EXPECT_FALSE(next.value().requires_reprogram);
+  EXPECT_FALSE(next.value().ops.empty());
+}
+
+// Removing every subscription makes the root a terminal, which moves the
+// initial state: a reprogram, and another when subscriptions return.
+TEST(IncrementalDelta, RemovingEverySubscriptionReprograms) {
+  const auto schema = spec::make_itch_schema();
+  DeltaPair pair(schema, exact_first_opts());
+  const auto a = pair.add(schema, "stock == GOOGL and price > 10 : fwd(1)");
+  const auto b = pair.add(schema, "stock == MSFT : fwd(2)");
+  ASSERT_TRUE(pair.commit().ok());
+  pair.remove(a);
+  pair.remove(b);
+  auto none = pair.commit();
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none.value().requires_reprogram);
+  pair.add(schema, "stock == IBM : fwd(3)");
+  auto again = pair.commit();
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again.value().requires_reprogram);
+  pair.add(schema, "stock == IBM and price > 7 : fwd(4)");
+  auto then = pair.commit();
+  ASSERT_TRUE(then.ok());
+  EXPECT_FALSE(then.value().requires_reprogram);
+}
+
+// Domain compression's value-map codes are global per field, so its
+// commits regenerate every table; the deltas still equal the oracle's.
+TEST(IncrementalDelta, DomainCompressionRegenerates) {
+  const auto schema = spec::make_itch_schema();
+  compiler::CompileOptions opts = exact_first_opts();
+  opts.domain_compression = true;
+  opts.compression_min_entries = 2;
+  DeltaPair pair(schema, opts);
+  workload::ItchSubsParams p;
+  p.seed = 4;
+  p.n_subscriptions = 60;
+  p.n_symbols = 6;
+  p.n_hosts = 10;
+  const auto rules = workload::generate_itch_subscriptions(schema, p).rules;
+  std::vector<IncrementalCompiler::SubscriptionId> ids;
+  for (std::size_t k = 0; k < 40; ++k) ids.push_back(pair.add(rules[k]));
+  auto first = pair.commit();
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.value().stats.tablegen.in_nodes_regenerated,
+            first.value().stats.tablegen.in_nodes);
+  for (std::size_t k = 0; k < 10; ++k) {
+    pair.remove(ids[k]);
+    pair.add(rules[40 + k]);
+    auto d = pair.commit();
+    ASSERT_TRUE(d.ok());
+    EXPECT_EQ(d.value().stats.tablegen.in_nodes_regenerated,
+              d.value().stats.tablegen.in_nodes);
+  }
+}
+
+// Entry ops never change a stage's match kind, so a commit that turns an
+// exact table into a range table (its first range entry) requires a
+// reprogram; after it, the switch runs the compiler's kinds and emits the
+// compiler's P4.
+TEST(IncrementalDelta, MatchKindFlipRequiresReprogram) {
+  const auto schema = spec::make_itch_schema();
+  DeltaPair pair(schema, {});
+  pair.add(schema, "stock == GOOGL and price == 5 : fwd(1)");
+  ASSERT_TRUE(pair.commit().ok());
+  const table::Table* price =
+      pair.inc.pipeline().value()->find_table("add_order.price");
+  ASSERT_NE(price, nullptr);
+  EXPECT_EQ(price->kind(), table::MatchKind::kExact);
+  switchsim::Switch sw(schema, *pair.inc.pipeline().value());
+
+  pair.add(schema, "stock == GOOGL and price > 10 : fwd(2)");
+  auto flip = pair.commit();
+  ASSERT_TRUE(flip.ok());
+  EXPECT_TRUE(flip.value().requires_reprogram);
+  install(sw, flip.value(), *pair.inc.pipeline().value());
+  const auto running = sw.pipeline_snapshot();
+  const table::Pipeline& want = *pair.inc.pipeline().value();
+  ASSERT_EQ(running->tables.size(), want.tables.size());
+  for (std::size_t i = 0; i < want.tables.size(); ++i)
+    EXPECT_EQ(running->tables[i].kind(), want.tables[i].kind())
+        << want.tables[i].name();
+  EXPECT_EQ(want.find_table("add_order.price")->kind(),
+            table::MatchKind::kRange);
+  EXPECT_EQ(compiler::generate_p4(schema, running.get()),
+            compiler::generate_p4(schema, &want));
+
+  // The kind is part of the layout for any diff, not just the compiler's.
+  table::Pipeline retyped = want;
+  retyped.tables.back() =
+      table::Table(want.tables.back().name(), want.tables.back().subject(),
+                   table::MatchKind::kTernary,
+                   want.tables.back().width_bits());
+  for (const table::Entry& e : want.tables.back().entries())
+    retyped.tables.back().add_entry(e);
+  EXPECT_TRUE(table::diff_pipelines(&want, retyped).requires_reprogram);
+  EXPECT_FALSE(table::diff_pipelines(&want, want).requires_reprogram);
 }
 
 // --- Partition-fallback diagnostic (I130) ---------------------------------

@@ -1,8 +1,9 @@
 // Byte-pinned outputs of the control plane: the delta wire format, the
 // serialized pipeline image, both P4 dialects and the deterministic part of
 // the compile telemetry, on a cold compile and on a churn episode. The
-// digests were recorded before leaf action sets became shared, immutable
-// objects; a representation change that alters a single byte fails here.
+// image digests were recorded before leaf action sets became shared,
+// immutable objects; a representation change that alters a single byte
+// fails here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -79,7 +80,7 @@ TEST(PinnedOutput, ColdCompileImages) {
   EXPECT_EQ(hex_digest(compiler::generate_p4_14(schema, &pipe)),
             "80f87bcfc10e20c3");
   EXPECT_EQ(hex_digest(deterministic_json(c.value().stats)),
-            "2dd4e0e3199f0b03");
+            "088e0ee390e4cadc");
 }
 
 // 20 churn deltas, committed by the incremental compiler and installed as
@@ -132,8 +133,9 @@ TEST(PinnedOutput, ChurnEpisodeImages) {
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
   EXPECT_EQ(table::serialize_ops(parsed.value()), first_unsubscribe_wire);
 
-  // The switch's program was patched by ops; the compiler's diff base was
-  // generated whole. Their images differ in entry order and group ids.
+  // The switch's program was patched by ops, and so was the compiler's
+  // diff base: the two images are equal, entry order and group ids
+  // included.
   const auto running = sw.pipeline_snapshot();
   EXPECT_EQ(hex_digest(table::serialize_pipeline(*running)),
             "a2c9f80ca658428e");
@@ -141,9 +143,9 @@ TEST(PinnedOutput, ChurnEpisodeImages) {
             "e5be6405f9087ed3");
   EXPECT_EQ(hex_digest(compiler::generate_p4_14(schema, running.get())),
             "323006ea3e47dd4c");
-  EXPECT_EQ(hex_digest(table::serialize_pipeline(*inc.pipeline().value())),
-            "80daab99d2bed98e");
-  EXPECT_EQ(hex_digest(stats_json), "3f0c958586446c33");
+  EXPECT_EQ(table::serialize_pipeline(*inc.pipeline().value()),
+            table::serialize_pipeline(*running));
+  EXPECT_EQ(hex_digest(stats_json), "c8d31f47df2b3c92");
 }
 
 }  // namespace
