@@ -26,8 +26,9 @@
 // (canonical shard stitch order), so the committed BENCH_compile.json
 // digest pins the exact table layout CI must reproduce.
 //
-// Flags: --quick (2K/20K), --full (adds 10^6), --threads N (0 = hw),
-// --json, --out FILE, --gate-seconds S, --gate-rss-mb M, --gate-ratio R.
+// Flags: --quick (2K/20K), --full (adds 10^6), --threads N (workers of
+// the partitioned compile; 0 = hw), --json, --out FILE, --gate-seconds S,
+// --gate-rss-mb M, --gate-ratio R.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>

@@ -23,9 +23,10 @@
 //     must fit strictly below the single-switch budget for the same set;
 //   * the largest scale must serve >= 10x the baseline subscriber count.
 //
-// Compiles run with threads=1, so the emitted fabric_digest at 10x is
-// deterministic and the committed BENCH_fabric.json pins the exact node
-// programs a --quick CI run must reproduce.
+// Every compile gives the same program at any thread count, so the
+// emitted fabric_digest at 10x is deterministic and the committed
+// BENCH_fabric.json pins the exact node programs a --quick CI run must
+// reproduce.
 //
 // Flags: --quick, --json, --out FILE, --baseline N, --probes N.
 #include <algorithm>
@@ -208,7 +209,6 @@ int main(int argc, char** argv) {
   // layout that compiles this symbol-heavy workload monolithically.
   copts.partition = compiler::PartitionMode::kForce;
   copts.intern_entries = true;
-  copts.threads = 1;  // deterministic digests for the committed bench
   // Symbol-first variable order: matches the partitioned layout's
   // dispatch-first stage sequence (the equivalence co-traversal walks the
   // reference order) and keeps the union MTBDD symbol-partitioned instead

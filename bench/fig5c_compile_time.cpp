@@ -8,12 +8,12 @@
 // (this is a C++ implementation); the reproduced claims are the
 // superlinear-but-tractable growth and the entry/group counts.
 //
-// Flags: --quick (small sizes), --threads N (parallel sharded compile;
-// 0 = hardware concurrency), --json FILE (write one compile-stats JSON
+// Flags: --quick (small sizes), --json FILE (write one compile-stats JSON
 // object per size, newline-delimited; "-" for stderr). The stdout table is
-// unchanged by either flag so existing tooling keeps parsing it.
+// unchanged by either flag so existing tooling keeps parsing it. The
+// compile is the serial monolithic one; bench/compile_scale runs the
+// partitioned layout on a worker pool.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <string_view>
 
@@ -28,19 +28,16 @@ using namespace camus;
 
 int main(int argc, char** argv) {
   bool quick = false;
-  std::size_t threads = 1;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--quick") {
       quick = true;
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--quick] [--threads N] [--json FILE|-]\n",
+                   "usage: %s [--quick] [--json FILE|-]\n",
                    argv[0]);
       return 2;
     }
@@ -78,10 +75,8 @@ int main(int argc, char** argv) {
     p.price_max = 1000;
     auto subs = workload::generate_itch_subscriptions(schema, p);
 
-    compiler::CompileOptions opts;
-    opts.threads = threads;
     util::Timer t;
-    auto c = compiler::compile_rules(schema, subs.rules, opts);
+    auto c = compiler::compile_rules(schema, subs.rules);
     const double secs = t.seconds();
     if (!c.ok()) {
       std::fprintf(stderr, "compile failed: %s\n",

@@ -6,11 +6,10 @@
 // symbol space. Under broadcast + host filtering every server pays the
 // full feed rate regardless of N; with switch filtering each server only
 // receives its slice, so per-server load FALLS as servers are added.
-// Flags: --quick (shorter feed), --threads N (parallel sharded compile),
-// --json FILE (one compile-stats JSON object per host count,
-// newline-delimited; "-" for stderr). Stdout is unchanged by either flag.
+// Flags: --quick (shorter feed), --json FILE (one compile-stats JSON
+// object per host count, newline-delimited; "-" for stderr). Stdout is
+// unchanged by either flag.
 #include <cstdio>
-#include <cstdlib>
 
 #include <string>
 
@@ -24,19 +23,16 @@ using namespace camus;
 
 int main(int argc, char** argv) {
   bool quick = false;
-  std::size_t threads = 1;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--quick") {
       quick = true;
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--quick] [--threads N] [--json FILE|-]\n",
+                   "usage: %s [--quick] [--json FILE|-]\n",
                    argv[0]);
       return 2;
     }
@@ -95,9 +91,7 @@ int main(int argc, char** argv) {
     const auto base = netsim::run_experiment(mp, bcast, feed);
 
     // Camus: compiled per-host subscriptions.
-    compiler::CompileOptions copts;
-    copts.threads = threads;
-    auto compiled = compiler::compile_source(schema, rules, copts);
+    auto compiled = compiler::compile_source(schema, rules);
     if (!compiled.ok()) return 1;
     if (json_out)
       std::fprintf(json_out, "%s\n", compiled.value().stats.to_json().c_str());

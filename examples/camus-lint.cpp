@@ -19,7 +19,6 @@
 //   --mutate K           corrupt one table entry (index seed K) after
 //                        compiling — the equivalence checker must catch it
 //   --compress           compile with domain compression (value maps)
-//   --threads N          parallel sharded compilation
 //   --max-pairs N        pair budget for subsumption + equivalence
 //   --budget-sram N      per-stage SRAM entry budget
 //   --budget-tcam N      per-stage TCAM entry budget
@@ -50,9 +49,9 @@ int usage() {
          "                  [--json FILE|-] [--quiet] [--warnings-as-errors]\n"
          "                  [--no-bdd] [--no-overlaps] [--no-coverage]\n"
          "                  [--no-equivalence] [--mutate K] [--compress]\n"
-         "                  [--threads N] [--max-pairs N] [--budget-sram N]\n"
-         "                  [--budget-tcam N] [--budget-stages N] "
-         "[--budget-mcast N]\n";
+         "                  [--max-pairs N] [--budget-sram N] "
+         "[--budget-tcam N]\n"
+         "                  [--budget-stages N] [--budget-mcast N]\n";
   return 2;
 }
 
@@ -93,7 +92,6 @@ int main(int argc, char** argv) {
   std::size_t itch_n = 0;
   bool quiet = false, warnings_as_errors = false, compress = false;
   std::optional<std::size_t> mutate_seed;
-  std::size_t threads = 1;
   verify::VerifyOptions vopts;
 
   for (int i = 1; i < argc; ++i) {
@@ -140,9 +138,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--mutate") {
       if (!next_u64(n)) return usage();
       mutate_seed = n;
-    } else if (arg == "--threads") {
-      if (!next_u64(n)) return usage();
-      threads = n;
     } else if (arg == "--max-pairs") {
       if (!next_u64(n)) return usage();
       vopts.subscriptions.max_pairs = n;
@@ -216,7 +211,6 @@ int main(int argc, char** argv) {
   }
 
   compiler::CompileOptions copts;
-  copts.threads = threads;
   copts.domain_compression = compress;
   auto compiled = compiler::compile_rules(schema, rules, copts);
   if (!compiled.ok()) {

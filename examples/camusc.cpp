@@ -18,7 +18,8 @@
 //   --emit-drop        emit explicit drop entries
 //   --stats            print compile statistics
 //   --stats-json FILE  write the compile-stats JSON profile ("-" = stdout)
-//   --threads N        parallel sharded compilation (0 = hardware threads)
+//   --threads N        workers of the partitioned compile (0 = hardware
+//                      threads); the program is the same at every count
 //   --partition M      partitioned compilation: auto | force | off.
 //                      Shards the rule set by its dominant exact-match
 //                      attribute, compiles each shard independently, and

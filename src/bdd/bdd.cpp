@@ -13,18 +13,6 @@ using lang::Conjunction;
 using lang::FlatRule;
 using util::IntervalSet;
 
-void CacheStats::accumulate(const CacheStats& other) {
-  unique_nodes += other.unique_nodes;
-  terminals += other.terminals;
-  vars += other.vars;
-  unite_probes += other.unite_probes;
-  unite_hits += other.unite_hits;
-  unite_res_probes += other.unite_res_probes;
-  unite_res_hits += other.unite_res_hits;
-  split_probes += other.split_probes;
-  split_hits += other.split_hits;
-}
-
 double CacheStats::memo_hit_rate() const noexcept {
   const std::uint64_t probes = unite_probes + unite_res_probes;
   if (probes == 0) return 0;
@@ -71,10 +59,6 @@ NodeRef BddManager::terminal(ActionSet&& actions) {
   return intern_terminal(actions, [&] {
     return std::make_shared<const ActionSet>(std::move(actions));
   });
-}
-
-NodeRef BddManager::terminal(const lang::ActionSetPtr& actions) {
-  return intern_terminal(*actions, [&] { return actions; });
 }
 
 const lang::ActionSetPtr& BddManager::terminal_set(NodeRef t) const {
@@ -318,39 +302,6 @@ NodeRef BddManager::prune(NodeRef root) {
   if (root.is_terminal()) return root;
   const std::size_t rank = order_.rank(subject_of(root));
   return unite_res(drop(), root, rank, full_set_id(rank));
-}
-
-NodeRef BddManager::import(const BddManager& src, NodeRef root) {
-  if (this == &src) return root;
-  // Iterative post-order copy: a node is emitted once both its children
-  // have destination refs. Memoized on the source ref, so shared subgraphs
-  // are copied once and DAG size (not path count) bounds the work.
-  std::unordered_map<std::uint32_t, NodeRef> memo;  // src raw -> dst ref
-  std::vector<NodeRef> stack{root};
-  while (!stack.empty()) {
-    const NodeRef r = stack.back();
-    if (memo.count(r.raw())) {
-      stack.pop_back();
-      continue;
-    }
-    if (r.is_terminal()) {
-      memo.emplace(r.raw(), terminal(src.terminal_set(r)));
-      stack.pop_back();
-      continue;
-    }
-    const Node& n = src.node(r);
-    const auto lo_it = memo.find(n.lo.raw());
-    const auto hi_it = memo.find(n.hi.raw());
-    if (lo_it != memo.end() && hi_it != memo.end()) {
-      memo.emplace(r.raw(), mk(var_for(src.var_pred(n.var)), lo_it->second,
-                               hi_it->second));
-      stack.pop_back();
-    } else {
-      if (hi_it == memo.end()) stack.push_back(n.hi);
-      if (lo_it == memo.end()) stack.push_back(n.lo);
-    }
-  }
-  return memo.at(root.raw());
 }
 
 const ActionSet& BddManager::evaluate(NodeRef root,

@@ -72,8 +72,7 @@ struct BddStats {
 };
 
 // Unique-table and memo-cache telemetry (compile-phase profiling). Probes
-// and hits are lifetime totals; accumulate() folds worker-manager stats
-// into the master's for the sharded parallel compile path.
+// and hits are lifetime totals.
 struct CacheStats {
   std::size_t unique_nodes = 0;   // hash-consed node table size
   std::size_t terminals = 0;      // distinct terminal ActionSets
@@ -84,8 +83,6 @@ struct CacheStats {
   std::uint64_t unite_res_hits = 0;
   std::uint64_t split_probes = 0;      // residual split memo
   std::uint64_t split_hits = 0;
-
-  void accumulate(const CacheStats& other);
 
   // Hit rate over both union memos (the compile hot path); 0 when unused.
   double memo_hit_rate() const noexcept;
@@ -107,12 +104,10 @@ class BddManager {
 
   // --- terminals -------------------------------------------------------
   // Each distinct set is stored once, as an immutable shared object that
-  // every table generated from this manager references. The set overload
-  // copies (or moves) the set in when it is new; the pointer overload
-  // shares it (another manager's terminal, on import).
+  // every table generated from this manager references; a new set is
+  // copied (or moved) in.
   NodeRef terminal(const ActionSet& actions);
   NodeRef terminal(ActionSet&& actions);
-  NodeRef terminal(const lang::ActionSetPtr& actions);
   NodeRef drop() const { return NodeRef::terminal(0); }
   const ActionSet& terminal_actions(NodeRef t) const {
     return *terminal_set(t);
@@ -162,13 +157,6 @@ class BddManager {
   // ancestor constraints on the same subject. Equivalent to unite(drop(),
   // root, semantic=true). Used directly by the ablation benchmarks.
   NodeRef prune(NodeRef root);
-
-  // Copies the subgraph rooted at `root` in `src` into this manager,
-  // re-interning variables and terminals (hash-consing deduplicates
-  // against existing nodes). Both managers must use the same subject
-  // order; this is how the parallel compiler merges per-thread shard BDDs
-  // into the master manager.
-  NodeRef import(const BddManager& src, NodeRef root);
 
   // --- queries ---------------------------------------------------------
   const ActionSet& evaluate(NodeRef root, const lang::Env& env) const;

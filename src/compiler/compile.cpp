@@ -4,7 +4,6 @@
 
 #include "compiler/compress.hpp"
 #include "compiler/field_order.hpp"
-#include "compiler/parallel.hpp"
 #include "compiler/partition.hpp"
 #include "lang/dnf.hpp"
 #include "lang/parser.hpp"
@@ -167,39 +166,22 @@ Result<Compiled> compile_rules(const spec::Schema& schema,
 
   // 2+3. Build one BDD per rule under the chosen variable order and union
   // them all (overlapping rules merge their ActionSets at the terminals).
-  // With opts.threads > 1 this runs as the sharded parallel pipeline:
-  // rules partitioned by the top partition field, per-thread BddManagers,
-  // shard roots merged into the master manager by pairwise union.
+  // This path is serial at every opts.threads, so the program is a
+  // function of the rules and options alone.
   bdd::VarOrder order = choose_order(schema, flat.value(), opts.order);
   out.manager = std::make_shared<bdd::BddManager>(std::move(order),
                                                   bdd::DomainMap(schema));
   bdd::BddManager& mgr = *out.manager;
 
-  ShardPlan plan;
-  if (const std::size_t threads = resolve_threads(opts.threads); threads > 1)
-    plan = plan_shards(flat.value(), mgr.order(), threads);
+  t.reset();
+  std::vector<bdd::NodeRef> roots;
+  roots.reserve(flat.value().size());
+  for (const auto& r : flat.value()) roots.push_back(mgr.build_rule(r));
+  out.stats.t_build = t.seconds();
 
-  if (plan.shards.size() > 1) {
-    auto built =
-        build_sharded(mgr, flat.value(), plan, opts.semantic_prune);
-    if (!built.ok()) return built.error();
-    out.root = built.value().root;
-    out.stats.threads_used = plan.shards.size();
-    out.stats.shards = std::move(built.value().shards);
-    out.stats.cache = built.value().worker_cache;  // master added below
-    out.stats.t_build = built.value().t_build;
-    out.stats.t_union = built.value().t_merge;
-  } else {
-    t.reset();
-    std::vector<bdd::NodeRef> roots;
-    roots.reserve(flat.value().size());
-    for (const auto& r : flat.value()) roots.push_back(mgr.build_rule(r));
-    out.stats.t_build = t.seconds();
-
-    t.reset();
-    out.root = mgr.unite_all(std::move(roots), opts.semantic_prune);
-    out.stats.t_union = t.seconds();
-  }
+  t.reset();
+  out.root = mgr.unite_all(std::move(roots), opts.semantic_prune);
+  out.stats.t_union = t.seconds();
   out.stats.bdd_before_prune = mgr.stats(out.root);
   out.stats.mem.rss_after_build = util::current_rss_bytes();
 
@@ -229,7 +211,7 @@ Result<Compiled> compile_rules(const spec::Schema& schema,
   if (opts.domain_compression) compress_domains(out.pipeline, opts);
   out.stats.t_tables = t.seconds();
 
-  out.stats.cache.accumulate(mgr.cache_stats());
+  out.stats.cache = mgr.cache_stats();
   out.stats.total_entries = out.pipeline.total_entries();
   out.stats.multicast_groups = out.pipeline.mcast.size();
   out.stats.mem.rss_after_tables = util::current_rss_bytes();

@@ -18,11 +18,11 @@
 
 namespace camus::compiler {
 
-// Telemetry for one shard of the parallel compilation pipeline.
+// Telemetry for one shard of the partitioned compile (partition.*).
 struct ShardStats {
   std::size_t rules = 0;      // flat rules assigned to this shard
   std::size_t bdd_nodes = 0;  // shard-local manager node-table size
-  double t_seconds = 0;       // shard build+union wall time on its worker
+  double t_seconds = 0;       // shard compile wall time on its worker
   std::size_t manager_bytes = 0;  // shard manager arena footprint
 };
 
@@ -48,16 +48,18 @@ struct CompileStats {
 
   bdd::BddStats bdd_before_prune;
   bdd::BddStats bdd_after_prune;
-  // Unique-table sizes and memo probe/hit totals, summed over the master
-  // manager and (on the parallel path) every worker manager.
+  // Unique-table sizes and memo probe/hit totals of the compile's BDD
+  // manager; on the partitioned path, of the reference manager when
+  // partition_reference builds one (zero otherwise).
   bdd::CacheStats cache;
   TableGenStats tablegen;
 
   std::uint64_t total_entries = 0;
   std::size_t multicast_groups = 0;
 
-  // Parallel sharded path: number of workers actually used and per-shard
-  // telemetry. threads_used == 1 and shards empty on the serial path.
+  // Partitioned path: number of workers actually used and per-shard
+  // telemetry. A monolithic compile is serial: threads_used == 1 and
+  // shards empty.
   std::size_t threads_used = 1;
   std::vector<ShardStats> shards;
 
@@ -83,13 +85,11 @@ struct CompileStats {
   // platforms without a measurement).
   MemStats mem;
 
-  // Wall-clock breakdown in seconds. On the parallel path t_build covers
-  // the concurrent shard phase and t_union the import + pairwise merge
-  // into the master manager. On the partitioned path t_build covers the
-  // concurrent per-shard compiles (build+union+prune+tables inside each
-  // shard), t_stitch the deterministic merge, t_tables the post-stitch
-  // rewrites (interning, domain compression), and t_union the optional
-  // reference-MTBDD build (partition_reference).
+  // Wall-clock breakdown in seconds. On the partitioned path t_build
+  // covers the concurrent per-shard compiles (build+union+prune+tables
+  // inside each shard), t_stitch the deterministic merge, t_tables the
+  // post-stitch rewrites (interning, domain compression), and t_union the
+  // optional reference-MTBDD build (partition_reference).
   double t_flatten = 0;
   double t_build = 0;
   double t_union = 0;
@@ -100,7 +100,7 @@ struct CompileStats {
   std::string to_string() const;
 
   // Machine-readable profile (parse with util::json). Stable key schema —
-  // see DESIGN.md "Parallel compilation & telemetry".
+  // see DESIGN.md "Compile sharding & telemetry".
   std::string to_json() const;
 };
 
@@ -117,7 +117,11 @@ struct Compiled {
   bdd::NodeRef root;
 };
 
-// Compiles already-bound rules.
+// Compiles already-bound rules. A monolithic compile runs on the calling
+// thread; a partitioned one (opts.partition) compiles its shards on
+// opts.threads workers. Either way the program depends only on the rules
+// and the options other than threads: it is byte-identical at every
+// thread count.
 util::Result<Compiled> compile_rules(const spec::Schema& schema,
                                      const std::vector<lang::BoundRule>& rules,
                                      const CompileOptions& opts = {});

@@ -238,7 +238,6 @@ void FabricProgram::seal() {
 
 CompileOptions spine_compile_options(CompileOptions opts) {
   opts.partition = PartitionMode::kOff;
-  opts.threads = 1;
   return opts;
 }
 

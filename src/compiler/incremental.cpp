@@ -252,11 +252,12 @@ Result<IncrementalCompiler::Delta> IncrementalCompiler::commit() {
 }
 
 void IncrementalCompiler::pin_root(bdd::NodeRef root) {
-  // Pin the (non-terminal) root to the initial state id. The root node
-  // changes on almost every commit, but its role — "pipeline entry" — does
-  // not; without pinning, every first-table entry would be renumbered and
-  // show up as churn.
-  if (root.is_terminal()) return;
+  // Pin the root to the initial state id. The root node changes on almost
+  // every commit, but its role — "pipeline entry" — does not; without
+  // pinning, every first-table entry would be renumbered and show up as
+  // churn. A terminal root is pinned too: it gives state 0 up when another
+  // root takes it, so a packet that misses the new root's stage cannot
+  // end at the old terminal's leaf entry.
   if (pinned_root_raw_ && *pinned_root_raw_ != root.raw())
     states_.ids.erase(*pinned_root_raw_);
   states_.ids.insert_or_assign(root.raw(), table::kInitialState);

@@ -48,16 +48,11 @@ struct CompileOptions {
   // compressing tiny tables adds a stage for no TCAM win.
   std::size_t compression_min_entries = 8;
 
-  // Worker threads for the sharded compilation pipeline. <= 1 compiles on
-  // the calling thread (the reference serial path); 0 is reserved for
-  // "auto" and is resolved to std::thread::hardware_concurrency() by
-  // compile_rules(). With N > 1, bound rules are partitioned by the top
-  // partition field (the first subject of the variable order — message
-  // type in the paper's §3 pipeline split), each shard's MTBDD is built on
-  // a worker with a private BddManager, and the shard roots are merged
-  // into the master manager via a pairwise union reduction. The parallel
-  // path is semantically identical to the serial one (differential-tested
-  // on switchsim); state numbering and table layout may differ.
+  // Workers of the partitioned compile (partition below): each compiles
+  // whole shards with a private BddManager. 0 means one per hardware
+  // thread. It sets only the wall time: the stitched program is the same
+  // at every count. A monolithic compile always runs on the calling
+  // thread and ignores it.
   std::size_t threads = 1;
 
   // Partitioned compilation: shard the rule set by the dominant

@@ -8,7 +8,6 @@
 
 #include "compiler/compress.hpp"
 #include "compiler/field_order.hpp"
-#include "compiler/parallel.hpp"
 #include "util/mem.hpp"
 #include "util/timer.hpp"
 
@@ -38,13 +37,15 @@ std::optional<std::uint64_t> point_constrained_value(const FlatRule& r,
   return v;
 }
 
-std::size_t rule_work(const FlatRule& r) {
-  std::size_t w = 0;
-  for (const auto& term : r.terms) w += 1 + term.constraints.size();
-  return w;
-}
-
 namespace {
+
+// CompileOptions::threads, with 0 resolved to the hardware concurrency
+// (1 if unknown).
+std::size_t resolve_threads(std::size_t requested) {
+  if (requested != 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw ? hw : 1;
+}
 
 // Restricts a rule that does not pin `subject` to the slice subject == v:
 // terms whose constraint excludes v are dropped; terms admitting v lose
@@ -123,7 +124,7 @@ PartitionPlan plan_partition(const std::vector<FlatRule>& rules,
   if (rules.empty()) return plan;
 
   // The dispatch attribute: the highest-ranked subject pinned by at least
-  // half the rules (same dominance criterion as plan_shards).
+  // half the rules.
   for (Subject s : order.subjects()) {
     std::size_t covered = 0;
     for (const auto& r : rules)
@@ -212,8 +213,7 @@ util::Result<Compiled> compile_partitioned(const spec::Schema& schema,
   if (!plan.catch_all.empty()) tasks.back().rules = &plan.catch_all;
 
   CompileOptions shard_opts = opts;
-  shard_opts.threads = 1;                    // no nested sharding
-  shard_opts.domain_compression = false;     // runs post-stitch, globally
+  shard_opts.domain_compression = false;  // runs post-stitch, globally
   shard_opts.partition = PartitionMode::kOff;
 
   std::atomic<std::size_t> next{0};
@@ -353,7 +353,7 @@ util::Result<Compiled> compile_partitioned(const spec::Schema& schema,
     out.stats.t_union = ref_timer.seconds();
     out.stats.bdd_before_prune = out.manager->stats(out.root);
     out.stats.bdd_after_prune = out.stats.bdd_before_prune;
-    out.stats.cache.accumulate(out.manager->cache_stats());
+    out.stats.cache = out.manager->cache_stats();
   }
 
   // --- telemetry --------------------------------------------------------

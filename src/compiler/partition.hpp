@@ -1,14 +1,13 @@
-// Partitioned-output compilation (the compile-at-scale path).
+// Partitioned-output compilation (the compile-at-scale path), and the
+// only compile sharding: a monolithic compile is serial.
 //
-// The sharded pipeline in parallel.* parallelizes the *build* but still
-// unions every shard into one master MTBDD, so peak node count, union
-// time, and compile memory all scale with the whole rule set — at 10^6
-// subscriptions the final merge is >95% of compile time. This module goes
-// one step further: shard by the dominant point-constrained attribute
+// A monolithic compile unions every rule into one MTBDD, so peak node
+// count, union time, and compile memory all scale with the whole rule
+// set. This module shards by the dominant point-constrained attribute
 // (the stock symbol in the Fig-5 workloads; message type in the paper's
-// §3 split), compile every shard to an *independent sub-pipeline* with a
-// private BddManager and a private state range, and stitch the shards
-// behind a generated exact-match dispatch stage:
+// §3 split), compiles every shard to an *independent sub-pipeline* with a
+// private BddManager and a private state range on a worker pool, and
+// stitches the shards behind a generated exact-match dispatch stage:
 //
 //     (state 0, attr == v)  -> shard_v's initial state
 //     (state 0, *)          -> default shard's initial state
@@ -42,14 +41,9 @@ namespace camus::compiler {
 
 // The single value `s` is pinned to across every DNF term of the rule, or
 // nullopt when any term leaves it unconstrained, non-point, or terms
-// disagree. Shared by plan_shards (parallel.*) and plan_partition.
+// disagree.
 std::optional<std::uint64_t> point_constrained_value(const lang::FlatRule& r,
                                                      lang::Subject s);
-
-// Estimated compile work of one flat rule: 1 + constraint count, summed
-// over its DNF terms. plan_shards packs shards by this weight (LPT), so a
-// few high-predicate rules no longer hide behind a flat rule count.
-std::size_t rule_work(const lang::FlatRule& r);
 
 struct PartitionPlan {
   // Present when a usable partition attribute was found.
@@ -77,9 +71,10 @@ PartitionPlan plan_partition(const std::vector<lang::FlatRule>& rules,
 bool partition_applies(const PartitionPlan& plan, const CompileOptions& opts,
                        std::size_t n_rules);
 
-// Compiles the plan: shards in parallel (resolve_threads(opts.threads)
-// workers), deterministic stitch (canonical shard order by value, default
-// last — output is identical at every thread count), then optional
+// Compiles the plan: shards on min(opts.threads, shard count) workers (0
+// threads = one per hardware thread), deterministic stitch (canonical
+// shard order by value, default last — output is identical at every
+// thread count), then optional
 // intern_entries / compress_domains over the stitched pipeline. The
 // returned Compiled carries the monolithic reference MTBDD only when
 // opts.partition_reference is set; otherwise manager is null.

@@ -19,7 +19,6 @@ void Simulator::run(double until_us) {
     queue_.pop();
     now_ = ev.t;
     ev.cb();
-    ++processed_;
   }
 }
 

@@ -19,13 +19,9 @@ class Simulator {
 
   // Schedules a callback at absolute time t_us (>= now).
   void at(double t_us, Callback cb);
-  // Schedules after a delay from now.
-  void after(double delay_us, Callback cb) { at(now_ + delay_us, cb); }
 
   // Runs until the event queue is empty or now exceeds until_us.
   void run(double until_us = 1e18);
-
-  std::size_t events_processed() const noexcept { return processed_; }
 
  private:
   struct Event {
@@ -41,7 +37,6 @@ class Simulator {
 
   double now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::size_t processed_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
 };
 
@@ -59,8 +54,6 @@ class Link {
     busy_until_ = start + ser_us;
     return busy_until_ + prop_us_;
   }
-
-  void reset() { busy_until_ = 0; }
 
  private:
   double bits_per_us_;
@@ -96,16 +89,7 @@ class FifoServer {
     return busy_until_;
   }
 
-  double backlog_us(double t_us) const {
-    return busy_until_ > t_us ? busy_until_ - t_us : 0;
-  }
-
   std::uint64_t dropped() const noexcept { return dropped_; }
-
-  void reset() {
-    busy_until_ = 0;
-    dropped_ = 0;
-  }
 
  private:
   double service_us_;

@@ -11,6 +11,9 @@
 
 namespace camus::table {
 
+using textio::put_actions;
+using textio::put_match;
+using textio::put_u64;
 using util::Error;
 using util::Result;
 
@@ -21,15 +24,6 @@ const char* kind_name(EntryOp::Kind k) {
     case EntryOp::Kind::kAdd: return "add";
     case EntryOp::Kind::kRemove: return "del";
     case EntryOp::Kind::kModify: return "mod";
-  }
-  return "?";
-}
-
-const char* value_kind_name(ValueMatch::Kind k) {
-  switch (k) {
-    case ValueMatch::Kind::kAny: return "any";
-    case ValueMatch::Kind::kExact: return "exact";
-    case ValueMatch::Kind::kRange: return "range";
   }
   return "?";
 }
@@ -293,25 +287,6 @@ Result<ApplyStats> apply_ops(Pipeline& pipe, std::span<const EntryOp> ops) {
 
 namespace {
 
-void put_u64(std::string& out, std::uint64_t v) {
-  char buf[20];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-
-// "1,2,3", or "-" for an empty list.
-template <typename T>
-void put_list(std::string& out, const std::vector<T>& v) {
-  if (v.empty()) {
-    out += '-';
-    return;
-  }
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i) out += ',';
-    put_u64(out, v[i]);
-  }
-}
-
 // An upper bound on an op's encoded line, so the output is sized once.
 std::size_t max_line_bytes(const EntryOp& op) {
   return 96 + op.table.size() + 6 * op.actions.ports.size() +
@@ -335,21 +310,10 @@ std::string serialize_ops(std::span<const EntryOp> ops) {
     out += op.table;
     out += ' ';
     put_u64(out, op.state);
-    if (op.is_leaf()) {
-      out += " ports=";
-      put_list(out, op.actions.ports);
-      out += " updates=";
-      put_list(out, op.actions.state_updates);
-    } else {
-      out += ' ';
-      out += value_kind_name(op.match.kind);
-      out += ' ';
-      put_u64(out, op.match.lo);
-      out += ' ';
-      put_u64(out, op.match.hi);
-      out += ' ';
-      put_u64(out, op.next_state);
-    }
+    if (op.is_leaf())
+      put_actions(out, op.actions);
+    else
+      put_match(out, op.match, op.next_state);
     out += '\n';
   }
   out += "end\n";

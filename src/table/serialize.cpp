@@ -1,6 +1,5 @@
 #include "table/serialize.hpp"
 
-#include <sstream>
 #include <unordered_map>
 #include <vector>
 
@@ -8,6 +7,10 @@
 
 namespace camus::table {
 
+using textio::put_actions;
+using textio::put_list;
+using textio::put_match;
+using textio::put_u64;
 using util::Error;
 using util::Result;
 
@@ -22,24 +25,35 @@ const char* match_kind_name(MatchKind k) {
   return "?";
 }
 
-const char* value_kind_name(ValueMatch::Kind k) {
-  switch (k) {
-    case ValueMatch::Kind::kAny: return "any";
-    case ValueMatch::Kind::kExact: return "exact";
-    case ValueMatch::Kind::kRange: return "range";
-  }
-  return "?";
+// Upper bounds on the encoded lines, so the image is sized once: a
+// table line with its entries (every number at most 20 digits), a leaf
+// entry, and a multicast group.
+std::size_t table_bytes(const Table& t) {
+  return 96 + t.name().size() + 80 * t.entries().size();
+}
+std::size_t leaf_bytes(const lang::ActionSet& a) {
+  return 64 + 6 * a.ports.size() + 11 * a.state_updates.size();
 }
 
-void write_table(std::ostringstream& os, const char* tag, const Table& t) {
-  os << tag << " " << t.name() << " subject="
-     << (t.subject().kind == lang::Subject::Kind::kField ? "f" : "s")
-     << t.subject().id << " kind=" << match_kind_name(t.kind())
-     << " width=" << t.width_bits() << " symbol=" << (t.is_symbol() ? 1 : 0)
-     << "\n";
+void write_table(std::string& out, const char* tag, const Table& t) {
+  out += tag;
+  out += ' ';
+  out += t.name();
+  out += " subject=";
+  out += t.subject().kind == lang::Subject::Kind::kField ? 'f' : 's';
+  put_u64(out, t.subject().id);
+  out += " kind=";
+  out += match_kind_name(t.kind());
+  out += " width=";
+  put_u64(out, t.width_bits());
+  out += " symbol=";
+  out += t.is_symbol() ? '1' : '0';
+  out += '\n';
   for (const auto& e : t.entries()) {
-    os << "entry " << e.state << " " << value_kind_name(e.match.kind) << " "
-       << e.match.lo << " " << e.match.hi << " " << e.next_state << "\n";
+    out += "entry ";
+    put_u64(out, e.state);
+    put_match(out, e.match, e.next_state);
+    out += '\n';
   }
 }
 
@@ -57,40 +71,45 @@ Result<lang::Subject> parse_subject(std::string_view v) {
 }  // namespace
 
 std::string serialize_pipeline(const Pipeline& pipeline) {
-  std::ostringstream os;
-  os << "camus-pipeline v" << kPipelineFormatVersion << "\n";
-  os << "initial_state " << pipeline.initial_state << "\n";
-  for (const auto& t : pipeline.value_maps) write_table(os, "value_map", t);
-  for (const auto& t : pipeline.tables) write_table(os, "table", t);
-  os << "leaf\n";
+  std::size_t bytes = 64;
+  for (const auto& t : pipeline.value_maps) bytes += table_bytes(t);
+  for (const auto& t : pipeline.tables) bytes += table_bytes(t);
+  for (const auto& e : pipeline.leaf.entries()) bytes += leaf_bytes(*e.actions);
+  for (std::uint32_t g = 0; g < pipeline.mcast.size(); ++g)
+    bytes += 32 + 6 * pipeline.mcast.ports(g).size();
+  std::string out;
+  out.reserve(bytes);
+
+  out += "camus-pipeline v";
+  put_u64(out, kPipelineFormatVersion);
+  out += "\ninitial_state ";
+  put_u64(out, pipeline.initial_state);
+  out += '\n';
+  for (const auto& t : pipeline.value_maps) write_table(out, "value_map", t);
+  for (const auto& t : pipeline.tables) write_table(out, "table", t);
+  out += "leaf\n";
   for (const auto& e : pipeline.leaf.entries()) {
-    const lang::ActionSet& actions = *e.actions;
-    os << "entry " << e.state << " ports=";
-    if (actions.ports.empty()) {
-      os << "-";
-    } else {
-      for (std::size_t i = 0; i < actions.ports.size(); ++i)
-        os << (i ? "," : "") << actions.ports[i];
-    }
-    os << " updates=";
-    if (actions.state_updates.empty()) {
-      os << "-";
-    } else {
-      for (std::size_t i = 0; i < actions.state_updates.size(); ++i)
-        os << (i ? "," : "") << actions.state_updates[i];
-    }
-    os << " mcast=" << (e.mcast_group ? std::to_string(*e.mcast_group) : "-")
-       << "\n";
+    out += "entry ";
+    put_u64(out, e.state);
+    put_actions(out, *e.actions);
+    out += " mcast=";
+    if (e.mcast_group)
+      put_u64(out, *e.mcast_group);
+    else
+      out += '-';
+    out += '\n';
   }
   for (std::uint32_t g = 0; g < pipeline.mcast.size(); ++g) {
-    os << "mcast " << g << " ports=";
-    const auto& ports = pipeline.mcast.ports(g);
-    for (std::size_t i = 0; i < ports.size(); ++i)
-      os << (i ? "," : "") << ports[i];
-    os << "\n";
+    out += "mcast ";
+    put_u64(out, g);
+    out += " ports=";
+    // An empty group, which the reader rejects, writes no list, not "-".
+    if (const auto& ports = pipeline.mcast.ports(g); !ports.empty())
+      put_list(out, ports);
+    out += '\n';
   }
-  os << "end\n";
-  return os.str();
+  out += "end\n";
+  return out;
 }
 
 Result<Pipeline> deserialize_pipeline(std::string_view text) {

