@@ -34,6 +34,7 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "compiler/compile.hpp"
@@ -67,6 +68,7 @@ struct Row {
   std::uint64_t scale_entries = 0;
   double scale_ratio = 0;  // entries per subscription
   std::size_t partition_groups = 0;
+  std::size_t threads_used = 0;  // workers the partitioned compile ran
   std::size_t peak_rss_mb = 0;
   std::size_t shard_bdd_mb = 0;
   std::uint64_t digest = 0;
@@ -165,6 +167,7 @@ int main(int argc, char** argv) {
     row.scale_ratio =
         static_cast<double>(sstats.total_entries) / static_cast<double>(n);
     row.partition_groups = sstats.partition_groups;
+    row.threads_used = sstats.threads_used;
     row.peak_rss_mb = sstats.mem.peak_rss >> 20;
     row.shard_bdd_mb = sstats.mem.bdd_bytes >> 20;
     row.digest = fnv1a(table::serialize_pipeline(sc.value().pipeline));
@@ -237,10 +240,12 @@ int main(int argc, char** argv) {
     }
     std::fprintf(out,
                  "{\n  \"workload\": \"itch-fig5c\",\n  \"seed\": 42,\n"
-                 "  \"threads\": %zu,\n  \"equivalence_verified\": %s,\n"
+                 "  \"threads\": %zu,\n  \"hw_cores\": %u,\n"
+                 "  \"equivalence_verified\": %s,\n"
                  "  \"gate_ratio\": %g,\n  \"sublinear_ok\": %s,\n"
                  "  \"sizes\": [\n",
-                 threads, equivalence_verified ? "true" : "false", gate_ratio,
+                 threads, std::thread::hardware_concurrency(),
+                 equivalence_verified ? "true" : "false", gate_ratio,
                  sublinear ? "true" : "false");
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
@@ -248,11 +253,12 @@ int main(int argc, char** argv) {
                    "    {\"n\": %zu, \"scale_seconds\": %.4f, "
                    "\"scale_entries\": %" PRIu64
                    ", \"entries_per_sub\": %.6f, \"partition_groups\": %zu, "
+                   "\"threads_used\": %zu, "
                    "\"peak_rss_mb\": %zu, \"shard_bdd_mb\": %zu, "
                    "\"digest\": \"%016" PRIx64 "\"",
                    r.n, r.scale_seconds, r.scale_entries, r.scale_ratio,
-                   r.partition_groups, r.peak_rss_mb, r.shard_bdd_mb,
-                   r.digest);
+                   r.partition_groups, r.threads_used, r.peak_rss_mb,
+                   r.shard_bdd_mb, r.digest);
       if (r.has_mono)
         std::fprintf(out,
                      ", \"mono_seconds\": %.4f, \"mono_entries\": %" PRIu64,

@@ -64,17 +64,6 @@ Workbench& bench_state(std::size_t n_rules) {
   return *slot;
 }
 
-void BM_PipelineClassify(benchmark::State& state) {
-  auto& wb = bench_state(static_cast<std::size_t>(state.range(0)));
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        wb.pipeline.evaluate_actions(wb.envs[i++ & 4095]));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_PipelineClassify)->Arg(100)->Arg(1000)->Arg(10000);
-
 void BM_CompiledTraverse(benchmark::State& state) {
   auto& wb = bench_state(static_cast<std::size_t>(state.range(0)));
   table::CompiledPipeline cp(wb.pipeline);

@@ -78,7 +78,6 @@ bool mutate_pipeline(table::Pipeline& pipe, std::size_t seed) {
       table::Entry e = es[pick];
       e.next_state = other.next_state;
       t.set_entry(pick, e);
-      pipe.finalize();
       return true;
     }
   }

@@ -13,6 +13,18 @@ using lang::Conjunction;
 using lang::FlatRule;
 using util::IntervalSet;
 
+void CacheStats::accumulate(const CacheStats& other) {
+  unique_nodes += other.unique_nodes;
+  terminals += other.terminals;
+  vars += other.vars;
+  unite_probes += other.unite_probes;
+  unite_hits += other.unite_hits;
+  unite_res_probes += other.unite_res_probes;
+  unite_res_hits += other.unite_res_hits;
+  split_probes += other.split_probes;
+  split_hits += other.split_hits;
+}
+
 double CacheStats::memo_hit_rate() const noexcept {
   const std::uint64_t probes = unite_probes + unite_res_probes;
   if (probes == 0) return 0;

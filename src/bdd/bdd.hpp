@@ -72,7 +72,8 @@ struct BddStats {
 };
 
 // Unique-table and memo-cache telemetry (compile-phase profiling). Probes
-// and hits are lifetime totals.
+// and hits are lifetime totals; accumulate() folds the shard managers'
+// stats on the partitioned compile path.
 struct CacheStats {
   std::size_t unique_nodes = 0;   // hash-consed node table size
   std::size_t terminals = 0;      // distinct terminal ActionSets
@@ -84,6 +85,7 @@ struct CacheStats {
   std::uint64_t split_probes = 0;      // residual split memo
   std::uint64_t split_hits = 0;
 
+  void accumulate(const CacheStats& other);
   // Hit rate over both union memos (the compile hot path); 0 when unused.
   double memo_hit_rate() const noexcept;
 };

@@ -315,7 +315,6 @@ util::Result<TableGenResult> bdd_to_tables(const BddManager& mgr,
 
   result.stats.leaf_entries = pipe.leaf.entries().size();
 
-  pipe.finalize();
   // Range entries for one state come from disjoint BDD branches; an
   // overlap indicates a compiler bug. Surface it through the error path
   // callers already handle rather than aborting the caller.
@@ -345,9 +344,6 @@ void materialize_stages(table::Pipeline& pipe, const BddManager& mgr,
         make_stage(s, schema, stage_kind(schema, s, {}, false, false)));
     ++pos;
   }
-  // Index the inserted stages eagerly: lazy finalization mutates shared
-  // state under a const API, a data race for concurrent evaluators.
-  pipe.finalize();
 }
 
 }  // namespace camus::compiler

@@ -92,7 +92,7 @@ table::MatchKind stage_kind(const spec::Schema& schema, lang::Subject s,
                             const CompileOptions& opts, bool component,
                             bool has_range);
 
-// Translates the BDD rooted at `root` into a finalized pipeline.
+// Translates the BDD rooted at `root` into a pipeline.
 // Diagnostics (never throws — E1xx convention, so controller recovery
 // paths stay exception-free):
 //   E130  path enumeration exceeded opts.max_paths_per_component

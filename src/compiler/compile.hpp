@@ -49,8 +49,9 @@ struct CompileStats {
   bdd::BddStats bdd_before_prune;
   bdd::BddStats bdd_after_prune;
   // Unique-table sizes and memo probe/hit totals of the compile's BDD
-  // manager; on the partitioned path, of the reference manager when
-  // partition_reference builds one (zero otherwise).
+  // manager. On the partitioned path these and the node, terminal and
+  // variable counts above sum over the shard managers, whether or not a
+  // reference is built.
   bdd::CacheStats cache;
   TableGenStats tablegen;
 

@@ -104,7 +104,6 @@ std::size_t compress_domains(table::Pipeline& pipeline,
     ++compressed;
   }
 
-  if (compressed > 0) pipeline.finalize();
   return compressed;
 }
 
@@ -264,7 +263,6 @@ InternStats intern_entries(table::Pipeline& pipeline) {
 
   st.entries_after = pipeline.leaf.entries().size();
   for (const Table& t : pipeline.tables) st.entries_after += t.entries().size();
-  pipeline.finalize();
   return st;
 }
 

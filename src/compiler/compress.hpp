@@ -18,9 +18,8 @@
 
 namespace camus::compiler {
 
-// Rewrites eligible tables in place; appends mapping stages to
-// pipeline.value_maps and re-finalizes. Returns how many tables were
-// compressed.
+// Rewrites eligible tables in place and appends mapping stages to
+// pipeline.value_maps. Returns how many tables were compressed.
 std::size_t compress_domains(table::Pipeline& pipeline,
                              const CompileOptions& opts);
 
@@ -52,7 +51,7 @@ struct InternStats {
 //
 // Value-map stages are untouched (their entries are keyed on the constant
 // kInitialState, not on pipeline states). Tables left with no entries are
-// removed — an empty stage is pass-through. Re-finalizes the pipeline.
+// removed — an empty stage is pass-through.
 InternStats intern_entries(table::Pipeline& pipeline);
 
 }  // namespace camus::compiler

@@ -204,6 +204,8 @@ util::Result<Compiled> compile_partitioned(const spec::Schema& schema,
     table::Pipeline pipeline;
     ShardStats stats;
     std::size_t components = 0, in_nodes = 0, paths = 0;
+    bdd::BddStats before_prune, after_prune;
+    bdd::CacheStats cache;
     std::string error;
   };
   std::vector<ShardTask> tasks(plan.groups.size() +
@@ -230,7 +232,11 @@ util::Result<Compiled> compile_partitioned(const spec::Schema& schema,
         roots.reserve(task.rules->size());
         for (const FlatRule& r : *task.rules) roots.push_back(mgr.build_rule(r));
         NodeRef root = mgr.unite_all(std::move(roots), opts.semantic_prune);
+        task.before_prune = mgr.stats(root);
+        const NodeRef unpruned = root;
         if (opts.semantic_prune) root = mgr.prune(root);
+        task.after_prune =
+            root == unpruned ? task.before_prune : mgr.stats(root);
         auto gen = bdd_to_tables(mgr, root, schema, shard_opts);
         if (!gen.ok()) {
           task.error = gen.error().message;
@@ -243,6 +249,7 @@ util::Result<Compiled> compile_partitioned(const spec::Schema& schema,
         task.stats.rules = task.rules->size();
         task.stats.bdd_nodes = mgr.node_table_size();
         task.stats.manager_bytes = mgr.memory_bytes();
+        task.cache = mgr.cache_stats();
       } catch (const std::exception& e) {
         task.error = e.what();
         continue;
@@ -328,7 +335,6 @@ util::Result<Compiled> compile_partitioned(const spec::Schema& schema,
 
   merged.tables.push_back(std::move(dispatch));
   for (auto& [rank, t] : by_rank) merged.tables.push_back(std::move(t));
-  merged.finalize();
   out.stats.t_stitch = stitch_timer.seconds();
 
   // --- post-stitch rewrites --------------------------------------------
@@ -351,17 +357,25 @@ util::Result<Compiled> compile_partitioned(const spec::Schema& schema,
     out.root = out.manager->unite_all(std::move(roots), opts.semantic_prune);
     if (opts.semantic_prune) out.root = out.manager->prune(out.root);
     out.stats.t_union = ref_timer.seconds();
-    out.stats.bdd_before_prune = out.manager->stats(out.root);
-    out.stats.bdd_after_prune = out.stats.bdd_before_prune;
-    out.stats.cache = out.manager->cache_stats();
   }
 
   // --- telemetry --------------------------------------------------------
+  // The BDD work is the shards': node, terminal and variable counts and
+  // cache totals sum over the shard managers (the optional reference is
+  // not part of the compile).
+  auto fold = [](bdd::BddStats& into, const bdd::BddStats& s) {
+    into.node_count += s.node_count;
+    into.terminal_count += s.terminal_count;
+    into.var_count += s.var_count;
+  };
   out.stats.threads_used = n_workers;
   out.stats.partition_groups = tasks.size();
   out.stats.partition_subject = dinfo.name;
   for (const ShardTask& task : tasks) {
     out.stats.shards.push_back(task.stats);
+    fold(out.stats.bdd_before_prune, task.before_prune);
+    fold(out.stats.bdd_after_prune, task.after_prune);
+    out.stats.cache.accumulate(task.cache);
     out.stats.tablegen.components += task.components;
     out.stats.tablegen.in_nodes += task.in_nodes;
     out.stats.tablegen.in_nodes_regenerated += task.in_nodes;

@@ -66,7 +66,6 @@ Result<Split> compile_with_budget(const spec::Schema& schema,
     cut = lo;
   }
 
-  split.hardware.pipeline.finalize();
   split.usage = split.hardware.pipeline.resources();
   for (std::size_t i = 0; i < rules.size(); ++i) {
     if (i < cut)

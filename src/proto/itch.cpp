@@ -181,15 +181,19 @@ std::vector<std::uint8_t> encode_itch_payload(
   return w.take();
 }
 
-std::optional<ItchPacket> decode_itch_payload(
+util::Result<ItchPacket> decode_itch_payload_checked(
     std::span<const std::uint8_t> payload) {
+  const auto fail = [](const char* code, const char* msg) {
+    return util::Error(msg, 0, 0, code);
+  };
   Reader r(payload);
   ItchPacket pkt;
-  if (!pkt.mold.decode(r)) return std::nullopt;
+  if (!pkt.mold.decode(r)) return fail("F008", "truncated MoldUDP64 header");
   for (std::uint16_t i = 0; i < pkt.mold.message_count; ++i) {
     std::uint16_t len = 0;
-    if (!r.u16(len)) return std::nullopt;
-    if (r.remaining() < len) return std::nullopt;
+    if (!r.u16(len)) return fail("F009", "truncated MoldUDP64 message length");
+    if (r.remaining() < len)
+      return fail("F010", "MoldUDP64 message overruns payload");
     const char type =
         len > 0 ? static_cast<char>(payload[r.position()]) : '\0';
     if (type == kItchAddOrder && len == ItchAddOrder::kSize) {
@@ -201,10 +205,12 @@ std::optional<ItchPacket> decode_itch_payload(
       }
       // Malformed body: skip the declared length from where it started.
       const std::size_t consumed = r.position() - before;
-      if (!r.skip(len - consumed)) return std::nullopt;
+      if (!r.skip(len - consumed))
+        return fail("F010", "MoldUDP64 message overruns payload");
       ++pkt.skipped_messages;
     } else {
-      if (!r.skip(len)) return std::nullopt;
+      if (!r.skip(len))
+        return fail("F010", "MoldUDP64 message overruns payload");
       if (type == kItchOrderExecuted && len == ItchOrderExecuted::kSize)
         ++pkt.executed_messages;
       else if (type == kItchTrade && len == ItchTrade::kSize)
@@ -216,6 +222,13 @@ std::optional<ItchPacket> decode_itch_payload(
     }
   }
   return pkt;
+}
+
+std::optional<ItchPacket> decode_itch_payload(
+    std::span<const std::uint8_t> payload) {
+  auto pkt = decode_itch_payload_checked(payload);
+  if (!pkt.ok()) return std::nullopt;
+  return std::move(pkt).take();
 }
 
 }  // namespace camus::proto

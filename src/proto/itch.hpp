@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "proto/wire.hpp"
+#include "util/result.hpp"
 
 namespace camus::proto {
 
@@ -140,8 +141,13 @@ std::vector<std::uint8_t> encode_itch_payload_raw(
 std::vector<std::uint8_t> encode_itch_payload(
     const MoldUdp64Header& mold, const std::vector<ItchAddOrder>& messages);
 
-// Decodes a MoldUDP64 payload; returns nullopt on framing errors
-// (truncated header, message length past the buffer).
+// Decodes a MoldUDP64 payload. A framing error is a coded reject: F008
+// truncated header, F009 truncated message length, F010 message length
+// past the buffer.
+util::Result<ItchPacket> decode_itch_payload_checked(
+    std::span<const std::uint8_t> payload);
+
+// decode_itch_payload_checked without the diagnostic: nullopt on reject.
 std::optional<ItchPacket> decode_itch_payload(
     std::span<const std::uint8_t> payload);
 

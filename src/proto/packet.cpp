@@ -34,23 +34,9 @@ std::vector<std::uint8_t> encode_market_data_packet(
 
 std::optional<MarketDataPacket> decode_market_data_packet(
     std::span<const std::uint8_t> frame) {
-  Reader r(frame);
-  MarketDataPacket pkt;
-  if (!pkt.eth.decode(r)) return std::nullopt;
-  if (pkt.eth.ether_type != kEtherTypeIpv4) return std::nullopt;
-  if (!pkt.ip.decode(r)) return std::nullopt;
-  if (pkt.ip.protocol != kIpProtoUdp) return std::nullopt;
-  if (!pkt.udp.decode(r)) return std::nullopt;
-  if (pkt.udp.length < UdpHeader::kSize) return std::nullopt;
-  const std::size_t payload_len = pkt.udp.length - UdpHeader::kSize;
-  if (r.remaining() < payload_len) return std::nullopt;
-
-  std::vector<std::uint8_t> payload(payload_len);
-  if (!r.bytes(payload)) return std::nullopt;
-  auto itch = decode_itch_payload(payload);
-  if (!itch) return std::nullopt;
-  pkt.itch = std::move(*itch);
-  return pkt;
+  auto pkt = decode_market_data_packet_checked(frame);
+  if (!pkt.ok()) return std::nullopt;
+  return std::move(pkt).take();
 }
 
 namespace {
@@ -374,10 +360,7 @@ std::optional<MoldUdp64Request> decode_retransmit_request(
 util::Result<MarketDataPacket> decode_market_data_packet_checked(
     std::span<const std::uint8_t> frame) {
   const auto fail = [](const char* code, const char* msg) {
-    util::Error e;
-    e.message = msg;
-    e.code = code;
-    return e;
+    return util::Error(msg, 0, 0, code);
   };
   Reader r(frame);
   MarketDataPacket pkt;
@@ -397,46 +380,9 @@ util::Result<MarketDataPacket> decode_market_data_packet_checked(
 
   std::vector<std::uint8_t> payload(payload_len);
   if (!r.bytes(payload)) return fail("F007", "UDP payload truncated");
-
-  // Mirror of decode_itch_payload with per-step diagnostics; accepts and
-  // produces exactly what it does (differential-tested in test_fuzz).
-  Reader pr(payload);
-  ItchPacket itch;
-  if (!itch.mold.decode(pr))
-    return fail("F008", "truncated MoldUDP64 header");
-  for (std::uint16_t i = 0; i < itch.mold.message_count; ++i) {
-    std::uint16_t len = 0;
-    if (!pr.u16(len))
-      return fail("F009", "truncated MoldUDP64 message length");
-    if (pr.remaining() < len)
-      return fail("F010", "MoldUDP64 message overruns payload");
-    const char type =
-        len > 0 ? static_cast<char>(payload[pr.position()]) : '\0';
-    if (type == kItchAddOrder && len == ItchAddOrder::kSize) {
-      ItchAddOrder msg;
-      const std::size_t before = pr.position();
-      if (msg.decode(pr)) {
-        itch.add_orders.push_back(std::move(msg));
-        continue;
-      }
-      const std::size_t consumed = pr.position() - before;
-      if (!pr.skip(len - consumed))
-        return fail("F010", "MoldUDP64 message overruns payload");
-      ++itch.skipped_messages;
-    } else {
-      if (!pr.skip(len))
-        return fail("F010", "MoldUDP64 message overruns payload");
-      if (type == kItchOrderExecuted && len == ItchOrderExecuted::kSize)
-        ++itch.executed_messages;
-      else if (type == kItchTrade && len == ItchTrade::kSize)
-        ++itch.trade_messages;
-      else if (type == kItchOrderCancel && len == ItchOrderCancel::kSize)
-        ++itch.cancel_messages;
-      else
-        ++itch.skipped_messages;
-    }
-  }
-  pkt.itch = std::move(itch);
+  auto itch = decode_itch_payload_checked(payload);
+  if (!itch.ok()) return itch.error();
+  pkt.itch = std::move(itch).take();
   return pkt;
 }
 

@@ -40,18 +40,19 @@ std::vector<std::uint8_t> encode_market_data_packet_raw(
     const std::vector<std::vector<std::uint8_t>>& blocks,
     std::uint16_t udp_dst_port = kItchUdpPort);
 
-// Parses a full frame; returns nullopt for anything that is not a
-// well-formed UDP/ITCH packet (wrong ethertype, truncated headers, framing
-// errors). Packets on other UDP ports still parse — filtering on port is a
-// policy decision left to callers.
-std::optional<MarketDataPacket> decode_market_data_packet(
+// Parses a full frame, rejecting anything that is not a well-formed
+// UDP/ITCH packet (wrong ethertype, truncated headers, framing errors).
+// A reject names the layer that failed with a stable code (F001..F007 for
+// the headers, F008..F010 from decode_itch_payload_checked) so feed
+// handlers can classify malformed input instead of silently dropping it.
+// Packets on other UDP ports still parse — filtering on port is a policy
+// decision left to callers.
+util::Result<MarketDataPacket> decode_market_data_packet_checked(
     std::span<const std::uint8_t> frame);
 
-// decode_market_data_packet with verify-style diagnostics: a reject names
-// the layer that failed with a stable code (F001..F012) so feed handlers
-// can classify malformed input instead of silently dropping it. Accepts
-// exactly the frames decode_market_data_packet accepts.
-util::Result<MarketDataPacket> decode_market_data_packet_checked(
+// decode_market_data_packet_checked without the diagnostic: nullopt on
+// reject.
+std::optional<MarketDataPacket> decode_market_data_packet(
     std::span<const std::uint8_t> frame);
 
 // Full frame carrying a MoldUDP64 retransmission request, addressed to

@@ -683,7 +683,6 @@ Result<FabricReconcileReport> DurableController::reconcile(
     // base), or the empty program before any commit.
     table::Pipeline want;
     if (intended_) want = program_for(i);
-    want.finalize();
     const std::uint64_t want_digest = table::pipeline_digest(want);
 
     // Anti-entropy handshake: the switch reports per-stage digests; a

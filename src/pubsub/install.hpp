@@ -191,9 +191,9 @@ class TwoPhaseInstaller {
   // the write out as stale.
   bool rollback();
 
-  // The program the switch runs (Switch::pipeline_snapshot: finalized,
-  // shared, not copied), safe for concurrent read-only evaluation. Never
-  // observes a partially staged image.
+  // The program the switch runs (Switch::pipeline_snapshot: shared, not
+  // copied), safe for concurrent read-only evaluation. Never observes a
+  // partially staged image.
   std::shared_ptr<const table::Pipeline> active() const {
     return sw_.pipeline_snapshot();
   }

@@ -17,12 +17,11 @@ Switch::Switch(spec::Schema schema, table::Pipeline pipeline)
 }
 
 // Lowers a pipeline into one immutable program generation. Runs outside
-// the slot lock: finalize + flatten are the expensive part of an update.
+// the slot lock: flattening is the expensive part of an update.
 std::shared_ptr<const Switch::Program> Switch::make_program(
     table::Pipeline pipeline) {
   auto prog = std::make_shared<Program>();
   prog->pipeline = std::move(pipeline);
-  prog->pipeline.finalize();
   prog->compiled = table::CompiledPipeline(prog->pipeline);
   prog->prefix_sig = prog->compiled.prefix_signature();
   return prog;
@@ -171,7 +170,6 @@ Switch Switch::make_broadcast(spec::Schema schema,
   e.actions = std::make_shared<const lang::ActionSet>(std::move(actions));
   if (e.actions->ports.size() > 1) e.mcast_group = pipe.mcast.intern(e.actions);
   pipe.leaf.add_entry(std::move(e));
-  pipe.finalize();
   return Switch(schema, std::move(pipe));
 }
 

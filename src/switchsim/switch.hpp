@@ -80,9 +80,7 @@ class Switch {
 
  public:
   // Takes ownership of the pipeline and a copy of the schema: the switch
-  // is self-contained and safe to move or outlive its controller. The
-  // pipeline is finalized here (idempotent) so threads that evaluate a
-  // pipeline_snapshot() never hit the lazy index build.
+  // is self-contained and safe to move or outlive its controller.
   Switch(spec::Schema schema, table::Pipeline pipeline);
 
   // Builds a broadcast "switch" that forwards every parseable frame to the
@@ -169,7 +167,7 @@ class Switch {
   // --- program writes: stage, then commit ---------------------------------
   //
   // The runtime analogue of a control-plane table update, in two steps.
-  // stage() builds the next program (finalized pipeline + flattened fast
+  // stage() builds the next program (the pipeline + its flattened fast
   // path) off to the side; commit() publishes it with an atomic version
   // bump. A concurrently running process_batch() keeps reading its
   // complete old snapshot and picks the new one up at its next call
@@ -265,8 +263,8 @@ class Switch {
   std::vector<table::StageDigest> stage_digests() const;
   std::uint64_t program_digest() const;
 
-  // The running program's pipeline (finalized), shared, not copied: it
-  // stays valid for as long as the caller holds it, across later commits.
+  // The running program's pipeline, shared, not copied: it stays valid
+  // for as long as the caller holds it, across later commits.
   // Unlike pipeline(), never touches the data-plane snapshot cache, so it
   // is safe from any thread while the data plane is processing.
   std::shared_ptr<const table::Pipeline> pipeline_snapshot() const {
@@ -359,7 +357,8 @@ class Switch {
     std::atomic<std::uint64_t> stale_epoch_rejects{0};
   };
 
-  // Lowers a pipeline into one program generation (finalize + flatten).
+  // Lowers a pipeline into one program generation (pipeline + flattened
+  // fast path).
   static std::shared_ptr<const Program> make_program(table::Pipeline pipeline);
 
   // Returns the calling thread's current program snapshot, refreshing the

@@ -154,8 +154,8 @@ CompiledPipeline::CompiledPipeline(const Pipeline& pipe) {
       if (state == kEmptyState) continue;
       switch (e.match.kind) {
         case ValueMatch::Kind::kExact: {
-          // Last entry wins for duplicate (state, value), mirroring
-          // Table::finalize's map assignment.
+          // Last entry wins for duplicate (state, value), as in
+          // Table::lookup's rule.
           std::size_t i = exact_hash(state, e.match.lo) & flat.exact_mask;
           while (flat.exact[i].state != kEmptyState &&
                  !(flat.exact[i].state == state &&
@@ -173,6 +173,8 @@ CompiledPipeline::CompiledPipeline(const Pipeline& pipe) {
       }
     }
     if (!flat.ranges.empty()) {
+      // Stable: among ranges of one state with equal lo the later entry
+      // sorts last, so the upper-bound scan picks it (Table::lookup's rule).
       std::stable_sort(flat.ranges.begin(), flat.ranges.end(),
                        [](const RangeEnt& a, const RangeEnt& b) {
                          return a.state != b.state ? a.state < b.state

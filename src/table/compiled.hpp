@@ -19,12 +19,14 @@
 // Every array lives in a single arena allocation, so a full traversal
 // touches a handful of cache lines and performs zero heap allocation.
 //
-// Semantics are bit-identical to Pipeline::evaluate (exact beats range
-// beats wildcard; a miss keeps the state; value-map misses code to 0;
-// duplicate exact entries resolve last-wins and duplicate leaf states
-// first-wins, mirroring Table::finalize / LeafTable::add_entry).
-// Pipeline::evaluate stays the semantic reference; this structure is
-// differential-tested against it.
+// Semantics are bit-identical to Pipeline::evaluate: each stage follows
+// Table::lookup's rule (the last exact entry equal to the value, else the
+// range with the largest lo <= value if it covers the value, the later one
+// on a tie in lo, else the last wildcard, else a miss), a miss keeps the
+// state, value-map misses code to 0, and duplicate leaf states resolve
+// first-wins as in LeafTable::add_entry. This is the only indexed lookup;
+// Pipeline::evaluate stays the semantic reference, a plain scan of the
+// entries, and this structure is differential-tested against it.
 #pragma once
 
 #include <cstdint>
@@ -45,10 +47,10 @@ class CompiledPipeline {
 
   CompiledPipeline() = default;
 
-  // Lowers any pipeline. The source pipeline is only read; it does not
-  // need to be finalized. The leaf's action sets are referenced, not
-  // copied: they must outlive this structure, which any copy of the source
-  // pipeline's leaf guarantees (switchsim keeps both in one program).
+  // Lowers any pipeline. The source pipeline is only read. The leaf's
+  // action sets are referenced, not copied: they must outlive this
+  // structure, which any copy of the source pipeline's leaf guarantees
+  // (switchsim keeps both in one program).
   explicit CompiledPipeline(const Pipeline& pipe);
 
   // Whether this holds a lowered pipeline: false only when

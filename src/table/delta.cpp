@@ -275,10 +275,7 @@ Result<ApplyStats> apply_ops(Pipeline& pipe, std::span<const EntryOp> ops) {
   // deserialize_pipeline requires; ids are outside every digest and the
   // data plane never reads them.
   if (released) pipe.leaf.compact_groups(pipe.mcast);
-  // Rebuild lookup indices for the touched tables (idempotent: untouched
-  // tables keep their index) and re-check structural soundness before the
-  // patch counts as committed.
-  pipe.finalize();
+  // Re-check structural soundness before the patch counts as committed.
   if (auto valid = pipe.validate(); !valid.ok())
     return err("U007",
                "patched pipeline failed validation: " + valid.error().message);

@@ -12,8 +12,7 @@
 // so a patched table is behaviourally identical to a freshly generated one
 // regardless of entry order. apply_ops() applies removes before modifies
 // before adds so that a remove+add pair touching the same value region
-// never transiently violates range disjointness, then re-finalizes only
-// the touched tables (Table::finalize is idempotent) and re-validates the
+// never transiently violates range disjointness, then re-validates the
 // whole pipeline before the patch is considered committed.
 #pragma once
 

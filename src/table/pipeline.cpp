@@ -36,11 +36,6 @@ ResourceUsage Table::resources() const {
   return u;
 }
 
-void Pipeline::finalize() {
-  for (auto& t : value_maps) t.finalize();
-  for (auto& t : tables) t.finalize();
-}
-
 Table* Pipeline::find_table(std::string_view name) {
   for (auto& t : value_maps)
     if (t.name() == name) return &t;
@@ -75,11 +70,11 @@ const LeafEntry* Pipeline::evaluate(const lang::Env& env) const {
     const std::uint64_t raw = mapped.get(s);
     // The mapping stage partitions the whole domain, so a miss indicates a
     // compiler bug rather than a valid packet; map to code 0 defensively.
-    const std::uint64_t code = m.lookup(kInitialState, raw).value_or(0);
+    const Entry* code = m.lookup(kInitialState, raw);
     auto& slot = s.kind == lang::Subject::Kind::kField
                      ? mapped.fields.at(s.id)
                      : mapped.states.at(s.id);
-    slot = code;
+    slot = code ? code->next_state : 0;
   }
   return evaluate_mapped(mapped);
 }
@@ -88,7 +83,7 @@ const LeafEntry* Pipeline::evaluate_mapped(const lang::Env& env) const {
   StateId state = initial_state;
   for (const auto& t : tables) {
     const std::uint64_t value = env.get(t.subject());
-    if (auto next = t.lookup(state, value)) state = *next;
+    if (const Entry* e = t.lookup(state, value)) state = e->next_state;
     // Miss: keep the current state (pass-through).
   }
   return leaf.lookup(state);
@@ -152,14 +147,14 @@ Pipeline::Trace Pipeline::explain(const lang::Env& env) const {
     const lang::Subject s = m.subject();
     step.input_value = mapped.get(s);
     step.state_before = kInitialState;
-    const auto code = m.lookup(kInitialState, step.input_value);
-    step.hit = code.has_value();
-    step.state_after = code.value_or(0);
-    if (step.hit) step.match = "code " + std::to_string(*code);
+    const Entry* code = m.lookup(kInitialState, step.input_value);
+    step.hit = code != nullptr;
+    step.state_after = code ? code->next_state : 0;
+    if (step.hit) step.match = "code " + std::to_string(step.state_after);
     auto& slot = s.kind == lang::Subject::Kind::kField
                      ? mapped.fields.at(s.id)
                      : mapped.states.at(s.id);
-    slot = code.value_or(0);
+    slot = step.state_after;
     trace.steps.push_back(std::move(step));
   }
 
@@ -169,20 +164,13 @@ Pipeline::Trace Pipeline::explain(const lang::Env& env) const {
     step.table = t.name();
     step.input_value = mapped.get(t.subject());
     step.state_before = state;
-    const auto next = t.lookup(state, step.input_value);
-    step.hit = next.has_value();
-    if (next) {
-      state = *next;
-      // Recover the matched entry's match text for the trace.
-      for (const auto& e : t.entries()) {
-        if (e.state == step.state_before && e.next_state == *next &&
-            e.match.matches(step.input_value)) {
-          step.match = e.match.to_string();
-          if (t.is_symbol() && e.match.kind == ValueMatch::Kind::kExact)
-            step.match = util::decode_symbol(e.match.lo);
-          break;
-        }
-      }
+    const Entry* e = t.lookup(state, step.input_value);
+    step.hit = e != nullptr;
+    if (e) {
+      state = e->next_state;
+      step.match = t.is_symbol() && e->match.kind == ValueMatch::Kind::kExact
+                       ? util::decode_symbol(e->match.lo)
+                       : e->match.to_string();
     }
     step.state_after = state;
     trace.steps.push_back(std::move(step));

@@ -23,11 +23,6 @@ class Pipeline {
   MulticastGroups mcast;
   StateId initial_state = kInitialState;
 
-  // Builds lookup indices for every table. Idempotent and never throws;
-  // evaluate() also triggers it lazily per table, so a pipeline that was
-  // never explicitly finalized still evaluates instead of aborting.
-  void finalize();
-
   // Structural soundness of every stage (disjoint range entries). The
   // compiler runs this after table generation and the deserializer after
   // loading, so malformed pipelines are rejected at install time, not
@@ -40,7 +35,9 @@ class Pipeline {
   const Table* find_table(std::string_view name) const;
 
   // Runs the state machine over the given field/state values. Returns the
-  // matched leaf entry, or nullptr for drop.
+  // matched leaf entry, or nullptr for drop. This is the reference scan
+  // (Table::lookup reads each stage's entries); the switch classifies
+  // through the lowered CompiledPipeline, which is tested against it.
   const LeafEntry* evaluate(const lang::Env& env) const;
 
   // Convenience: the merged ActionSet for the packet (empty set == drop).

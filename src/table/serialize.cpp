@@ -260,7 +260,6 @@ Result<Pipeline> deserialize_pipeline(std::string_view text) {
   // integrity) is checked before the pipeline is handed out.
   if (auto valid = pipe.validate(); !valid.ok())
     return Error{"invalid pipeline: " + valid.error().message};
-  pipe.finalize();
   return pipe;
 }
 

@@ -19,7 +19,7 @@ inline constexpr int kPipelineFormatVersion = 1;
 
 std::string serialize_pipeline(const Pipeline& pipeline);
 
-// Parses and finalizes a pipeline. Fails with a line-numbered error on any
+// Parses a pipeline. Fails with a line-numbered error on any
 // malformed input.
 util::Result<Pipeline> deserialize_pipeline(std::string_view text);
 

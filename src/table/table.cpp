@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace camus::table {
 
@@ -47,40 +48,10 @@ void erase_at(std::vector<T>& v, std::span<const std::size_t> ascending) {
 }  // namespace
 
 void Table::remove_entries(std::span<const std::size_t> ascending) {
-  if (ascending.empty()) return;
   erase_at(entries_, ascending);
-  indexed_ = false;
-}
-
-void Table::finalize() const {
-  if (indexed_) return;
-  index_.clear();
-  for (const Entry& e : entries_) {
-    StateIndex& si = index_[e.state];
-    switch (e.match.kind) {
-      case ValueMatch::Kind::kExact:
-        si.exact[e.match.lo] = e.next_state;
-        break;
-      case ValueMatch::Kind::kRange:
-        si.ranges.push_back(e);
-        break;
-      case ValueMatch::Kind::kAny:
-        si.any = e.next_state;
-        break;
-    }
-  }
-  for (auto& [state, si] : index_) {
-    std::sort(si.ranges.begin(), si.ranges.end(),
-              [](const Entry& a, const Entry& b) {
-                return a.match.lo < b.match.lo;
-              });
-  }
-  indexed_ = true;
 }
 
 util::Result<bool> Table::validate() const {
-  // Sort a private copy of the ranges per state: validation must not
-  // depend on (or disturb) the lookup index.
   std::unordered_map<StateId, std::vector<ValueMatch>> ranges;
   for (const Entry& e : entries_)
     if (e.match.kind == ValueMatch::Kind::kRange)
@@ -101,25 +72,28 @@ util::Result<bool> Table::validate() const {
   return true;
 }
 
-std::optional<StateId> Table::lookup(StateId state,
-                                     std::uint64_t value) const {
-  if (!indexed_) finalize();
-  auto it = index_.find(state);
-  if (it == index_.end()) return std::nullopt;
-  const StateIndex& si = it->second;
-  if (auto e = si.exact.find(value); e != si.exact.end()) return e->second;
-  if (!si.ranges.empty()) {
-    // Last range with lo <= value.
-    auto r = std::upper_bound(si.ranges.begin(), si.ranges.end(), value,
-                              [](std::uint64_t v, const Entry& e) {
-                                return v < e.match.lo;
-                              });
-    if (r != si.ranges.begin()) {
-      --r;
-      if (r->match.matches(value)) return r->next_state;
+const Entry* Table::lookup(StateId state, std::uint64_t value) const {
+  const Entry* exact = nullptr;
+  const Entry* range = nullptr;  // largest lo <= value so far
+  const Entry* any = nullptr;
+  for (const Entry& e : entries_) {
+    if (e.state != state) continue;
+    switch (e.match.kind) {
+      case ValueMatch::Kind::kExact:
+        if (e.match.lo == value) exact = &e;
+        break;
+      case ValueMatch::Kind::kRange:
+        if (e.match.lo <= value && (!range || e.match.lo >= range->match.lo))
+          range = &e;
+        break;
+      case ValueMatch::Kind::kAny:
+        any = &e;
+        break;
     }
   }
-  return si.any;  // wildcard fallback, or miss
+  if (exact) return exact;
+  if (range && value <= range->match.hi) return range;
+  return any;  // wildcard fallback, or miss
 }
 
 std::uint32_t MulticastGroups::intern(const lang::ActionSetPtr& set) {

@@ -19,7 +19,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "lang/bound.hpp"
@@ -71,8 +70,10 @@ struct Entry {
   friend bool operator==(const Entry&, const Entry&) = default;
 };
 
-// A single match-action stage. After populating `entries`, call finalize()
-// to build the lookup index used by the simulator.
+// A single match-action stage: its entries and nothing derived from them.
+// lookup() reads the entries directly, so a table is a plain value that
+// can be copied and shared without preparation. The switch classifies
+// through the lowered CompiledPipeline; this lookup is its reference.
 class Table {
  public:
   Table() = default;
@@ -95,67 +96,48 @@ class Table {
   // SRAM/TCAM cost of this table's entries under its match kind.
   ResourceUsage resources() const;
 
-  void add_entry(Entry e) { entries_.push_back(e); indexed_ = false; }
+  void add_entry(Entry e) { entries_.push_back(e); }
   const std::vector<Entry>& entries() const noexcept { return entries_; }
 
-  // Replaces entry i in place, invalidating the lookup index (rebuilt
-  // lazily). Used by fault-injection tests and the lint mutation check to
-  // corrupt a compiled pipeline deliberately.
-  void set_entry(std::size_t i, Entry e) {
-    entries_.at(i) = e;
-    indexed_ = false;
-  }
+  // Replaces entry i in place. Used by fault-injection tests and the lint
+  // mutation check to corrupt a compiled pipeline deliberately.
+  void set_entry(std::size_t i, Entry e) { entries_.at(i) = e; }
 
-  // Removes entry i, invalidating the lookup index. The fault::Injector
-  // eviction experiments use this to model control-plane entries lost to
-  // SRAM/TCAM faults.
+  // Removes entry i. The fault::Injector eviction experiments use this to
+  // model control-plane entries lost to SRAM/TCAM faults.
   void remove_entry(std::size_t i) {
     entries_.at(i);  // same bounds behaviour as set_entry
     entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
-    indexed_ = false;
   }
 
   // Removes the entries at `ascending` (strictly increasing indices) in
-  // one pass that keeps the survivors' order, invalidating the index when
-  // anything goes. The delta apply path (table::apply_ops) batches a
-  // table's removes into one call. Match priority is structural (exact >
-  // range > wildcard; ranges disjoint), so positions never change lookup
-  // semantics.
+  // one pass that keeps the survivors' order. The delta apply path
+  // (table::apply_ops) batches a table's removes into one call.
   void remove_entries(std::span<const std::size_t> ascending);
-
-  // Builds per-state indices: hash lookup for exact entries, binary search
-  // over sorted disjoint ranges, wildcard fallback. Specific entries win
-  // over the per-state wildcard. Idempotent; never throws. lookup() calls
-  // it lazily, so an un-finalized table degrades to a slower first lookup
-  // rather than aborting a simulation. (Lazy indexing is not synchronized:
-  // finalize eagerly before sharing a table across threads.)
-  void finalize() const;
-  bool finalized() const noexcept { return indexed_; }
 
   // Structural soundness check: range entries for one state must be
   // disjoint (overlaps indicate a compiler bug or a corrupt serialized
   // pipeline). Expected-failure path, so util::Result rather than a throw.
   util::Result<bool> validate() const;
 
-  // Returns the next state, or nullopt on miss (caller keeps the state).
-  std::optional<StateId> lookup(StateId state, std::uint64_t value) const;
+  // The entry that matches `value` at `state`, or nullptr on a miss (the
+  // caller keeps the state). One pass over the entries, under the rule the
+  // lowered CompiledPipeline implements, so both agree on every table,
+  // corrupt ones included. Among the state's entries:
+  //   1. the last exact entry equal to the value;
+  //   2. otherwise the range entry with the largest lo <= value (the later
+  //      entry on a tie in lo), if its hi >= value;
+  //   3. otherwise the last wildcard entry;
+  //   4. otherwise a miss.
+  const Entry* lookup(StateId state, std::uint64_t value) const;
 
  private:
-  struct StateIndex {
-    std::unordered_map<std::uint64_t, StateId> exact;
-    std::vector<Entry> ranges;  // sorted by lo; disjoint by construction
-    std::optional<StateId> any;
-  };
-
   std::string name_;
   lang::Subject subject_{};
   MatchKind kind_ = MatchKind::kRange;
   std::uint32_t width_bits_ = 64;
   bool symbol_ = false;
   std::vector<Entry> entries_;
-  // Mutable: the index is a cache of entries_, (re)built on demand.
-  mutable std::unordered_map<StateId, StateIndex> index_;
-  mutable bool indexed_ = false;
 };
 
 // Multicast group table: one group per distinct multi-port set. Unicast

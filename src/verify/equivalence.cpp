@@ -298,11 +298,15 @@ struct Checker {
     for (const std::uint64_t rep : cuts) {
       ++result.regions_checked;
       path[k] = rep;
-      const std::uint64_t key =
-          map ? map->lookup(table::kInitialState, rep).value_or(0) : rep;
+      std::uint64_t key = rep;
+      if (map) {
+        const table::Entry* code = map->lookup(table::kInitialState, rep);
+        key = code ? code->next_state : 0;
+      }
       StateId next = state;  // no stage: state passes through
       for (const Table* tbl : stages)
-        next = tbl->lookup(next, key).value_or(next);
+        if (const table::Entry* e = tbl->lookup(next, key))
+          next = e->next_state;
       if (!walk(next, descend(u, k, rep), k + 1)) return false;
     }
     path[k] = 0;

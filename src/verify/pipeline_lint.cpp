@@ -43,9 +43,9 @@ struct EntryCheck {
   Report* report;
 
   // One table's worth of priority-shadowing (P001) and dead-default
-  // (P003) findings, mirroring Table::finalize()'s index semantics:
-  // exact beats range beats any; duplicate exact/any keys keep the last
-  // write.
+  // (P003) findings under Table::lookup's rule, which the lowered engine
+  // shares: exact beats range beats any; duplicate exact/any keys keep the
+  // last write.
   void check_table(const Table& t) {
     const std::uint64_t umax = domain_umax(t);
     // Group entry indices per state, preserving order.

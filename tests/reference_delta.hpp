@@ -147,7 +147,6 @@ inline util::Result<table::ApplyStats> reference_apply_ops(
     }
     pipe.leaf = std::move(leaf);
   }
-  pipe.finalize();
   if (auto valid = pipe.validate(); !valid.ok())
     return detail::delta_error(
         "U007", "patched pipeline failed validation: " +

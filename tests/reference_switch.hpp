@@ -47,10 +47,7 @@ class ReferenceSwitch {
   ReferenceSwitch& operator=(const ReferenceSwitch&) = delete;
 
   // Swaps the program; registers and counters carry over.
-  void reprogram(table::Pipeline pipeline) {
-    pipeline_ = std::move(pipeline);
-    pipeline_.finalize();
-  }
+  void reprogram(table::Pipeline pipeline) { pipeline_ = std::move(pipeline); }
 
   // One ingress frame: every add-order classified in order, then one
   // re-encoded packet per egress port (ports ascending) holding exactly

@@ -441,7 +441,6 @@ TEST(ProcessBatch, SparseStateIdsRunCompiled) {
   e.state = huge;
   e.actions = std::make_shared<const lang::ActionSet>(lang::ActionSet{{5}, {}});
   p.leaf.add_entry(e);
-  p.finalize();
 
   ReferenceSwitch sw_ref(schema, p);
   Switch sw_fast(schema, p);
@@ -502,7 +501,6 @@ TEST(ProcessBatch, StatefulPrefixMemoAcrossRegisterRollover) {
         lang::ActionSet{{static_cast<std::uint16_t>(s)}, {*var}});
     p.leaf.add_entry(std::move(e));
   }
-  p.finalize();
 
   ReferenceSwitch sw_ref(schema, p);
   Switch sw_fast(schema, p);

@@ -1,9 +1,10 @@
 // CompiledPipeline: the flattened fast-path lookup must be bit-identical
 // to Pipeline::evaluate — randomized pipelines (exact/range/wildcard
-// mixes, duplicates, state subjects), compiled ITCH programs under both
-// stage orderings and with domain compression, manual value-map chains,
-// forty value maps, and degenerate shapes. The hot-key memo split
-// (prefix_key / run_prefix / finish) must compose to a full traverse.
+// mixes, duplicates, overlapping ranges as a corrupt table has them,
+// state subjects), compiled ITCH programs under both stage orderings and
+// with domain compression, manual value-map chains, forty value maps, and
+// degenerate shapes. The hot-key memo split (prefix_key / run_prefix /
+// finish) must compose to a full traverse.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -40,7 +41,10 @@ std::uint32_t ref_leaf_index(const Pipeline& p, const lang::Env& env) {
 constexpr std::uint32_t kStates = 8;       // state ids used by random tables
 constexpr std::uint64_t kValueSpan = 48;   // env values drawn from [0, span)
 
-Pipeline random_pipeline(util::Rng& rng) {
+// With `overlapping`, each table also gets ranges that overlap the others
+// and each other, some with equal lo: what a bit-flipped entry leaves in a
+// corrupt program, which validate() rejects but the switch still runs.
+Pipeline random_pipeline(util::Rng& rng, bool overlapping = false) {
   Pipeline p;
   const std::size_t n_tables = 1 + rng.next() % 3;
   for (std::size_t t = 0; t < n_tables; ++t) {
@@ -78,6 +82,17 @@ Pipeline random_pipeline(util::Rng& rng) {
       tab.add_entry({st, ValueMatch::exact(v), 3});
       tab.add_entry({st, ValueMatch::exact(v), 5});
     }
+    // Both evaluators take the range with the largest lo <= value, the
+    // later entry on a tie in lo, and only if it covers the value.
+    for (int k = 0; overlapping && k < 4; ++k) {
+      const StateId st = static_cast<StateId>(rng.next() % kStates);
+      const std::uint64_t lo = rng.next() % (kValueSpan / 2);
+      tab.add_entry({st, ValueMatch::range(lo, lo + rng.next() % 16),
+                     static_cast<StateId>(rng.next() % kStates)});
+      if (rng.next() % 2)
+        tab.add_entry({st, ValueMatch::range(lo, lo + rng.next() % 16),
+                       static_cast<StateId>(rng.next() % kStates)});
+    }
     p.tables.push_back(std::move(tab));
   }
   for (StateId s = 0; s < kStates; ++s) {
@@ -94,14 +109,15 @@ Pipeline random_pipeline(util::Rng& rng) {
       p.leaf.add_entry(std::move(dup));
     }
   }
-  p.finalize();
   return p;
 }
 
 TEST(CompiledPipeline, RandomizedEquivalence) {
   util::Rng rng(0xc0de);
-  for (int trial = 0; trial < 100; ++trial) {
-    const Pipeline p = random_pipeline(rng);
+  int corrupt = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const Pipeline p = random_pipeline(rng, /*overlapping=*/trial >= 100);
+    corrupt += !p.validate().ok();
     const CompiledPipeline cp(p);
     ASSERT_TRUE(cp.valid());
     lang::Env env;
@@ -124,6 +140,7 @@ TEST(CompiledPipeline, RandomizedEquivalence) {
       }
     }
   }
+  EXPECT_GT(corrupt, 50);  // the overlapping half really overlaps
 }
 
 TEST(CompiledPipeline, EmptyAndLeafOnlyPipelines) {
@@ -139,7 +156,6 @@ TEST(CompiledPipeline, EmptyAndLeafOnlyPipelines) {
   e.state = kInitialState;
   e.actions = fwd(9);
   leaf_only.leaf.add_entry(e);
-  leaf_only.finalize();
   const CompiledPipeline cl(leaf_only);
   ASSERT_TRUE(cl.valid());
   const auto idx = cl.traverse(std::vector<std::uint64_t>{7},
@@ -157,7 +173,6 @@ TEST(CompiledPipeline, WildcardOnlyTable) {
   e.state = 4;
   e.actions = fwd(2);
   p.leaf.add_entry(e);
-  p.finalize();
   const CompiledPipeline cp(p);
   ASSERT_TRUE(cp.valid());
   for (std::uint64_t v : {0ULL, 5ULL, ~0ULL}) {
@@ -195,7 +210,6 @@ TEST(CompiledPipeline, ValueMapEquivalenceIncludingMapMiss) {
     e.actions = fwd(static_cast<std::uint16_t>(s + 10));
     p.leaf.add_entry(e);
   }
-  p.finalize();
 
   const CompiledPipeline cp(p);
   ASSERT_TRUE(cp.valid());
@@ -231,7 +245,6 @@ TEST(CompiledPipeline, ValueMapEquivalenceIncludingMapMiss) {
       map.add_entry({StateId{3}, ValueMatch::any(), 7});
       many.value_maps.push_back(std::move(map));
     }
-    many.finalize();
     const CompiledPipeline cm(many);
     ASSERT_TRUE(cm.valid());
     lang::Env e;
@@ -260,7 +273,6 @@ void itch_equivalence(bdd::OrderHeuristic order, bool compress) {
   co.order = order;
   co.domain_compression = compress;
   auto pipeline = compiler::compile_rules(schema, subs.rules, co).take().pipeline;
-  pipeline.finalize();
   const CompiledPipeline cp(pipeline);
   ASSERT_TRUE(cp.valid());
 
@@ -308,7 +320,6 @@ TEST(CompiledPipeline, PrefixRunsComposeToTraverse) {
   compiler::CompileOptions co;
   co.order = bdd::OrderHeuristic::kExactFirst;  // symbol stage leads
   auto pipeline = compiler::compile_rules(schema, subs.rules, co).take().pipeline;
-  pipeline.finalize();
   const CompiledPipeline cp(pipeline);
   ASSERT_TRUE(cp.valid());
   ASSERT_GT(cp.prefix_stages(), 0u);

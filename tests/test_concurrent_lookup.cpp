@@ -1,8 +1,7 @@
-// Concurrent read-only lookups (run under ThreadSanitizer in CI): the
-// compiler finalizes every pipeline it emits, and copies keep the index, so
-// Pipeline::evaluate and CompiledPipeline::traverse are const and safe to
-// call from many threads at once. Before the eager finalize, the first
-// evaluate would lazily build table indexes and race.
+// Concurrent read-only lookups (run under ThreadSanitizer in CI): a
+// Pipeline is plain data and a CompiledPipeline is immutable once built,
+// so Pipeline::evaluate and CompiledPipeline::traverse are const and safe
+// to call from many threads at once, with nothing to prepare first.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -56,9 +55,7 @@ TEST(ConcurrentLookup, EvaluateAndTraverseAfterControllerCompile) {
   auto committed = ctl.commit();
   ASSERT_TRUE(committed.ok()) << committed.error().to_string();
 
-  // Deliberately no finalize() here: the controller's intended program
-  // must arrive finalized, or the first concurrent evaluate below races
-  // on the lazy index build.
+  // The controller's intended program, shared exactly as committed.
   const table::Pipeline& pipe = ctl.intended().value()->leaves[0];
   const table::CompiledPipeline cp(pipe);
   ASSERT_TRUE(cp.valid());
@@ -127,7 +124,6 @@ void prefix_decomposition_is_const(bool domain_compression) {
   co.order = bdd::OrderHeuristic::kExactFirst;
   co.domain_compression = domain_compression;
   auto pipeline = compiler::compile_rules(schema, subs.rules, co).take().pipeline;
-  pipeline.finalize();
   ASSERT_EQ(pipeline.value_maps.empty(), !domain_compression);
   const table::CompiledPipeline cp(pipeline);
   ASSERT_TRUE(cp.valid());
@@ -210,8 +206,6 @@ TEST(ConcurrentLookup, TwoPhaseInstallNeverExposesPartialPipeline) {
     }
     return h;
   };
-  p1.finalize();
-  p2.finalize();
   const std::uint64_t want1 = digest_of(p1);
   const std::uint64_t want2 = digest_of(p2);
 

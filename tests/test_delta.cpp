@@ -321,7 +321,6 @@ TEST(DeltaDifferential, DuplicateEntriesOnEitherSide) {
   if (shadow.actions->ports.size() > 1)
     shadow.mcast_group = have.mcast.intern(shadow.actions);
   have.leaf.add_entry(shadow);
-  have.finalize();
 
   expect_same_diff(&have, want);
   expect_same_diff(&want, have);

@@ -190,7 +190,6 @@ TEST(FabricEquivalence, CompiledFabricIsProvenEquivalent) {
     // A corrupted leaf program is caught on either topology.
     auto corrupted = std::move(program).take();
     corrupted.leaves[0] = camus::table::Pipeline{};
-    corrupted.leaves[0].finalize();
     const auto bad = camus::verify::check_fabric_equivalence(
         schema, rules_, placed.value(), corrupted);
     EXPECT_TRUE(bad.completed);
@@ -258,7 +257,6 @@ TEST(FabricEquivalence, CorruptedSpineProgramIsCaught) {
   // placement: obligations (1)-(3) hold, (4) must fail.
   auto corrupted = std::move(program).take();
   corrupted.spine = camus::table::Pipeline{};
-  corrupted.spine.finalize();
   const auto res = camus::verify::check_fabric_equivalence(
       schema, rules_, placed.value(), corrupted);
   EXPECT_TRUE(res.completed);

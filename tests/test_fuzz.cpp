@@ -114,11 +114,11 @@ std::vector<std::uint8_t> valid_market_frame(util::Rng& rng) {
                                           msgs);
 }
 
-// The zero-copy scanner, the full decoder, and the diagnostic decoder must
+// The zero-copy scanner and the decoder (one coded parse per layer) must
 // agree on accept/reject for EVERY input — truncated, bit-flipped, or
-// garbage — and on accepted frames they must see the same messages. Runs
-// under ASAN/UBSAN in CI, so any out-of-bounds read in the scan fast path
-// is caught here.
+// garbage — every reject must carry a code, and on accepted frames both
+// must see the same messages. Runs under ASAN/UBSAN in CI, so any
+// out-of-bounds read in the scan fast path is caught here.
 TEST_P(FuzzSeeds, MoldUdpDecodersAgreeOnMutatedFrames) {
   util::Rng rng(GetParam() ^ 0x11d);
   proto::MarketDataView view;
@@ -128,32 +128,31 @@ TEST_P(FuzzSeeds, MoldUdpDecodersAgreeOnMutatedFrames) {
     view = proto::MarketDataView{};
     offsets.clear();
     const bool scanned = proto::scan_market_data_packet(frame, view, offsets);
-    const auto decoded = proto::decode_market_data_packet(frame);
     const auto checked = proto::decode_market_data_packet_checked(frame);
 
-    ASSERT_EQ(scanned, decoded.has_value())
-        << "scan/decode disagree on a " << frame.size() << "-byte frame";
-    ASSERT_EQ(decoded.has_value(), checked.ok())
-        << "decode/decode_checked disagree; diagnostic: "
+    ASSERT_EQ(scanned, checked.ok())
+        << "scan/decode disagree on a " << frame.size()
+        << "-byte frame; diagnostic: "
         << (checked.ok() ? "ok" : checked.error().to_string());
-    if (!decoded) {
+    if (!checked.ok()) {
       // A reject must carry a stable diagnostic code.
       EXPECT_FALSE(checked.error().code.empty());
       return;
     }
-    ASSERT_EQ(offsets.size(), decoded->itch.add_orders.size());
+    const proto::MarketDataPacket& decoded = checked.value();
+    ASSERT_EQ(offsets.size(), decoded.itch.add_orders.size());
     for (std::size_t i = 0; i < offsets.size(); ++i) {
       const auto m = proto::decode_add_order_at(frame, offsets[i]);
-      EXPECT_EQ(m.stock, decoded->itch.add_orders[i].stock);
-      EXPECT_EQ(m.price, decoded->itch.add_orders[i].price);
-      EXPECT_EQ(m.order_ref, decoded->itch.add_orders[i].order_ref);
+      EXPECT_EQ(m.stock, decoded.itch.add_orders[i].stock);
+      EXPECT_EQ(m.price, decoded.itch.add_orders[i].price);
+      EXPECT_EQ(m.order_ref, decoded.itch.add_orders[i].order_ref);
     }
 
     // The raw re-framer writes what decode-then-encode writes, byte for
     // byte, for subsets of the scanned messages: none, the first, every
     // other one, and all of them. Flipped bits reach the IP addresses
     // (checksum folds), the IHL, the session bytes and the sequence.
-    const auto& all = decoded->itch.add_orders;
+    const auto& all = decoded.itch.add_orders;
     for (int subset = 0; subset < 4; ++subset) {
       std::vector<std::uint32_t> sub_offsets;
       std::vector<proto::ItchAddOrder> sub_msgs;
@@ -171,8 +170,8 @@ TEST_P(FuzzSeeds, MoldUdpDecodersAgreeOnMutatedFrames) {
       proto::build_market_frame_raw(view, frame, sub_offsets,
                                     std::span(built));
       const auto expected = proto::encode_market_data_packet(
-          decoded->eth, decoded->ip.src, decoded->ip.dst, decoded->itch.mold,
-          sub_msgs, decoded->udp.dst_port);
+          decoded.eth, decoded.ip.src, decoded.ip.dst, decoded.itch.mold,
+          sub_msgs, decoded.udp.dst_port);
       ASSERT_EQ(built, expected) << "subset " << subset << " of a "
                                  << frame.size() << "-byte frame";
     }

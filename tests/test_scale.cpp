@@ -458,6 +458,22 @@ TEST(CompileStats, PhaseTimesPopulated) {
   // One stage entry per field table plus the leaf count.
   EXPECT_FALSE(s.tablegen.stage_entries.empty());
   EXPECT_GT(s.tablegen.leaf_entries, 0u);
+
+  // A partitioned compile reports its shards' BDD work, with no
+  // reference MTBDD built.
+  compiler::CompileOptions popts;
+  popts.partition = compiler::PartitionMode::kForce;
+  popts.partition_min_rules = 0;
+  popts.threads = 2;
+  auto p = compiler::compile_rules(schema, subs.rules, popts);
+  ASSERT_TRUE(p.ok());
+  const auto& ps = p.value().stats;
+  ASSERT_GT(ps.partition_groups, 1u);
+  EXPECT_EQ(p.value().manager, nullptr);
+  EXPECT_GT(ps.cache.unique_nodes, 0u);
+  EXPECT_GT(ps.cache.unite_res_probes, 0u);
+  EXPECT_GT(ps.bdd_before_prune.node_count, 0u);
+  EXPECT_GT(ps.bdd_after_prune.node_count, 0u);
 }
 
 // A partitioned compile on three workers, so the threads key and the
@@ -468,7 +484,7 @@ TEST(CompileStats, JsonRoundTrips) {
   compiler::CompileOptions opts;
   opts.partition = compiler::PartitionMode::kForce;
   opts.partition_min_rules = 0;
-  opts.partition_reference = true;  // fills the bdd and cache sections
+  opts.partition_reference = true;  // a reference leaves the stats as is
   opts.threads = 3;
   auto c = compiler::compile_rules(schema, subs.rules, opts);
   ASSERT_TRUE(c.ok());

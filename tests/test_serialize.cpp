@@ -111,7 +111,7 @@ TEST(Serialize, RejectsMalformedInput) {
                    "camus-pipeline v1\ninitial_state 0\nleaf\n"
                    "entry 0 ports=1,2 updates=- mcast=7\nend\n")
                    .ok());
-  // Overlapping ranges are rejected at finalize.
+  // Overlapping ranges are rejected by validation.
   EXPECT_FALSE(table::deserialize_pipeline(
                    "camus-pipeline v1\ninitial_state 0\n"
                    "table t subject=f0 kind=range width=8 symbol=0\n"
@@ -128,7 +128,6 @@ TEST(Serialize, ErrorsCarryLineNumbers) {
 
 TEST(Serialize, EmptyPipelineRoundTrips) {
   table::Pipeline empty;
-  empty.finalize();
   auto back =
       table::deserialize_pipeline(table::serialize_pipeline(empty));
   ASSERT_TRUE(back.ok());

@@ -139,8 +139,7 @@ TEST(Spill, SplitSemanticsAreComplete) {
 
   auto compiled = compiler::compile_rules(schema, subs.rules);
   ASSERT_TRUE(compiled.ok());
-  auto unsplit = compiled.value().pipeline;  // the full BDD semantics
-  unsplit.finalize();
+  const auto& unsplit = compiled.value().pipeline;  // full BDD semantics
   const auto full = unsplit.resources();
 
   table::ResourceBudget budget;
@@ -153,8 +152,7 @@ TEST(Spill, SplitSemanticsAreComplete) {
   const auto& split = split_r.value();
   ASSERT_TRUE(split.degraded());
 
-  table::Pipeline hw = split.hardware.pipeline;
-  hw.finalize();
+  const table::Pipeline& hw = split.hardware.pipeline;
   baseline::NaiveMatcher host(split.spilled_flat);
   EXPECT_EQ(host.rule_count(), split.spilled.size());
 

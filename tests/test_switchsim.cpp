@@ -253,7 +253,6 @@ TEST(Switch, EveryEntryPointRunsTheCompiledEngine) {
   e.state = huge;
   e.actions = std::make_shared<const lang::ActionSet>(lang::ActionSet{{5}, {}});
   p.leaf.add_entry(e);
-  p.finalize();
   switchsim::Switch sparse(schema, p);
   ASSERT_EQ(sparse.compiled().n_states(), 2u);  // initial + huge
 

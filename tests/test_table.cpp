@@ -10,6 +10,14 @@ namespace {
 using namespace camus::table;
 using camus::lang::Subject;
 
+// The next state a lookup yields, or nullopt on a miss.
+std::optional<StateId> next_of(const Table& t, StateId state,
+                               std::uint64_t value) {
+  const Entry* e = t.lookup(state, value);
+  if (!e) return std::nullopt;
+  return e->next_state;
+}
+
 TEST(ValueMatchTest, Semantics) {
   EXPECT_TRUE(ValueMatch::any().matches(0));
   EXPECT_TRUE(ValueMatch::any().matches(~0ULL));
@@ -30,12 +38,14 @@ TEST(TableTest, LookupPrecedence) {
   t.add_entry({1, ValueMatch::any(), 300});
   // Range entries must be disjoint; exact(10) and range [0,50] coexist
   // because exact wins first.
-  t.finalize();
 
-  EXPECT_EQ(t.lookup(1, 10), std::optional<StateId>(100));  // exact first
-  EXPECT_EQ(t.lookup(1, 20), std::optional<StateId>(200));  // range
-  EXPECT_EQ(t.lookup(1, 60), std::optional<StateId>(300));  // wildcard
-  EXPECT_EQ(t.lookup(2, 10), std::nullopt);                 // unknown state
+  EXPECT_EQ(next_of(t, 1, 10), std::optional<StateId>(100));  // exact first
+  EXPECT_EQ(next_of(t, 1, 20), std::optional<StateId>(200));  // range
+  EXPECT_EQ(next_of(t, 1, 60), std::optional<StateId>(300));  // wildcard
+  EXPECT_EQ(next_of(t, 2, 10), std::nullopt);                 // unknown state
+  // The matched entry itself comes back, so a caller can read its match.
+  ASSERT_NE(t.lookup(1, 20), nullptr);
+  EXPECT_EQ(t.lookup(1, 20)->match, ValueMatch::range(0, 50));
 }
 
 TEST(TableTest, RangeBinarySearch) {
@@ -43,12 +53,33 @@ TEST(TableTest, RangeBinarySearch) {
   t.add_entry({0, ValueMatch::range(10, 19), 1});
   t.add_entry({0, ValueMatch::range(30, 39), 2});
   t.add_entry({0, ValueMatch::range(20, 29), 3});
-  t.finalize();
-  EXPECT_EQ(t.lookup(0, 15), std::optional<StateId>(1));
-  EXPECT_EQ(t.lookup(0, 25), std::optional<StateId>(3));
-  EXPECT_EQ(t.lookup(0, 35), std::optional<StateId>(2));
-  EXPECT_EQ(t.lookup(0, 9), std::nullopt);
-  EXPECT_EQ(t.lookup(0, 40), std::nullopt);
+  EXPECT_EQ(next_of(t, 0, 15), std::optional<StateId>(1));
+  EXPECT_EQ(next_of(t, 0, 25), std::optional<StateId>(3));
+  EXPECT_EQ(next_of(t, 0, 35), std::optional<StateId>(2));
+  EXPECT_EQ(next_of(t, 0, 9), std::nullopt);
+  EXPECT_EQ(next_of(t, 0, 40), std::nullopt);
+}
+
+TEST(TableTest, LookupRuleOnCorruptEntries) {
+  // Duplicates and overlaps fail validate(), yet a bit-flipped program
+  // still classifies: lookup follows the lowered engine's rule.
+  Table t("t", Subject::field(0), MatchKind::kRange, 16);
+  t.add_entry({0, ValueMatch::exact(5), 1});
+  t.add_entry({0, ValueMatch::exact(5), 2});      // last exact wins
+  t.add_entry({0, ValueMatch::range(10, 40), 3});
+  t.add_entry({0, ValueMatch::range(20, 25), 4});  // largest lo <= value
+  t.add_entry({0, ValueMatch::range(10, 12), 5});  // ties lo 10: later wins
+  t.add_entry({0, ValueMatch::any(), 6});
+  t.add_entry({0, ValueMatch::any(), 7});         // last wildcard wins
+  EXPECT_FALSE(t.validate().ok());
+  EXPECT_EQ(next_of(t, 0, 5), std::optional<StateId>(2));
+  EXPECT_EQ(next_of(t, 0, 11), std::optional<StateId>(5));
+  // [10,12] is the only lo-10 range that counts, and it stops at 12.
+  EXPECT_EQ(next_of(t, 0, 15), std::optional<StateId>(7));
+  EXPECT_EQ(next_of(t, 0, 22), std::optional<StateId>(4));
+  // [20,25] has the largest lo <= 30 and misses it; [10,40] is not tried.
+  EXPECT_EQ(next_of(t, 0, 30), std::optional<StateId>(7));
+  EXPECT_EQ(next_of(t, 0, 3), std::optional<StateId>(7));
 }
 
 TEST(TableTest, OverlappingRangesRejectedByValidate) {
@@ -64,18 +95,6 @@ TEST(TableTest, OverlappingRangesRejectedByValidate) {
   ok.add_entry({0, ValueMatch::range(21, 25), 2});
   ok.add_entry({1, ValueMatch::range(15, 25), 2});  // other state: disjoint
   EXPECT_TRUE(ok.validate().ok());
-}
-
-TEST(TableTest, LookupBeforeFinalizeIndexesLazily) {
-  Table t("t", Subject::field(0), MatchKind::kExact, 16);
-  t.add_entry({0, ValueMatch::exact(1), 1});
-  EXPECT_FALSE(t.finalized());
-  EXPECT_EQ(t.lookup(0, 1), std::optional<StateId>(1));
-  EXPECT_TRUE(t.finalized());
-  // Adding an entry invalidates the index; lookup rebuilds it.
-  t.add_entry({0, ValueMatch::exact(2), 7});
-  EXPECT_FALSE(t.finalized());
-  EXPECT_EQ(t.lookup(0, 2), std::optional<StateId>(7));
 }
 
 TEST(MulticastGroupsTest, InternDeduplicates) {
@@ -183,7 +202,6 @@ TEST(PipelineTest, MissKeepsStateThroughStages) {
   leaf.actions = std::make_shared<const camus::lang::ActionSet>(
       camus::lang::ActionSet{{1}, {}});
   pipe.leaf.add_entry(leaf);
-  pipe.finalize();
 
   camus::lang::Env env;
   env.fields = {5, 5};

@@ -283,7 +283,6 @@ table::Pipeline one_table(table::Table t,
   table::Pipeline p;
   p.tables.push_back(std::move(t));
   for (auto& e : leaves) p.leaf.add_entry(std::move(e));
-  p.finalize();
   return p;
 }
 
@@ -468,7 +467,6 @@ TEST(Equivalence, DetectsSingleCorruptedEntry) {
     if (mutated) break;
   }
   ASSERT_TRUE(mutated);
-  c.pipeline.finalize();
 
   Report report;
   auto r = verify::verify_equivalence(*c.manager, c.root, c.pipeline, schema,
@@ -515,7 +513,6 @@ TEST(Equivalence, CoversValueMappedPipelines) {
   table::Entry e = map.entries()[victim];
   e.next_state = map.entries()[victim + 1].next_state;
   map.set_entry(victim, e);
-  c.pipeline.finalize();
   auto bad = verify::check_equivalence(*c.manager, c.root, c.pipeline, schema);
   ASSERT_TRUE(bad.completed) << bad.detail;
   EXPECT_FALSE(bad.equivalent);
