@@ -10,8 +10,11 @@ the commit under test (head) and, with --anchor, one of the commit that
 last regenerated BENCH_throughput.json, RUNS times each. The sides take
 turns, in order in even rounds and in reverse order in odd ones. Fails
 (exit 1) when a head run's egress digest differs from quick_output_digest
-in the committed baseline JSON, or when the median head throughput is
-below FLOOR times the median of the base or of the anchor. The base bounds
+in the committed baseline JSON, when its count of egress packets built
+differs from quick_packets_built (a count repeats exactly on any machine,
+so a change that stops building each distinct packet once fails here),
+or when the median head throughput is below FLOOR times the median of
+the base or of the anchor. The base bounds
 the loss of one change; the anchor bounds the loss that adds up over
 several changes since the baseline was recorded. All builds run on the
 same machine, so the ratios do not depend on the machine's speed. --out
@@ -50,7 +53,9 @@ def main():
     a = ap.parse_args()
 
     with open(a.baseline) as f:
-        want_digest = json.load(f)["quick_output_digest"]
+        baseline = json.load(f)
+    want_digest = baseline["quick_output_digest"]
+    want_built = baseline["quick_packets_built"]
     sides = ["base", "head"] + (["anchor"] if a.anchor else [])
     runs = {side: [] for side in sides}
     for k in range(RUNS):
@@ -58,16 +63,24 @@ def main():
         for side in order:
             rep = run(getattr(a, side))
             rate = rep["batched"]["msgs_per_sec"]
+            # Builds older than the packets_built counter lack the key.
+            built = rep.get("packets_built")
             runs[side].append({"msgs_per_sec": rate,
-                               "output_digest": rep["output_digest"]})
+                               "output_digest": rep["output_digest"],
+                               "packets_built": built})
             print(f"round {k + 1} {side}: {rate:.0f} msgs/s "
-                  f"digest {rep['output_digest']}", flush=True)
+                  f"digest {rep['output_digest']} built {built}", flush=True)
 
     failures = []
     for r in runs["head"]:
         if r["output_digest"] != want_digest:
             failures.append(f"egress digest {r['output_digest']} != "
                             f"committed {want_digest}")
+            break
+    for r in runs["head"]:
+        if r["packets_built"] != want_built:
+            failures.append(f"egress packets built {r['packets_built']} != "
+                            f"committed {want_built}")
             break
     med = {s: statistics.median(r["msgs_per_sec"] for r in runs[s])
            for s in runs}
@@ -85,6 +98,7 @@ def main():
                        "ratio": ratios["base"],
                        "anchor_ratio": ratios.get("anchor"), "floor": FLOOR,
                        "quick_output_digest": want_digest,
+                       "quick_packets_built": want_built,
                        "failures": failures}, f, indent=2)
     for msg in failures:
         print("FAIL: " + msg, file=sys.stderr)

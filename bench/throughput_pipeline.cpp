@@ -1,10 +1,12 @@
 // Throughput-regression harness for the data plane: replays a
 // nasdaq-style feed through Switch::process_batch in 64-frame batches and
-// reports machine-readable throughput numbers plus an order-sensitive
-// digest of every egress packet (port and bytes). CI runs this with
-// --quick --json through bench/throughput_gate.py, which pins the digest to
-// the committed BENCH_throughput.json (quick_output_digest; the full run's
-// is output_digest) and fails the build when throughput regresses versus a
+// reports machine-readable throughput numbers, an order-sensitive digest
+// of every egress packet (port and bytes), and the egress copies sent and
+// packets built per message. CI runs this with --quick --json through
+// bench/throughput_gate.py, which pins the digest and the packets built to
+// the committed BENCH_throughput.json (quick_output_digest and
+// quick_packets_built; the full run's are output_digest and
+// packets_built) and fails the build when throughput regresses versus a
 // build of the base commit run alternately on the same machine.
 //
 // Latency percentiles are message-weighted (netsim::per_message_latency):
@@ -18,7 +20,7 @@
 //  - the batch path caches register snapshots (no per-message snapshot
 //    vector), reuses its scan and gather scratch across batches, and
 //    re-frames every batch into one switch-owned egress buffer (no
-//    per-packet vector).
+//    per-packet vector), building each distinct packet of a frame once.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -101,6 +103,13 @@ int main(int argc, char** argv) {
                 static_cast<double>(bs.memo_probes)
           : 0;
   const unsigned hw_cores = std::thread::hardware_concurrency();
+  const auto per_msg = [&](std::uint64_t count) {
+    return st.messages > 0 ? static_cast<double>(count) /
+                                 static_cast<double>(st.messages)
+                           : 0;
+  };
+  const double copies_per_msg = per_msg(sw.counters().tx_copies);
+  const double built_per_msg = per_msg(bs.packets_built);
 
   std::printf("throughput_pipeline: %zu msgs, %zu frames, %zu rules, "
               "batch=%zu frames, hw_cores=%u\n",
@@ -111,6 +120,10 @@ int main(int argc, char** argv) {
               "%016llx\n",
               100 * hit_rate, sw.compiled().arena_bytes(),
               static_cast<unsigned long long>(st.output_digest));
+  std::printf("  egress: %.3f copies/msg   %.3f packets built/msg "
+              "(%llu built)\n",
+              copies_per_msg, built_per_msg,
+              static_cast<unsigned long long>(bs.packets_built));
 
   if (json) {
     char buf[1024];
@@ -129,11 +142,16 @@ int main(int argc, char** argv) {
         "  \"batched\": {\"msgs_per_sec\": %.0f, \"ns_per_msg_p50\": %.1f, "
         "\"ns_per_msg_p99\": %.1f},\n"
         "  \"memo_hit_rate\": %.4f,\n"
+        "  \"tx_copies_per_msg\": %.4f,\n"
+        "  \"packets_built_per_msg\": %.4f,\n"
+        "  \"packets_built\": %llu,\n"
         "  \"arena_bytes\": %zu\n"
         "}\n",
         n, frames.size(), kRules, kMsgsPerFrame, kBatchFrames, hw_cores,
         static_cast<unsigned long long>(st.output_digest), msgs_per_sec,
-        lat.p50_ns, lat.p99_ns, hit_rate, sw.compiled().arena_bytes());
+        lat.p50_ns, lat.p99_ns, hit_rate, copies_per_msg, built_per_msg,
+        static_cast<unsigned long long>(bs.packets_built),
+        sw.compiled().arena_bytes());
     std::ofstream(json_path) << buf;
     std::printf("%s", buf);
   }

@@ -1,5 +1,7 @@
 #include "switchsim/switch.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "proto/generic.hpp"
@@ -314,13 +316,18 @@ std::vector<Switch::TxPacket> Switch::process_batch(
   }
 
   // Pass 2: classify every message in arrival order (state updates are
-  // order-sensitive). Fields come straight off the wire.
+  // order-sensitive). Fields come straight off the wire. Counts the
+  // (message, port) pairs, which bound the egress.
   msg_actions_.resize(offsets_.size());
+  std::size_t all_pairs = 0;
   for (std::size_t f = 0; f < frames.size(); ++f) {
     for (std::uint32_t i = ranges_[f].first; i < ranges_[f].second; ++i) {
       extractor_.extract_wire(frames[f].data.data() + offsets_[i],
                               fields_scratch_);
-      msg_actions_[i] = classify_fast(prog, fields_scratch_, frames[f].now_us);
+      const lang::ActionSet* a =
+          classify_fast(prog, fields_scratch_, frames[f].now_us);
+      msg_actions_[i] = a;
+      if (a) all_pairs += a->ports.size();
     }
   }
 
@@ -329,12 +336,17 @@ std::vector<Switch::TxPacket> Switch::process_batch(
   // unique): a min-heap holds one cursor per matched message, keyed
   // port << 32 | arrival index, so pops come out ports ascending, arrival
   // order within a port — the reference path's order — in
-  // O(pairs * log K) and with no sort. Each port's packet is written end to
-  // end into egress_, which grows at most once per frame: a (port, message)
-  // pair adds one block, plus one header when it opens a port's packet. The
-  // views are made once egress_ has stopped growing, so packets are
-  // recorded as (port, size) meanwhile.
-  tx_.clear();
+  // O(pairs * log K) and with no sort. A port's packet is a function of the
+  // frame and its list of message offsets, so each distinct list is built
+  // once, as an ASIC's replication engine sends one buffered packet to
+  // every member port: a hash folded over the offsets picks a candidate in
+  // share_, the lists are compared, and a port whose list equals one built
+  // for this frame views those bytes. egress_ is sized first, to room for
+  // every pair as a packet of its own, so no view moves.
+  const std::size_t most = all_pairs * proto::market_frame_raw_size(1);
+  if (egress_.size() < most) egress_.resize(most);
+  std::vector<TxPacket> out;
+  out.reserve(all_pairs);
   std::size_t used = 0;
   for (std::size_t f = 0; f < frames.size(); ++f) {
     const auto [begin, end] = ranges_[f];
@@ -348,19 +360,30 @@ std::vector<Switch::TxPacket> Switch::process_batch(
       pairs += a->ports.size();
     }
     cursor_.assign(end - begin, 0);
-    const std::size_t most = used + pairs * proto::market_frame_raw_size(1);
-    if (egress_.size() < most) egress_.resize(most);
+    // A frame builds at most one packet per distinct port, so share_ stays
+    // at most half full; the slot is the hash's top bits.
+    const std::size_t slots = std::bit_ceil(
+        std::max<std::size_t>(2, 2 * std::min<std::size_t>(pairs, 1u << 16)));
+    if (share_.size() < slots) share_.resize(slots, 0);
+    const std::size_t mask = slots - 1;
+    const int shift = 64 - std::countr_zero(slots);
+    if (lists_.size() < pairs) lists_.resize(pairs);
+    std::uint32_t* lists = lists_.data();
+    std::uint32_t top = 0;  // lists[0, top) is in use
+    built_.clear();
 
     std::uint64_t* heap = heap_.data();
     std::size_t n = heap_.size();
     for (std::size_t k = n / 2; k-- > 0;) sift_down(heap, n, k);
-    const std::size_t first_tx = tx_.size();
+    const std::size_t first_out = out.size();
     while (n > 0) {
-      const std::uint64_t port = heap[0] >> 32;
-      msg_offsets_scratch_.clear();
+      const auto port = static_cast<std::uint16_t>(heap[0] >> 32);
+      const std::uint32_t list = top;
+      std::uint64_t hash = 0;
       do {  // pop the top, then replace it with its message's next port
         const auto i = static_cast<std::uint32_t>(heap[0]);
-        msg_offsets_scratch_.push_back(offsets_[i]);
+        lists[top++] = offsets_[i];
+        hash = (hash ^ offsets_[i]) * 0x9e3779b97f4a7c15ULL;
         const std::vector<std::uint16_t>& ports = msg_actions_[i]->ports;
         std::uint32_t& at = cursor_[i - begin];
         if (++at < ports.size())
@@ -369,28 +392,40 @@ std::vector<Switch::TxPacket> Switch::process_batch(
           heap[0] = heap[--n];
         sift_down(heap, n, 0);
       } while (n > 0 && heap[0] >> 32 == port);
-      const std::size_t size =
-          proto::market_frame_raw_size(msg_offsets_scratch_.size());
+      const std::uint32_t count = top - list;
+      const std::size_t size = proto::market_frame_raw_size(count);
+
+      std::size_t slot = hash >> shift;
+      const Built* same = nullptr;
+      for (; share_[slot] != 0; slot = (slot + 1) & mask) {
+        const Built& b = built_[share_[slot] - 1];
+        if (b.hash != hash || b.count != count) continue;
+        std::uint32_t k = 0;
+        while (k < count && lists[b.list + k] == lists[list + k]) ++k;
+        if (k == count) {
+          same = &b;
+          break;
+        }
+      }
+      if (same) {
+        top = list;
+        out.push_back({port, {egress_.data() + same->at, size}});
+        continue;
+      }
       proto::build_market_frame_raw(views_[f], frames[f].data,
-                                    msg_offsets_scratch_,
+                                    {lists + list, count},
                                     {egress_.data() + used, size});
+      built_.push_back({hash, used, list, count,
+                        static_cast<std::uint32_t>(slot)});
+      share_[slot] = static_cast<std::uint32_t>(built_.size());
+      out.push_back({port, {egress_.data() + used, size}});
       used += size;
-      tx_.emplace_back(static_cast<std::uint16_t>(port),
-                       static_cast<std::uint32_t>(size));
     }
-    const std::size_t ports = tx_.size() - first_tx;
+    for (const Built& b : built_) share_[b.slot] = 0;
+    batch_stats_.packets_built += built_.size();
+    const std::size_t ports = out.size() - first_out;
     account_frame(ports);
     counters_.tx_copies += ports;
-  }
-
-  // egress_ has stopped growing: every view below stays valid until the
-  // next call.
-  std::vector<TxPacket> out;
-  out.reserve(tx_.size());
-  const std::uint8_t* at = egress_.data();
-  for (const auto& [port, size] : tx_) {
-    out.push_back({port, {at, size}});
-    at += size;
   }
   return out;
 }

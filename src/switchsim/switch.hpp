@@ -57,7 +57,8 @@ struct SwitchCounters {
   // frame counts once if any of its messages matched.
   std::uint64_t matched = 0;
   // Total egress copies emitted. One per (frame, port) pair; for
-  // process_batch() one per re-framed per-port packet.
+  // process_batch() one per per-port packet, whether it was built for that
+  // port or views the bytes built for another port of the same frame.
   std::uint64_t tx_copies = 0;
   // Ingress frames replicated to > 1 distinct egress port. Always
   // <= matched; counted per frame, never per message.
@@ -66,12 +67,17 @@ struct SwitchCounters {
   std::uint64_t state_updates = 0;
 };
 
-// Hot-key memo telemetry of the compiled engine, advanced by every entry
-// point. Kept out of SwitchCounters, which the tests' reference
-// interpreter reproduces exactly; the memo has no reference counterpart.
+// Engine telemetry: the hot-key memo, advanced by every entry point, and
+// process_batch()'s egress builds. Kept out of SwitchCounters, which the
+// tests' reference interpreter reproduces exactly; neither has a reference
+// counterpart.
 struct BatchStats {
   std::uint64_t memo_probes = 0;  // hot-key memo lookups attempted
   std::uint64_t memo_hits = 0;    // lookups answered from the memo
+  // Egress packets whose bytes process_batch() wrote: one per distinct
+  // message list of a frame. tx_copies / packets_built is the mean number
+  // of ports that share one built packet.
+  std::uint64_t packets_built = 0;
 };
 
 class Switch {
@@ -112,12 +118,16 @@ class Switch {
   const lang::ActionSet& classify(const std::vector<std::uint64_t>& fields,
                                   std::uint64_t now_us);
 
-  // One egress packet of process_batch(). `frame` views the switch's
+  // One egress packet of process_batch(). `frame` views the switch's one
   // egress buffer, which the switch owns and reuses across calls, like a
   // packet in an ASIC's egress buffer: the view stays valid until this
   // switch's next process_batch() call, or until the switch is destroyed.
-  // Other switches' calls do not touch it. A caller that keeps the bytes
-  // longer copies them before that boundary.
+  // Other switches' calls do not touch it. Packets of one frame that carry
+  // the same messages view the same bytes, as the copies an ASIC's
+  // replication engine sends read one buffered packet; packets with
+  // different messages do not overlap, and no order of the views in the
+  // buffer is promised. The bytes are read-only: a caller that keeps them
+  // past the next call, or rewrites them, copies them first.
   struct TxPacket {
     std::uint16_t port = 0;
     std::span<const std::uint8_t> frame;
@@ -148,8 +158,10 @@ class Switch {
   // fire per matching message; frames whose messages all miss produce no
   // output. Frames are scanned zero-copy (no payload vector, no
   // per-message structs for dropped traffic), register snapshots are
-  // cached across messages, and only matched wire blocks are copied, end
-  // to end into the switch's egress buffer (see TxPacket for how long the
+  // cached across messages, and each distinct egress packet of a frame is
+  // built once, from the matched wire blocks, into the switch's egress
+  // buffer: every port whose message list equals one already built for
+  // that frame gets a view of those bytes (see TxPacket for how long the
   // views live). Callers that work frame by frame pass one-frame batches.
   std::vector<TxPacket> process_batch(std::span<const Frame> frames);
 
@@ -403,12 +415,24 @@ class Switch {
   // keys, and each matched message's position in its port list.
   std::vector<std::uint64_t> heap_;
   std::vector<std::uint32_t> cursor_;
-  std::vector<std::uint32_t> msg_offsets_scratch_;
-  // Egress buffer: the packets of the last process_batch() call, end to
-  // end. Grows to the largest call's output and never shrinks.
+  // One frame's egress builds. lists_ holds the message offsets of each
+  // packet built so far, then those of the port being merged; built_
+  // describes each built packet; share_ is an open-addressing table
+  // (linear probing, load <= 1/2) of built_ index + 1 by the hash of the
+  // offsets, 0 where empty, which each frame leaves all zero.
+  struct Built {
+    std::uint64_t hash = 0;
+    std::size_t at = 0;       // first byte in egress_
+    std::uint32_t list = 0;   // first offset in lists_
+    std::uint32_t count = 0;  // messages
+    std::uint32_t slot = 0;   // where share_ holds it
+  };
+  std::vector<std::uint32_t> lists_;
+  std::vector<Built> built_;
+  std::vector<std::uint32_t> share_;
+  // Egress buffer: the distinct packets of the last process_batch() call,
+  // end to end. Grows to the largest call's bound and never shrinks.
   std::vector<std::uint8_t> egress_;
-  // The last call's packets as (port, size), in egress_ order.
-  std::vector<std::pair<std::uint16_t, std::uint32_t>> tx_;
 };
 
 }  // namespace camus::switchsim

@@ -4,11 +4,15 @@
 // SwitchCounters, and register state — on >= 10k nasdaq-replay messages
 // with malformed/truncated frames interleaved, across batch sizes, in 4-
 // and 40-message frames (egress ports 0 and 65535 among them), with
-// stateful rules, a reprogram mid-stream (hot-key memo invalidation), and
-// state ids far beyond any dense array.
+// stateful rules, a reprogram mid-stream (hot-key memo invalidation),
+// state ids far beyond any dense array, and frames of up to 1,723 messages
+// fanned out to 200 ports, where one built packet serves every port of a
+// frame with the same messages.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,6 +21,7 @@
 #include "reference_switch.hpp"
 #include "spec/itch_spec.hpp"
 #include "switchsim/switch.hpp"
+#include "util/rng.hpp"
 #include "workload/feed.hpp"
 #include "workload/itch_subs.hpp"
 
@@ -250,16 +255,57 @@ std::vector<Switch::Frame> batch_of(
   return batch;
 }
 
-// Whether the packets are views laid end to end in one buffer.
-bool end_to_end(const std::vector<Switch::TxPacket>& out) {
-  for (std::size_t k = 0; k + 1 < out.size(); ++k)
-    if (out[k + 1].frame.data() != out[k].frame.data() + out[k].frame.size())
-      return false;
-  return true;
+// The MoldUDP sequence number of an egress packet, which names the ingress
+// frame that sent it: the feeds here give each frame its own.
+std::uint64_t sequence_of(std::span<const std::uint8_t> frame) {
+  std::uint64_t seq = 0;
+  for (std::size_t k = 0; k < 8; ++k)
+    seq = seq << 8 | frame[proto::kMarketHeaderSize - 10 + k];
+  return seq;
 }
 
-// The egress contract: a call's packets are views laid end to end in one
-// buffer the switch owns, and the next call reuses that buffer.
+// Checks the egress contract on one call's packets and returns where its
+// buffer starts. The views lie in one buffer: the distinct ones tile one
+// block without overlap or gap. Packets of one frame with equal bytes
+// (equal messages) view the same bytes; `shared` counts those that view
+// bytes an earlier packet of the call already viewed.
+const std::uint8_t* expect_egress_contract(
+    const std::vector<Switch::TxPacket>& out, std::size_t* shared) {
+  std::vector<std::span<const std::uint8_t>> distinct;
+  *shared = 0;
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    const auto frame = out[k].frame;
+    bool seen = false;
+    for (std::size_t j = 0; j < k; ++j) {
+      const auto other = out[j].frame;
+      if (other.data() == frame.data()) {
+        EXPECT_EQ(other.size(), frame.size()) << "packets " << j << ", " << k;
+        seen = true;
+      } else if (sequence_of(other) == sequence_of(frame) &&
+                 std::equal(other.begin(), other.end(), frame.begin(),
+                            frame.end())) {
+        ADD_FAILURE() << "packets " << j << " and " << k
+                      << " carry the same messages in separate copies";
+      }
+    }
+    if (seen)
+      ++*shared;
+    else
+      distinct.push_back(frame);
+  }
+  if (distinct.empty()) return nullptr;
+  std::sort(distinct.begin(), distinct.end(),
+            [](const auto& a, const auto& b) { return a.data() < b.data(); });
+  for (std::size_t k = 0; k + 1 < distinct.size(); ++k)
+    EXPECT_EQ(distinct[k].data() + distinct[k].size(), distinct[k + 1].data())
+        << "distinct packets overlap or leave a gap";
+  return distinct.front().data();
+}
+
+// The egress contract: a call's packets are views into one buffer the
+// switch owns, where a frame's packets with the same messages view the
+// same bytes and others do not overlap, and the next call reuses that
+// buffer.
 TEST(ProcessBatch, EgressViewsShareOneReusedBuffer) {
   std::vector<std::string> symbols;
   auto pipeline = itch_pipeline(5, 400, &symbols);
@@ -270,17 +316,19 @@ TEST(ProcessBatch, EgressViewsShareOneReusedBuffer) {
 
   const auto first = sw.process_batch(batch);
   ASSERT_GT(first.size(), 1u);
-  ASSERT_TRUE(end_to_end(first));
-  const std::uint8_t* start = first.front().frame.data();
+  std::size_t shared = 0;
+  const std::uint8_t* start = expect_egress_contract(first, &shared);
+  EXPECT_GT(shared, 0u);
   std::vector<oracle::Packet> kept;
   for (const auto& tx : first) kept.push_back(oracle::own(tx));
 
   // Stateless program, same frames: the same bytes, at the same address.
   const auto second = sw.process_batch(batch);
   ASSERT_EQ(second.size(), kept.size());
-  EXPECT_EQ(second.front().frame.data(), start);
+  EXPECT_EQ(expect_egress_contract(second, &shared), start);
   for (std::size_t k = 0; k < second.size(); ++k) {
     EXPECT_EQ(second[k].port, kept[k].port) << "packet " << k;
+    EXPECT_EQ(second[k].frame.data(), first[k].frame.data()) << "packet " << k;
     EXPECT_EQ(oracle::own(second[k]).frame, kept[k].frame) << "packet " << k;
   }
 }
@@ -298,7 +346,9 @@ TEST(ProcessBatch, EgressViewsOutliveOtherSwitches) {
 
   const auto down = spine.process_batch(batch_of(frames, 0, 64));
   ASSERT_GT(down.size(), 1u);
-  ASSERT_TRUE(end_to_end(down));
+  std::size_t shared = 0;
+  ASSERT_NE(expect_egress_contract(down, &shared), nullptr);
+  EXPECT_GT(shared, 0u);
   std::vector<oracle::Packet> kept;
   for (const auto& tx : down) kept.push_back(oracle::own(tx));
 
@@ -320,6 +370,100 @@ TEST(ProcessBatch, EgressViewsOutliveOtherSwitches) {
     EXPECT_EQ(up[k].port, want[k].port) << "packet " << k;
     EXPECT_EQ(oracle::own(up[k]).frame, oracle::own(want[k]).frame)
         << "packet " << k;
+  }
+}
+
+// One copy per distinct packet, on frames wider than a 64-bit message
+// mask: 200 ports over frames of 1 to 1,723 add-orders (a full frame).
+// Ports 1-100 subscribe by symbol in four groups of 25, so the ports of a
+// group get equal lists; ports 101-180 by price thresholds, so their lists
+// nest and mostly differ; ports 181-200 take every message, so they share
+// the whole frame. One frame leads with 100 AAPL orders and then
+// alternates GOOGL and MSFT, so the {AAPL, GOOGL} and {AAPL, MSFT} groups
+// get lists of equal length that first differ at message 101. The engine
+// must match the reference byte for byte and build exactly one packet per
+// distinct (frame, message list).
+TEST(ProcessBatch, SharedCopiesMatchReferenceOnWideFrames) {
+  auto schema = spec::make_itch_schema();
+  const std::string names[] = {"AAPL", "GOOGL", "MSFT", "IBM", "ORCL"};
+  const std::string groups[] = {"stock == AAPL or stock == GOOGL",
+                                "stock == AAPL or stock == MSFT",
+                                "stock == IBM", "stock == GOOGL"};
+  std::string rules;
+  for (int p = 1; p <= 100; ++p)
+    rules += groups[p % 4] + " : fwd(" + std::to_string(p) + ")\n";
+  for (int p = 101; p <= 180; ++p)
+    rules += "price > " + std::to_string((p - 100) * 11) + " : fwd(" +
+             std::to_string(p) + ")\n";
+  for (int p = 181; p <= 200; ++p)
+    rules += "shares > 0 : fwd(" + std::to_string(p) + ")\n";
+  auto compiled = compiler::compile_source(schema, rules);
+  ASSERT_TRUE(compiled.ok()) << compiled.error().to_string();
+  const table::Pipeline& pipeline = compiled.value().pipeline;
+
+  util::Rng rng(26);
+  std::vector<workload::PackedFrame> frames;
+  std::uint64_t sequence = 1;
+  // Appends one frame of these symbols at random prices and sizes.
+  const auto add_frame = [&](const std::vector<std::string>& stocks) {
+    std::vector<proto::ItchAddOrder> msgs(stocks.size());
+    for (std::size_t k = 0; k < msgs.size(); ++k) {
+      msgs[k].order_ref = sequence + k;
+      msgs[k].stock = stocks[k];
+      msgs[k].price = static_cast<std::uint32_t>(rng.uniform(1, 1000));
+      msgs[k].shares = static_cast<std::uint32_t>(rng.uniform(1, 1000));
+    }
+    proto::MoldUdp64Header mold;
+    mold.sequence = sequence;
+    sequence += msgs.size();
+    workload::PackedFrame pf;
+    pf.t_us = frames.size();
+    pf.bytes = proto::encode_market_data_packet(proto::EthernetHeader{}, 1, 2,
+                                                mold, msgs);
+    pf.n_msgs = static_cast<std::uint32_t>(msgs.size());
+    frames.push_back(std::move(pf));
+  };
+  for (const std::size_t n : {1, 4, 64, 65, 300, 4, 1723, 65, 1}) {
+    std::vector<std::string> stocks(n);
+    for (auto& stock : stocks) stock = names[rng.uniform(0, 4)];
+    add_frame(stocks);
+  }
+  std::vector<std::string> stocks(300);
+  for (std::size_t k = 0; k < stocks.size(); ++k)
+    stocks[k] = k < 100 ? names[0] : names[1 + k % 2];
+  add_frame(stocks);
+
+  // The reference sends one packet per port; count each frame's distinct
+  // packets, which are its distinct message lists (no frame repeats a
+  // message).
+  ReferenceSwitch sw_ref(schema, pipeline);
+  RunResult ref;
+  std::size_t distinct = 0;
+  for (const auto& f : frames) {
+    std::vector<std::vector<std::uint8_t>> lists;
+    for (auto& tx : sw_ref.process(f.bytes, f.t_us)) {
+      lists.push_back(tx.frame);
+      ref.pkts.push_back(std::move(tx));
+    }
+    std::sort(lists.begin(), lists.end());
+    distinct += std::unique(lists.begin(), lists.end()) - lists.begin();
+  }
+  const std::uint64_t final_time = frames.size();
+  ref.counters = sw_ref.counters();
+  ref.regs = sw_ref.registers().snapshot(final_time);
+  ASSERT_EQ(ref.counters.matched, frames.size());
+  ASSERT_LT(distinct, ref.counters.tx_copies);  // lists repeat...
+  ASSERT_GT(distinct, 2 * frames.size());       // ...and differ
+  std::size_t widest = 0;
+  for (const auto& tx : ref.pkts)
+    widest = std::max(widest, tx.frame.size());
+  ASSERT_EQ(widest, proto::market_frame_raw_size(1723));
+
+  for (const std::size_t batch : {std::size_t{1}, frames.size()}) {
+    SCOPED_TRACE("batches of " + std::to_string(batch) + " frames");
+    Switch sw(schema, pipeline);
+    expect_identical(ref, run_batched(sw, frames, batch, final_time));
+    EXPECT_EQ(sw.batch_stats().packets_built, distinct);
   }
 }
 

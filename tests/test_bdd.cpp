@@ -2,6 +2,8 @@
 // semantic pruning (reduction iii).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "bdd/bdd.hpp"
 #include "lang/parser.hpp"
 #include "util/rng.hpp"
@@ -252,12 +254,14 @@ TEST(Bdd, StatsAndDot) {
 struct UnionParams {
   std::uint64_t seed;
   bool semantic;
-  // gtest names each case after the raw bytes of its parameter. Left as
-  // padding, the bytes after `semantic` hold stack leftovers and the case
-  // names change from run to run; spelled out, they pin each case to the
-  // name it is already listed under.
-  std::uint8_t name_tail[7] = {};
 };
+
+// Names each ctest case `.../seed1_semantic`: CMake's test discovery names
+// a case after its printed parameter (by default the struct's bytes,
+// padding included, which change from build to build).
+void PrintTo(const UnionParams& p, std::ostream* os) {
+  *os << "seed" << p.seed << (p.semantic ? "_semantic" : "_syntactic");
+}
 
 class BddUnionEquivalence : public ::testing::TestWithParam<UnionParams> {};
 
@@ -310,10 +314,9 @@ TEST_P(BddUnionEquivalence, MatchesDirectEvaluation) {
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, BddUnionEquivalence,
-    ::testing::Values(UnionParams{1, true, {0xFF, 0x70}}, UnionParams{2, true},
-                      UnionParams{3, false},
-                      UnionParams{4, false, {0x00, 0x04}},
-                      UnionParams{5, true, {0xDA, 0x55}}, UnionParams{6, false},
+    ::testing::Values(UnionParams{1, true}, UnionParams{2, true},
+                      UnionParams{3, false}, UnionParams{4, false},
+                      UnionParams{5, true}, UnionParams{6, false},
                       UnionParams{7, true}, UnionParams{8, false}));
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "baseline/matcher.hpp"
 #include "lang/parser.hpp"
@@ -21,12 +22,14 @@ using namespace camus;
 struct IntegrationParams {
   std::uint64_t seed;
   bool compression;
-  // gtest names each case after the raw bytes of its parameter. Left as
-  // padding, the bytes after `compression` hold stack leftovers and the
-  // case names change from run to run; spelled out, they pin each case to
-  // the name it is already listed under.
-  std::uint8_t name_tail[7] = {};
 };
+
+// Names each ctest case `.../seed3_compressed`: CMake's test discovery
+// names a case after its printed parameter (by default the struct's bytes,
+// padding included, which change from build to build).
+void PrintTo(const IntegrationParams& p, std::ostream* os) {
+  *os << "seed" << p.seed << (p.compression ? "_compressed" : "_uncompressed");
+}
 
 class EndToEnd : public ::testing::TestWithParam<IntegrationParams> {};
 
@@ -127,8 +130,7 @@ TEST_P(EndToEnd, SubscribersReceiveExactlyTheirContent) {
 INSTANTIATE_TEST_SUITE_P(
     Seeds, EndToEnd,
     ::testing::Values(IntegrationParams{1, false}, IntegrationParams{2, false},
-                      IntegrationParams{3, true, {0xDA, 0x55}},
-                      IntegrationParams{4, true}));
+                      IntegrationParams{3, true}, IntegrationParams{4, true}));
 
 TEST(EndToEndStateful, CounterGatesTraffic) {
   // Forward AAPL only after 3 AAPL messages were seen in the same 100us
