@@ -12,9 +12,10 @@
 //
 // and, per op kind (an unsubscribe and a subscribe cost differently, so a
 // median over both would fall between two modes), the commit and install
-// latency, the commit's union and tables phases, and three deterministic
-// work counts: BDD nodes created, union memo misses (both memos) and In
-// nodes whose entries Algorithm 1 regenerated, per commit.
+// latency, the commit's union and tables phases, and four deterministic
+// counts per commit: BDD nodes created, union memo misses (both memos),
+// In nodes whose entries Algorithm 1 regenerated, and the delta's wire
+// bytes (serialize_ops, taken outside the timed install).
 //
 // A dedicated single-subscription probe (one add commit, one remove
 // commit) is reported separately — that is the paper's headline claim for
@@ -23,7 +24,8 @@
 // either probe's reuse fraction drops below F.
 //
 // CI runs this with --quick --gate-reuse 0.8 and also gates the
-// unsubscribe medians of union misses and regenerated In nodes; the
+// unsubscribe medians of union misses, regenerated In nodes and wire
+// bytes; the
 // committed BENCH_churn.json is the full run. Seeds are explicit and
 // recorded.
 #include <cstdio>
@@ -38,6 +40,7 @@
 #include "pubsub/install.hpp"
 #include "spec/itch_spec.hpp"
 #include "switchsim/switch.hpp"
+#include "table/delta.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
@@ -68,6 +71,7 @@ struct KindSummary {
   util::CdfSampler bdd_nodes;     // nodes the commit added to the manager
   util::CdfSampler union_misses;  // syntactic + semantic union memo misses
   util::CdfSampler regenerated;   // In nodes whose entries were generated
+  util::CdfSampler wire_bytes;    // serialize_ops bytes of the delta
 };
 
 double sum_of(const util::CdfSampler& s) {
@@ -95,14 +99,16 @@ std::string cdf_json(const util::CdfSampler& s) {
 }
 
 std::string kind_json(const KindSummary& k) {
-  char counts[384];
+  char counts[512];
   std::snprintf(counts, sizeof counts,
                 "\"bdd_nodes_created\": {\"mean\": %.1f, \"p50\": %.1f}, "
                 "\"union_memo_misses\": {\"mean\": %.1f, \"p50\": %.1f}, "
-                "\"in_nodes_regenerated\": {\"mean\": %.1f, \"p50\": %.1f}",
+                "\"in_nodes_regenerated\": {\"mean\": %.1f, \"p50\": %.1f}, "
+                "\"wire_bytes\": {\"mean\": %.1f, \"p50\": %.1f}",
                 mean_of(k.bdd_nodes), k.bdd_nodes.median(),
                 mean_of(k.union_misses), k.union_misses.median(),
-                mean_of(k.regenerated), k.regenerated.median());
+                mean_of(k.regenerated), k.regenerated.median(),
+                mean_of(k.wire_bytes), k.wire_bytes.median());
   return "{\"commits\": " + std::to_string(k.commit_ms.count()) +
          ", \"commit_ms\": " + cdf_json(k.commit_ms) +
          ", \"install_ms\": " + cdf_json(k.install_ms) +
@@ -227,6 +233,8 @@ int main(int argc, char** argv) {
     kind.union_misses.add(static_cast<double>(union_misses(now) - union_misses(cache)));
     kind.regenerated.add(static_cast<double>(
         delta.value().stats.tablegen.in_nodes_regenerated));
+    kind.wire_bytes.add(
+        static_cast<double>(table::serialize_ops(delta.value().ops).size()));
     cache = now;
   }
 
@@ -278,6 +286,7 @@ int main(int argc, char** argv) {
         sum_of(k.union_misses));
     row((tag + "In nodes regenerated").c_str(), k.regenerated,
         sum_of(k.regenerated));
+    row((tag + "wire bytes").c_str(), k.wire_bytes, sum_of(k.wire_bytes));
   }
   std::printf("%s", table.to_string().c_str());
   std::printf("  entries (mean): %.0f   ops/entries: %.4f   reuse: mean %.4f "

@@ -58,7 +58,13 @@ namespace {
 
 constexpr std::size_t kSymbolPool = 1024;
 
-std::string symbol_name(std::size_t k) { return "S" + std::to_string(k); }
+// Appended: gcc 12 at -O3 warns falsely (-Wrestrict) on an inlined
+// "literal" + std::string&&.
+std::string symbol_name(std::size_t k) {
+  std::string name = "S";
+  name += std::to_string(k);
+  return name;
+}
 
 // Deterministic pinned-heavy workload: rule i forwards to port i (the
 // subscriber). Subscribers cluster on their leaf's slice of the symbol

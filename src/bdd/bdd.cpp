@@ -518,7 +518,11 @@ std::string BddManager::to_dot(NodeRef root,
       return s.kind == Subject::Kind::kField ? schema->field(s.id).name
                                              : schema->state_var(s.id).name;
     }
-    return (s.kind == Subject::Kind::kField ? "f" : "v") + std::to_string(s.id);
+    // Appended: gcc 12 at -O3 warns falsely (-Wrestrict) on an inlined
+    // "literal" + std::string&&.
+    std::string name(1, s.kind == Subject::Kind::kField ? 'f' : 'v');
+    name += std::to_string(s.id);
+    return name;
   };
 
   std::ostringstream os;

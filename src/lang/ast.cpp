@@ -66,12 +66,23 @@ std::string Cond::to_string() const {
   switch (kind) {
     case Kind::kAtom:
       return atom.to_string();
-    case Kind::kNot:
-      return "!(" + lhs->to_string() + ")";
+    // Built by appending: gcc 12 at -O3 warns falsely (-Wrestrict) on
+    // an inlined "literal" + std::string&&.
+    case Kind::kNot: {
+      std::string s = "!(";
+      s += lhs->to_string();
+      s += ')';
+      return s;
+    }
     case Kind::kAnd:
-      return "(" + lhs->to_string() + " and " + rhs->to_string() + ")";
-    case Kind::kOr:
-      return "(" + lhs->to_string() + " or " + rhs->to_string() + ")";
+    case Kind::kOr: {
+      std::string s = "(";
+      s += lhs->to_string();
+      s += kind == Kind::kAnd ? " and " : " or ";
+      s += rhs->to_string();
+      s += ')';
+      return s;
+    }
   }
   return "?";
 }

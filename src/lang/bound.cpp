@@ -139,8 +139,9 @@ BoundCondPtr BoundCond::make_const(bool v) {
 std::string BoundCond::to_string(const spec::Schema* schema) const {
   auto subj_name = [&](Subject s) -> std::string {
     if (!schema) {
-      return (s.kind == Subject::Kind::kField ? "f" : "v") +
-             std::to_string(s.id);
+      std::string name(1, s.kind == Subject::Kind::kField ? 'f' : 'v');
+      name += std::to_string(s.id);
+      return name;
     }
     return s.kind == Subject::Kind::kField ? schema->field(s.id).path()
                                            : schema->state_var(s.id).name;
@@ -151,14 +152,23 @@ std::string BoundCond::to_string(const spec::Schema* schema) const {
     case Kind::kAtom:
       return subj_name(atom.subject) + " " + lang::to_string(atom.op) + " " +
              std::to_string(atom.value);
-    case Kind::kNot:
-      return "!(" + lhs->to_string(schema) + ")";
+    // Strings are built by appending: gcc 12 at -O3 warns falsely
+    // (-Wrestrict) on an inlined "literal" + std::string&&.
+    case Kind::kNot: {
+      std::string s = "!(";
+      s += lhs->to_string(schema);
+      s += ')';
+      return s;
+    }
     case Kind::kAnd:
-      return "(" + lhs->to_string(schema) + " and " + rhs->to_string(schema) +
-             ")";
-    case Kind::kOr:
-      return "(" + lhs->to_string(schema) + " or " + rhs->to_string(schema) +
-             ")";
+    case Kind::kOr: {
+      std::string s = "(";
+      s += lhs->to_string(schema);
+      s += kind == Kind::kAnd ? " and " : " or ";
+      s += rhs->to_string(schema);
+      s += ')';
+      return s;
+    }
   }
   return "?";
 }

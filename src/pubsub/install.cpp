@@ -279,10 +279,10 @@ StagedInstall TwoPhaseInstaller::stage_image(const std::string& image,
       out.report.error = "staged " + what + " digest mismatch";
       continue;
     }
-    const std::string_view text(reinterpret_cast<const char*>(staged.data()),
+    const std::string_view wire(reinterpret_cast<const char*>(staged.data()),
                                 staged.size());
     if (!ops) {
-      auto parsed = table::deserialize_pipeline(text);
+      auto parsed = table::deserialize_pipeline(wire);
       if (!parsed.ok()) {
         out.report.error =
             "staged image rejected: " + parsed.error().to_string();
@@ -290,7 +290,7 @@ StagedInstall TwoPhaseInstaller::stage_image(const std::string& image,
       }
       out.program = sw_.stage(std::move(parsed).take());
     } else {
-      auto parsed = table::deserialize_ops(text);
+      auto parsed = table::deserialize_ops(wire);
       if (!parsed.ok()) {
         out.report.error =
             "staged delta rejected: " + parsed.error().to_string();

@@ -1,19 +1,14 @@
 #include "table/delta.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <compare>
+#include <cstring>
 #include <functional>
 #include <iterator>
 #include <tuple>
 
-#include "table/text_format.hpp"
-
 namespace camus::table {
 
-using textio::put_actions;
-using textio::put_match;
-using textio::put_u64;
 using util::Error;
 using util::Result;
 
@@ -282,109 +277,208 @@ Result<ApplyStats> apply_ops(Pipeline& pipe, std::span<const EntryOp> ops) {
   return stats;
 }
 
+// --- wire format -----------------------------------------------------------
+
 namespace {
 
-// An upper bound on an op's encoded line, so the output is sized once.
-std::size_t max_line_bytes(const EntryOp& op) {
-  return 96 + op.table.size() + 6 * op.actions.ports.size() +
-         11 * op.actions.state_updates.size();
+constexpr char kDeltaMagic[4] = {'C', 'D', 'L', 'T'};
+constexpr std::uint32_t kLeafStage = 0xffffffffU;  // the leaf's stage index
+constexpr std::size_t kHeaderBytes = 12;  // magic, version, op count
+constexpr std::size_t kOpBytes = 9;       // kind, stage, state
+constexpr std::size_t kMatchBytes = 21;   // match kind, lo, hi, next state
+
+// Little-endian stores into a buffer sized up front.
+struct Writer {
+  char* p;
+
+  template <typename T>
+  void put(T v) {
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+      *p++ = static_cast<char>(static_cast<std::uint64_t>(v) >> (8 * i));
+  }
+  void bytes(std::string_view b) {
+    std::memcpy(p, b.data(), b.size());
+    p += b.size();
+  }
+};
+
+// Little-endian loads; the caller checks left() before each one.
+struct Reader {
+  const unsigned char* p;
+  const unsigned char* end;
+
+  std::size_t left() const noexcept { return static_cast<std::size_t>(end - p); }
+  std::size_t offset(std::string_view wire) const noexcept {
+    return static_cast<std::size_t>(p - reinterpret_cast<const unsigned char*>(
+                                            wire.data()));
+  }
+  template <typename T>
+  T get() {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+      v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    p += sizeof(T);
+    return static_cast<T>(v);
+  }
+};
+
+bool canonical_match(const ValueMatch& m) {
+  switch (m.kind) {
+    case ValueMatch::Kind::kAny: return m.lo == 0 && m.hi == 0;
+    case ValueMatch::Kind::kExact: return m.lo == m.hi;
+    case ValueMatch::Kind::kRange: return m.lo <= m.hi;
+  }
+  return false;
+}
+
+// Reads a u32 count and that many T into `out`; false, before allocating,
+// when they cannot fit in the bytes left.
+template <typename T>
+bool read_list(Reader& in, std::vector<T>& out) {
+  if (in.left() < 4) return false;
+  const std::uint32_t n = in.get<std::uint32_t>();
+  if (n > in.left() / sizeof(T)) return false;
+  out.resize(n);
+  for (T& v : out) v = in.get<T>();
+  return true;
+}
+
+template <typename T>
+bool strictly_ascending(const std::vector<T>& v) {
+  return std::adjacent_find(v.begin(), v.end(), std::greater_equal<T>()) ==
+         v.end();
 }
 
 }  // namespace
 
 std::string serialize_ops(std::span<const EntryOp> ops) {
-  std::size_t bytes = 32;
-  for (const EntryOp& op : ops) bytes += max_line_bytes(op);
-  std::string out;
-  out.reserve(bytes);
-  out += "camus-delta v";
-  put_u64(out, kDeltaFormatVersion);
-  out += '\n';
-  for (const EntryOp& op : ops) {
-    out += "op ";
-    out += kind_name(op.kind);
-    out += ' ';
-    out += op.table;
-    out += ' ';
-    put_u64(out, op.state);
-    if (op.is_leaf())
-      put_actions(out, op.actions);
-    else
-      put_match(out, op.match, op.next_state);
-    out += '\n';
+  // The stage names the field ops use, sorted and unique; an op refers to
+  // its stage by index.
+  std::vector<std::string_view> names;
+  for (const EntryOp& op : ops)
+    if (!op.is_leaf() &&
+        std::find(names.begin(), names.end(), op.table) == names.end())
+      names.push_back(op.table);
+  std::sort(names.begin(), names.end());
+
+  std::size_t bytes = kHeaderBytes + 4;
+  for (const std::string_view name : names) bytes += 4 + name.size();
+  for (const EntryOp& op : ops)
+    bytes += kOpBytes + (op.is_leaf()
+                             ? 8 + 2 * op.actions.ports.size() +
+                                   4 * op.actions.state_updates.size()
+                             : kMatchBytes);
+  std::string out(bytes, '\0');
+  Writer w{out.data()};
+  w.bytes({kDeltaMagic, sizeof kDeltaMagic});
+  w.put<std::uint32_t>(kDeltaFormatVersion);
+  w.put(static_cast<std::uint32_t>(ops.size()));
+  w.put(static_cast<std::uint32_t>(names.size()));
+  for (const std::string_view name : names) {
+    w.put(static_cast<std::uint32_t>(name.size()));
+    w.bytes(name);
   }
-  out += "end\n";
+  for (const EntryOp& op : ops) {
+    w.put(static_cast<std::uint8_t>(op.kind));
+    if (op.is_leaf()) {
+      w.put(kLeafStage);
+      w.put(op.state);
+      w.put(static_cast<std::uint32_t>(op.actions.ports.size()));
+      for (const std::uint16_t p : op.actions.ports) w.put(p);
+      w.put(static_cast<std::uint32_t>(op.actions.state_updates.size()));
+      for (const std::uint32_t u : op.actions.state_updates) w.put(u);
+    } else {
+      w.put(static_cast<std::uint32_t>(
+          std::lower_bound(names.begin(), names.end(), op.table) -
+          names.begin()));
+      w.put(op.state);
+      w.put(static_cast<std::uint8_t>(op.match.kind));
+      w.put(op.match.lo);
+      w.put(op.match.hi);
+      w.put(op.next_state);
+    }
+  }
   return out;
 }
 
-Result<std::vector<EntryOp>> deserialize_ops(std::string_view text) {
-  std::vector<EntryOp> ops;
-  textio::Lines in(text);
-  auto fail = [&](std::string msg) { return in.err(std::move(msg)); };
+Result<std::vector<EntryOp>> deserialize_ops(std::string_view wire) {
+  Reader in{reinterpret_cast<const unsigned char*>(wire.data()),
+            reinterpret_cast<const unsigned char*>(wire.data()) + wire.size()};
+  auto fail = [&](const char* code, const std::string& what) {
+    return err(code, "delta byte " + std::to_string(in.offset(wire)) + ": " +
+                         what);
+  };
+  auto truncated = [&](const std::string& what) {
+    return fail("D002", "truncated " + what);
+  };
 
-  if (!in.next() || in.n != 2 || in.tok[0] != "camus-delta" ||
-      in.tok[1] != "v" + std::to_string(kDeltaFormatVersion))
-    return fail("bad header (expected 'camus-delta v1')");
+  if (in.left() < kHeaderBytes) return truncated("header");
+  if (std::memcmp(in.p, kDeltaMagic, sizeof kDeltaMagic) != 0)
+    return fail("D001", "not a delta (bad magic)");
+  in.p += sizeof kDeltaMagic;
+  if (const auto v = in.get<std::uint32_t>(); v != kDeltaFormatVersion)
+    return fail("D001", "delta format version " + std::to_string(v) +
+                            ", expected " +
+                            std::to_string(kDeltaFormatVersion));
+  const std::uint32_t n_ops = in.get<std::uint32_t>();
+  if (n_ops > in.left() / kOpBytes) return truncated("op list");
 
-  bool done = false;
-  while (in.next()) {
-    const auto& toks = in.tok;
-    if (toks[0] == "end") {
-      done = true;
-      break;
-    }
-    if (toks[0] != "op") return fail("expected 'op' or 'end'");
-    if (in.n < 4) return fail("truncated op line");
-    EntryOp op;
-    if (toks[1] == "add") op.kind = EntryOp::Kind::kAdd;
-    else if (toks[1] == "del") op.kind = EntryOp::Kind::kRemove;
-    else if (toks[1] == "mod") op.kind = EntryOp::Kind::kModify;
-    else return fail("bad op kind '" + std::string(toks[1]) + "'");
-    op.table = std::string(toks[2]);
-    std::uint64_t state = 0;
-    if (!textio::parse_u64(toks[3], &state)) return fail("bad op state");
-    op.state = static_cast<StateId>(state);
-    if (op.is_leaf()) {
-      if (in.n != 6) return fail("bad leaf op line");
-      // Lists are read in wire order, then made sorted and unique as
-      // ActionSet::add_port/add_update would.
-      bool port_range = true;
-      auto& ports = op.actions.ports;
-      auto& updates = op.actions.state_updates;
-      auto add_port = [&](std::uint64_t p) {
-        port_range &= p <= 0xffff;
-        ports.push_back(static_cast<std::uint16_t>(p));
-      };
-      auto add_update = [&](std::uint64_t u) {
-        updates.push_back(static_cast<std::uint32_t>(u));
-      };
-      if (!textio::parse_list(textio::kv(toks[4], "ports"), add_port))
-        return fail("bad leaf op ports");
-      if (!textio::parse_list(textio::kv(toks[5], "updates"), add_update))
-        return fail("bad leaf op updates");
-      if (!port_range) return fail("leaf op port out of range");
-      textio::sort_unique(ports);
-      textio::sort_unique(updates);
-    } else {
-      if (in.n != 8) return fail("bad field op line");
-      std::uint64_t lo = 0, hi = 0, next = 0;
-      if (!textio::parse_u64(toks[5], &lo) ||
-          !textio::parse_u64(toks[6], &hi) ||
-          !textio::parse_u64(toks[7], &next))
-        return fail("bad field op numbers");
-      if (toks[4] == "any") op.match = ValueMatch::any();
-      else if (toks[4] == "exact") op.match = ValueMatch::exact(lo);
-      else if (toks[4] == "range") {
-        if (lo > hi) return fail("inverted range in field op");
-        op.match = ValueMatch::range(lo, hi);
-      } else {
-        return fail("bad field op match kind");
-      }
-      op.next_state = static_cast<StateId>(next);
-    }
-    ops.push_back(std::move(op));
+  if (in.left() < 4) return truncated("stage list");
+  const std::uint32_t n_names = in.get<std::uint32_t>();
+  if (n_names > in.left() / 4) return truncated("stage list");
+  std::vector<std::string_view> names(n_names);
+  for (std::uint32_t i = 0; i < n_names; ++i) {
+    if (in.left() < 4) return truncated("stage name");
+    const std::uint32_t len = in.get<std::uint32_t>();
+    if (len > in.left()) return truncated("stage name");
+    names[i] = {reinterpret_cast<const char*>(in.p), len};
+    in.p += len;
+    if (names[i] == kLeafTableName)
+      return fail("D005", "the leaf table in the stage list");
+    if (i > 0 && !(names[i - 1] < names[i]))
+      return fail("D005", "stage names not sorted and unique");
   }
-  if (!done) return fail("missing 'end'");
+
+  std::vector<bool> used(n_names, false);
+  std::vector<EntryOp> ops(n_ops);
+  for (EntryOp& op : ops) {
+    if (in.left() < kOpBytes) return truncated("op");
+    const auto kind = in.get<std::uint8_t>();
+    if (kind > static_cast<std::uint8_t>(EntryOp::Kind::kModify))
+      return fail("D003", "unknown op kind " + std::to_string(kind));
+    op.kind = static_cast<EntryOp::Kind>(kind);
+    const std::uint32_t stage = in.get<std::uint32_t>();
+    op.state = in.get<StateId>();
+    if (stage == kLeafStage) {
+      op.table = kLeafTableName;
+      if (!read_list(in, op.actions.ports)) return truncated("leaf ports");
+      if (!read_list(in, op.actions.state_updates))
+        return truncated("leaf state updates");
+      if (!strictly_ascending(op.actions.ports) ||
+          !strictly_ascending(op.actions.state_updates))
+        return fail("D005", "leaf lists not sorted and unique");
+      continue;
+    }
+    if (stage >= n_names)
+      return fail("D004", "stage index " + std::to_string(stage) + " of " +
+                              std::to_string(n_names));
+    used[stage] = true;
+    op.table = names[stage];
+    if (in.left() < kMatchBytes) return truncated("field match");
+    const auto match_kind = in.get<std::uint8_t>();
+    if (match_kind > static_cast<std::uint8_t>(ValueMatch::Kind::kRange))
+      return fail("D003", "unknown match kind " + std::to_string(match_kind));
+    op.match.kind = static_cast<ValueMatch::Kind>(match_kind);
+    op.match.lo = in.get<std::uint64_t>();
+    op.match.hi = in.get<std::uint64_t>();
+    op.next_state = in.get<StateId>();
+    if (!canonical_match(op.match))
+      return fail("D005", "non-canonical " + op.match.to_string());
+  }
+  if (std::find(used.begin(), used.end(), false) != used.end())
+    return fail("D005", "a stage no op uses");
+  if (in.left() != 0)
+    return fail("D006", std::to_string(in.left()) + " trailing bytes");
   return ops;
 }
 

@@ -28,7 +28,7 @@
 namespace camus::table {
 
 // Current delta wire-format version; deserialize_ops rejects others.
-inline constexpr int kDeltaFormatVersion = 1;
+inline constexpr int kDeltaFormatVersion = 2;
 
 // The leaf table's reserved name in EntryOp::table. Field tables are
 // compiler-named ("tbl_<field>", "map_<field>") and never collide.
@@ -77,11 +77,35 @@ struct ApplyStats {
 util::Result<ApplyStats> apply_ops(Pipeline& pipe,
                                    std::span<const EntryOp> ops);
 
-// Wire format for shipping a delta over the control channel (same
-// line-oriented style as serialize_pipeline; digest protection is the
-// installer's job).
+// Binary wire format for shipping a delta over the control channel
+// (digest protection is the installer's job). All integers little-endian:
+//   header   "CDLT", u32 version (kDeltaFormatVersion), u32 op count
+//   stages   u32 count, then per stage u32 length + name bytes: the field
+//            and value-map tables the ops name, sorted, unique, each used
+//   per op   u8 kind, u32 stage index (2^32-1 for the leaf), u32 state
+//     field  u8 match kind, u64 lo, u64 hi, u32 next state
+//     leaf   u32 count + u16 ports, u32 count + u32 state updates
+// A leaf's port list is written as raw u16s: an unsubscribe's delta holds
+// leaves of ~145 ports each, and printing and parsing that many numbers
+// as text would be most of the cost of its install.
+//
+// serialize_ops writes the ops as they are; one whose lists are unsorted
+// or whose match is malformed encodes, and its decode fails (D005).
+// deserialize_ops accepts only canonical input, so every accepted input
+// re-encodes to itself (serialize_ops(deserialize_ops(w)) == w). Every
+// count is checked against the bytes left before anything is allocated.
+// Rejections carry a D0xx code:
+//   D001  bad magic or unsupported version
+//   D002  truncated: a field or a count's items run past the end
+//   D003  unknown op kind or match kind
+//   D004  stage index names no stage
+//   D005  non-canonical: stage names unsorted, repeated, unused or
+//         "leaf"; a match whose lo/hi its kind does not allow (any is
+//         0..0, exact has lo == hi, range lo <= hi); ports or state
+//         updates not strictly ascending
+//   D006  trailing bytes after the last op
 std::string serialize_ops(std::span<const EntryOp> ops);
-util::Result<std::vector<EntryOp>> deserialize_ops(std::string_view text);
+util::Result<std::vector<EntryOp>> deserialize_ops(std::string_view wire);
 
 // --- pipeline diffing & digests (reconciliation currency) ----------------
 //

@@ -117,8 +117,12 @@ Result<Pipeline> deserialize_pipeline(std::string_view text) {
   const auto& toks = lp.tok;
   Pipeline pipe;
 
+  // Appended: gcc 12 at -O3 warns falsely (-Wrestrict) on an inlined
+  // "literal" + std::string&&.
+  std::string version = "v";
+  version += std::to_string(kPipelineFormatVersion);
   if (!lp.next() || lp.n != 2 || toks[0] != "camus-pipeline" ||
-      toks[1] != "v" + std::to_string(kPipelineFormatVersion))
+      toks[1] != version)
     return lp.err("bad header (expected 'camus-pipeline v1')");
 
   std::uint64_t init = 0;

@@ -22,8 +22,16 @@ std::string ValueMatch::to_string() const {
       return "*";
     case Kind::kExact:
       return std::to_string(lo);
-    case Kind::kRange:
-      return "[" + std::to_string(lo) + "," + std::to_string(hi) + "]";
+    case Kind::kRange: {
+      // Appended: gcc 12 at -O3 warns falsely (-Wrestrict) on an inlined
+      // "literal" + std::string&&.
+      std::string s = "[";
+      s += std::to_string(lo);
+      s += ',';
+      s += std::to_string(hi);
+      s += ']';
+      return s;
+    }
   }
   return "?";
 }

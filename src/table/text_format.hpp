@@ -1,9 +1,9 @@
-// Reading and writing the line-oriented text formats of this library:
-// the pipeline image (serialize.cpp) and the delta wire format
-// (delta.cpp). Internal to camus_table. Lines are split into
-// space-separated tokens in place, with no per-line or per-list
-// allocation; writers append numbers with to_chars into one string sized
-// up front.
+// Reading and writing the line-oriented text format of the pipeline
+// image (serialize.cpp), the library's human-readable dump; entry deltas
+// ship in a binary format (delta.cpp). Internal to camus_table. Lines are
+// split into space-separated tokens in place, with no per-line or
+// per-list allocation; writers append numbers with to_chars into one
+// string sized up front.
 #pragma once
 
 #include <algorithm>
@@ -131,8 +131,7 @@ inline const char* value_kind_name(ValueMatch::Kind k) {
   return "?";
 }
 
-// " <kind> <lo> <hi> <next>": a field entry's match and next state, as
-// both formats write them.
+// " <kind> <lo> <hi> <next>": a field entry's match and next state.
 inline void put_match(std::string& out, const ValueMatch& m,
                       std::uint64_t next_state) {
   out += ' ';

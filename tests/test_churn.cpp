@@ -413,8 +413,9 @@ TEST(ChurnDelta, SerializeOpsRoundTrip) {
   auto ga = inc.add_source("stock == GOOGL and price > 900 : fwd(3)");
   ASSERT_TRUE(ga.ok());
   ASSERT_TRUE(inc.commit().ok());
-  // A second commit with an action change produces a mixed delta (adds,
-  // removes, and a leaf modify where only the ActionSet changed).
+  // A second commit with an action change produces a mixed delta: field
+  // adds and removes, and a leaf add and remove (the changed leaf gets a
+  // fresh state). DeltaCodec.* in test_delta round-trips a leaf modify.
   ASSERT_TRUE(inc.remove(ga.value()));
   ASSERT_TRUE(inc.add_source("stock == GOOGL and price > 900 : fwd(4)").ok());
   auto delta = inc.commit();
@@ -430,6 +431,43 @@ TEST(ChurnDelta, SerializeOpsRoundTrip) {
   EXPECT_FALSE(table::deserialize_ops("camus-delta v9\nend\n").ok());
   EXPECT_FALSE(
       table::deserialize_ops(wire.substr(0, wire.size() / 2)).ok());
+  EXPECT_EQ(table::deserialize_ops("camus-delta v9\nend\n").error().code,
+            "D001");
+  EXPECT_EQ(
+      table::deserialize_ops(wire.substr(0, wire.size() / 2)).error().code,
+      "D002");
+  // So are binary headers of the format's other versions: 1 (the text
+  // format's number) and 3. The version is the u32 after the magic.
+  for (const char version : {'\x01', '\x03'}) {
+    std::string other = wire;
+    other.replace(4, 4, std::string{version, 0, 0, 0});
+    const auto r = table::deserialize_ops(other);
+    ASSERT_FALSE(r.ok()) << int{version};
+    EXPECT_EQ(r.error().code, "D001") << r.error().message;
+  }
+}
+
+// A delta the decoder refuses never reaches the switch, and the installer
+// reports the decoder's code: a leaf op whose port list is not sorted
+// encodes, but fails canonical decoding (D005).
+TEST(ChurnDelta, RejectedDeltaCarriesItsCode) {
+  auto schema = spec::make_itch_schema();
+  auto c = compiler::compile_source(schema, "stock == GOOGL : fwd(1)");
+  ASSERT_TRUE(c.ok());
+  switchsim::Switch sw(schema, c.value().pipeline);
+  pubsub::TwoPhaseInstaller installer(sw);
+  const std::uint64_t before = sw.program_version();
+
+  table::EntryOp op;
+  op.kind = table::EntryOp::Kind::kModify;
+  op.table = std::string(table::kLeafTableName);
+  op.state = c.value().pipeline.leaf.entries().front().state;
+  op.actions.ports = {4, 2};
+  const auto report = installer.apply_delta(std::vector<table::EntryOp>{op});
+  EXPECT_FALSE(report.committed);
+  EXPECT_EQ(report.error.rfind("staged delta rejected: D005: ", 0), 0u)
+      << report.error;
+  EXPECT_EQ(sw.program_version(), before);
 }
 
 // The controller-level path: subscribe/unsubscribe mark deltas, and

@@ -51,7 +51,9 @@ Pipeline random_pipeline(util::Rng& rng, bool overlapping = false) {
     const Subject subj = rng.next() % 4 == 0
                              ? Subject::state(rng.next() % 2)
                              : Subject::field(rng.next() % 3);
-    Table tab("t" + std::to_string(t), subj,
+    std::string name = "t";  // appended: gcc 12 -O3 warns on "t" + string&&
+    name += std::to_string(t);
+    Table tab(name, subj,
               rng.next() % 2 ? MatchKind::kExact : MatchKind::kRange, 16);
     // Disjoint ranges per state: advance a per-state cursor.
     std::uint64_t cursor[kStates] = {};

@@ -6,7 +6,9 @@
 // deltas. The diff must emit the same op-list bytes and accounting; the
 // apply must leave the same serialized pipeline (entry order and multicast
 // ids included) with the same ApplyStats, or fail with the same U-code and
-// message.
+// message. DeltaCodec.* holds the binary wire format to its contract on
+// seeded byte-level mutations of real deltas: a D-coded rejection, or ops
+// that re-encode to exactly the bytes read.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,8 +16,11 @@
 #include <set>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "compiler/compile.hpp"
 #include "compiler/incremental.hpp"
 #include "reference_delta.hpp"
 #include "spec/itch_spec.hpp"
@@ -466,6 +471,190 @@ TEST(DeltaDifferential, SeededMutatedDeltas) {
   EXPECT_GT(successes, 50u);
   EXPECT_EQ(codes, (std::set<std::string>{"U001", "U002", "U003", "U004",
                                           "U005", "U006", "U007"}));
+}
+
+// --- the binary delta wire format ------------------------------------------
+
+// Real deltas: the first commits of the churn_updates --quick episode (500
+// subscriptions over 100 symbols and 200 hosts, so an unsubscribe rewrites
+// leaves of ~145 ports), then a subscription that updates a state
+// variable; and a repair diff that modifies a leaf.
+std::vector<std::vector<EntryOp>> codec_corpus() {
+  const auto schema = spec::make_itch_schema();
+  workload::ChurnParams cp;
+  cp.seed = 1;
+  cp.subs.seed = 1 ^ 0x5eedULL;
+  cp.subs.n_subscriptions = 500;
+  cp.subs.n_symbols = 100;
+  cp.subs.n_hosts = 200;
+  workload::ChurnGenerator churn(schema, cp);
+  compiler::IncrementalCompiler inc(schema, exact_first(false));
+  std::vector<compiler::IncrementalCompiler::SubscriptionId> ids;
+  for (const auto& r : churn.base()) ids.push_back(inc.add(r));
+  std::vector<std::vector<EntryOp>> out;
+  auto commit = [&] {
+    auto d = inc.commit();
+    EXPECT_TRUE(d.ok()) << d.error().to_string();
+    if (d.ok() && !d.value().ops.empty()) out.push_back(d.value().ops);
+  };
+  commit();
+  out.clear();  // the cold start: adds only, and large
+  for (int i = 0; i < 6; ++i) {
+    auto op = churn.next();
+    if (op.subscribe) {
+      if (ids.size() <= op.slot) ids.resize(op.slot + 1);
+      ids[op.slot] = inc.add(std::move(op.rule));
+    } else {
+      inc.remove(ids[op.slot]);
+    }
+    commit();
+  }
+  EXPECT_TRUE(inc.add_source("stock == ZZZZ : fwd(7); update(my_counter)").ok());
+  commit();
+  // A leaf modify, as reconcile ships one: the diff between two cold
+  // compiles whose one leaf differs in its ports.
+  auto a = compiler::compile_source(schema, "stock == ZZZZ : fwd(7)");
+  auto b = compiler::compile_source(schema, "stock == ZZZZ : fwd(8)");
+  EXPECT_TRUE(a.ok() && b.ok());
+  out.push_back(
+      table::diff_pipelines(&a.value().pipeline, b.value().pipeline).ops);
+  return out;
+}
+
+// The byte offsets of every u32 count in `wire`, an encoding of `ops`: the
+// op count, the stage count, each stage name's length and each leaf op's
+// port and state-update counts (the layout in table/delta.hpp).
+std::vector<std::size_t> count_offsets(std::string_view wire,
+                                       std::span<const EntryOp> ops) {
+  auto u32_at = [&](std::size_t at) {
+    std::uint32_t v = 0;
+    for (std::size_t i = 4; i-- > 0;)
+      v = v << 8 | static_cast<std::uint8_t>(wire[at + i]);
+    return v;
+  };
+  std::vector<std::size_t> out = {8, 12};
+  std::size_t at = 16;
+  for (std::uint32_t i = 0, n = u32_at(12); i < n; ++i) {
+    out.push_back(at);
+    at += 4 + u32_at(at);
+  }
+  for (const EntryOp& op : ops) {
+    if (!op.is_leaf()) {
+      at += 30;
+      continue;
+    }
+    const std::size_t ports = op.actions.ports.size();
+    out.push_back(at + 9);
+    out.push_back(at + 13 + 2 * ports);
+    at += 17 + 2 * ports + 4 * op.actions.state_updates.size();
+  }
+  EXPECT_EQ(at, wire.size());
+  return out;
+}
+
+// The codec's contract on any input: a D-coded rejection, or ops that
+// re-encode to exactly those bytes. Returns the code ("" on success).
+std::string expect_coded_or_canonical(const std::string& wire) {
+  const auto r = table::deserialize_ops(wire);
+  if (r.ok()) {
+    EXPECT_EQ(table::serialize_ops(r.value()), wire);
+    return "";
+  }
+  const std::string& code = r.error().code;
+  EXPECT_TRUE(code.size() == 4 && code[0] == 'D' && code >= "D001" &&
+              code <= "D006")
+      << "'" << code << "': " << r.error().message;
+  return code;
+}
+
+TEST(DeltaCodec, MutatedWireFailsCodedOrReencodesExactly) {
+  const auto corpus = codec_corpus();
+  // The corpus covers every op kind, leaves of more than 100 ports and a
+  // leaf with state updates, and each delta round-trips.
+  std::set<std::pair<bool, Kind>> kinds;
+  std::size_t widest = 0;
+  bool updates = false;
+  for (const auto& ops : corpus) {
+    for (const EntryOp& op : ops) {
+      kinds.insert({op.is_leaf(), op.kind});
+      widest = std::max(widest, op.actions.ports.size());
+      updates |= !op.actions.state_updates.empty();
+    }
+    auto back = table::deserialize_ops(table::serialize_ops(ops));
+    ASSERT_TRUE(back.ok()) << back.error().to_string();
+    EXPECT_EQ(back.value(), ops);
+  }
+  EXPECT_EQ(kinds, (std::set<std::pair<bool, Kind>>{{false, Kind::kAdd},
+                                                    {false, Kind::kRemove},
+                                                    {true, Kind::kAdd},
+                                                    {true, Kind::kRemove},
+                                                    {true, Kind::kModify}}));
+  EXPECT_GT(widest, 100u);
+  EXPECT_TRUE(updates);
+  auto empty = table::deserialize_ops(table::serialize_ops({}));
+  ASSERT_TRUE(empty.ok()) << empty.error().to_string();
+  EXPECT_TRUE(empty.value().empty());
+
+  util::Rng rng(27);
+  std::set<std::string> codes;
+  for (const auto& ops : corpus) {
+    const std::string wire = table::serialize_ops(ops);
+    auto at = [&](std::size_t n) {
+      return static_cast<std::size_t>(rng.uniform(0, n - 1));
+    };
+    for (int i = 0; i < 150; ++i) {  // bit flips
+      std::string m = wire;
+      m[at(m.size())] ^= static_cast<char>(1u << rng.uniform(0, 7));
+      codes.insert(expect_coded_or_canonical(m));
+    }
+    for (int i = 0; i < 50; ++i) {  // truncations
+      const std::string m = wire.substr(0, at(wire.size()));
+      EXPECT_EQ(expect_coded_or_canonical(m), "D002") << m.size();
+    }
+    for (int i = 0; i < 50; ++i) {  // inserted bytes
+      std::string m = wire;
+      m.insert(m.begin() + static_cast<std::ptrdiff_t>(at(m.size() + 1)),
+               static_cast<char>(rng.uniform(0, 255)));
+      codes.insert(expect_coded_or_canonical(m));
+    }
+    for (int i = 0; i < 50; ++i) {  // deleted bytes
+      std::string m = wire;
+      m.erase(at(m.size()), 1);
+      codes.insert(expect_coded_or_canonical(m));
+    }
+    // Counts set to 2^32-1: rejected before anything is allocated.
+    const std::vector<std::size_t> counts = count_offsets(wire, ops);
+    for (int i = 0; i < 50; ++i) {
+      std::string m = wire;
+      m.replace(counts[at(counts.size())], 4, 4, '\xff');
+      EXPECT_EQ(expect_coded_or_canonical(m), "D002");
+    }
+    std::string trailing = wire;
+    trailing += '\0';
+    EXPECT_EQ(expect_coded_or_canonical(trailing), "D006");
+  }
+  // Flips, insertions and deletions reach the decoder's checks beyond the
+  // header and the lengths, and some decode to other canonical deltas.
+  for (const char* code : {"", "D001", "D002", "D003", "D004", "D005"})
+    EXPECT_TRUE(codes.count(code)) << code;
+}
+
+TEST(DeltaCodec, NonCanonicalOpsEncodeButAreRejected) {
+  EntryOp leaf;
+  leaf.table = std::string(table::kLeafTableName);
+  leaf.actions.ports = {3, 1};
+  EntryOp exact;
+  exact.table = "tbl_price";
+  exact.match = table::ValueMatch::exact(5);
+  exact.match.hi = 6;
+  EntryOp range;
+  range.table = "tbl_price";
+  range.match = table::ValueMatch::range(9, 2);
+  for (const EntryOp& op : {leaf, exact, range}) {
+    const auto r = table::deserialize_ops(table::serialize_ops({&op, 1}));
+    ASSERT_FALSE(r.ok()) << op.to_string();
+    EXPECT_EQ(r.error().code, "D005") << r.error().message;
+  }
 }
 
 }  // namespace
